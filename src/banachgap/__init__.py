@@ -2,16 +2,12 @@
 displacement constants of permutation actions, sphere-map moduli,
 even-regular Schreier realizations, and metric distortion bounds."""
 
-from ._accel import ENV_FLAG, NUMBA_ACTIVE, active_mode
 from .graphs import MetricTable, MultiGraph, all_pairs_distances, build_graph, gen_family
 from .spectral import GapEstimate, VectorMap, gap_estimate, gap_exact_2, gap_oracle_small, rayleigh_quotient
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "ENV_FLAG",
-    "NUMBA_ACTIVE",
-    "active_mode",
     "MultiGraph",
     "MetricTable",
     "build_graph",

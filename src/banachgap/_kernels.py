@@ -1,32 +1,33 @@
-"""Hot numeric kernels, in numba-jitted and pure-numpy variants.
+"""Hot numeric kernels, vectorised over a block of descent starts.
 
-Every kernel exists twice with identical semantics:
-
-* ``*_nb``  -- explicit loops compiled with ``@njit`` (default path),
-* ``*_np``  -- vectorized numpy (fallback, selected via BANACHGAP_NO_NUMBA).
-
-The module-level names (``descend``, ``oracle_circle``, ...) point at the
-active variant.  ``IMPLEMENTATIONS`` exposes both for the benchmark and the
-cross-consistency tests.
-
-Conventions: maps are (n, d) float64 arrays, edges are parallel int64
-arrays (u, v, mult) over non-loop edges.  The objective is
+Conventions: a map is an (n, d) float64 array, and edges are parallel
+int64 arrays (u, v, mult) over non-loop edges.  The gap objective is
 
     R(F) = sum_e m_e * ||F[u]-F[v]||_q^p  /  sum_v ||F[v] - mean||_q^p,
 
 i.e. the oriented-edge quotient with the global 1/2 and the one-per-
 direction doubling cancelled.  Subgradients at kinks (p=1 or q=1) use 0.
 
-``descend`` returns ``(F, R, iterations, step, stop)``: the best map, its
-recomputed quotient, the iteration count, the last step norm and a stop
-code indexing ``STOP_REASONS``.  A restart stops when it has converged
-(vanishing gradient or a step below ``tol``), when its best quotient has
-not improved by more than a relative ``_STALL_REL`` in ``_STALL_ITERS``
-iterations (stalled), when the line search finds no decrease, or at
-``max_iter``.  The backtracking factor ``_SHRINK`` is not a power of two,
-so the trial steps cannot lock onto an exact 1/(lambda_max - lambda_2)
-of an integer Laplacian spectrum, where the top mode flips sign at almost
-unchanged size and the quotient converges only like 1/k.
+The two descents take a stack of R starts, shaped (R, n, d), and advance
+them together one iteration at a time.  Inside, a block is stored as
+(R, d, n), so each start's coordinates are contiguous rows and every
+reduction runs over the last axis.  Every per-start quantity is computed
+from that start's rows alone, so a start follows the same path whichever
+starts share its block.  Each start keeps its own step size, Armijo
+backtracking, best point and stop reason; it leaves the block when it
+stops, and the block runs until its last start stops.
+
+``descend_block`` returns ``(F, R, iterations, step, stop)`` with one entry
+per start: the best map, its recomputed quotient, the iteration count, the
+last step norm and a stop code indexing ``STOP_REASONS``.  A start stops
+when it has converged (vanishing gradient or a step below ``tol``), when
+its best quotient has not improved by more than a relative ``_STALL_REL``
+in ``_STALL_ITERS`` iterations (stalled), when the line search finds no
+decrease, or at ``max_iter``.  The backtracking factor ``_SHRINK`` is not a
+power of two, so the trial steps cannot lock onto an exact
+1/(lambda_max - lambda_2) of an integer Laplacian spectrum, where the top
+mode flips sign at almost unchanged size and the quotient converges only
+like 1/k.
 """
 
 from __future__ import annotations
@@ -35,520 +36,214 @@ import math
 
 import numpy as np
 
-from ._accel import NUMBA_ACTIVE, active_mode, njit
-
 __all__ = [
     "ratio_parts",
-    "descend",
+    "descend_block",
     "oracle_circle",
     "oracle_sphere",
     "kappa_residuals",
-    "kappa_descend",
-    "IMPLEMENTATIONS",
+    "kappa_descend_block",
     "STOP_REASONS",
 ]
 
 _ARMIJO = 1e-4
 _BACKTRACKS = 60
 _SHRINK = 0.6
+_LEVELS = 4
+_KAPPA_SHRINK = 0.5
 _STALL_REL = 1e-9
 _STALL_ITERS = 50
 
 STOP_CONVERGED, STOP_STALLED, STOP_LINE_SEARCH, STOP_MAX_ITER, STOP_DEGENERATE = range(5)
 STOP_REASONS = ("converged", "stalled", "line_search", "max_iter", "degenerate")
+_RUNNING = -1
+
+
+def per_restart(iterations, stops) -> list[dict]:
+    """Each start's stop reason and iteration count, for diagnostics."""
+    return [{"stop_reason": STOP_REASONS[s], "iterations": int(i)} for i, s in zip(iterations, stops)]
 
 
 # ======================================================================
-# numba variants
+# gap quotient
 # ======================================================================
 
 
-@njit(cache=True, nogil=True)
-def _ratio_parts_nb(F, eu, ev, em, p, q):
-    n, d = F.shape
-    E = 0.0
-    D = 0.0
-    if d == 1:
-        # scalar maps: the coordinate norm is |x|, no q-root needed
-        for e in range(eu.shape[0]):
-            diff = abs(F[eu[e], 0] - F[ev[e], 0])
-            if diff > 0.0:
-                E += em[e] * diff**p
-        for i in range(n):
-            a = abs(F[i, 0])
-            if a > 0.0:
-                D += a**p
-        return E, D
-    for e in range(eu.shape[0]):
-        u = eu[e]
-        v = ev[e]
-        nq = 0.0
-        for j in range(d):
-            nq += abs(F[u, j] - F[v, j]) ** q
-        if nq > 0.0:
-            E += em[e] * (nq ** (1.0 / q)) ** p
-    for i in range(n):
-        nq = 0.0
-        for j in range(d):
-            nq += abs(F[i, j]) ** q
-        if nq > 0.0:
-            D += (nq ** (1.0 / q)) ** p
-    return E, D
-
-
-@njit(cache=True, nogil=True)
-def _center_nb(F):
-    n, d = F.shape
-    for j in range(d):
-        mu = 0.0
-        for i in range(n):
-            mu += F[i, j]
-        mu /= n
-        for i in range(n):
-            F[i, j] -= mu
-
-
-@njit(cache=True, nogil=True)
-def _grads_nb(F, eu, ev, em, p, q, gE, gD):
-    n, d = F.shape
-    gE[:] = 0.0
-    gD[:] = 0.0
-    E = 0.0
-    if d == 1:
-        D = 0.0
-        for e in range(eu.shape[0]):
-            dj = F[eu[e], 0] - F[ev[e], 0]
-            if dj != 0.0:
-                a = abs(dj)
-                E += em[e] * a**p
-                t = em[e] * p * a ** (p - 1.0) * (1.0 if dj > 0.0 else -1.0)
-                gE[eu[e], 0] += t
-                gE[ev[e], 0] -= t
-        for i in range(n):
-            fj = F[i, 0]
-            if fj != 0.0:
-                a = abs(fj)
-                D += a**p
-                gD[i, 0] = p * a ** (p - 1.0) * (1.0 if fj > 0.0 else -1.0)
-        return E, D
-    for e in range(eu.shape[0]):
-        u = eu[e]
-        v = ev[e]
-        nq = 0.0
-        for j in range(d):
-            nq += abs(F[u, j] - F[v, j]) ** q
-        if nq <= 0.0:
-            continue
-        nrm = nq ** (1.0 / q)
-        E += em[e] * nrm ** p
-        c = em[e] * p * nrm ** (p - q)
-        for j in range(d):
-            dj = F[u, j] - F[v, j]
-            if dj != 0.0:
-                t = c * abs(dj) ** (q - 1.0) * (1.0 if dj > 0.0 else -1.0)
-                gE[u, j] += t
-                gE[v, j] -= t
-    D = 0.0
-    for i in range(n):
-        nq = 0.0
-        for j in range(d):
-            nq += abs(F[i, j]) ** q
-        if nq <= 0.0:
-            continue
-        nrm = nq ** (1.0 / q)
-        D += nrm ** p
-        c = p * nrm ** (p - q)
-        for j in range(d):
-            fj = F[i, j]
-            if fj != 0.0:
-                gD[i, j] = c * abs(fj) ** (q - 1.0) * (1.0 if fj > 0.0 else -1.0)
-    return E, D
-
-
-@njit(cache=True, nogil=True)
-def _descend_nb(F0, eu, ev, em, p, q, max_iter, tol):
-    F = F0.copy()
-    _center_nb(F)
-    E, D = _ratio_parts_nb(F, eu, ev, em, p, q)
-    if D <= 0.0:
-        return F, np.inf, 0, 0.0, STOP_DEGENERATE
-    F /= D ** (1.0 / p)
-    bestF = F.copy()
-    bestR = E / D
-    refR = bestR
-    ref_it = 0
-    gE = np.zeros_like(F)
-    gD = np.zeros_like(F)
-    eta = 0.25
-    step = 0.0
-    it = 0
-    reason = STOP_MAX_ITER
-    while it < max_iter:
-        it += 1
-        E, D = _grads_nb(F, eu, ev, em, p, q, gE, gD)
-        R = E / D
-        g = (gE - R * gD) / D
-        _center_nb(g)
-        g2 = 0.0
-        for i in range(g.shape[0]):
-            for j in range(g.shape[1]):
-                g2 += g[i, j] * g[i, j]
-        if g2 < 1e-30:
-            reason = STOP_CONVERGED
-            break
-        eta_try = eta * 4.0
-        accepted = False
-        R2 = R
-        D2 = 0.0
-        F2 = F
-        for _ in range(_BACKTRACKS):
-            F2 = F - eta_try * g
-            _center_nb(F2)
-            E2, D2 = _ratio_parts_nb(F2, eu, ev, em, p, q)
-            if D2 > 0.0:
-                R2 = E2 / D2
-                if R2 <= R - _ARMIJO * eta_try * g2:
-                    accepted = True
-                    break
-            eta_try *= _SHRINK
-        if not accepted:
-            reason = STOP_LINE_SEARCH
-            break
-        F2 /= D2 ** (1.0 / p)
-        eta = eta_try
-        step = 0.0
-        for i in range(F.shape[0]):
-            for j in range(F.shape[1]):
-                dd = F2[i, j] - F[i, j]
-                step += dd * dd
-        step = math.sqrt(step)
-        F = F2
-        if R2 < bestR:
-            bestR = R2
-            bestF = F.copy()
-        if step < tol:
-            reason = STOP_CONVERGED
-            break
-        if bestR < refR - _STALL_REL * abs(refR):
-            refR = bestR
-            ref_it = it
-        elif it - ref_it >= _STALL_ITERS:
-            reason = STOP_STALLED
-            break
-    E, D = _ratio_parts_nb(bestF, eu, ev, em, p, q)
-    return bestF, E / D, it, step, reason
-
-
-@njit(cache=True, nogil=True)
-def _oracle_circle_nb(b1, b2, eu, ev, em, p, npts):
-    h = math.pi / npts
-    best = np.inf
-    best_t = 0.0
-    prev = 0.0
-    maxjump = 0.0
-    n = b1.shape[0]
-    f = np.empty((n, 1))
-    for k in range(npts):
-        t = k * h
-        c = math.cos(t)
-        s = math.sin(t)
-        for i in range(n):
-            f[i, 0] = c * b1[i] + s * b2[i]
-        E, D = _ratio_parts_nb(f, eu, ev, em, p, 2.0)
-        R = E / D
-        if R < best:
-            best = R
-            best_t = t
-        if k > 0:
-            jump = abs(R - prev)
-            if jump > maxjump:
-                maxjump = jump
-        prev = R
-    return best, best_t, maxjump
-
-
-@njit(cache=True, nogil=True)
-def _oracle_sphere_nb(b1, b2, b3, eu, ev, em, p, nth, nph):
-    hth = math.pi / (nth - 1)
-    hph = 2.0 * math.pi / nph
-    best = np.inf
-    best_th = 0.0
-    best_ph = 0.0
-    maxjump = 0.0
-    n = b1.shape[0]
-    f = np.empty((n, 1))
-    prev_row = np.zeros(nph)
-    row = np.zeros(nph)
-    for a in range(nth):
-        th = a * hth
-        st = math.sin(th)
-        ct = math.cos(th)
-        prevR = 0.0
-        for b in range(nph):
-            ph = b * hph
-            x = st * math.cos(ph)
-            y = st * math.sin(ph)
-            for i in range(n):
-                f[i, 0] = x * b1[i] + y * b2[i] + ct * b3[i]
-            E, D = _ratio_parts_nb(f, eu, ev, em, p, 2.0)
-            R = E / D
-            row[b] = R
-            if R < best:
-                best = R
-                best_th = th
-                best_ph = ph
-            if b > 0:
-                jump = abs(R - prevR)
-                if jump > maxjump:
-                    maxjump = jump
-            if a > 0:
-                jump = abs(R - prev_row[b])
-                if jump > maxjump:
-                    maxjump = jump
-            prevR = R
-        tmp = prev_row
-        prev_row = row
-        row = tmp
-    return best, best_th, best_ph, maxjump
-
-
-@njit(cache=True, nogil=True)
-def _kappa_residuals_nb(xi, perms, p):
-    g = perms.shape[0]
-    m, d = xi.shape
-    r = np.zeros(g)
-    for s in range(g):
-        acc = 0.0
-        for v in range(m):
-            w = perms[s, v]
-            for j in range(d):
-                acc += abs(xi[w, j] - xi[v, j]) ** p
-        r[s] = acc ** (1.0 / p)
-    return r
-
-
-@njit(cache=True, nogil=True)
-def _kappa_normalize_nb(xi, p):
-    m, d = xi.shape
-    for j in range(d):
-        mu = 0.0
-        for i in range(m):
-            mu += xi[i, j]
-        mu /= m
-        for i in range(m):
-            xi[i, j] -= mu
-    S = 0.0
-    for i in range(m):
-        for j in range(d):
-            S += abs(xi[i, j]) ** p
-    if S > 0.0:
-        xi /= S ** (1.0 / p)
-    return S
-
-
-@njit(cache=True, nogil=True)
-def _kappa_smoothed_nb(r, beta):
-    rmax = r[0]
-    for i in range(r.shape[0]):
-        if r[i] > rmax:
-            rmax = r[i]
-    acc = 0.0
-    for i in range(r.shape[0]):
-        acc += math.exp(beta * (r[i] - rmax))
-    return rmax + math.log(acc) / beta
-
-
-@njit(cache=True, nogil=True)
-def _kappa_grad_nb(xi, perms, p, beta, grad):
-    g = perms.shape[0]
-    m, d = xi.shape
-    r = _kappa_residuals_nb(xi, perms, p)
-    rmax = r[0]
-    for i in range(g):
-        if r[i] > rmax:
-            rmax = r[i]
-    wsum = 0.0
-    w = np.empty(g)
-    for i in range(g):
-        w[i] = math.exp(beta * (r[i] - rmax))
-        wsum += w[i]
-    grad[:] = 0.0
-    for s in range(g):
-        ws = w[s] / wsum
-        if r[s] <= 0.0 or ws == 0.0:
-            continue
-        scale = ws * r[s] ** (1.0 - p)
-        for v in range(m):
-            wv = perms[s, v]
-            for j in range(d):
-                u = xi[wv, j] - xi[v, j]
-                if u != 0.0:
-                    t = scale * abs(u) ** (p - 1.0) * (1.0 if u > 0.0 else -1.0)
-                    grad[wv, j] += t
-                    grad[v, j] -= t
-    return rmax + math.log(wsum) / beta, r
-
-
-@njit(cache=True, nogil=True)
-def _kappa_descend_nb(xi0, perms, p, betas, iters_per_stage, tol):
-    xi = xi0.copy()
-    _kappa_normalize_nb(xi, p)
-    r = _kappa_residuals_nb(xi, perms, p)
-    best = r.max()
-    best_xi = xi.copy()
-    grad = np.zeros_like(xi)
-    total_it = 0
-    for bi in range(betas.shape[0]):
-        beta = betas[bi]
-        eta = 0.25
-        it = 0
-        while it < iters_per_stage:
-            it += 1
-            total_it += 1
-            fsm, r = _kappa_grad_nb(xi, perms, p, beta, grad)
-            for j in range(grad.shape[1]):
-                mu = 0.0
-                for i in range(grad.shape[0]):
-                    mu += grad[i, j]
-                mu /= grad.shape[0]
-                for i in range(grad.shape[0]):
-                    grad[i, j] -= mu
-            g2 = 0.0
-            for i in range(grad.shape[0]):
-                for j in range(grad.shape[1]):
-                    g2 += grad[i, j] * grad[i, j]
-            if g2 < 1e-30:
-                break
-            eta_try = eta * 4.0
-            accepted = False
-            for _ in range(_BACKTRACKS):
-                xi2 = xi - eta_try * grad
-                S = _kappa_normalize_nb(xi2, p)
-                if S > 0.0:
-                    r2 = _kappa_residuals_nb(xi2, perms, p)
-                    f2 = _kappa_smoothed_nb(r2, beta)
-                    if f2 <= fsm - _ARMIJO * eta_try * g2:
-                        accepted = True
-                        tru = r2.max()
-                        if tru < best:
-                            best = tru
-                            best_xi = xi2.copy()
-                        break
-                eta_try *= 0.5
-            if not accepted:
-                break
-            eta = eta_try
-            step = 0.0
-            for i in range(xi.shape[0]):
-                for j in range(xi.shape[1]):
-                    dd = xi2[i, j] - xi[i, j]
-                    step += dd * dd
-            xi = xi2
-            if math.sqrt(step) < tol:
-                break
-    return best_xi, best, total_it
-
-
-# ======================================================================
-# numpy variants
-# ======================================================================
-
-
-def _ratio_parts_np(F, eu, ev, em, p, q):
-    if eu.shape[0]:
-        diff = F[eu] - F[ev]
-        nrm = (np.abs(diff) ** q).sum(axis=1) ** (1.0 / q)
-        E = float((em * nrm**p).sum())
-    else:
-        E = 0.0
+def _block_ratio(F, eu, ev, em, p, q):
+    """Edge energy E and spread D of each start of an (R, d, n) block."""
+    nrm = (np.abs(np.take(F, eu, axis=2) - np.take(F, ev, axis=2)) ** q).sum(axis=1) ** (1.0 / q)
     vn = (np.abs(F) ** q).sum(axis=1) ** (1.0 / q)
-    return E, float((vn**p).sum())
+    return (em * nrm**p).sum(axis=1), (vn**p).sum(axis=1)
 
 
-def _grads_np(F, eu, ev, em, p, q):
-    gE = np.zeros_like(F)
-    if eu.shape[0]:
-        diff = F[eu] - F[ev]
-        nq = (np.abs(diff) ** q).sum(axis=1)
-        pos = nq > 0.0
-        nrm = np.where(pos, nq, 1.0) ** (1.0 / q)
-        E = float((em[pos] * nrm[pos] ** p).sum())
-        c = np.where(pos, em * p * nrm ** (p - q), 0.0)
-        t = c[:, None] * np.abs(diff) ** (q - 1.0) * np.sign(diff)
-        np.add.at(gE, eu, t)
-        np.subtract.at(gE, ev, t)
-    else:
-        E = 0.0
-    nq = (np.abs(F) ** q).sum(axis=1)
+def ratio_parts(F, eu, ev, em, p, q):
+    """Edge energy and spread ``(E, D)`` of one (n, d) map."""
+    E, D = _block_ratio(F.T[None], eu, ev, em, p, q)
+    return float(E[0]), float(D[0])
+
+
+def _edge_scatter_index(eu, ev, n, rows):
+    """Flat ``bincount`` indices that add each edge's term to its u row and
+    subtract it from its v row, for ``rows`` rows of n vertices."""
+    return np.arange(rows)[:, None] * n + np.concatenate([eu, ev])
+
+
+def _block_grads(F, eu, ev, em, p, q, scatter):
+    """E, D and their gradients gE, gD for an (R, d, n) block.
+
+    ``scatter`` is ``_edge_scatter_index`` for at least R*d rows.
+    """
+    B, d, n = F.shape
+    diff = np.take(F, eu, axis=2) - np.take(F, ev, axis=2)
+    adiff = np.abs(diff)
+    nq = (adiff**q).sum(axis=1)
     pos = nq > 0.0
     nrm = np.where(pos, nq, 1.0) ** (1.0 / q)
-    D = float((nrm[pos] ** p).sum())
+    E = (np.where(pos, em * nrm**p, 0.0)).sum(axis=1)
+    c = np.where(pos, em * p * nrm ** (p - q), 0.0)
+    t = c[:, None, :] * adiff ** (q - 1.0) * np.sign(diff)
+    w = np.concatenate([t, -t], axis=2).ravel()
+    gE = np.bincount(scatter[: B * d].ravel(), w, minlength=B * d * n).reshape(B, d, n)
+    aF = np.abs(F)
+    nq = (aF**q).sum(axis=1)
+    pos = nq > 0.0
+    nrm = np.where(pos, nq, 1.0) ** (1.0 / q)
+    D = (np.where(pos, nrm**p, 0.0)).sum(axis=1)
     c = np.where(pos, p * nrm ** (p - q), 0.0)
-    gD = c[:, None] * np.abs(F) ** (q - 1.0) * np.sign(F)
+    gD = c[:, None, :] * aF ** (q - 1.0) * np.sign(F)
     return E, D, gE, gD
 
 
-def _descend_np(F0, eu, ev, em, p, q, max_iter, tol):
-    F = F0.copy()
-    F -= F.mean(axis=0)
-    E, D = _ratio_parts_np(F, eu, ev, em, p, q)
-    if D <= 0.0:
-        return F, np.inf, 0, 0.0, STOP_DEGENERATE
-    F /= D ** (1.0 / p)
+def _backtrack(X, direction, f0, g2, eta, todo, shrink, evaluate):
+    """Armijo backtracking along ``-direction`` from step ``4 * eta``, for
+    the starts of the block ``X`` flagged in ``todo``.
+
+    ``evaluate(trials, rows)`` takes a stack of trial points, ``_LEVELS``
+    per searching start in ``rows``, may project them in place, and returns
+    their objective values, a mask of admissible trials and one extra value
+    per trial.  Each pass tries the next ``_LEVELS`` steps of every
+    searching start at once and accepts the first that passes, which is the
+    step a one-at-a-time search accepts: the steps are formed by the same
+    repeated multiplication.  Most iterations of both descents need 3 or 4
+    trials, so most line searches take one pass.
+
+    Returns the accepted points, their values and extras, the accepted
+    steps and the mask of accepted starts; other rows hold no meaning.
+    """
+    B, d, n = X.shape
+    eta_try = eta * 4.0
+    X2 = np.empty_like(X)
+    f2 = np.zeros(B)
+    extra = np.zeros(B)
+    accepted = np.zeros(B, dtype=bool)
+    rows = np.flatnonzero(todo)
+    for _ in range(0, _BACKTRACKS, _LEVELS):
+        if not rows.size:
+            break
+        steps = np.full((rows.size, _LEVELS), shrink)
+        steps[:, 0] = eta_try[rows]
+        steps = np.multiply.accumulate(steps, axis=1)
+        trials = (X[rows, None] - steps[:, :, None, None] * direction[rows, None]).reshape(-1, d, n)
+        f, ok, aux = evaluate(trials, rows)
+        f = f.reshape(steps.shape)
+        ok = ok.reshape(steps.shape) & (f <= f0[rows, None] - _ARMIJO * steps * g2[rows, None])
+        found = ok.any(axis=1)
+        first = ok.argmax(axis=1)[found]
+        hit = rows[found]
+        pick = np.flatnonzero(found) * _LEVELS + first
+        X2[hit], f2[hit], extra[hit], eta_try[hit] = trials[pick], f[found, first], aux[pick], steps[found, first]
+        accepted[hit] = True
+        eta_try[rows[~found]] = steps[~found, -1] * shrink
+        rows = rows[~found]
+    return X2, f2, extra, eta_try, accepted
+
+
+def descend_block(F0, eu, ev, em, p, q, max_iter, tol):
+    """Projected subgradient descent of the gap quotient from each of the
+    (R, n, d) starts ``F0``, run as one block."""
+    F = np.asarray(F0, dtype=np.float64).transpose(0, 2, 1).copy()
+    nR, d, n = F.shape
+    F -= F.sum(axis=2, keepdims=True) / n
+    E, D = _block_ratio(F, eu, ev, em, p, q)
+
+    def evaluate(trials, rows):
+        trials -= trials.sum(axis=2, keepdims=True) / n
+        Et, Dt = _block_ratio(trials, eu, ev, em, p, q)
+        pos = Dt > 0.0
+        return np.divide(Et, Dt, out=np.full_like(Et, np.inf), where=pos), pos, Dt
+
+    out_F = F.copy()
+    out_R = np.full(nR, np.inf)
+    out_it = np.zeros(nR, dtype=np.int64)
+    out_step = np.zeros(nR)
+    out_stop = np.full(nR, STOP_DEGENERATE)
+
+    # State of the starts still running, in block order.
+    idx = np.flatnonzero(D > 0.0)
+    F = F[idx] / (D[idx] ** (1.0 / p))[:, None, None]
     bestF = F.copy()
-    bestR = E / D
-    refR = bestR
-    ref_it = 0
-    eta = 0.25
-    step = 0.0
+    bestR = E[idx] / D[idx]
+    refR = bestR.copy()
+    ref_it = np.zeros(idx.size, dtype=np.int64)
+    eta = np.full(idx.size, 0.25)
+    step = np.zeros(idx.size)
+    code = np.full(idx.size, _RUNNING)
+    scatter = _edge_scatter_index(eu, ev, n, idx.size * d)
     it = 0
-    reason = STOP_MAX_ITER
-    while it < max_iter:
-        it += 1
-        E, D, gE, gD = _grads_np(F, eu, ev, em, p, q)
-        R = E / D
-        g = (gE - R * gD) / D
-        g -= g.mean(axis=0)
-        g2 = float((g * g).sum())
-        if g2 < 1e-30:
-            reason = STOP_CONVERGED
-            break
-        eta_try = eta * 4.0
-        accepted = False
-        for _ in range(_BACKTRACKS):
-            F2 = F - eta_try * g
-            F2 -= F2.mean(axis=0)
-            E2, D2 = _ratio_parts_np(F2, eu, ev, em, p, q)
-            if D2 > 0.0:
-                R2 = E2 / D2
-                if R2 <= R - _ARMIJO * eta_try * g2:
-                    accepted = True
-                    break
-            eta_try *= _SHRINK
-        if not accepted:
-            reason = STOP_LINE_SEARCH
-            break
-        F2 /= D2 ** (1.0 / p)
-        eta = eta_try
-        step = float(np.sqrt(((F2 - F) ** 2).sum()))
-        F = F2
-        if R2 < bestR:
-            bestR = R2
-            bestF = F.copy()
-        if step < tol:
-            reason = STOP_CONVERGED
-            break
-        if bestR < refR - _STALL_REL * abs(refR):
-            refR = bestR
-            ref_it = it
-        elif it - ref_it >= _STALL_ITERS:
-            reason = STOP_STALLED
-            break
-    E, D = _ratio_parts_np(bestF, eu, ev, em, p, q)
-    return bestF, E / D, it, step, reason
+    while idx.size:
+        if it == max_iter:
+            code[:] = STOP_MAX_ITER
+        else:
+            it += 1
+            E, D, gE, gD = _block_grads(F, eu, ev, em, p, q, scatter)
+            R = E / D
+            g = (gE - R[:, None, None] * gD) / D[:, None, None]
+            g -= g.sum(axis=2, keepdims=True) / n
+            g2 = (g * g).sum(axis=(1, 2))
+            code[g2 < 1e-30] = STOP_CONVERGED
+            F2, R2, D2, eta_try, accepted = _backtrack(F, g, R, g2, eta, code == _RUNNING, _SHRINK, evaluate)
+            code[(code == _RUNNING) & ~accepted] = STOP_LINE_SEARCH
+            acc = np.flatnonzero(accepted)
+            F2 = F2[acc] / (D2[acc] ** (1.0 / p))[:, None, None]
+            eta[acc] = eta_try[acc]
+            step[acc] = np.sqrt(((F2 - F[acc]) ** 2).sum(axis=(1, 2)))
+            F[acc] = F2
+            better = acc[R2[acc] < bestR[acc]]
+            bestR[better] = R2[better]
+            bestF[better] = F[better]
+            code[acc[step[acc] < tol]] = STOP_CONVERGED
+            live = acc[code[acc] == _RUNNING]
+            gained = bestR[live] < refR[live] - _STALL_REL * np.abs(refR[live])
+            refR[live[gained]] = bestR[live[gained]]
+            ref_it[live[gained]] = it
+            code[live[~gained & (it - ref_it[live] >= _STALL_ITERS)]] = STOP_STALLED
+        done = code != _RUNNING
+        if done.any():
+            j = idx[done]
+            out_F[j], out_it[j], out_step[j], out_stop[j] = bestF[done], it, step[done], code[done]
+            keep = ~done
+            idx, F, bestF, bestR, refR, ref_it, eta, step, code = (
+                a[keep] for a in (idx, F, bestF, bestR, refR, ref_it, eta, step, code)
+            )
+    live = out_stop != STOP_DEGENERATE
+    E, D = _block_ratio(out_F[live], eu, ev, em, p, q)
+    out_R[live] = E / D
+    return np.ascontiguousarray(out_F.transpose(0, 2, 1)), out_R, out_it, out_step, out_stop
 
 
-def _oracle_circle_np(b1, b2, eu, ev, em, p, npts, chunk=65536):
+# ======================================================================
+# grid oracles (scalar maps on at most 4 vertices)
+# ======================================================================
+
+
+def _batch_ratio(Fs, eu, ev, em, p):
+    """Fs: (n, batch) scalar maps evaluated columnwise."""
+    E = (em[:, None] * np.abs(Fs[eu] - Fs[ev]) ** p).sum(axis=0)
+    D = (np.abs(Fs - Fs.mean(axis=0)) ** p).sum(axis=0)
+    return E / D
+
+
+def oracle_circle(b1, b2, eu, ev, em, p, npts, chunk=65536):
     h = math.pi / npts
     best = np.inf
     best_t = 0.0
@@ -558,7 +253,7 @@ def _oracle_circle_np(b1, b2, eu, ev, em, p, npts, chunk=65536):
         ts = (np.arange(start, min(start + chunk, npts))) * h
         # grid evaluations: (n, chunk) map values
         Fs = np.outer(b1, np.cos(ts)) + np.outer(b2, np.sin(ts))
-        R = _batch_ratio_np(Fs, eu, ev, em, p)
+        R = _batch_ratio(Fs, eu, ev, em, p)
         k = int(np.argmin(R))
         if R[k] < best:
             best = float(R[k])
@@ -571,7 +266,7 @@ def _oracle_circle_np(b1, b2, eu, ev, em, p, npts, chunk=65536):
     return best, best_t, maxjump
 
 
-def _oracle_sphere_np(b1, b2, b3, eu, ev, em, p, nth, nph):
+def oracle_sphere(b1, b2, b3, eu, ev, em, p, nth, nph):
     hth = math.pi / (nth - 1)
     hph = 2.0 * math.pi / nph
     phs = np.arange(nph) * hph
@@ -585,7 +280,7 @@ def _oracle_sphere_np(b1, b2, b3, eu, ev, em, p, nth, nph):
         x = math.sin(th) * np.cos(phs)
         y = math.sin(th) * np.sin(phs)
         Fs = np.outer(b1, x) + np.outer(b2, y) + math.cos(th) * b3[:, None]
-        R = _batch_ratio_np(Fs, eu, ev, em, p)
+        R = _batch_ratio(Fs, eu, ev, em, p)
         k = int(np.argmin(R))
         if R[k] < best:
             best = float(R[k])
@@ -599,124 +294,127 @@ def _oracle_sphere_np(b1, b2, b3, eu, ev, em, p, nth, nph):
     return best, best_th, best_ph, maxjump
 
 
-def _batch_ratio_np(Fs, eu, ev, em, p):
-    """Fs: (n, batch) scalar maps evaluated columnwise."""
-    E = (em[:, None] * np.abs(Fs[eu] - Fs[ev]) ** p).sum(axis=0)
-    D = (np.abs(Fs - Fs.mean(axis=0)) ** p).sum(axis=0)
-    return E / D
+# ======================================================================
+# displacement constant
+# ======================================================================
 
 
-def _kappa_residuals_np(xi, perms, p):
-    diff = xi[perms] - xi[None, :, :]
-    return ((np.abs(diff) ** p).sum(axis=(1, 2))) ** (1.0 / p)
+def _block_kappa_diffs(xi, perms):
+    """xi o s - xi for every generator s: (R, d, g, m) from an (R, d, m) block."""
+    return xi[:, :, perms] - xi[:, :, None, :]
 
 
-def _kappa_normalize_np(xi, p):
-    xi -= xi.mean(axis=0)
-    S = float((np.abs(xi) ** p).sum())
-    if S > 0.0:
-        xi /= S ** (1.0 / p)
+def _block_kappa_residuals(diff, p):
+    return (np.abs(diff) ** p).sum(axis=(1, 3)) ** (1.0 / p)
+
+
+def kappa_residuals(xi, perms, p):
+    """||xi o s - xi||_p for each generator s of one (m, d) field."""
+    return _block_kappa_residuals(_block_kappa_diffs(xi.T[None], perms), p)[0]
+
+
+def _block_kappa_normalize(xi, p):
+    """Centre each start of an (R, d, m) block in place and scale it to unit
+    flat l_p norm where that norm is positive; returns sum |xi|^p before
+    scaling."""
+    xi -= xi.sum(axis=2, keepdims=True) / xi.shape[2]
+    S = (np.abs(xi) ** p).sum(axis=(1, 2))
+    pos = S > 0.0
+    xi[pos] /= (S[pos] ** (1.0 / p))[:, None, None]
     return S
 
 
-def _kappa_smoothed_np(r, beta):
-    rmax = float(r.max())
-    return rmax + math.log(float(np.exp(beta * (r - rmax)).sum())) / beta
+def _block_smoothed(r, beta):
+    """Log-sum-exp smoothed max of each row of r, and the softmax weights."""
+    rmax = r.max(axis=1)
+    w = np.exp(beta[:, None] * (r - rmax[:, None]))
+    wsum = w.sum(axis=1)
+    return rmax + np.log(wsum) / beta, w / wsum[:, None]
 
 
-def _kappa_grad_np(xi, perms, p, beta):
-    r = _kappa_residuals_np(xi, perms, p)
-    rmax = float(r.max())
-    w = np.exp(beta * (r - rmax))
-    wsum = float(w.sum())
-    w = w / wsum
-    grad = np.zeros_like(xi)
-    for s in range(perms.shape[0]):
-        if r[s] <= 0.0 or w[s] == 0.0:
-            continue
-        u = xi[perms[s]] - xi
-        t = (w[s] * r[s] ** (1.0 - p)) * np.abs(u) ** (p - 1.0) * np.sign(u)
-        grad[perms[s]] += t
-        grad -= t
-    return rmax + math.log(wsum) / beta, r, grad
+def _block_kappa_grad(xi, perms, inv_flat, p, beta):
+    """Smoothed max residual of each start and its gradient."""
+    B, d, m = xi.shape
+    diff = _block_kappa_diffs(xi, perms)
+    r = _block_kappa_residuals(diff, p)
+    fsm, w = _block_smoothed(r, beta)
+    pos = r > 0.0
+    scale = np.where(pos & (w != 0.0), w * np.where(pos, r, 1.0) ** (1.0 - p), 0.0)
+    t = scale[:, None, :, None] * np.abs(diff) ** (p - 1.0) * np.sign(diff)
+    # t[..., s, v] moves xi[perms[s, v]] up and xi[v] down.
+    up = t.reshape(B, d, -1)[:, :, inv_flat].reshape(t.shape)
+    return fsm, (up - t).sum(axis=2)
 
 
-def _kappa_descend_np(xi0, perms, p, betas, iters_per_stage, tol):
-    xi = xi0.copy()
-    _kappa_normalize_np(xi, p)
-    r = _kappa_residuals_np(xi, perms, p)
-    best = float(r.max())
+def kappa_descend_block(xi0, perms, p, betas, iters_per_stage, tol):
+    """Annealed smoothed-max descent of the worst generator displacement
+    from each of the (R, m, d) starts ``xi0``, run as one block.
+
+    Each start runs one stage per entry of ``betas``; a stage ends on a
+    vanishing gradient or a step below ``tol`` (converged), a failed line
+    search, or after ``iters_per_stage`` iterations (max_iter), and the
+    next stage resumes from the same field with a fresh step size.  The
+    reason that ended a start's last stage is its stop code.  Returns
+    ``(xi, value, iterations, stop)`` per start: the field with the lowest
+    true max residual seen at an accepted step, that residual, the total
+    iteration count and the stop code.
+    """
+    xi = np.asarray(xi0, dtype=np.float64).transpose(0, 2, 1).copy()
+    nR, d, m = xi.shape
+    g = perms.shape[0]
+    inv_flat = (np.arange(g)[:, None] * m + np.argsort(perms, axis=1)).ravel()
+    _block_kappa_normalize(xi, p)
+    best = _block_kappa_residuals(_block_kappa_diffs(xi, perms), p).max(axis=1)
+    out_xi = np.empty_like(xi)
+    out_best = np.empty(nR)
+    out_it = np.zeros(nR, dtype=np.int64)
+    out_stop = np.zeros(nR, dtype=np.int64)
+
+    def evaluate(trials, rows):
+        # smooths with each start's current stage parameter, ``beta`` below
+        S = _block_kappa_normalize(trials, p)
+        r = _block_kappa_residuals(_block_kappa_diffs(trials, perms), p)
+        return _block_smoothed(r, np.repeat(beta[rows], _LEVELS))[0], S > 0.0, r.max(axis=1)
+
+    idx = np.arange(nR)
     best_xi = xi.copy()
-    total_it = 0
-    for beta in betas:
-        eta = 0.25
-        it = 0
-        while it < iters_per_stage:
-            it += 1
-            total_it += 1
-            fsm, r, grad = _kappa_grad_np(xi, perms, p, beta)
-            grad -= grad.mean(axis=0)
-            g2 = float((grad * grad).sum())
-            if g2 < 1e-30:
-                break
-            eta_try = eta * 4.0
-            accepted = False
-            for _ in range(_BACKTRACKS):
-                xi2 = xi - eta_try * grad
-                S = _kappa_normalize_np(xi2, p)
-                if S > 0.0:
-                    r2 = _kappa_residuals_np(xi2, perms, p)
-                    f2 = _kappa_smoothed_np(r2, beta)
-                    if f2 <= fsm - _ARMIJO * eta_try * g2:
-                        accepted = True
-                        tru = float(r2.max())
-                        if tru < best:
-                            best = tru
-                            best_xi = xi2.copy()
-                        break
-                eta_try *= 0.5
-            if not accepted:
-                break
-            eta = eta_try
-            step = float(np.sqrt(((xi2 - xi) ** 2).sum()))
-            xi = xi2
-            if step < tol:
-                break
-    return best_xi, best, total_it
+    stage = np.zeros(nR, dtype=np.int64)
+    sit = np.zeros(nR, dtype=np.int64)
+    eta = np.full(nR, 0.25)
+    total = 0
+    while idx.size:
+        total += 1
+        sit += 1
+        beta = betas[stage]
+        fsm, grad = _block_kappa_grad(xi, perms, inv_flat, p, beta)
+        grad -= grad.sum(axis=2, keepdims=True) / m
+        g2 = (grad * grad).sum(axis=(1, 2))
+        ended = np.where(g2 < 1e-30, STOP_CONVERGED, _RUNNING)
 
+        xi2, _, tru, eta_try, accepted = _backtrack(
+            xi, grad, fsm, g2, eta, ended == _RUNNING, _KAPPA_SHRINK, evaluate
+        )
+        ended[(ended == _RUNNING) & ~accepted] = STOP_LINE_SEARCH
+        acc = np.flatnonzero(accepted)
+        better = acc[tru[acc] < best[acc]]
+        best[better] = tru[better]
+        best_xi[better] = xi2[better]
+        eta[acc] = eta_try[acc]
+        step = np.sqrt(((xi2[acc] - xi[acc]) ** 2).sum(axis=(1, 2)))
+        xi[acc] = xi2[acc]
+        ended[acc[step < tol]] = STOP_CONVERGED
+        ended[(ended == _RUNNING) & (sit == iters_per_stage)] = STOP_MAX_ITER
 
-# ======================================================================
-# dispatch
-# ======================================================================
-
-IMPLEMENTATIONS: dict[str, dict | None] = {
-    "numpy": {
-        "ratio_parts": _ratio_parts_np,
-        "descend": _descend_np,
-        "oracle_circle": _oracle_circle_np,
-        "oracle_sphere": _oracle_sphere_np,
-        "kappa_residuals": _kappa_residuals_np,
-        "kappa_descend": _kappa_descend_np,
-    },
-    "numba": None,
-}
-
-if NUMBA_ACTIVE:
-    IMPLEMENTATIONS["numba"] = {
-        "ratio_parts": _ratio_parts_nb,
-        "descend": _descend_nb,
-        "oracle_circle": _oracle_circle_nb,
-        "oracle_sphere": _oracle_sphere_nb,
-        "kappa_residuals": _kappa_residuals_nb,
-        "kappa_descend": _kappa_descend_nb,
-    }
-
-_ACTIVE = IMPLEMENTATIONS[active_mode()]
-assert _ACTIVE is not None
-
-ratio_parts = _ACTIVE["ratio_parts"]
-descend = _ACTIVE["descend"]
-oracle_circle = _ACTIVE["oracle_circle"]
-oracle_sphere = _ACTIVE["oracle_sphere"]
-kappa_residuals = _ACTIVE["kappa_residuals"]
-kappa_descend = _ACTIVE["kappa_descend"]
+        nxt = ended != _RUNNING
+        stage[nxt] += 1
+        sit[nxt] = 0
+        eta[nxt] = 0.25
+        done = stage == betas.shape[0]
+        if done.any():
+            j = idx[done]
+            out_xi[j], out_best[j], out_it[j], out_stop[j] = best_xi[done], best[done], total, ended[done]
+            keep = ~done
+            idx, xi, best_xi, best, stage, sit, eta = (
+                a[keep] for a in (idx, xi, best_xi, best, stage, sit, eta)
+            )
+    return np.ascontiguousarray(out_xi.transpose(0, 2, 1)), out_best, out_it, out_stop

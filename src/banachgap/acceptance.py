@@ -17,7 +17,6 @@ from fractions import Fraction
 import numpy as np
 
 from . import mazur
-from ._accel import active_mode
 from .distortion import (
     austin_exclude,
     hamming_identity_embedding,
@@ -530,7 +529,7 @@ def run_suite(ids: list[str] | None = None, seed: int = 1) -> list[CriterionResu
 
 
 def format_table(results: list[CriterionResult]) -> str:
-    lines = [f"acceptance suite (kernel mode: {active_mode()})"]
+    lines = ["acceptance suite"]
     width = max(len(r.title) for r in results)
     for r in results:
         budget = f" budget {r.budget:.0f}s" if r.budget else ""

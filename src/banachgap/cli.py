@@ -129,7 +129,7 @@ def cmd_gap(args) -> int:
     else:
         est = gap_estimate(
             G, p=args.p, q=args.q, d=args.d, restarts=args.restarts, max_iter=args.max_iter,
-            tol=args.tol, seed=args.seed, threads=args.threads,
+            tol=args.tol, seed=args.seed,
         )
     _emit(args, est.to_dict(), "gap.json")
     if args.dump_minimizer and args.out:
@@ -311,8 +311,6 @@ def _add_graph_source(p: argparse.ArgumentParser) -> None:
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", help="output directory for artifacts")
-    p.add_argument("--format", choices=("json", "csv"), default="json")
-    p.add_argument("--threads", type=int, default=1)
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -405,22 +405,17 @@ def kappa_estimate(
             arr = arr[:, None]
         if arr.shape != (a.m, d):
             raise ValueError(f"warm start shape {arr.shape} != {(a.m, d)}")
-        starts.append(arr.copy())
+        starts.append(arr)
     while len(starts) < restarts:
         starts.append(rng.standard_normal((a.m, d)))
 
     betas = np.asarray(KAPPA_BETAS, dtype=np.float64)
     iters_per_stage = max(1, max_iter // len(KAPPA_BETAS))
-    best_val = np.inf
-    best_xi = None
-    total = 0
-    for xi0 in starts:
-        xi, val, its = _kernels.kappa_descend(
-            np.ascontiguousarray(xi0), perms, float(p), betas, iters_per_stage, tol
-        )
-        total += int(its)
-        if val < best_val:
-            best_val, best_xi = float(val), xi
+    xis, values, iters, stops = _kernels.kappa_descend_block(
+        np.stack(starts), perms, float(p), betas, iters_per_stage, tol
+    )
+    b = int(np.argmin(values))
+    best_val, best_xi = float(values[b]), xis[b]
     est = KappaEstimate(
         value=best_val,
         minimizer=best_xi,
@@ -430,7 +425,8 @@ def kappa_estimate(
         d=d,
         diagnostics={
             "restarts": len(starts),
-            "iterations": total,
+            "iterations": int(iters.sum()),
+            "per_restart": _kernels.per_restart(iters, stops),
             "tol": tol,
             "seed": seed,
             "gap_method": gap.method,

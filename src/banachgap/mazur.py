@@ -295,8 +295,8 @@ def check_stabilized_modulus(
     rng = np.random.Generator(np.random.PCG64(seed))
     x, y = _block_pairs(rng, n_samples, k, d, p, phi.source_p)
     eps = _lp_norm(_lp_norm(x - y, phi.source_p, axis=2), p, axis=1)
-    fx = np.stack([_extension_batch(phi, row) for row in x])
-    fy = np.stack([_extension_batch(phi, row) for row in y])
+    fx = _extension_batch(phi, x.reshape(-1, d)).reshape(x.shape)
+    fy = _extension_batch(phi, y.reshape(-1, d)).reshape(y.shape)
     delta = _lp_norm(_lp_norm(fx - fy, phi.target_p, axis=2), p, axis=1)
     pos = eps > 0
     ratio = delta[pos] / (bound_C * eps[pos] ** alpha)

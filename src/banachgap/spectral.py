@@ -15,7 +15,6 @@ quotient found, which upper-bounds the infimum.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -153,15 +152,15 @@ def gap_estimate(
     max_iter: int = DEFAULT_MAX_ITER,
     tol: float = DEFAULT_TOL,
     seed: int = 0,
-    threads: int = 1,
     warm_starts: list[np.ndarray] | None = None,
 ) -> GapEstimate:
     """Multi-start projected subgradient minimization of the quotient.
 
     Returns the best quotient found (an upper bound for the infimum),
     deterministic for a fixed seed.  Starts are the d=1 Laplacian
-    eigenvector embedded in the first coordinate, any user-supplied warm
-    starts, and Gaussian draws.
+    eigenvector embedded in the first coordinate, its sign rounding, any
+    user-supplied warm starts, and Gaussian draws; all of them descend
+    together in one block kernel call.
     """
     if p < 1 or q < 1 or d < 1:
         raise ValueError(f"invalid exponents p={p}, q={q}, d={d}")
@@ -179,25 +178,18 @@ def gap_estimate(
     rounded[:, 0][rounded[:, 0] == 0.0] = 1.0
     starts.append(rounded)
     for ws in warm_starts or []:
-        starts.append(_as_matrix(ws).copy())
+        W = _as_matrix(ws)
+        if W.shape != (G.n, d):
+            raise ValueError(f"warm start shape {W.shape} != {(G.n, d)}")
+        starts.append(W)
     for _ in range(max(0, restarts - len(starts))):
         starts.append(rng.standard_normal((G.n, d)))
     pf, qf = float(p), float(q)
-
-    def run(F0: np.ndarray):
-        return _kernels.descend(np.ascontiguousarray(F0), eu, ev, em, pf, qf, max_iter, tol)
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(run, starts))
-    else:
-        results = [run(F0) for F0 in starts]
-    best_idx = min(range(len(results)), key=lambda i: (results[i][1], i))
-    bestF, bestR, iters, step, stop = results[best_idx]
-    total_iters = int(sum(r[2] for r in results))
+    Fs, values, iters, steps, stops = _kernels.descend_block(np.stack(starts), eu, ev, em, pf, qf, max_iter, tol)
+    best_idx = int(np.argmin(values))
     est = GapEstimate(
-        value=float(bestR),
-        minimizer=VectorMap(bestF, q=qf, p=pf),
+        value=float(values[best_idx]),
+        minimizer=VectorMap(Fs[best_idx], q=qf, p=pf),
         method="multistart_descent",
         bound_kind="upper",
         p=pf,
@@ -205,14 +197,12 @@ def gap_estimate(
         d=d,
         diagnostics={
             "restarts": len(starts),
-            "iterations": total_iters,
+            "iterations": int(iters.sum()),
             "best_restart": best_idx,
-            "best_iterations": int(iters),
-            "final_step_norm": float(step),
-            "stop_reason": _kernels.STOP_REASONS[stop],
-            "per_restart": [
-                {"stop_reason": _kernels.STOP_REASONS[r[4]], "iterations": int(r[2])} for r in results
-            ],
+            "best_iterations": int(iters[best_idx]),
+            "final_step_norm": float(steps[best_idx]),
+            "stop_reason": _kernels.STOP_REASONS[stops[best_idx]],
+            "per_restart": _kernels.per_restart(iters, stops),
             "tol": tol,
             "seed": seed,
         },

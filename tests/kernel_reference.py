@@ -1,0 +1,196 @@
+"""Single-start reference descents for the kernel tests.
+
+These are the serial numpy kernels that ran one start at a time before the
+descents were vectorised over a block of starts.  The tests compare the
+block kernels of ``banachgap._kernels`` against them.
+"""
+
+import math
+
+import numpy as np
+
+from banachgap._kernels import (
+    _ARMIJO,
+    _BACKTRACKS,
+    _SHRINK,
+    _STALL_ITERS,
+    _STALL_REL,
+    STOP_CONVERGED,
+    STOP_DEGENERATE,
+    STOP_LINE_SEARCH,
+    STOP_MAX_ITER,
+    STOP_STALLED,
+)
+
+
+def ratio_parts(F, eu, ev, em, p, q):
+    if eu.shape[0]:
+        diff = F[eu] - F[ev]
+        nrm = (np.abs(diff) ** q).sum(axis=1) ** (1.0 / q)
+        E = float((em * nrm**p).sum())
+    else:
+        E = 0.0
+    vn = (np.abs(F) ** q).sum(axis=1) ** (1.0 / q)
+    return E, float((vn**p).sum())
+
+
+def grads(F, eu, ev, em, p, q):
+    gE = np.zeros_like(F)
+    if eu.shape[0]:
+        diff = F[eu] - F[ev]
+        nq = (np.abs(diff) ** q).sum(axis=1)
+        pos = nq > 0.0
+        nrm = np.where(pos, nq, 1.0) ** (1.0 / q)
+        E = float((em[pos] * nrm[pos] ** p).sum())
+        c = np.where(pos, em * p * nrm ** (p - q), 0.0)
+        t = c[:, None] * np.abs(diff) ** (q - 1.0) * np.sign(diff)
+        np.add.at(gE, eu, t)
+        np.subtract.at(gE, ev, t)
+    else:
+        E = 0.0
+    nq = (np.abs(F) ** q).sum(axis=1)
+    pos = nq > 0.0
+    nrm = np.where(pos, nq, 1.0) ** (1.0 / q)
+    D = float((nrm[pos] ** p).sum())
+    c = np.where(pos, p * nrm ** (p - q), 0.0)
+    gD = c[:, None] * np.abs(F) ** (q - 1.0) * np.sign(F)
+    return E, D, gE, gD
+
+
+def descend(F0, eu, ev, em, p, q, max_iter, tol):
+    F = F0.copy()
+    F -= F.mean(axis=0)
+    E, D = ratio_parts(F, eu, ev, em, p, q)
+    if D <= 0.0:
+        return F, np.inf, 0, 0.0, STOP_DEGENERATE
+    F /= D ** (1.0 / p)
+    bestF = F.copy()
+    bestR = E / D
+    refR = bestR
+    ref_it = 0
+    eta = 0.25
+    step = 0.0
+    it = 0
+    reason = STOP_MAX_ITER
+    while it < max_iter:
+        it += 1
+        E, D, gE, gD = grads(F, eu, ev, em, p, q)
+        R = E / D
+        g = (gE - R * gD) / D
+        g -= g.mean(axis=0)
+        g2 = float((g * g).sum())
+        if g2 < 1e-30:
+            reason = STOP_CONVERGED
+            break
+        eta_try = eta * 4.0
+        accepted = False
+        for _ in range(_BACKTRACKS):
+            F2 = F - eta_try * g
+            F2 -= F2.mean(axis=0)
+            E2, D2 = ratio_parts(F2, eu, ev, em, p, q)
+            if D2 > 0.0:
+                R2 = E2 / D2
+                if R2 <= R - _ARMIJO * eta_try * g2:
+                    accepted = True
+                    break
+            eta_try *= _SHRINK
+        if not accepted:
+            reason = STOP_LINE_SEARCH
+            break
+        F2 /= D2 ** (1.0 / p)
+        eta = eta_try
+        step = float(np.sqrt(((F2 - F) ** 2).sum()))
+        F = F2
+        if R2 < bestR:
+            bestR = R2
+            bestF = F.copy()
+        if step < tol:
+            reason = STOP_CONVERGED
+            break
+        if bestR < refR - _STALL_REL * abs(refR):
+            refR = bestR
+            ref_it = it
+        elif it - ref_it >= _STALL_ITERS:
+            reason = STOP_STALLED
+            break
+    E, D = ratio_parts(bestF, eu, ev, em, p, q)
+    return bestF, E / D, it, step, reason
+
+
+def _kappa_residuals(xi, perms, p):
+    diff = xi[perms] - xi[None, :, :]
+    return ((np.abs(diff) ** p).sum(axis=(1, 2))) ** (1.0 / p)
+
+
+def _kappa_normalize(xi, p):
+    xi -= xi.mean(axis=0)
+    S = float((np.abs(xi) ** p).sum())
+    if S > 0.0:
+        xi /= S ** (1.0 / p)
+    return S
+
+
+def _kappa_smoothed(r, beta):
+    rmax = float(r.max())
+    return rmax + math.log(float(np.exp(beta * (r - rmax)).sum())) / beta
+
+
+def _kappa_grad(xi, perms, p, beta):
+    r = _kappa_residuals(xi, perms, p)
+    rmax = float(r.max())
+    w = np.exp(beta * (r - rmax))
+    wsum = float(w.sum())
+    w = w / wsum
+    grad = np.zeros_like(xi)
+    for s in range(perms.shape[0]):
+        if r[s] <= 0.0 or w[s] == 0.0:
+            continue
+        u = xi[perms[s]] - xi
+        t = (w[s] * r[s] ** (1.0 - p)) * np.abs(u) ** (p - 1.0) * np.sign(u)
+        grad[perms[s]] += t
+        grad -= t
+    return rmax + math.log(wsum) / beta, r, grad
+
+
+def kappa_descend(xi0, perms, p, betas, iters_per_stage, tol):
+    xi = xi0.copy()
+    _kappa_normalize(xi, p)
+    r = _kappa_residuals(xi, perms, p)
+    best = float(r.max())
+    best_xi = xi.copy()
+    total_it = 0
+    for beta in betas:
+        eta = 0.25
+        it = 0
+        while it < iters_per_stage:
+            it += 1
+            total_it += 1
+            fsm, r, grad = _kappa_grad(xi, perms, p, beta)
+            grad -= grad.mean(axis=0)
+            g2 = float((grad * grad).sum())
+            if g2 < 1e-30:
+                break
+            eta_try = eta * 4.0
+            accepted = False
+            for _ in range(_BACKTRACKS):
+                xi2 = xi - eta_try * grad
+                S = _kappa_normalize(xi2, p)
+                if S > 0.0:
+                    r2 = _kappa_residuals(xi2, perms, p)
+                    f2 = _kappa_smoothed(r2, beta)
+                    if f2 <= fsm - _ARMIJO * eta_try * g2:
+                        accepted = True
+                        tru = float(r2.max())
+                        if tru < best:
+                            best = tru
+                            best_xi = xi2.copy()
+                        break
+                eta_try *= 0.5
+            if not accepted:
+                break
+            eta = eta_try
+            step = float(np.sqrt(((xi2 - xi) ** 2).sum()))
+            xi = xi2
+            if step < tol:
+                break
+    return best_xi, best, total_it

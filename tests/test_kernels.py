@@ -1,17 +1,17 @@
-"""Cross-checks between the jitted kernels and the pure-numpy fallbacks."""
+"""Block kernels checked against the single-start references in
+``kernel_reference`` and against closed forms."""
 
 import numpy as np
 import pytest
+from kernel_reference import descend, kappa_descend
 
-from banachgap._kernels import IMPLEMENTATIONS
-from banachgap.graphs import gen_family
-from banachgap.groups import action_from_group
-from banachgap.spectral import mean_zero_basis
+from banachgap import _kernels
+from banachgap.acceptance import _SMALL_GRAPHS
+from banachgap.graphs import build_graph, gen_family
+from banachgap.groups import action_from_group, schreier_graph
+from banachgap.spectral import _fiedler_start, mean_zero_basis
 
-numba_impl = IMPLEMENTATIONS["numba"]
-numpy_impl = IMPLEMENTATIONS["numpy"]
-
-needs_numba = pytest.mark.skipif(numba_impl is None, reason="numba disabled or unavailable")
+BETAS = np.array([1e1, 1e2, 1e3, 1e4])
 
 
 @pytest.fixture(scope="module")
@@ -20,63 +20,104 @@ def graph_arrays():
     return G.nonloop_arrays()
 
 
-@needs_numba
+def _gap_starts(G, count, seed):
+    """Fiedler vector, its sign rounding and Gaussian draws, as gap_estimate
+    draws them at d=1."""
+    rng = np.random.Generator(np.random.PCG64(seed))
+    fied = _fiedler_start(G, 1)
+    rounded = np.sign(fied)
+    rounded[rounded == 0.0] = 1.0
+    return np.stack([fied, rounded] + [rng.standard_normal((G.n, 1)) for _ in range(count - 2)])
+
+
+_DESCENT_GRAPHS = [(name, build_graph(n, edges)) for name, (n, edges) in _SMALL_GRAPHS.items()] + [
+    ("cyclic(8)", schreier_graph(action_from_group("cyclic", 8))),
+    ("sl_mod(2,3)", schreier_graph(action_from_group("sl_mod", 2, 3))),
+]
+
+
+@pytest.mark.parametrize("p", [1.0, 1.5, 3.0])
+@pytest.mark.parametrize("name,G", _DESCENT_GRAPHS, ids=[name for name, _ in _DESCENT_GRAPHS])
+def test_block_descent_best_matches_single_start_reference(name, G, p):
+    eu, ev, em = G.nonloop_arrays()
+    starts = _gap_starts(G, 6, seed=1)
+    _, values, _, _, _ = _kernels.descend_block(starts, eu, ev, em, p, p, 400, 1e-10)
+    ref = min(descend(np.ascontiguousarray(F), eu, ev, em, p, p, 400, 1e-10)[1] for F in starts)
+    assert values.min() == pytest.approx(ref, rel=1e-9)
+
+
+def test_start_runs_the_same_alone_and_in_a_block():
+    G = gen_family("cycle", [6])
+    eu, ev, em = G.nonloop_arrays()
+    starts = _gap_starts(G, 8, seed=3)
+    Fb, vb, itb, _, stopb = _kernels.descend_block(starts, eu, ev, em, 2.0, 2.0, 5000, 1e-10)
+    assert all(_kernels.STOP_REASONS[s] == "converged" for s in stopb)
+    for k in range(len(starts)):
+        Fa, va, ita, _, stopa = _kernels.descend_block(starts[k : k + 1], eu, ev, em, 2.0, 2.0, 5000, 1e-10)
+        assert va[0] == pytest.approx(vb[k], rel=1e-9)
+        assert stopa[0] == stopb[k]
+        assert ita[0] == itb[k]
+        assert np.allclose(Fa[0], Fb[k], rtol=0.0, atol=1e-12)
+
+
+def test_degenerate_start_stops_at_once():
+    G = gen_family("cycle", [5])
+    eu, ev, em = G.nonloop_arrays()
+    starts = np.stack([np.ones((5, 1)), _gap_starts(G, 2, seed=0)[0]])
+    _, values, iters, _, stops = _kernels.descend_block(starts, eu, ev, em, 1.5, 2.0, 200, 1e-10)
+    assert _kernels.STOP_REASONS[stops[0]] == "degenerate"
+    assert values[0] == np.inf and iters[0] == 0
+    assert np.isfinite(values[1])
+
+
+@pytest.mark.parametrize(
+    "group,params,d", [("cyclic", (8,), 1), ("boolean_cube", (3,), 3), ("sl_mod", (2, 3), 1)]
+)
+@pytest.mark.parametrize("p", [1.0, 2.0, 3.0])
+def test_block_kappa_descent_matches_single_start_reference(group, params, d, p):
+    a = action_from_group(group, *params)
+    perms = np.ascontiguousarray(a.perms.astype(np.int64))
+    rng = np.random.Generator(np.random.PCG64(11))
+    starts = np.stack([rng.standard_normal((a.m, d)) for _ in range(4)])
+    xis, values, _, stops = _kernels.kappa_descend_block(starts, perms, p, BETAS, 100, 1e-12)
+    for k, xi0 in enumerate(starts):
+        _, ref, _ = kappa_descend(np.ascontiguousarray(xi0), perms, p, BETAS, 100, 1e-12)
+        assert values[k] == pytest.approx(ref, rel=1e-9)
+    assert np.allclose(xis.sum(axis=1), 0.0, atol=1e-12)
+    assert all(_kernels.STOP_REASONS[s] in ("converged", "line_search", "max_iter") for s in stops)
+
+
+def test_kappa_descent_cyclic_closed_form():
+    a = action_from_group("cyclic", 6)
+    perms = np.ascontiguousarray(a.perms)
+    rng = np.random.Generator(np.random.PCG64(11))
+    xi0 = rng.standard_normal((1, a.m, 1))
+    _, value, _, _ = _kernels.kappa_descend_block(xi0, perms, 2.0, BETAS, 400, 1e-12)
+    assert value[0] == pytest.approx(1.0, abs=1e-3)  # 2 sin(pi/6)
+
+
 @pytest.mark.parametrize("p,q,d", [(2.0, 2.0, 1), (1.5, 2.0, 2), (1.0, 1.0, 3), (3.0, 1.5, 2)])
-def test_ratio_parts_agree(graph_arrays, p, q, d):
+def test_ratio_parts_matches_direct_sum(graph_arrays, p, q, d):
     eu, ev, em = graph_arrays
     rng = np.random.Generator(np.random.PCG64(5))
-    F = np.ascontiguousarray(rng.standard_normal((16, d)))
+    F = rng.standard_normal((16, d))
     F -= F.mean(axis=0)
-    E1, D1 = numba_impl["ratio_parts"](F, eu, ev, em, p, q)
-    E2, D2 = numpy_impl["ratio_parts"](F, eu, ev, em, p, q)
-    assert E1 == pytest.approx(E2, rel=1e-12)
-    assert D1 == pytest.approx(D2, rel=1e-12)
-
-
-@needs_numba
-@pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
-def test_descend_values_agree(graph_arrays, p):
-    eu, ev, em = graph_arrays
-    rng = np.random.Generator(np.random.PCG64(7))
-    F0 = np.ascontiguousarray(rng.standard_normal((16, 1)))
-    _, v_nb, _, _, _ = numba_impl["descend"](F0, eu, ev, em, p, 2.0, 3000, 1e-10)
-    _, v_np, _, _, _ = numpy_impl["descend"](F0, eu, ev, em, p, 2.0, 3000, 1e-10)
-    assert v_nb == pytest.approx(v_np, rel=1e-6)
-
-
-@needs_numba
-def test_oracle_circle_agrees():
-    G = gen_family("complete", [3])
-    eu, ev, em = G.nonloop_arrays()
-    B = mean_zero_basis(3)
-    b1, b2 = np.ascontiguousarray(B[:, 0]), np.ascontiguousarray(B[:, 1])
-    r_nb = numba_impl["oracle_circle"](b1, b2, eu, ev, em, 1.5, 5000)
-    r_np = numpy_impl["oracle_circle"](b1, b2, eu, ev, em, 1.5, 5000)
-    assert r_nb[0] == pytest.approx(r_np[0], rel=1e-12)
-    assert r_nb[1] == pytest.approx(r_np[1], abs=1e-12)
-
-
-@needs_numba
-def test_oracle_sphere_agrees():
-    G = gen_family("cycle", [4])
-    eu, ev, em = G.nonloop_arrays()
-    B = mean_zero_basis(4)
-    args = tuple(np.ascontiguousarray(B[:, j]) for j in range(3))
-    r_nb = numba_impl["oracle_sphere"](*args, eu, ev, em, 1.0, 200, 400)
-    r_np = numpy_impl["oracle_sphere"](*args, eu, ev, em, 1.0, 200, 400)
-    assert r_nb[0] == pytest.approx(r_np[0], rel=1e-12)
+    E, D = _kernels.ratio_parts(F, eu, ev, em, p, q)
+    E_ref = sum(m * np.linalg.norm(F[u] - F[v], ord=q) ** p for u, v, m in zip(eu, ev, em))
+    D_ref = sum(np.linalg.norm(row, ord=q) ** p for row in F)
+    assert E == pytest.approx(E_ref, rel=1e-12)
+    assert D == pytest.approx(D_ref, rel=1e-12)
 
 
 @pytest.mark.parametrize("p,q,d", [(2.0, 2.0, 1), (1.5, 2.0, 2), (3.0, 1.5, 2), (2.5, 2.5, 3)])
 def test_edge_and_spread_gradients_match_finite_differences(graph_arrays, p, q, d):
     # smooth exponents only; the kink cases use the 0 subgradient by design
-    from banachgap._kernels import _grads_np, _ratio_parts_np
-
     eu, ev, em = graph_arrays
     rng = np.random.Generator(np.random.PCG64(3))
     F = rng.standard_normal((16, d))
     F -= F.mean(axis=0)
-    E, D, gE, gD = _grads_np(F, eu, ev, em, p, q)
+    scatter = _kernels._edge_scatter_index(eu, ev, 16, d)
+    E, D, gE, gD = _kernels._block_grads(F.T[None].copy(), eu, ev, em, p, q, scatter)
     h = 1e-6
     for _ in range(12):
         i, j = int(rng.integers(16)), int(rng.integers(d))
@@ -84,31 +125,38 @@ def test_edge_and_spread_gradients_match_finite_differences(graph_arrays, p, q, 
         Fp[i, j] += h
         Fm = F.copy()
         Fm[i, j] -= h
-        Ep, Dp = _ratio_parts_np(Fp, eu, ev, em, p, q)
-        Em, Dm = _ratio_parts_np(Fm, eu, ev, em, p, q)
-        assert (Ep - Em) / (2 * h) == pytest.approx(gE[i, j], rel=2e-4, abs=2e-5)
-        assert (Dp - Dm) / (2 * h) == pytest.approx(gD[i, j], rel=2e-4, abs=2e-5)
+        Ep, Dp = _kernels.ratio_parts(Fp, eu, ev, em, p, q)
+        Em, Dm = _kernels.ratio_parts(Fm, eu, ev, em, p, q)
+        assert (Ep - Em) / (2 * h) == pytest.approx(gE[0, j, i], rel=2e-4, abs=2e-5)
+        assert (Dp - Dm) / (2 * h) == pytest.approx(gD[0, j, i], rel=2e-4, abs=2e-5)
 
 
-@needs_numba
-def test_kappa_residuals_agree():
+def test_oracle_circle_triangle_closed_form():
+    # K3 at p=2: every mean-zero map is an eigenvector of eigenvalue 3
+    G = gen_family("complete", [3])
+    eu, ev, em = G.nonloop_arrays()
+    B = mean_zero_basis(3)
+    value, _, maxjump = _kernels.oracle_circle(B[:, 0].copy(), B[:, 1].copy(), eu, ev, em, 2.0, 5000)
+    assert value == pytest.approx(3.0, rel=1e-12)
+    assert maxjump == pytest.approx(0.0, abs=1e-12)
+
+
+def test_oracle_sphere_c4_closed_form():
+    # C4 at p=2: the minimum is lambda_2 = 2
+    G = gen_family("cycle", [4])
+    eu, ev, em = G.nonloop_arrays()
+    B = mean_zero_basis(4)
+    args = tuple(B[:, j].copy() for j in range(3))
+    value, _, _, maxjump = _kernels.oracle_sphere(*args, eu, ev, em, 2.0, 200, 400)
+    assert value >= 2.0 - 1e-12
+    assert value - 2.0 <= max(1e-3, 2.0 * maxjump)
+
+
+def test_kappa_residuals_match_direct_sum():
     a = action_from_group("boolean_cube", 3)
     perms = np.ascontiguousarray(a.perms)
     rng = np.random.Generator(np.random.PCG64(9))
-    xi = np.ascontiguousarray(rng.standard_normal((a.m, 2)))
-    r_nb = numba_impl["kappa_residuals"](xi, perms, 2.5)
-    r_np = numpy_impl["kappa_residuals"](xi, perms, 2.5)
-    assert np.allclose(r_nb, r_np, rtol=1e-12)
-
-
-@needs_numba
-def test_kappa_descend_values_agree():
-    a = action_from_group("cyclic", 6)
-    perms = np.ascontiguousarray(a.perms)
-    rng = np.random.Generator(np.random.PCG64(11))
-    xi0 = np.ascontiguousarray(rng.standard_normal((a.m, 1)))
-    betas = np.array([1e1, 1e2, 1e3, 1e4])
-    _, v_nb, _ = numba_impl["kappa_descend"](xi0, perms, 2.0, betas, 400, 1e-12)
-    _, v_np, _ = numpy_impl["kappa_descend"](xi0, perms, 2.0, betas, 400, 1e-12)
-    assert v_nb == pytest.approx(v_np, rel=1e-6)
-    assert v_nb == pytest.approx(1.0, abs=1e-3)  # 2 sin(pi/6)
+    xi = rng.standard_normal((a.m, 2))
+    r = _kernels.kappa_residuals(xi, perms, 2.5)
+    ref = [(np.abs(xi[perm] - xi) ** 2.5).sum() ** (1 / 2.5) for perm in perms]
+    assert np.allclose(r, ref, rtol=1e-12)

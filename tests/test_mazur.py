@@ -145,6 +145,24 @@ def test_check_stabilized_identity():
     assert chk.violations == 0
 
 
+@pytest.mark.parametrize("p_src,k,p_block", [(4.0, 4, 2.0), (1.0, 1, 3.0)])
+def test_check_stabilized_matches_per_row_extension(p_src, k, p_block):
+    # the check extends all k*n_samples blocks in one call; extending
+    # each pair's k blocks separately must give the same verdict
+    phi = mazur.mazur_sphere_map(p_src, 2.0)
+    chk = mazur.check_stabilized_modulus(phi, k=k, p=p_block, n_samples=2000, seed=3, d=8)
+    rng = np.random.Generator(np.random.PCG64(3))
+    x, y = mazur._block_pairs(rng, 2000, k, 8, p_block, phi.source_p)
+    eps = mazur._lp_norm(mazur._lp_norm(x - y, phi.source_p, axis=2), p_block, axis=1)
+    fx = np.stack([mazur._extension_batch(phi, row) for row in x])
+    fy = np.stack([mazur._extension_batch(phi, row) for row in y])
+    delta = mazur._lp_norm(mazur._lp_norm(fx - fy, phi.target_p, axis=2), p_block, axis=1)
+    pos = eps > 0
+    ratio = delta[pos] / (chk.bound_C * eps[pos] ** chk.alpha)
+    assert chk.violations == int((ratio > 1 + 1e-9).sum())
+    assert chk.max_ratio == float(ratio.max())
+
+
 def test_sphere_sample_is_on_sphere():
     rng = np.random.Generator(np.random.PCG64(5))
     for p in EXPONENTS:

@@ -123,10 +123,9 @@ def test_estimate_deterministic_for_seed():
     assert np.array_equal(a.minimizer.values, b.minimizer.values)
 
 
-def test_estimate_threads_match_serial():
-    a = gap_estimate(H3, p=3.0, seed=4, threads=1)
-    b = gap_estimate(H3, p=3.0, seed=4, threads=4)
-    assert a.value == b.value
+def test_estimate_rejects_warm_start_of_wrong_shape():
+    with pytest.raises(ValueError, match="warm start shape"):
+        gap_estimate(C6, p=1.5, d=2, restarts=4, warm_starts=[np.ones((6, 1))])
 
 
 def test_estimate_rejects_bad_exponents():
