@@ -357,18 +357,18 @@ def kappa_descend_block(xi0, perms, p, betas, iters_per_stage, tol):
     reason that ended a start's last stage is its stop code.  Returns
     ``(xi, value, iterations, stop)`` per start: the field with the lowest
     true max residual seen at an accepted step, that residual, the total
-    iteration count and the stop code.
+    iteration count and the stop code.  A start whose centred field is zero
+    stops at once as degenerate, with value inf.
     """
     xi = np.asarray(xi0, dtype=np.float64).transpose(0, 2, 1).copy()
     nR, d, m = xi.shape
     g = perms.shape[0]
     inv_flat = (np.arange(g)[:, None] * m + np.argsort(perms, axis=1)).ravel()
-    _block_kappa_normalize(xi, p)
-    best = _block_kappa_residuals(_block_kappa_diffs(xi, perms), p).max(axis=1)
-    out_xi = np.empty_like(xi)
-    out_best = np.empty(nR)
+    S = _block_kappa_normalize(xi, p)
+    out_xi = xi.copy()
+    out_best = np.full(nR, np.inf)
     out_it = np.zeros(nR, dtype=np.int64)
-    out_stop = np.zeros(nR, dtype=np.int64)
+    out_stop = np.full(nR, STOP_DEGENERATE)
 
     def evaluate(trials, rows):
         # smooths with each start's current stage parameter, ``beta`` below
@@ -376,11 +376,14 @@ def kappa_descend_block(xi0, perms, p, betas, iters_per_stage, tol):
         r = _block_kappa_residuals(_block_kappa_diffs(trials, perms), p)
         return _block_smoothed(r, np.repeat(beta[rows], _LEVELS))[0], S > 0.0, r.max(axis=1)
 
-    idx = np.arange(nR)
+    # State of the starts still running, in block order.
+    idx = np.flatnonzero(S > 0.0)
+    xi = xi[idx]
+    best = _block_kappa_residuals(_block_kappa_diffs(xi, perms), p).max(axis=1)
     best_xi = xi.copy()
-    stage = np.zeros(nR, dtype=np.int64)
-    sit = np.zeros(nR, dtype=np.int64)
-    eta = np.full(nR, 0.25)
+    stage = np.zeros(idx.size, dtype=np.int64)
+    sit = np.zeros(idx.size, dtype=np.int64)
+    eta = np.full(idx.size, 0.25)
     total = 0
     while idx.size:
         total += 1

@@ -28,9 +28,10 @@ from .distortion import (
     max_displacement,
     r_eps_lower,
 )
-from .graphs import MultiGraph, all_pairs_distances, gen_family, graph_to_json, read_edge_list, write_edge_list
+from .graphs import MetricTable, MultiGraph, all_pairs_distances, gen_family, graph_to_json, read_edge_list, write_edge_list
 from .groups import action_from_group, verify_sandwich, write_action_file
 from .realization import schreier_realize, spec_to_action, verify_realization
+from .spectral import gap as spectral_gap
 from .spectral import gap_estimate, gap_exact_2, gap_oracle_small
 
 __all__ = ["main"]
@@ -119,15 +120,13 @@ def cmd_gen(args) -> int:
 
 def cmd_gap(args) -> int:
     G = _load_graph(args)
-    method = args.method
-    if method == "auto":
-        method = "exact" if (args.p == 2.0 and args.q == 2.0 and args.d == 1) else "estimate"
-    if method == "exact":
+    if args.method == "exact":
         est = gap_exact_2(G)
-    elif method == "oracle":
+    elif args.method == "oracle":
         est = gap_oracle_small(G, p=args.p, resolution=args.resolution)
     else:
-        est = gap_estimate(
+        solve = spectral_gap if args.method == "auto" else gap_estimate
+        est = solve(
             G, p=args.p, q=args.q, d=args.d, restarts=args.restarts, max_iter=args.max_iter,
             tol=args.tol, seed=args.seed,
         )
@@ -184,9 +183,10 @@ def cmd_gross(args) -> int:
     return 0
 
 
-def _distortion_row(G: MultiGraph, graph_id: str, kind: str, p: float, q: float, d: int, eps: float, seed: int, restarts: int) -> DistortionBounds:
-    met = all_pairs_distances(G)
-    gap = gap_exact_2(G) if p == 2.0 else gap_estimate(G, p=p, q=p, d=1, seed=seed, restarts=restarts)
+def _distortion_row(
+    G: MultiGraph, met: MetricTable, graph_id: str, kind: str, p: float, q: float, eps: float, seed: int, restarts: int
+) -> DistortionBounds:
+    gap = spectral_gap(G, p=p, q=p, seed=seed, restarts=restarts)
     reps = r_eps_lower(G, met, eps)
     if kind == "hamming":
         nbits = int(round(np.log2(G.n)))
@@ -205,7 +205,6 @@ def _distortion_row(G: MultiGraph, graph_id: str, kind: str, p: float, q: float,
         graph_id=graph_id,
         p=p,
         q=q,
-        d=d,
         gn_lower=gn.value,
         gn_eps=eps,
         jv_lower=jv.value,
@@ -222,8 +221,8 @@ def cmd_distort(args) -> int:
         rows = []
         for n in range(int(lo), int(hi) + 1):
             G = gen_family(kind, [n], seed=args.seed)
-            row = _distortion_row(G, f"{kind}:{n}", kind, args.p, args.q, args.d, args.eps, args.seed, args.restarts)
-            met_diam = all_pairs_distances(G).diameter
+            met = all_pairs_distances(G)
+            row = _distortion_row(G, met, f"{kind}:{n}", kind, args.p, args.q, args.eps, args.seed, args.restarts)
             if kind == "hamming":
                 target = n ** (1.0 - 1.0 / args.p) if args.p < 2.0 else n**0.5
             else:
@@ -231,7 +230,7 @@ def cmd_distort(args) -> int:
             rows.append(
                 {
                     "n": n,
-                    "diam": met_diam,
+                    "diam": met.diameter,
                     "gn_lower": row.gn_lower,
                     "jv_lower": row.jv_lower,
                     "upper": row.upper,
@@ -244,7 +243,7 @@ def cmd_distort(args) -> int:
         return 0
     G = _load_graph(args)
     kind = args.gen.partition(":")[0] if args.gen else ""
-    row = _distortion_row(G, args.gen or args.file, kind, args.p, args.q, args.d, args.eps, args.seed, args.restarts)
+    row = _distortion_row(G, all_pairs_distances(G), args.gen or args.file, kind, args.p, args.q, args.eps, args.seed, args.restarts)
     _emit(args, row.to_dict(), "distortion.json")
     return 0
 
@@ -357,7 +356,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(g)
     g.add_argument("--p", type=float, default=2.0)
     g.add_argument("--q", type=float, default=2.0)
-    g.add_argument("--d", type=int, default=1)
     g.add_argument("--eps", type=float, default=0.5)
     g.add_argument("--restarts", type=int, default=16)
     g.add_argument("--family", help="LO:HI size sweep of the --gen kind, emitted as a CSV table")

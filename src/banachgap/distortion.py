@@ -338,7 +338,6 @@ class DistortionBounds:
     graph_id: str
     p: float
     q: float
-    d: int
     gn_lower: float
     gn_eps: float
     jv_lower: float
@@ -351,7 +350,6 @@ class DistortionBounds:
             "graph": self.graph_id,
             "p": self.p,
             "q": self.q,
-            "d": self.d,
             "gn_lower": self.gn_lower,
             "gn_eps": self.gn_eps,
             "jv_lower": self.jv_lower,

@@ -12,8 +12,8 @@ from __future__ import annotations
 
 import json
 from collections import deque
-from dataclasses import dataclass
-from typing import Iterable, Sequence
+from dataclasses import dataclass, field
+from typing import Callable, Iterable, Sequence, TypeVar
 
 import numpy as np
 
@@ -28,15 +28,23 @@ __all__ = [
     "graph_to_json",
 ]
 
+_T = TypeVar("_T")
+
 
 @dataclass(frozen=True)
 class MultiGraph:
-    """Immutable undirected multigraph with loop and multiplicity support."""
+    """Immutable undirected multigraph with loop and multiplicity support.
+
+    Arrays derived from the edges (the kernels' edge arrays, the spectral
+    head) are computed once per graph object and kept in ``_memo``; they
+    take no part in equality or hashing and die with the graph.
+    """
 
     n: int
     edges: tuple[tuple[int, int, int], ...]
     degrees: tuple[int, ...]
     connected: bool
+    _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def max_degree(self) -> int:
@@ -54,19 +62,34 @@ class MultiGraph:
     def edge_multiset(self) -> dict[tuple[int, int], int]:
         return {(u, v): m for u, v, m in self.edges}
 
+    def memo(self, key: str, build: Callable[[], _T]) -> _T:
+        """``build()`` on the first call for ``key``, the stored value after.
+
+        The graph is immutable, so a value derived from it never goes
+        stale.  Callers store read-only arrays and copy what they hand out.
+        """
+        if key not in self._memo:
+            self._memo[key] = build()
+        return self._memo[key]
+
     def nonloop_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(u, v, mult) int64 arrays over non-loop edges, for the kernels."""
+        """(u, v, mult) int64 arrays over non-loop edges, for the kernels.
+
+        Built once per graph and read-only.
+        """
+        return self.memo("nonloop_arrays", self._build_nonloop_arrays)
+
+    def _build_nonloop_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         eu, ev, em = [], [], []
         for u, v, m in self.edges:
             if u != v:
                 eu.append(u)
                 ev.append(v)
                 em.append(m)
-        return (
-            np.asarray(eu, dtype=np.int64),
-            np.asarray(ev, dtype=np.int64),
-            np.asarray(em, dtype=np.int64),
-        )
+        arrays = tuple(np.asarray(x, dtype=np.int64) for x in (eu, ev, em))
+        for a in arrays:
+            a.setflags(write=False)
+        return arrays
 
     def adjacency(self) -> list[list[int]]:
         """Neighbor lists without multiplicities, loops skipped."""

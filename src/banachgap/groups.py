@@ -31,7 +31,8 @@ import numpy as np
 
 from . import _kernels
 from .graphs import MultiGraph, build_graph
-from .spectral import GapEstimate, gap_estimate, gap_exact_2
+from .spectral import GapEstimate
+from .spectral import gap as spectral_gap
 
 __all__ = [
     "PermutationAction",
@@ -360,10 +361,7 @@ class KappaEstimate:
 
 
 def _schreier_gap(a: PermutationAction, p: float, seed: int, restarts: int) -> GapEstimate:
-    G = schreier_graph(a)
-    if p == 2.0:
-        return gap_exact_2(G)
-    return gap_estimate(G, p=p, q=p, d=1, seed=seed, restarts=restarts)
+    return spectral_gap(schreier_graph(a), p=p, q=p, seed=seed, restarts=restarts)
 
 
 def kappa_estimate(

@@ -26,6 +26,7 @@ __all__ = [
     "VectorMap",
     "GapEstimate",
     "rayleigh_quotient",
+    "gap",
     "gap_exact_2",
     "gap_estimate",
     "gap_oracle_small",
@@ -114,32 +115,47 @@ def _check_estimate(G: MultiGraph, est: GapEstimate, rel: float = 1e-12) -> GapE
     return est
 
 
+def _laplacian_head(G: MultiGraph) -> tuple[np.ndarray, np.ndarray]:
+    """The first min(4, n) Laplacian eigenvalues and the Fiedler vector
+    ``V[:, 1]``, from one dense eigh per graph object.
+
+    Both are read-only.  Only these O(n) floats stay on the graph, never
+    the full eigenbasis or the dense Laplacian.
+    """
+
+    def solve():
+        w, V = np.linalg.eigh(G.laplacian())
+        head = (w[: min(4, len(w))].copy(), V[:, 1].copy())
+        for a in head:
+            a.setflags(write=False)
+        return head
+
+    return G.memo("laplacian_head", solve)
+
+
 def gap_exact_2(G: MultiGraph) -> GapEstimate:
     """Exact gap at (p, q, d) = (2, 2, 1): second-smallest Laplacian eigenvalue."""
     if not G.connected:
         raise ValueError("gap_exact_2 requires a connected graph")
     if G.n < 2:
         raise ValueError("gap undefined on a single vertex (no nonconstant maps)")
-    w, V = np.linalg.eigh(G.laplacian())
-    value = float(w[1])
-    vec = np.ascontiguousarray(V[:, 1][:, None])
+    w, fiedler = _laplacian_head(G)
     est = GapEstimate(
-        value=value,
-        minimizer=VectorMap(vec, q=2.0, p=2.0),
+        value=float(w[1]),
+        minimizer=VectorMap(fiedler[:, None].copy(), q=2.0, p=2.0),
         method="eigen_exact",
         bound_kind="exact",
         p=2.0,
         q=2.0,
         d=1,
-        diagnostics={"eigenvalues_head": [float(x) for x in w[: min(4, len(w))]]},
+        diagnostics={"eigenvalues_head": [float(x) for x in w]},
     )
     return _check_estimate(G, est)
 
 
 def _fiedler_start(G: MultiGraph, d: int) -> np.ndarray:
-    w, V = np.linalg.eigh(G.laplacian())
     F = np.zeros((G.n, d))
-    F[:, 0] = V[:, 1]
+    F[:, 0] = _laplacian_head(G)[1]
     return F
 
 
@@ -208,6 +224,14 @@ def gap_estimate(
         },
     )
     return _check_estimate(G, est)
+
+
+def gap(G: MultiGraph, p: float, q: float = 2.0, d: int = 1, **descent_opts) -> GapEstimate:
+    """The gap at (p, q, d): exact when p = q = 2 and d = 1, otherwise the
+    multi-start descent, called with ``descent_opts`` (seed, restarts, ...)."""
+    if p == 2.0 and q == 2.0 and d == 1:
+        return gap_exact_2(G)
+    return gap_estimate(G, p=p, q=q, d=d, **descent_opts)
 
 
 def mean_zero_basis(n: int) -> np.ndarray:
@@ -297,10 +321,7 @@ def extrapolation_report(
     for gi, G in enumerate(family):
         lam2 = gap_exact_2(G).value
         for p in exponents:
-            if p == 2.0:
-                lam_p = lam2
-            else:
-                lam_p = gap_estimate(G, p=p, q=2.0, d=1, seed=seed, restarts=restarts).value
+            lam_p = gap(G, p=p, seed=seed, restarts=restarts).value
             ratio = lam_p / lam2 ** (p / 2.0) if p >= 2.0 else lam_p / lam2
             rows.append(
                 {"graph": gi, "n": G.n, "p": float(p), "gap_p": lam_p, "gap_2": lam2, "ratio": ratio}

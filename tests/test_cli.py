@@ -81,6 +81,7 @@ def test_distort_subcommand(capsys):
     payload = json.loads(out)
     assert payload["certified"]
     assert abs(payload["jv_lower"] - payload["upper"]) < 1e-9
+    assert "d" not in payload
 
 
 def test_distort_family_sweep(tmp_path, capsys):

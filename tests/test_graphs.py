@@ -11,6 +11,29 @@ from banachgap.graphs import (
     read_edge_list,
     write_edge_list,
 )
+from banachgap.spectral import gap_exact_2
+
+
+def test_nonloop_arrays_are_read_only_and_built_once():
+    G = build_graph(3, [(0, 1, 2), (1, 2, 1), (2, 2, 1)])
+    eu, ev, em = G.nonloop_arrays()
+    assert eu.tolist() == [0, 1] and ev.tolist() == [1, 2] and em.tolist() == [2, 1]
+    with pytest.raises(ValueError):
+        eu[0] = 5
+    with pytest.raises(ValueError):
+        G.nonloop_arrays()[2][:] = 0
+    assert G.nonloop_arrays()[0] is eu
+
+
+def test_filled_cache_leaves_equality_and_hash_alone():
+    G = gen_family("random_regular", [20, 3], seed=4)
+    fresh = gen_family("random_regular", [20, 3], seed=4)
+    G.nonloop_arrays()
+    gap_exact_2(G)
+    assert G._memo and not fresh._memo
+    assert G == fresh
+    assert hash(G) == hash(fresh)
+    assert "_memo" not in repr(G)
 
 
 def test_build_single_edge():

@@ -111,6 +111,14 @@ def test_kappa_cube_value_and_certified_lower():
     assert est3.value == pytest.approx(2.0 / math.sqrt(3.0), abs=1e-3)
 
 
+def test_kappa_constant_start_is_degenerate_and_never_wins():
+    # A constant field centres to zero; it must not report a value below
+    # the certified lower bound (kappa of cyclic(6) at p = 2 is exactly 1).
+    est = kappa_estimate(action_from_group("cyclic", 6), p=2.0, restarts=3, warm_starts=[np.ones((6, 1))])
+    assert est.value == pytest.approx(1.0, abs=1e-9)
+    assert est.diagnostics["per_restart"][1] == {"stop_reason": "degenerate", "iterations": 0}
+
+
 def test_kappa_minimizer_zero_sum_and_unit():
     est = kappa_estimate(action_from_group("cyclic", 5), p=3.0, d=2, seed=1)
     assert np.abs(est.minimizer.sum(axis=0)).max() < 1e-12

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from banachgap.graphs import build_graph, gen_family
 from banachgap.spectral import (
     extrapolation_report,
+    gap,
     gap_estimate,
     gap_exact_2,
     gap_oracle_small,
@@ -173,3 +174,68 @@ def test_extrapolation_report():
     assert 0.0 < ratio < math.inf
     lo, hi = rep["bands"][4.0]
     assert lo <= ratio <= hi
+
+
+# ----------------------------------------------------------------------
+# Per-graph spectral cache
+# ----------------------------------------------------------------------
+
+
+def _gap_calls(graph):
+    """gap_exact_2, then the descent at p in {1.5, 3} and d in {1, 2}, each
+    on the graph ``graph()`` returns."""
+    out = [gap_exact_2(graph())]
+    for p in (1.5, 3.0):
+        for d in (1, 2):
+            out.append(gap_estimate(graph(), p=p, q=2.0, d=d, seed=5, restarts=4, max_iter=60))
+    return out
+
+
+@pytest.mark.parametrize("kind,params", [("random_regular", [60, 3]), ("hamming", [4])])
+def test_cached_head_gives_the_same_bytes_as_fresh_graphs(kind, params):
+    G = gen_family(kind, params, seed=3)
+    shared = _gap_calls(lambda: G)
+    fresh = _gap_calls(lambda: gen_family(kind, params, seed=3))
+    for a, b in zip(shared, fresh):
+        assert a.value == b.value
+        assert a.minimizer.values.tobytes() == b.minimizer.values.tobytes()
+        assert a.diagnostics == b.diagnostics
+
+
+def test_eigh_runs_once_per_graph_object(monkeypatch):
+    calls = []
+    eigh = np.linalg.eigh
+
+    def counting_eigh(a, *args, **kwargs):
+        calls.append(a.shape)
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+    G = gen_family("hamming", [4])
+    _gap_calls(lambda: G)
+    gap_exact_2(G)
+    assert len(calls) == 1
+    gap_exact_2(gen_family("hamming", [4]))
+    assert len(calls) == 2
+
+
+def test_exact_minimizer_is_a_copy():
+    G = gen_family("cycle", [7])
+    first = gap_exact_2(G)
+    kept = first.minimizer.values.copy()
+    first.minimizer.values[:] = 0.0
+    again = gap_exact_2(G)
+    assert np.array_equal(again.minimizer.values, kept)
+    assert again.value == first.value
+
+
+def test_gap_dispatches_exact_only_at_hilbert_line():
+    G = gen_family("cycle", [8])
+    assert gap(G, 2.0).method == "eigen_exact"
+    assert gap(G, 2.0, q=2.0, d=1, seed=4, restarts=3).value == gap_exact_2(G).value
+    for p, q, d in ((2.0, 3.0, 1), (2.0, 2.0, 2), (1.5, 2.0, 1), (3.0, 3.0, 1)):
+        got = gap(G, p, q=q, d=d, seed=4, restarts=3, max_iter=80)
+        want = gap_estimate(G, p=p, q=q, d=d, seed=4, restarts=3, max_iter=80)
+        assert got.method == "multistart_descent"
+        assert got.value == want.value
+        assert np.array_equal(got.minimizer.values, want.minimizer.values)
