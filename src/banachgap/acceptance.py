@@ -30,7 +30,7 @@ from .graphs import MultiGraph, all_pairs_distances, build_graph, gen_family
 from .groups import action_from_group, kappa_estimate, schreier_graph, verify_sandwich
 from .realization import even_regularize, schreier_realize, verify_realization
 from .spectral import gap as spectral_gap
-from .spectral import gap_estimate, gap_exact_2, gap_oracle_small
+from .spectral import extrapolation_report, gap_estimate, gap_exact_2, gap_oracle_small
 
 __all__ = ["CriterionResult", "run_suite", "SUITE_IDS", "FAST_IDS", "format_table"]
 
@@ -440,25 +440,18 @@ def criterion_9(seed: int = 0) -> CriterionResult:
     t0 = time.perf_counter()
     lines = []
     ok = True
-    ratios = {3.0: [], 1.5: []}
-    for n in (10, 20, 40, 60):
-        G = gen_family("random_regular", [n, 3], seed=seed + n)
-        lam2 = gap_exact_2(G).value
-        for p in (3.0, 1.5):
-            lam_p = gap_estimate(G, p=p, q=2.0, d=1, seed=seed, restarts=12).value
-            ratio = lam_p / lam2 ** (p / 2.0) if p >= 2.0 else lam_p / lam2
-            ratios[p].append(ratio)
-    for p, rs in ratios.items():
-        spread = max(rs) / min(rs)
+    family = [gen_family("random_regular", [n, 3], seed=seed + n) for n in (10, 20, 40, 60)]
+    bands = extrapolation_report(family, [3.0, 1.5], seed=seed, restarts=12)["bands"]
+    for p, (rmin, rmax) in bands.items():
         lo, hi = _C9_BAND[p]
-        if spread > 10.0:
+        if rmax / rmin > 10.0:
             ok = False
-            lines.append(f"p={p}: spread {spread:.2f} > 10")
-        if not all(lo <= r <= hi for r in rs):
+            lines.append(f"p={p}: spread {rmax / rmin:.2f} > 10")
+        if not lo <= rmin <= rmax <= hi:
             ok = False
-            lines.append(f"p={p}: ratios {['%.3f' % r for r in rs]} outside locked band [{lo}, {hi}]")
+            lines.append(f"p={p}: ratios [{rmin:.3f}, {rmax:.3f}] outside locked band [{lo}, {hi}]")
     detail = (
-        "; ".join(f"p={p}: ratios [{min(r):.3f}, {max(r):.3f}], spread {max(r) / min(r):.2f}" for p, r in ratios.items())
+        "; ".join(f"p={p}: ratios [{rmin:.3f}, {rmax:.3f}], spread {rmax / rmin:.2f}" for p, (rmin, rmax) in bands.items())
         if ok
         else "; ".join(lines)
     )
@@ -491,8 +484,8 @@ FAST_IDS = ["1", "10"]
 
 
 def _warmup():
-    """Compile/jit the kernels on tiny inputs so runtime budgets measure the
-    algorithms, not the JIT."""
+    """Run the kernels once on tiny inputs so runtime budgets measure the
+    algorithms, not first-call costs."""
     G = gen_family("cycle", [4])
     gap_estimate(G, p=1.5, q=2.0, d=1, seed=0, restarts=2, max_iter=50)
     gap_oracle_small(G, p=1.5, resolution=0.2)

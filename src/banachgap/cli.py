@@ -1,9 +1,9 @@
 """Command-line surface.
 
 Subcommands: gen, gap, kappa, gross, distort, mazur, verify.  Artifacts are
-JSON (floats serialized at 12 significant digits, so a fixed seed and
-acceleration mode reproduce byte-identical output) or CSV.  Exit codes:
-0 success, 1 failed verification, 2 usage error.
+JSON (floats serialized at 12 significant digits, so a fixed seed
+reproduces byte-identical output) or CSV.  Exit codes: 0 success, 1 failed
+verification, 2 usage error.
 """
 
 from __future__ import annotations

@@ -312,10 +312,8 @@ def gn_bound(
 
 def jv_bound(G: MultiGraph, gap: GapEstimate, p: float, D: float | Displacement) -> BoundValue:
     """Displacement route: 2^(-(p-1)/p) * D * (gap / avg_degree)^(1/p)."""
-    if isinstance(D, Displacement):
-        d_val, d_cert = D.value, True  # any permutation's worst move lower-bounds D(G)
-    else:
-        d_val, d_cert = float(D), True
+    d_cert = isinstance(D, Displacement)  # a permutation's worst move lower-bounds D(G); a number does not
+    d_val = D.value if d_cert else float(D)
     k = G.average_degree
     value = 2.0 ** (-(p - 1.0) / p) * d_val * (gap.value / k) ** (1.0 / p)
     certified = gap.bound_kind == "exact" and d_cert

@@ -4,14 +4,16 @@ Any connected multigraph G becomes an even-regular multigraph G' by
 doubling every edge and padding vertices with self-loops up to degree
 2*max_degree(G).  Loops do not move the gap and doubling scales it by
 exactly 2.  An even-regular connected multigraph decomposes into 2-factors:
-orient an Euler circuit, split the resulting in/out-regular bipartite
-multigraph into perfect matchings, and read each matching as a permutation
-of the vertex set.  The permutations with their formal inverses generate a
-free action whose Schreier graph reproduces G' edge-for-edge.
+orient an Euler circuit, colour the edges of the resulting in/out-regular
+bipartite multigraph with k colours (König), and read each colour class as
+a permutation of the vertex set.  The permutations with their formal
+inverses generate a free action whose Schreier graph reproduces G'
+edge-for-edge.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -98,43 +100,49 @@ def _euler_circuit(G: MultiGraph, seed: int) -> list[tuple[int, int]]:
     return oriented
 
 
-def _peel_matchings(n: int, oriented: list[tuple[int, int]], k: int) -> list[np.ndarray]:
-    """Split a k-in/k-out orientation into k permutations via repeated
-    perfect matching on the out/in bipartite multigraph.  Ties break by
-    lowest index, so the output is determined by the orientation."""
-    remaining: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-    for cid, (a, b) in enumerate(oriented):
-        remaining[a].append((b, cid))
-    for lst in remaining:
-        lst.sort()
-    perms: list[np.ndarray] = []
-    for _ in range(k):
-        match_right: dict[int, tuple[int, int]] = {}  # right vertex -> (left vertex, copy id)
+def _alternating_path(tables, v: int, colours: tuple[int, int]):
+    """Rows of the vertices on the path that leaves v by an edge of
+    colours[0], then colours[1], colours[0], ...; tables[i % 2] holds the
+    side of the i-th vertex."""
+    i = 0
+    while v >= 0:
+        row = tables[i % 2][v]
+        yield row
+        v = row[colours[i % 2]]
+        i += 1
 
-        def augment(u: int, visited: set[int]) -> bool:
-            for b, cid in remaining[u]:
-                if b in visited:
-                    continue
-                visited.add(b)
-                if b not in match_right or augment(match_right[b][0], visited):
-                    match_right[b] = (u, cid)
-                    return True
-            return False
 
-        for u in range(n):
-            if not augment(u, set()):
-                raise RuntimeError("matching peel failed: bipartite regularity broken")
-        sigma = np.empty(n, dtype=np.int64)
-        consumed = set()
-        for b, (u, cid) in match_right.items():
-            sigma[u] = b
-            consumed.add(cid)
-        perms.append(sigma)
-        for u in range(n):
-            remaining[u] = [(b, cid) for b, cid in remaining[u] if cid not in consumed]
-    if any(remaining[u] for u in range(n)):
-        raise RuntimeError("orientation not fully consumed by matchings")
-    return perms
+def _colour_edges(n: int, oriented: list[tuple[int, int]], k: int) -> list[np.ndarray]:
+    """Split a k-in/k-out orientation into k permutations by one König
+    edge-colouring pass over its tail/head bipartite multigraph; colour
+    class c is permutation c.
+
+    An edge (a, b) takes a colour free at both ends if there is one.
+    Otherwise alpha is free at a and beta at b; the alpha/beta path from b
+    and the beta/alpha path from a are walked side by side, and the colours
+    are swapped on the first one to end, which frees alpha at b or beta at
+    a.  Bipartite parity keeps each path off the other endpoint.
+    """
+    out = [[-1] * k for _ in range(n)]  # out[a][c]: head of a's colour-c edge
+    inn = [[-1] * k for _ in range(n)]  # inn[b][c]: tail of b's colour-c edge
+    for a, b in oriented:
+        row_a, row_b = out[a], inn[b]
+        c = next((c for c in range(k) if row_a[c] < 0 and row_b[c] < 0), -1)
+        if c < 0:
+            alpha, beta = row_a.index(-1), row_b.index(-1)
+            walks = [
+                (_alternating_path((inn, out), b, (alpha, beta)), [], alpha),
+                (_alternating_path((out, inn), a, (beta, alpha)), [], beta),
+            ]
+            for walk, path, c in itertools.cycle(walks):
+                row = next(walk, None)
+                if row is None:
+                    break
+                path.append(row)
+            for row in path:
+                row[alpha], row[beta] = row[beta], row[alpha]
+        row_a[c], row_b[c] = b, a
+    return list(np.array(out, dtype=np.int64).T.copy())
 
 
 def two_factorize(Gp: MultiGraph, seed: int = 0) -> list[np.ndarray]:
@@ -149,11 +157,7 @@ def two_factorize(Gp: MultiGraph, seed: int = 0) -> list[np.ndarray]:
         raise ValueError(f"degree {deg} is odd; 2-factorization needs even degree")
     if not Gp.connected:
         raise ValueError("two_factorize requires a connected graph")
-    k = deg // 2
-    if k == 0:
-        return []
-    oriented = _euler_circuit(Gp, seed)
-    return _peel_matchings(Gp.n, oriented, k)
+    return _colour_edges(Gp.n, _euler_circuit(Gp, seed), deg // 2)
 
 
 def reassemble(n: int, perms: list[np.ndarray]) -> MultiGraph:
@@ -164,8 +168,6 @@ def reassemble(n: int, perms: list[np.ndarray]) -> MultiGraph:
         for v in range(n):
             w = int(sigma[v])
             edges.append((min(v, w), max(v, w), 1))
-    if not edges:
-        return build_graph(n, [])
     return build_graph(n, edges)
 
 

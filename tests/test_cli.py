@@ -75,6 +75,12 @@ def test_gross_subcommand(tmp_path, capsys):
     assert (tmp_path / "provenance.json").exists()
 
 
+def test_gross_verifies_long_path(capsys):
+    code, out = run(capsys, "gross", "--gen", "path:3000", "--verify")
+    assert code == 0
+    assert json.loads(out)["verified"]
+
+
 def test_distort_subcommand(capsys):
     code, out = run(capsys, "distort", "--gen", "hamming:3", "--p", "2")
     assert code == 0

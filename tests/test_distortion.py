@@ -162,6 +162,12 @@ def test_jv_heuristic_label():
     assert not b.certified and b.label == "heuristic lower"
 
 
+def test_jv_bare_number_is_not_certified():
+    H = gen_family("hamming", [3])
+    b = jv_bound(H, gap_exact_2(H), p=2.0, D=3)
+    assert not b.certified and b.label == "heuristic lower"
+
+
 def test_lower_bounds_below_upper(cube3):
     G, met = cube3
     upper = map_distortion(G, hamming_identity_embedding(3), q=2, metric=met).value

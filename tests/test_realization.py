@@ -134,3 +134,12 @@ def test_realization_deterministic_per_seed():
     s1 = schreier_realize(G, seed=5)
     s2 = schreier_realize(G, seed=5)
     assert all(np.array_equal(a, b) for a, b in zip(s1.perms, s2.perms))
+
+
+@pytest.mark.parametrize("gen", ["cycle:2000", "path:3000", "random_regular:2000,5", "cycle:5000"])
+def test_realize_large_roundtrip(gen):
+    kind, params = gen.split(":")
+    G = gen_family(kind, [int(x) for x in params.split(",")], seed=1)
+    spec = schreier_realize(G, seed=3)
+    assert verify_realization(spec)[0]
+    assert all(np.array_equal(np.sort(sigma), np.arange(G.n)) for sigma in spec.perms)
