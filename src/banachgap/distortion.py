@@ -91,24 +91,33 @@ def map_distortion(
 
 
 def map_distortion_exact_sq(G: MultiGraph, F: np.ndarray, metric: MetricTable | None = None) -> Fraction:
-    """Squared distortion of an integer embedding at q=2, in exact rational
-    arithmetic over squared distances."""
+    """Squared distortion of an integer embedding at q=2, exact: squared
+    norms and distances of all pairs are int64, and the pairs whose float
+    ratio is within 1e-9 of its maximum are compared as Fractions.  The float
+    step is exact only below 2^53, so larger inputs are refused."""
     F = np.asarray(F)
     if not np.issubdtype(F.dtype, np.integer):
         raise ValueError("exact distortion needs integer coordinates")
     metric = metric or all_pairs_distances(G)
-    n = G.n
-    max_e = Fraction(0)
-    max_c = Fraction(0)
-    for u in range(n):
-        for v in range(u + 1, n):
-            nsq = int(((F[u] - F[v]) ** 2).sum())
-            dsq = int(metric.d[u, v]) ** 2
-            if nsq == 0:
-                raise ValueError(f"embedding is not injective: vertices {u} and {v} collide")
-            max_e = max(max_e, Fraction(nsq, dsq))
-            max_c = max(max_c, Fraction(dsq, nsq))
-    return max_e * max_c
+    F = F.reshape(G.n, -1)
+    big = max(int(F.max(initial=0)), -int(F.min(initial=0)))
+    if 4 * F.shape[1] * big**2 >= 2**53 or metric.diameter**2 >= 2**53:
+        raise ValueError("exact distortion needs squared norms and distances below 2^53")
+    F = F.astype(np.int64)
+    iu, iv = np.triu_indices(G.n, 1)
+    sq = (F * F).sum(axis=1)
+    nsq = sq[iu] + sq[iv] - 2 * (F @ F.T)[iu, iv]
+    dsq = metric.d[iu, iv] ** 2
+    if not nsq.all():
+        k = int(np.flatnonzero(nsq == 0)[0])
+        raise ValueError(f"embedding is not injective: vertices {iu[k]} and {iv[k]} collide")
+    return _max_ratio(nsq, dsq) * _max_ratio(dsq, nsq)
+
+
+def _max_ratio(num: np.ndarray, den: np.ndarray) -> Fraction:
+    r = num / den
+    near = np.flatnonzero(r >= r.max(initial=0.0) * (1 - 1e-9))
+    return max((Fraction(int(num[i]), int(den[i])) for i in near), default=Fraction(0))
 
 
 def hamming_identity_embedding(n: int) -> np.ndarray:
@@ -145,15 +154,12 @@ def r_eps_lower(G: MultiGraph, metric: MetricTable, eps: float) -> REpsBound:
     if not 0.0 < eps < 1.0:
         raise ValueError("eps must be in (0, 1)")
     k = math.ceil(eps * G.n)
-    best_r, best_v = None, 0
-    for v in range(G.n):
-        row = np.sort(metric.d[v])
-        r = int(row[k - 1])
-        if best_r is None or r < best_r:
-            best_r, best_v = r, v
+    radii = np.partition(metric.d, k - 1, axis=1)[:, k - 1]
+    best_v = int(np.argmin(radii))
+    best_r = int(radii[best_v])
     return REpsBound(
         value=best_r / metric.diameter,
-        radius=int(best_r),
+        radius=best_r,
         center=best_v,
         diameter=metric.diameter,
         exact=False,
@@ -264,13 +270,11 @@ def max_displacement(
             raise ValueError("cayley mode needs an action on itself with right translations")
         if action.m != n:
             raise ValueError("action size does not match the graph")
-        best, best_g = -1, 0
-        for gidx in range(action.m):
-            val = _min_disp(metric, action.right_translations[gidx])
-            if val > best:
-                best, best_g = val, gidx
+        worst = metric.d[np.arange(n), action.right_translations].min(axis=1)
+        best_g = int(np.argmax(worst))
+        best = int(worst[best_g])
         return Displacement(
-            value=int(best),
+            value=best,
             permutation=action.right_translations[best_g].copy(),
             exact=best == metric.diameter,
             mode=mode,

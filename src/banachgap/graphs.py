@@ -11,7 +11,6 @@ multiplicity m, 2m copies ``(v, v)``.
 from __future__ import annotations
 
 import json
-from collections import deque
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Sequence, TypeVar
 
@@ -91,15 +90,6 @@ class MultiGraph:
             a.setflags(write=False)
         return arrays
 
-    def adjacency(self) -> list[list[int]]:
-        """Neighbor lists without multiplicities, loops skipped."""
-        adj: list[list[int]] = [[] for _ in range(self.n)]
-        for u, v, _ in self.edges:
-            if u != v:
-                adj[u].append(v)
-                adj[v].append(u)
-        return adj
-
     def laplacian(self) -> np.ndarray:
         """Dense combinatorial Laplacian; loops drop out entirely."""
         L = np.zeros((self.n, self.n))
@@ -115,13 +105,10 @@ class MultiGraph:
 
 @dataclass(frozen=True)
 class MetricTable:
-    """All-pairs hop distances of a connected multigraph."""
+    """All-pairs hop distances of a connected multigraph; ``d`` is read-only."""
 
     d: np.ndarray
     diameter: int
-
-    def row(self, v: int) -> np.ndarray:
-        return self.d[v]
 
 
 def build_graph(n: int, edges: Iterable[tuple[int, int, int]]) -> MultiGraph:
@@ -153,25 +140,17 @@ def build_graph(n: int, edges: Iterable[tuple[int, int, int]]) -> MultiGraph:
 
 
 def _is_connected(n: int, edges: Sequence[tuple[int, int, int]]) -> bool:
-    if n == 1:
-        return True
     adj: list[list[int]] = [[] for _ in range(n)]
     for u, v, _ in edges:
-        if u != v:
-            adj[u].append(v)
-            adj[v].append(u)
-    seen = [False] * n
-    seen[0] = True
-    queue = deque([0])
-    count = 1
-    while queue:
-        x = queue.popleft()
-        for y in adj[x]:
-            if not seen[y]:
-                seen[y] = True
-                count += 1
-                queue.append(y)
-    return count == n
+        adj[u].append(v)
+        adj[v].append(u)
+    seen, stack = {0}, [0]
+    while stack:
+        for y in adj[stack.pop()]:
+            if y not in seen:
+                seen.add(y)
+                stack.append(y)
+    return len(seen) == n
 
 
 # ----------------------------------------------------------------------
@@ -295,23 +274,40 @@ def _random_regular(n: int, d: int, seed: int | None, max_tries: int = 2000) -> 
 
 
 def all_pairs_distances(G: MultiGraph) -> MetricTable:
-    """BFS hop distances; multiplicities and loops do not change them."""
+    """BFS hop distances, built once per graph; multiplicities and loops do
+    not change them.  One search runs from every source at once over flat
+    ``s*n + v`` indices, so the work is O(n |E|) whatever the diameter."""
     if not G.connected:
         raise ValueError("all_pairs_distances requires a connected graph")
+    return G.memo("metric", lambda: _bfs_all_sources(G))
+
+
+def _bfs_all_sources(G: MultiGraph) -> MetricTable:
     n = G.n
-    adj = G.adjacency()
-    dist = np.full((n, n), -1, dtype=np.int64)
-    for s in range(n):
-        row = dist[s]
-        row[s] = 0
-        queue = deque([s])
-        while queue:
-            x = queue.popleft()
-            for y in adj[x]:
-                if row[y] < 0:
-                    row[y] = row[x] + 1
-                    queue.append(y)
-    return MetricTable(d=dist, diameter=int(dist.max()))
+    eu, ev, _ = G.nonloop_arrays()
+    tails = np.concatenate([eu, ev])
+    nbr = np.concatenate([ev, eu])[np.argsort(tails, kind="stable")]
+    deg = np.bincount(tails, minlength=n)
+    first = np.cumsum(deg) - deg
+    dist = np.full(n * n, -1, dtype=np.int64)
+    front = np.arange(n) * (n + 1)
+    dist[front] = 0
+    level = 0
+    while front.size:
+        level += 1
+        v = front % n
+        c = deg[v]
+        cut = np.cumsum(c)
+        slot = np.repeat(first[v] - (cut - c), c) + np.arange(cut[-1])
+        cand = np.repeat(front - v, c) + nbr[slot]
+        cand = cand[dist[cand] < 0]
+        # De-duplicate without a sort: each unseen slot keeps one writer's mark.
+        mark = -2 - np.arange(cand.size)
+        dist[cand] = mark
+        front = cand[dist[cand] == mark]
+        dist[front] = level
+    dist.setflags(write=False)
+    return MetricTable(d=dist.reshape(n, n), diameter=level - 1)
 
 
 # ----------------------------------------------------------------------

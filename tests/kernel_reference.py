@@ -1,11 +1,16 @@
-"""Single-start reference descents for the kernel tests.
+"""Reference loops for the vectorised kernels.
 
-These are the serial numpy kernels that ran one start at a time before the
-descents were vectorised over a block of starts.  The tests compare the
-block kernels of ``banachgap._kernels`` against them.
+The descents are the serial numpy kernels that ran one start at a time
+before they were vectorised over a block of starts; the tests compare the
+block kernels of ``banachgap._kernels`` against them.  The metric loops are
+the per-source BFS, the pairwise ``Fraction`` distortion and the
+per-translation displacement that ``banachgap.graphs`` and
+``banachgap.distortion`` replaced with array code.
 """
 
 import math
+from collections import deque
+from fractions import Fraction
 
 import numpy as np
 
@@ -194,3 +199,47 @@ def kappa_descend(xi0, perms, p, betas, iters_per_stage, tol):
             if step < tol:
                 break
     return best_xi, best, total_it
+
+
+def bfs_distances(G):
+    adj = [[] for _ in range(G.n)]
+    for u, v, _ in G.edges:
+        if u != v:
+            adj[u].append(v)
+            adj[v].append(u)
+    dist = np.full((G.n, G.n), -1, dtype=np.int64)
+    for s in range(G.n):
+        row = dist[s]
+        row[s] = 0
+        queue = deque([s])
+        while queue:
+            x = queue.popleft()
+            for y in adj[x]:
+                if row[y] < 0:
+                    row[y] = row[x] + 1
+                    queue.append(y)
+    return dist
+
+
+def distortion_exact_sq(F, d):
+    n = len(F)
+    max_e = Fraction(0)
+    max_c = Fraction(0)
+    for u in range(n):
+        for v in range(u + 1, n):
+            nsq = int(((F[u] - F[v]) ** 2).sum())
+            dsq = int(d[u, v]) ** 2
+            if nsq == 0:
+                raise ValueError(f"embedding is not injective: vertices {u} and {v} collide")
+            max_e = max(max_e, Fraction(nsq, dsq))
+            max_c = max(max_c, Fraction(dsq, nsq))
+    return max_e * max_c
+
+
+def cayley_displacement(d, right_translations):
+    best, best_g = -1, 0
+    for g, perm in enumerate(right_translations):
+        val = int(min(d[v, perm[v]] for v in range(len(perm))))
+        if val > best:
+            best, best_g = val, g
+    return best, best_g

@@ -3,6 +3,9 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from kernel_reference import cayley_displacement, distortion_exact_sq
 
 from banachgap.distortion import (
     austin_exclude,
@@ -18,8 +21,8 @@ from banachgap.distortion import (
     r_eps_exact,
     r_eps_lower,
 )
-from banachgap.graphs import all_pairs_distances, build_graph, gen_family
-from banachgap.groups import action_from_group
+from banachgap.graphs import MetricTable, all_pairs_distances, build_graph, gen_family
+from banachgap.groups import action_from_group, schreier_graph
 from banachgap.spectral import gap_estimate, gap_exact_2
 
 
@@ -58,6 +61,45 @@ def test_exact_distortion_needs_integers(cube3):
     G, met = cube3
     with pytest.raises(ValueError, match="integer"):
         map_distortion_exact_sq(G, hamming_identity_embedding(3).astype(float), metric=met)
+
+
+@given(st.integers(0, 10_000), st.sampled_from([("cycle", [9]), ("hamming", [3]), ("path", [6]), ("complete", [5])]))
+@settings(max_examples=80, deadline=None)
+def test_exact_distortion_equals_reference_loop(seed, spec):
+    G = gen_family(*spec)
+    met = all_pairs_distances(G)
+    rng = np.random.Generator(np.random.PCG64(seed))
+    dim = int(rng.integers(1, 4))
+    # Small ranges give tied maxima and collisions; negatives are allowed.
+    F = rng.integers(-3, 4, size=(G.n, dim))
+    try:
+        want = distortion_exact_sq(F, met.d)
+    except ValueError as err:
+        with pytest.raises(ValueError, match=str(err)):
+            map_distortion_exact_sq(G, F, metric=met)
+    else:
+        assert map_distortion_exact_sq(G, F, metric=met) == want
+
+
+def test_exact_distortion_tied_maxima_and_collision():
+    C6 = gen_family("cycle", [6])
+    met = all_pairs_distances(C6)
+    F = np.array([[0, 0], [1, 0], [2, 0], [2, 1], [1, 1], [0, 1]])
+    assert map_distortion_exact_sq(C6, F, metric=met) == distortion_exact_sq(F, met.d) == Fraction(9)
+    F[4] = F[1]
+    with pytest.raises(ValueError, match="vertices 1 and 4 collide"):
+        map_distortion_exact_sq(C6, F, metric=met)
+
+
+def test_exact_distortion_refuses_values_beyond_2_53(cube3):
+    G, met = cube3
+    F = hamming_identity_embedding(3)
+    assert map_distortion_exact_sq(G, F * (1 << 24), metric=met) == Fraction(3)
+    with pytest.raises(ValueError, match="2\\^53"):
+        map_distortion_exact_sq(G, F * (1 << 25), metric=met)
+    far = MetricTable(d=met.d, diameter=1 << 27)
+    with pytest.raises(ValueError, match="2\\^53"):
+        map_distortion_exact_sq(G, F, metric=far)
 
 
 def test_r_eps_lower_values(cube3):
@@ -104,6 +146,18 @@ def test_displacement_cayley_matches_brute(cube3):
     G, met = cube3
     d = max_displacement(G, met, "cayley", action=action_from_group("boolean_cube", 3))
     assert d.value == 3 and d.exact
+
+
+@pytest.mark.parametrize("kind, n", [("boolean_cube", n) for n in range(2, 7)] + [("cyclic", 7), ("symmetric", 4)])
+def test_displacement_cayley_equals_reference_loop(kind, n):
+    a = action_from_group(kind, n)
+    G = schreier_graph(a)
+    met = all_pairs_distances(G)
+    d = max_displacement(G, met, "cayley", action=a)
+    best, best_g = cayley_displacement(met.d, a.right_translations)
+    assert d.value == best and type(d.value) is int
+    assert np.array_equal(d.permutation, a.right_translations[best_g])
+    assert d.exact == (best == met.diameter)
 
 
 def test_displacement_heuristic_is_lower_bound(cube3):

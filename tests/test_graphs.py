@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from kernel_reference import bfs_distances
 
+from banachgap.distortion import frechet_embedding
 from banachgap.graphs import (
     all_pairs_distances,
     build_graph,
@@ -152,6 +154,68 @@ def test_margulis():
     assert G.n == 9
     assert set(G.degrees) == {8}
     assert G.connected
+
+
+@st.composite
+def connected_multigraphs(draw):
+    """A random spanning tree plus extra edges, with loops and multiplicities."""
+    n = draw(st.integers(1, 12))
+    edges = [(draw(st.integers(0, v - 1)), v, draw(st.integers(1, 3))) for v in range(1, n)]
+    vertex = st.integers(0, n - 1)
+    edges += draw(st.lists(st.tuples(vertex, vertex, st.integers(1, 3)), max_size=2 * n))
+    return build_graph(n, edges)
+
+
+@given(connected_multigraphs())
+@settings(max_examples=150, deadline=None)
+def test_metric_equals_reference_bfs(G):
+    met = all_pairs_distances(G)
+    ref = bfs_distances(G)
+    assert met.d.dtype == np.int64
+    assert np.array_equal(met.d, ref)
+    assert met.diameter == int(ref.max())
+
+
+def test_metric_of_one_vertex():
+    for G in (build_graph(1, []), build_graph(1, [(0, 0, 2)])):
+        met = all_pairs_distances(G)
+        assert met.d.tolist() == [[0]] and met.diameter == 0
+
+
+@pytest.mark.parametrize(
+    "make, want, diameter",
+    [
+        (lambda: gen_family("path", [3000]), lambda i, j: np.abs(i - j), 2999),
+        (lambda: gen_family("cycle", [3000]), lambda i, j: np.minimum(np.abs(i - j), 3000 - np.abs(i - j)), 1500),
+        (lambda: build_graph(30, [(0, v, 1) for v in range(1, 30)]), lambda i, j: np.where(i == j, 0, 1 + ((i > 0) & (j > 0))), 2),
+        (lambda: gen_family("complete", [40]), lambda i, j: (i != j).astype(np.int64), 1),
+    ],
+    ids=["path:3000", "cycle:3000", "star:30", "complete:40"],
+)
+def test_metric_closed_forms(make, want, diameter):
+    G = make()
+    met = all_pairs_distances(G)
+    i, j = np.indices((G.n, G.n))
+    assert np.array_equal(met.d, want(i, j))
+    assert met.diameter == diameter
+
+
+def test_metric_margulis_equals_reference_bfs():
+    G = gen_family("margulis", [6])
+    assert np.array_equal(all_pairs_distances(G).d, bfs_distances(G))
+
+
+def test_metric_is_built_once_and_read_only():
+    G = gen_family("hamming", [4])
+    met = all_pairs_distances(G)
+    assert all_pairs_distances(G) is met
+    assert not met.d.flags.writeable
+    with pytest.raises(ValueError):
+        met.d[0, 1] = 7
+    F = frechet_embedding(G, met)
+    assert F.flags.writeable and np.array_equal(F, met.d)
+    F[0, 1] = 7
+    assert met.d[0, 1] == 1
 
 
 def test_disconnected_flag_and_metric_error():
