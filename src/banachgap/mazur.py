@@ -36,10 +36,20 @@ __all__ = [
 ]
 
 _UNIT_TOL = 1e-9
+# Pairs per block of the modulus estimators: a block's (pairs, d) temporaries
+# stay cache-resident, and no (n_samples, d) array is ever held.
+_BLOCK = 4096
 
 
 def _lp_norm(x: np.ndarray, p: float, axis=None):
-    return (np.abs(x) ** p).sum(axis=axis) ** (1.0 / p)
+    """The l_p norm over ``axis``, or over every entry when it is None."""
+    if p == 2.0 and (axis == -1 or axis == x.ndim - 1 or (axis is None and x.ndim == 1)):
+        return np.sqrt(np.einsum("...i,...i->...", x, x))
+    a = np.abs(x, dtype=np.float64)
+    if p == 1.0:
+        return a.sum(axis=axis)
+    a **= p
+    return a.sum(axis=axis) ** (1.0 / p)
 
 
 @dataclass(frozen=True)
@@ -76,7 +86,9 @@ class SphereMap:
 
 
 def _signed_power(a: np.ndarray, e: float) -> np.ndarray:
-    return np.sign(a) * np.abs(a) ** e
+    out = np.abs(a, dtype=np.float64)
+    out **= e
+    return np.copysign(out, a, out=out)
 
 
 def mazur_map(x: SphereVector, q: float) -> SphereVector:
@@ -115,6 +127,8 @@ def canonical_extension(phi: SphereMap, x: np.ndarray) -> np.ndarray:
 def _extension_batch(phi: SphereMap, rows: np.ndarray) -> np.ndarray:
     """canonical_extension applied to each row of (k, d)."""
     nrm = _lp_norm(rows, phi.source_p, axis=1)
+    if nrm.all():
+        return nrm[:, None] * phi.fn(rows / nrm[:, None])
     out = np.zeros_like(rows)
     pos = nrm > 0.0
     if pos.any():
@@ -152,10 +166,20 @@ def stabilized_modulus(phi: SphereMap) -> tuple[float, float]:
 
 
 def sphere_sample(rng: np.random.Generator, count: int, d: int, p: float) -> np.ndarray:
-    """Uniform samples on the l_p^d unit sphere (generalized-normal trick)."""
-    g = rng.gamma(shape=1.0 / p, scale=1.0, size=(count, d)) ** (1.0 / p)
-    g *= rng.choice(np.array([-1.0, 1.0]), size=(count, d))
-    return g / _lp_norm(g, p, axis=1)[:, None]
+    """Samples of the cone measure on the l_p^d unit sphere (the uniform
+    measure at p = 1, 2): i.i.d. generalized normals, density proportional
+    to exp(-|t|^p), normalised.
+
+    Each coordinate is drawn as V G^(1/p) with V ~ U(-1, 1) and
+    G ~ Gamma(1 + 1/p), whose density is exp(-|t|^p) / (2 Gamma(1 + 1/p)):
+    the uniform draw carries the sign, and numpy's Gamma sampler is faster
+    at shape > 1 than at the shape 1/p of the textbook Gamma(1/p)^(1/p).
+    """
+    g = rng.standard_gamma(1.0 + 1.0 / p, size=(count, d))
+    g **= 1.0 / p
+    g *= rng.uniform(-1.0, 1.0, size=(count, d))
+    g /= _lp_norm(g, p, axis=1)[:, None]
+    return g
 
 
 def _pairs_uniform(rng, count, d, p):
@@ -172,10 +196,13 @@ def _pairs_near(rng, count, d, p):
     # which uniform pairs almost never probe.
     x = sphere_sample(rng, count, d, p)
     scale = 10.0 ** rng.uniform(-6.0, 0.0, size=count)
-    y = x + scale[:, None] * rng.standard_normal((count, d))
+    y = rng.standard_normal((count, d))
+    y *= scale[:, None]
+    y += x
     nrm = _lp_norm(y, p, axis=1)
     nrm[nrm == 0.0] = 1.0
-    return x, y / nrm[:, None]
+    y /= nrm[:, None]
+    return x, y
 
 
 SAMPLERS = {
@@ -203,6 +230,18 @@ class ModulusEstimate:
         }
 
 
+def _stream(n_samples: int, block) -> tuple[np.ndarray, np.ndarray]:
+    """Fill length-``n_samples`` eps and delta arrays from ``block(count)``,
+    which draws ``count`` pairs and returns their (eps, delta); it is called
+    once per run of at most ``_BLOCK`` pairs, in order."""
+    eps = np.empty(n_samples)
+    delta = np.empty(n_samples)
+    for lo in range(0, n_samples, _BLOCK):
+        hi = min(lo + _BLOCK, n_samples)
+        eps[lo:hi], delta[lo:hi] = block(hi - lo)
+    return eps, delta
+
+
 def _fit_envelope(eps: np.ndarray, delta: np.ndarray, bins: int = 64) -> tuple[float, float]:
     """log-log regression through per-bin maxima of delta over log-spaced
     eps bins; robust upper-envelope estimate."""
@@ -215,13 +254,16 @@ def _fit_envelope(eps: np.ndarray, delta: np.ndarray, bins: int = 64) -> tuple[f
         return float(delta.max() / lo), 1.0
     edges = np.geomspace(lo, hi * (1 + 1e-12), bins + 1)
     idx = np.clip(np.searchsorted(edges, eps, side="right") - 1, 0, bins - 1)
-    xs, ys = [], []
-    for b in range(bins):
-        sel = np.nonzero(idx == b)[0]
-        if sel.size:
-            top = sel[int(np.argmax(delta[sel]))]
-            xs.append(math.log(eps[top]))
-            ys.append(math.log(delta[top]))
+    # Each bin's top is the first pair attaining its maximum delta, as argmax
+    # over the bin's pairs in order would pick.
+    top_delta = np.full(bins, -np.inf)
+    np.maximum.at(top_delta, idx, delta)
+    hit = np.flatnonzero(delta == top_delta[idx])
+    first = np.full(bins, eps.size)
+    np.minimum.at(first, idx[hit], hit)
+    tops = first[first < eps.size]
+    xs = [math.log(v) for v in eps[tops]]
+    ys = [math.log(v) for v in delta[tops]]
     if len(xs) < 2:
         return float(delta.max() / eps.max()), 1.0
     slope, intercept = np.polyfit(np.array(xs), np.array(ys), 1)
@@ -240,15 +282,20 @@ def estimate_modulus(
     """Sample pairs on the source sphere, record (eps, delta) and fit the
     upper envelope to C t^alpha.  If ``bound=(C0, alpha0)`` is supplied,
     count pairs with delta > C0 eps^alpha0 (up to 1e-9 relative float
-    slack)."""
+    slack).  Pairs are drawn and measured ``_BLOCK`` at a time, so memory
+    beyond the returned arrays does not grow with ``n_samples``."""
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
     if sampler not in SAMPLERS:
         raise ValueError(f"unknown sampler {sampler!r}")
     rng = np.random.Generator(np.random.PCG64(seed))
-    x, y = SAMPLERS[sampler](rng, n_samples, d, phi.source_p)
-    eps = _lp_norm(x - y, phi.source_p, axis=1)
-    delta = _lp_norm(phi.fn(x) - phi.fn(y), phi.target_p, axis=1)
+    draw = SAMPLERS[sampler]
+
+    def block(count):
+        x, y = draw(rng, count, d, phi.source_p)
+        return _lp_norm(x - y, phi.source_p, axis=1), _lp_norm(phi.fn(x) - phi.fn(y), phi.target_p, axis=1)
+
+    eps, delta = _stream(n_samples, block)
     C, alpha = _fit_envelope(eps, delta)
     violations = None
     if bound is not None:
@@ -293,11 +340,15 @@ def check_stabilized_modulus(
     block-vector pairs; the expected count is 0."""
     bound_C, alpha = stabilized_modulus(phi)
     rng = np.random.Generator(np.random.PCG64(seed))
-    x, y = _block_pairs(rng, n_samples, k, d, p, phi.source_p)
-    eps = _lp_norm(_lp_norm(x - y, phi.source_p, axis=2), p, axis=1)
-    fx = _extension_batch(phi, x.reshape(-1, d)).reshape(x.shape)
-    fy = _extension_batch(phi, y.reshape(-1, d)).reshape(y.shape)
-    delta = _lp_norm(_lp_norm(fx - fy, phi.target_p, axis=2), p, axis=1)
+
+    def block(count):
+        x, y = _block_pairs(rng, count, k, d, p, phi.source_p)
+        eps = _lp_norm(_lp_norm(x - y, phi.source_p, axis=2), p, axis=1)
+        fx = _extension_batch(phi, x.reshape(-1, d)).reshape(x.shape)
+        fy = _extension_batch(phi, y.reshape(-1, d)).reshape(y.shape)
+        return eps, _lp_norm(_lp_norm(fx - fy, phi.target_p, axis=2), p, axis=1)
+
+    eps, delta = _stream(n_samples, block)
     pos = eps > 0
     ratio = delta[pos] / (bound_C * eps[pos] ** alpha)
     violations = int((ratio > 1 + 1e-9).sum())

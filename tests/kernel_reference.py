@@ -5,7 +5,9 @@ before they were vectorised over a block of starts; the tests compare the
 block kernels of ``banachgap._kernels`` against them.  The metric loops are
 the per-source BFS, the pairwise ``Fraction`` distortion and the
 per-translation displacement that ``banachgap.graphs`` and
-``banachgap.distortion`` replaced with array code.
+``banachgap.distortion`` replaced with array code.  The sphere references
+are the Gamma(1/p)-and-random-sign sampler and the per-bin envelope loop
+that ``banachgap.mazur`` replaced.
 """
 
 import math
@@ -243,3 +245,43 @@ def cayley_displacement(d, right_translations):
         if val > best:
             best, best_g = val, g
     return best, best_g
+
+
+def sphere_sample(rng, count, d, p):
+    g = rng.gamma(shape=1.0 / p, scale=1.0, size=(count, d)) ** (1.0 / p)
+    g *= rng.choice(np.array([-1.0, 1.0]), size=(count, d))
+    return g / ((np.abs(g) ** p).sum(axis=1) ** (1.0 / p))[:, None]
+
+
+def fit_envelope(eps, delta, bins=64):
+    pos = (eps > 0) & (delta > 0)
+    eps, delta = eps[pos], delta[pos]
+    if eps.size < 2:
+        return 1.0, 1.0
+    lo, hi = eps.min(), eps.max()
+    if hi <= lo:
+        return float(delta.max() / lo), 1.0
+    edges = np.geomspace(lo, hi * (1 + 1e-12), bins + 1)
+    idx = np.clip(np.searchsorted(edges, eps, side="right") - 1, 0, bins - 1)
+    xs, ys = [], []
+    for b in range(bins):
+        sel = np.nonzero(idx == b)[0]
+        if sel.size:
+            top = sel[int(np.argmax(delta[sel]))]
+            xs.append(math.log(eps[top]))
+            ys.append(math.log(delta[top]))
+    if len(xs) < 2:
+        return float(delta.max() / eps.max()), 1.0
+    slope, intercept = np.polyfit(np.array(xs), np.array(ys), 1)
+    alpha = float(min(max(slope, 1e-9), 1.0))
+    return float(math.exp(intercept)), alpha
+
+
+def ks_statistic(a, b):
+    """Two-sample Kolmogorov-Smirnov statistic: the largest gap between the
+    empirical distribution functions of ``a`` and ``b``."""
+    a, b = np.sort(a), np.sort(b)
+    grid = np.concatenate([a, b])
+    fa = np.searchsorted(a, grid, side="right") / a.size
+    fb = np.searchsorted(b, grid, side="right") / b.size
+    return float(np.abs(fa - fb).max())

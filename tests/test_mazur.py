@@ -6,6 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from banachgap import mazur
+from kernel_reference import fit_envelope, ks_statistic
+from kernel_reference import sphere_sample as reference_sphere_sample
 
 EXPONENTS = [1.0, 1.5, 2.0, 3.0, 4.0]
 
@@ -92,6 +94,14 @@ def test_stabilized_norm_one_and_equal_blocks():
     assert nrm == pytest.approx(1.0, abs=1e-12)
 
 
+def test_stabilized_zero_block_maps_to_zero():
+    phi = mazur.mazur_sphere_map(1.0, 2.0)
+    xi = np.array([[0.0, 0.0, 0.0], [0.25, -0.5, 0.25]])
+    out = mazur.stabilized_map(phi, xi, p=2.0)
+    assert np.array_equal(out[0], np.zeros(3))
+    assert np.allclose(out[1], [0.5, -math.sqrt(0.5), 0.5], atol=1e-15)
+
+
 @given(st.permutations(list(range(5))), st.integers(0, 1000))
 @settings(max_examples=40, deadline=None)
 def test_stabilized_block_permutation_equivariance(perm, seed):
@@ -168,3 +178,59 @@ def test_sphere_sample_is_on_sphere():
     for p in EXPONENTS:
         x = mazur.sphere_sample(rng, 32, 6, p)
         assert np.allclose((np.abs(x) ** p).sum(axis=1), 1.0, atol=1e-10)
+
+
+@pytest.mark.parametrize("p", EXPONENTS)
+def test_sphere_sample_law_matches_reference(p):
+    # V G^(1/p) with G ~ Gamma(1 + 1/p) against Gamma(1/p)^(1/p) with a
+    # random sign: the same generalized normal, so the same law on the sphere
+    new = mazur.sphere_sample(np.random.Generator(np.random.PCG64(11)), 200_000, 16, p)
+    old = reference_sphere_sample(np.random.Generator(np.random.PCG64(12)), 200_000, 16, p)
+    assert ks_statistic(new[:, 0], old[:, 0]) < 0.01
+    assert ks_statistic(np.abs(new).max(axis=1), np.abs(old).max(axis=1)) < 0.01
+
+
+def _envelope_inputs():
+    rng = np.random.Generator(np.random.PCG64(21))
+    for n in (1, 2, 3, 50, 5000):
+        eps = 10.0 ** rng.uniform(-6.0, 0.3, size=n)
+        yield eps, eps**0.8 * rng.uniform(0.1, 1.0, size=n)
+    # ties: delta takes few values, so each bin's maximum is attained by
+    # several pairs with different eps, and the first of them must win
+    eps = 10.0 ** rng.uniform(-6.0, 0.3, size=4000)
+    yield eps, rng.choice(np.array([0.5, 1.0, 2.0]), size=4000)
+    yield eps, np.round(eps**0.7, 2) + 1e-3
+    # zeros, equal eps everywhere, and every delta tied
+    yield np.array([0.0, 1e-3, 1e-3, 0.5]), np.array([1.0, 0.0, 2e-3, 0.7])
+    yield np.full(7, 0.25), rng.uniform(size=7)
+    yield eps, np.full(eps.size, 3.0)
+
+
+def test_fit_envelope_equals_reference_loop():
+    for eps, delta in _envelope_inputs():
+        assert mazur._fit_envelope(eps, delta) == fit_envelope(eps, delta)
+
+
+@pytest.mark.parametrize("n", [1, mazur._BLOCK - 1, mazur._BLOCK, mazur._BLOCK + 1, 2 * mazur._BLOCK + 3])
+def test_estimate_modulus_fills_every_slot(n):
+    # replay the sampler one block at a time: each slot must hold its own pair
+    phi = mazur.mazur_sphere_map(1.5, 2.0)
+    est = mazur.estimate_modulus(phi, "near_pairs", n, seed=9, d=16, bound=phi.modulus)
+    assert est.eps.shape == est.delta.shape == (n,)
+    rng = np.random.Generator(np.random.PCG64(9))
+    eps, delta = [], []
+    for lo in range(0, n, mazur._BLOCK):
+        x, y = mazur.SAMPLERS["near_pairs"](rng, min(mazur._BLOCK, n - lo), 16, 1.5)
+        eps.append((np.abs(x - y) ** 1.5).sum(axis=1) ** (1 / 1.5))
+        delta.append(np.sqrt(((phi.fn(x) - phi.fn(y)) ** 2).sum(axis=1)))
+    assert np.allclose(est.eps, np.concatenate(eps), rtol=1e-12, atol=0.0)
+    assert np.allclose(est.delta, np.concatenate(delta), rtol=1e-12, atol=0.0)
+    assert est.violations == 0
+
+
+def test_check_stabilized_spans_blocks():
+    n = 2 * mazur._BLOCK + 3
+    for p_src, k in ((4.0, 4), (1.0, 1)):
+        phi = mazur.mazur_sphere_map(p_src, 2.0)
+        chk = mazur.check_stabilized_modulus(phi, k=k, p=3.0, n_samples=n, seed=5, d=8)
+        assert chk.violations == 0 and 0.0 < chk.max_ratio <= 1.0 + 1e-9

@@ -239,3 +239,33 @@ def test_gap_dispatches_exact_only_at_hilbert_line():
         assert got.method == "multistart_descent"
         assert got.value == want.value
         assert np.array_equal(got.minimizer.values, want.minimizer.values)
+
+
+def test_eigensolve_runs_on_one_blas_thread_and_restores_the_count(monkeypatch):
+    from banachgap import spectral
+
+    threads = spectral._openblas_threads()
+    if threads is None:
+        pytest.skip("numpy ships no OpenBLAS with a thread-count setter")
+    get, put = threads
+    before = get()
+    seen = []
+    real_eigh = np.linalg.eigh
+
+    def eigh(a):
+        seen.append(get())
+        if len(seen) == 2:
+            raise np.linalg.LinAlgError("forced")
+        return real_eigh(a)
+
+    monkeypatch.setattr(np.linalg, "eigh", eigh)
+    try:
+        put(2)
+        assert gap_exact_2(gen_family("cycle", [9])).value == pytest.approx(2 - 2 * math.cos(2 * math.pi / 9))
+        assert get() == 2
+        with pytest.raises(np.linalg.LinAlgError):
+            gap_exact_2(gen_family("cycle", [9]))
+        assert get() == 2
+    finally:
+        put(before)
+    assert seen == [1, 1]
