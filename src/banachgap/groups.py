@@ -25,6 +25,7 @@ graph.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import islice, repeat
 from itertools import permutations as _iter_perms
 
 import numpy as np
@@ -65,13 +66,6 @@ class PermutationAction:
     def size(self) -> int:
         return len(self.labels)
 
-    def generator(self, i: int) -> np.ndarray:
-        return self.perms[i]
-
-
-def _is_permutation(row: np.ndarray, m: int) -> bool:
-    return bool(np.array_equal(np.sort(row), np.arange(m)))
-
 
 def validate_action(a: PermutationAction, allow_identity: bool = False) -> None:
     m = a.m
@@ -79,7 +73,7 @@ def validate_action(a: PermutationAction, allow_identity: bool = False) -> None:
         raise ValueError("perms shape mismatch")
     ident = np.arange(m)
     for i in range(a.size):
-        if not _is_permutation(a.perms[i], m):
+        if not np.array_equal(np.sort(a.perms[i]), ident):
             raise ValueError(f"generator {a.labels[i]} is not a permutation")
         if not allow_identity and np.array_equal(a.perms[i], ident):
             raise ValueError(f"generator {a.labels[i]} acts as the identity")
@@ -89,60 +83,77 @@ def validate_action(a: PermutationAction, allow_identity: bool = False) -> None:
         comp = a.perms[j][a.perms[i]]
         if not np.array_equal(comp, ident):
             raise ValueError(f"slot {a.labels[j]} is not inverse to {a.labels[i]}")
-    if not _transitive(a):
+    if len(_search_tree(a.perms)[0]) != m:
         raise ValueError("action is not transitive (Schreier graph would be disconnected)")
 
 
-def _transitive(a: PermutationAction) -> bool:
-    seen = np.zeros(a.m, dtype=bool)
+def _search_tree(perms: np.ndarray) -> tuple[list[int], list[int], list[int]]:
+    """Breadth-first search from point 0 along the rows of ``perms``.
+
+    Returns the points in visiting order and, per point x, its parent y and
+    the slot s with perms[s][y] = x (both -1 at point 0 and at points the
+    search does not reach).
+    """
+    rows = perms.tolist()
+    parent = [-1] * perms.shape[1]
+    slot = list(parent)
+    seen = [False] * len(parent)
     seen[0] = True
-    stack = [0]
-    while stack:
-        v = stack.pop()
-        for i in range(a.size):
-            w = int(a.perms[i][v])
-            if not seen[w]:
-                seen[w] = True
-                stack.append(w)
-    return bool(seen.all())
+    order = [0]
+    for y in order:  # the list grows while it is walked: a FIFO queue
+        for s, row in enumerate(rows):
+            x = row[y]
+            if not seen[x]:
+                seen[x] = True
+                parent[x], slot[x] = y, s
+                order.append(x)
+    return order, parent, slot
 
 
 # ----------------------------------------------------------------------
 # Construction from standard groups
 # ----------------------------------------------------------------------
+#
+# Each builder returns (seed, gens, mult, inverse_of): an iterable whose
+# first element is the identity, the (label, element) generators, the
+# product, and each label's inverse label.  The seed is lazy, so a group
+# beyond COSET_CAP is refused before its elements are listed.
 
 
 def _cyclic_tables(n: int):
-    elements = list(range(n))
+    if n < 2:
+        raise ValueError("cyclic needs n >= 2")
     gens = [("r", 1)]
     if n > 2:
         gens.append(("r~", n - 1))
     mult = lambda x, y: (x + y) % n
     inverse_of = {"r": "r~" if n > 2 else "r", "r~": "r"}
-    return elements, gens, mult, inverse_of
+    return range(n), gens, mult, inverse_of
 
 
 def _cube_tables(n: int):
-    elements = list(range(1 << n))
+    if n < 1:
+        raise ValueError("boolean_cube needs n >= 1")
     gens = [(f"x{i}", 1 << i) for i in range(n)]
     mult = lambda x, y: x ^ y
     inverse_of = {f"x{i}": f"x{i}" for i in range(n)}
-    return elements, gens, mult, inverse_of
+    return range(1 << n), gens, mult, inverse_of
 
 
 def _symmetric_tables(n: int):
+    if n < 2:
+        raise ValueError("symmetric needs n >= 2")
     gens = []
     for i in range(n - 1):
         t = list(range(n))
         t[i], t[i + 1] = t[i + 1], t[i]
         gens.append((f"t{i}", tuple(t)))
-    elements = [tuple(p) for p in _iter_perms(range(n))]
 
     def mult(x, y):  # (x*y)(i) = x[y[i]]
         return tuple(x[y[i]] for i in range(n))
 
     inverse_of = {f"t{i}": f"t{i}" for i in range(n - 1)}
-    return elements, gens, mult, inverse_of
+    return _iter_perms(range(n)), gens, mult, inverse_of
 
 
 def _sl_tables(n: int, k: int):
@@ -154,155 +165,113 @@ def _sl_tables(n: int, k: int):
             tuple(sum(x[i][t] * y[t][j] for t in range(n)) % k for j in range(n)) for i in range(n)
         )
 
-    ident = tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
-    gens = []
-    for i in range(n):
-        for j in range(n):
-            if i == j:
-                continue
-            for sgn, tag in ((1, "+"), (k - 1, "-")):
-                M = [list(row) for row in ident]
-                M[i][j] = sgn % k
-                gens.append((f"e{i}{j}{tag}", tuple(tuple(row) for row in M)))
-    inverse_of = {}
-    for i in range(n):
-        for j in range(n):
-            if i != j:
-                inverse_of[f"e{i}{j}+"] = f"e{i}{j}-"
-                inverse_of[f"e{i}{j}-"] = f"e{i}{j}+"
-    # k = 2: +1 = -1 mod 2, keep a single self-inverse slot
-    if k == 2:
-        gens = [g for g in gens if g[0].endswith("+")]
-        inverse_of = {g[0]: g[0] for g in gens}
-    return None, gens, mat_mult, inverse_of  # elements enumerated by closure
+    ident = tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
+    # I + E_ij and I - E_ij; at k = 2, +1 = -1 and a single self-inverse slot remains
+    signs = [(1, "+", "-"), (k - 1, "-", "+")] if k > 2 else [(1, "+", "+")]
+    gens, inverse_of = [], {}
+    for i, j in _iter_perms(range(n), 2):
+        for sgn, tag, inv in signs:
+            M = [list(row) for row in ident]
+            M[i][j] = sgn
+            gens.append((f"e{i}{j}{tag}", tuple(map(tuple, M))))
+            inverse_of[f"e{i}{j}{tag}"] = f"e{i}{j}{inv}"
+    return (ident,), gens, mat_mult, inverse_of  # the closure enumerates the rest
 
 
-def _close_elements(identity, gen_elements, mult, cap: int):
-    index = {identity: 0}
-    order = [identity]
-    frontier = [identity]
-    while frontier:
-        nxt = []
-        for x in frontier:
-            for g in gen_elements:
-                y = mult(g, x)
-                if y not in index:
-                    if len(order) >= cap:
-                        raise RuntimeError(f"coset enumeration exceeded cap {cap}")
-                    index[y] = len(order)
-                    order.append(y)
-                    nxt.append(y)
-        frontier = nxt
-    return order, index
+# kind -> (parameter form, builder)
+_GROUPS = {
+    "cyclic": ("cyclic:N", _cyclic_tables),
+    "boolean_cube": ("boolean_cube:N", _cube_tables),
+    "symmetric": ("symmetric:N", _symmetric_tables),
+    "sl_mod": ("sl_mod:N,K", _sl_tables),
+}
 
 
-def action_from_group(kind: str, *params: int, subgroup="trivial", cap: int = COSET_CAP) -> PermutationAction:
-    """Standard actions: cyclic(n), boolean_cube(n), symmetric(n), sl_mod(n, k).
+def _close(seed, gens, mult):
+    """Close ``seed`` under left multiplication by ``gens``, breadth first.
 
-    ``subgroup`` is "trivial" (cosets are the group elements, enumerated by
-    closure from the identity) or an iterable of element indices whose
-    generated subgroup H defines the left coset space.
+    Seed elements keep their order and new elements follow in the order a
+    FIFO queue meets them.  Returns the elements, their index, and the
+    (len(gens), m) int64 table whose row s maps x to g_s * x.  More than
+    COSET_CAP elements raise RuntimeError; at most COSET_CAP + 1 seed
+    elements are drawn before that.
     """
-    if kind == "cyclic":
-        (n,) = params
-        if n < 2:
-            raise ValueError("cyclic needs n >= 2")
-        elements, gens, mult, inverse_of = _cyclic_tables(n)
-        identity = 0
-    elif kind == "boolean_cube":
-        (n,) = params
-        if n < 1:
-            raise ValueError("boolean_cube needs n >= 1")
-        elements, gens, mult, inverse_of = _cube_tables(n)
-        identity = 0
-    elif kind == "symmetric":
-        (n,) = params
-        if n < 2:
-            raise ValueError("symmetric needs n >= 2")
-        elements, gens, mult, inverse_of = _symmetric_tables(n)
-        identity = tuple(range(n))
-    elif kind == "sl_mod":
-        n, k = params
-        _, gens, mult, inverse_of = _sl_tables(n, k)
-        identity = tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
-        elements = None
-    else:
-        raise ValueError(f"unknown group kind {kind!r}")
-
-    gen_elems = [g for _, g in gens]
-    if elements is None:
-        elements, index = _close_elements(identity, gen_elems, mult, cap)
-    else:
-        index = {x: i for i, x in enumerate(elements)}
-        if len(elements) > cap:
-            raise RuntimeError(f"group order {len(elements)} exceeds cap {cap}")
-
-    labels = [lab for lab, _ in gens]
-    inverse = tuple(labels.index(inverse_of[lab]) for lab in labels)
-
-    if subgroup == "trivial":
-        m = len(elements)
-        perms = np.empty((len(gens), m), dtype=np.int64)
-        for gi, (_, g) in enumerate(gens):
-            for xi, x in enumerate(elements):
-                perms[gi, xi] = index[mult(g, x)]
-        rts = None
-        if m <= RIGHT_TRANSLATION_CAP:
-            rts = np.empty((m, m), dtype=np.int64)
-            for gi2, g2 in enumerate(elements):
-                for xi, x in enumerate(elements):
-                    rts[gi2, xi] = index[mult(x, g2)]
-        action = PermutationAction(
-            m=m,
-            labels=tuple(labels),
-            perms=perms,
-            inverse=inverse,
-            elements=tuple(elements),
-            right_translations=rts,
-        )
-    else:
-        H = _subgroup_closure([elements[i] for i in subgroup], elements[0], mult)
-        cosets, coset_index = _left_cosets(elements, index, H, mult)
-        m = len(cosets)
-        perms = np.empty((len(gens), m), dtype=np.int64)
-        for gi, (_, g) in enumerate(gens):
-            for ci, coset in enumerate(cosets):
-                rep = elements[coset[0]]
-                img = mult(g, rep)
-                perms[gi, ci] = coset_index[index[img]]
-        action = PermutationAction(m=m, labels=tuple(labels), perms=perms, inverse=inverse)
-    validate_action(action)
-    return action
+    elements = list(islice(seed, COSET_CAP + 1))
+    index = {x: i for i, x in enumerate(elements)}
+    rows: list[list[int]] = [[] for _ in gens]
+    for x in elements:  # the list grows while it is walked: a FIFO queue
+        if len(elements) > COSET_CAP:
+            raise RuntimeError(f"group order exceeds cap {COSET_CAP}")
+        for row, g in zip(rows, gens):
+            y = mult(g, x)
+            if y not in index:
+                index[y] = len(elements)
+                elements.append(y)
+            row.append(index[y])
+    return elements, index, np.array(rows, dtype=np.int64).reshape(len(gens), len(elements))
 
 
-def _subgroup_closure(gens, identity, mult):
-    H = {identity}
-    frontier = [identity]
-    while frontier:
-        nxt = []
-        for x in frontier:
-            for g in gens:
-                y = mult(g, x)
-                if y not in H:
-                    H.add(y)
-                    nxt.append(y)
-        frontier = nxt
-    return H
+def _right_translations(perms: np.ndarray) -> np.ndarray:
+    """The (m, m) table whose row g maps x to x*g, from the left action
+    ``perms`` of a generating set on the group itself.  Element 0 must be
+    the identity.
+
+    Row x of L = right_translations.T maps g to x*g, so L[0] is the identity
+    map and x = s*y gives L[x] = perms[s][L[y]]: one gather per element down
+    the search tree.
+    """
+    m = perms.shape[1]
+    order, parent, slot = _search_tree(perms)
+    L = np.empty((m, m), dtype=np.int64)
+    L[0] = np.arange(m)
+    for x in order[1:]:
+        L[x] = perms[slot[x]][L[parent[x]]]
+    return np.ascontiguousarray(L.T)
 
 
 def _left_cosets(elements, index, H, mult):
-    """Partition into left cosets xH; cosets indexed by first appearance."""
-    coset_of = {}
-    cosets = []
+    """Number the left cosets xH by first appearance in ``elements``.
+
+    Returns each element's coset number and each coset's first element.
+    """
+    coset_of = np.full(len(elements), -1, dtype=np.int64)
+    reps: list[int] = []
     for xi, x in enumerate(elements):
-        if xi in coset_of:
-            continue
-        members = sorted(index[mult(x, h)] for h in H)
-        ci = len(cosets)
-        cosets.append(tuple(members))
-        for mem in members:
-            coset_of[mem] = ci
-    return cosets, coset_of
+        if coset_of[xi] < 0:
+            coset_of[[index[mult(x, h)] for h in H]] = len(reps)
+            reps.append(xi)
+    return coset_of, reps
+
+
+def action_from_group(kind: str, *params: int, subgroup="trivial") -> PermutationAction:
+    """Standard actions: cyclic(n), boolean_cube(n), symmetric(n), sl_mod(n, k).
+
+    ``subgroup`` is "trivial" (cosets are the group elements) or an iterable
+    of element indices whose generated subgroup H defines the left coset
+    space.  Element 0 is the identity.  The elements of cyclic and
+    boolean_cube are the integers 0..m-1 in order (a cube vertex is its
+    bitmask), those of symmetric are itertools.permutations order, and those
+    of sl_mod follow the breadth-first closure from the identity.
+    """
+    if kind not in _GROUPS:
+        raise ValueError(f"unknown group kind {kind!r}")
+    form, tables = _GROUPS[kind]
+    if len(params) != form.count(",") + 1:
+        raise ValueError(f"{kind} takes {form}, got {len(params)} parameter(s)")
+    seed, gens, mult, inverse_of = tables(*params)
+    labels = tuple(lab for lab, _ in gens)
+    inverse = tuple(labels.index(inverse_of[lab]) for lab in labels)
+    elements, index, perms = _close(seed, [g for _, g in gens], mult)
+
+    if subgroup == "trivial":
+        rts = _right_translations(perms) if len(elements) <= RIGHT_TRANSLATION_CAP else None
+        action = PermutationAction(len(elements), labels, perms, inverse, tuple(elements), rts)
+    else:
+        H, _, _ = _close(elements[:1], [elements[i] for i in subgroup], mult)
+        coset_of, reps = _left_cosets(elements, index, H, mult)
+        action = PermutationAction(len(reps), labels, coset_of[perms.take(reps, axis=1)], inverse)
+    validate_action(action)
+    return action
 
 
 # ----------------------------------------------------------------------
@@ -312,25 +281,14 @@ def _left_cosets(elements, index, H, mult):
 
 def schreier_graph(a: PermutationAction) -> MultiGraph:
     validate_action(a, allow_identity=True)
+    v = np.arange(a.m)
     edges: list[tuple[int, int, int]] = []
-    for i in range(a.size):
-        inv = a.inverse[i]
-        perm = a.perms[i]
-        if inv == i:
-            seen = set()
-            for v in range(a.m):
-                w = int(perm[v])
-                if w == v:
-                    edges.append((v, v, 1))
-                else:
-                    key = (min(v, w), max(v, w))
-                    if key not in seen:
-                        seen.add(key)
-                        edges.append((key[0], key[1], 1))
-        elif inv > i:
-            for v in range(a.m):
-                w = int(perm[v])
-                edges.append((min(v, w), max(v, w), 1))
+    for i, j in enumerate(a.inverse):
+        w = a.perms[i]
+        if j == i:  # an involution: each 2-cycle once, each fixed point a loop
+            edges += zip(v[v <= w].tolist(), w[v <= w].tolist(), repeat(1))
+        elif j > i:  # the pair's first slot draws all its edges
+            edges += zip(np.minimum(v, w).tolist(), np.maximum(v, w).tolist(), repeat(1))
     return build_graph(a.m, edges)
 
 
@@ -553,14 +511,19 @@ def read_action_file(path: str, allow_identity: bool = False) -> PermutationActi
         lines = [ln.split("#", 1)[0].strip() for ln in fh]
     lines = [ln for ln in lines if ln]
     m, g = (int(t) for t in lines[0].split())
+    if len(lines) - 1 != g:
+        raise ValueError(f"header declares {g} generators but file has {len(lines) - 1}")
     labels, invlabels, rows = [], [], []
-    for ln in lines[1 : g + 1]:
+    for ln in lines[1:]:
         toks = ln.split()
         labels.append(toks[0])
         invlabels.append(toks[1])
         rows.append([int(t) for t in toks[2:]])
         if len(rows[-1]) != m:
             raise ValueError(f"permutation row for {toks[0]} has wrong length")
+    for lab in invlabels:
+        if lab not in labels:
+            raise ValueError(f"unknown inverse label {lab!r}")
     inverse = tuple(labels.index(lab) for lab in invlabels)
     a = PermutationAction(m=m, labels=tuple(labels), perms=np.asarray(rows, dtype=np.int64), inverse=inverse)
     validate_action(a, allow_identity=allow_identity)

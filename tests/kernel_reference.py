@@ -7,7 +7,10 @@ the per-source BFS, the pairwise ``Fraction`` distortion and the
 per-translation displacement that ``banachgap.graphs`` and
 ``banachgap.distortion`` replaced with array code.  The sphere references
 are the Gamma(1/p)-and-random-sign sampler and the per-bin envelope loop
-that ``banachgap.mazur`` replaced.
+that ``banachgap.mazur`` replaced.  The group references build actions
+and Schreier graphs element by element and vertex by vertex, with m^2
+products for the right translations, as ``banachgap.groups`` did before it
+read them off one closure table and one search tree.
 """
 
 import math
@@ -16,6 +19,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from banachgap import groups
 from banachgap._kernels import (
     _ARMIJO,
     _BACKTRACKS,
@@ -285,3 +289,103 @@ def ks_statistic(a, b):
     fa = np.searchsorted(a, grid, side="right") / a.size
     fb = np.searchsorted(b, grid, side="right") / b.size
     return float(np.abs(fa - fb).max())
+
+
+def _close_elements(identity, gen_elements, mult):
+    index = {identity: 0}
+    order = [identity]
+    frontier = [identity]
+    while frontier:
+        nxt = []
+        for x in frontier:
+            for g in gen_elements:
+                y = mult(g, x)
+                if y not in index:
+                    index[y] = len(order)
+                    order.append(y)
+                    nxt.append(y)
+        frontier = nxt
+    return order, index
+
+
+def group_action(kind, *params, subgroup="trivial"):
+    """``groups.action_from_group`` with one product per element and
+    generator, and m^2 products for the right translations.  The group
+    definitions (generators, product, inverse labels) are the library's."""
+    seed, gens, mult, inverse_of = groups._GROUPS[kind][1](*params)
+    if kind == "sl_mod":
+        elements, index = _close_elements(next(iter(seed)), [g for _, g in gens], mult)
+    else:
+        elements = list(seed)
+        index = {x: i for i, x in enumerate(elements)}
+    labels = tuple(lab for lab, _ in gens)
+    inverse = tuple(labels.index(inverse_of[lab]) for lab in labels)
+    if subgroup == "trivial":
+        m = len(elements)
+        perms = np.empty((len(gens), m), dtype=np.int64)
+        for gi, (_, g) in enumerate(gens):
+            for xi, x in enumerate(elements):
+                perms[gi, xi] = index[mult(g, x)]
+        rts = None
+        if m <= groups.RIGHT_TRANSLATION_CAP:
+            rts = np.empty((m, m), dtype=np.int64)
+            for gi, g in enumerate(elements):
+                for xi, x in enumerate(elements):
+                    rts[gi, xi] = index[mult(x, g)]
+        return groups.PermutationAction(m, labels, perms, inverse, tuple(elements), rts)
+    H = {elements[0]}
+    frontier = [elements[0]]
+    while frontier:
+        frontier = [y for y in {mult(elements[i], x) for x in frontier for i in subgroup} if y not in H]
+        H.update(frontier)
+    coset_of, cosets = {}, []
+    for xi, x in enumerate(elements):
+        if xi not in coset_of:
+            members = sorted(index[mult(x, h)] for h in H)
+            for mem in members:
+                coset_of[mem] = len(cosets)
+            cosets.append(members)
+    perms = np.empty((len(gens), len(cosets)), dtype=np.int64)
+    for gi, (_, g) in enumerate(gens):
+        for ci, coset in enumerate(cosets):
+            perms[gi, ci] = coset_of[index[mult(g, elements[coset[0]])]]
+    return groups.PermutationAction(len(cosets), labels, perms, inverse)
+
+
+def transitive(perms):
+    """Depth-first search from point 0 over the rows of ``perms``."""
+    seen = np.zeros(perms.shape[1], dtype=bool)
+    seen[0] = True
+    stack = [0]
+    while stack:
+        v = stack.pop()
+        for row in perms:
+            w = int(row[v])
+            if not seen[w]:
+                seen[w] = True
+                stack.append(w)
+    return bool(seen.all())
+
+
+def schreier_edges(a):
+    """Edges of the Schreier graph, vertex by vertex, before normalisation."""
+    edges = []
+    for i in range(a.size):
+        inv = a.inverse[i]
+        perm = a.perms[i]
+        if inv == i:
+            seen = set()
+            for v in range(a.m):
+                w = int(perm[v])
+                if w == v:
+                    edges.append((v, v, 1))
+                else:
+                    key = (min(v, w), max(v, w))
+                    if key not in seen:
+                        seen.add(key)
+                        edges.append((key[0], key[1], 1))
+        elif inv > i:
+            for v in range(a.m):
+                w = int(perm[v])
+                edges.append((min(v, w), max(v, w), 1))
+    return edges

@@ -124,6 +124,14 @@ def test_error_exit_code(capsys):
     assert code == 1
 
 
+@pytest.mark.parametrize(
+    "spec,form", [("cyclic", "cyclic:N"), ("sl_mod:2", "sl_mod:N,K"), ("symmetric:3,4", "symmetric:N")]
+)
+def test_group_spec_error_names_the_form(capsys, spec, form):
+    assert main(["kappa", "--group", spec, "--p", "2"]) == 1
+    assert form in capsys.readouterr().err
+
+
 def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as exc:
         main(["not-a-command"])

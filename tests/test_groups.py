@@ -1,12 +1,16 @@
 import math
+import resource
+import time
+from itertools import permutations
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from kernel_reference import group_action, schreier_edges, transitive
 
 from banachgap._kernels import kappa_residuals
-from banachgap.graphs import gen_family
+from banachgap.graphs import build_graph, gen_family
 from banachgap.groups import (
     PermutationAction,
     action_from_group,
@@ -58,10 +62,63 @@ def test_symmetric_3_with_transpositions_is_a_6_cycle():
     assert G.n == 6 and set(G.degrees) == {2} and G.connected
 
 
+T0 = list(permutations(range(4))).index((1, 0, 2, 3))  # element index of t0 in symmetric(4)
+
+
 def test_coset_action():
     a = action_from_group("cyclic", 6, subgroup=[3])
     assert a.m == 3
     assert schreier_graph(a).edges == gen_family("cycle", [3]).edges
+    # S_4 on the 12 cosets of <t0>: t0 fixes the base coset, so it has a loop
+    b = action_from_group("symmetric", 4, subgroup=[T0])
+    assert b.m == 12 and b.elements is None and b.right_translations is None
+    assert b.perms[0, 0] == 0 and (0, 0, 1) in schreier_graph(b).edges
+    assert schreier_graph(b).connected
+
+
+ACTION_CASES = (
+    [("cyclic", (n,), "trivial") for n in range(2, 10)]
+    + [("boolean_cube", (n,), "trivial") for n in range(1, 11)]
+    + [("symmetric", (n,), "trivial") for n in range(2, 7)]
+    + [("sl_mod", (2, k), "trivial") for k in (2, 3, 5, 7)]
+    + [("sl_mod", (3, 2), "trivial")]
+    + [("cyclic", (6,), [3]), ("symmetric", (4,), [T0]), ("sl_mod", (2, 3), [1, 2]), ("boolean_cube", (4,), [3])]
+)
+
+
+ACTION_IDS = [f"{k}{p}" + (f"/{s}" if s != "trivial" else "") for k, p, s in ACTION_CASES]
+
+
+@pytest.mark.parametrize("kind,params,subgroup", ACTION_CASES, ids=ACTION_IDS)
+def test_action_equals_reference_construction(kind, params, subgroup):
+    a = action_from_group(kind, *params, subgroup=subgroup)
+    ref = group_action(kind, *params, subgroup=subgroup)
+    assert (a.m, a.labels, a.inverse, a.elements) == (ref.m, ref.labels, ref.inverse, ref.elements)
+    assert a.perms.dtype == ref.perms.dtype and np.array_equal(a.perms, ref.perms)
+    if ref.right_translations is None:
+        assert a.right_translations is None
+    else:
+        assert a.right_translations.dtype == ref.right_translations.dtype
+        assert np.array_equal(a.right_translations, ref.right_translations)
+    assert schreier_graph(a).edges == build_graph(ref.m, schreier_edges(ref)).edges
+
+
+def test_element_order():
+    # criterion 4's cube start and the cayley displacement rely on vertex = bitmask
+    assert action_from_group("boolean_cube", 4).elements == tuple(range(16))
+    assert action_from_group("cyclic", 5).elements == tuple(range(5))
+    assert action_from_group("symmetric", 4).elements == tuple(permutations(range(4)))
+    assert action_from_group("sl_mod", 2, 5).elements[0] == ((1, 0), (0, 1))
+
+
+@pytest.mark.parametrize("kind,n", [("boolean_cube", 40), ("symmetric", 12)])
+def test_cap_refuses_before_listing_the_group(kind, n):
+    rss0 = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    t0 = time.perf_counter()
+    with pytest.raises(RuntimeError, match="cap"):
+        action_from_group(kind, n)
+    assert time.perf_counter() - t0 < 1.0
+    assert resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - rss0 < 50 * 1024  # KiB on Linux
 
 
 def test_regularity_of_schreier_degree():
@@ -76,6 +133,32 @@ def test_validate_rejects_identity_and_intransitive():
     swap_pairs = np.array([[1, 0, 3, 2]])
     with pytest.raises(ValueError, match="transitive"):
         validate_action(PermutationAction(m=4, labels=("s",), perms=swap_pairs, inverse=(0,)))
+
+
+@st.composite
+def _paired_perms(draw):
+    """Random permutations of up to 9 points, each paired with its inverse;
+    half the draws keep {0..k-1} invariant, so the action is intransitive."""
+    m = draw(st.integers(1, 9))
+    k = draw(st.integers(1, m)) if draw(st.booleans()) else m
+    rows = []
+    for _ in range(draw(st.integers(1, 3))):
+        p = draw(st.permutations(range(k))) + draw(st.permutations(range(k, m)))
+        rows += [p, list(np.argsort(p))]
+    return np.array(rows, dtype=np.int64)
+
+
+@given(_paired_perms())
+@settings(max_examples=200, deadline=None)
+def test_transitivity_verdict_equals_reference(perms):
+    g = perms.shape[0]
+    labels = tuple(map(str, range(g)))
+    a = PermutationAction(m=perms.shape[1], labels=labels, perms=perms, inverse=tuple(i ^ 1 for i in range(g)))
+    if transitive(perms):
+        validate_action(a, allow_identity=True)
+    else:
+        with pytest.raises(ValueError, match="transitive"):
+            validate_action(a, allow_identity=True)
 
 
 def test_validate_rejects_wrong_inverse():
@@ -181,3 +264,26 @@ def test_action_file_roundtrip(tmp_path):
     b = read_action_file(str(path))
     assert b.m == a.m and b.labels == a.labels and b.inverse == a.inverse
     assert np.array_equal(b.perms, a.perms)
+
+
+def _write(path, text):
+    path.write_text(text)
+    return str(path)
+
+
+def test_action_file_refuses_missing_generator_lines(tmp_path):
+    path = _write(tmp_path / "a.txt", "3 3\nr l 1 2 0\nl r 2 0 1\n")
+    with pytest.raises(ValueError, match="declares 3 generators but file has 2"):
+        read_action_file(path)
+
+
+def test_action_file_refuses_extra_generator_lines(tmp_path):
+    path = _write(tmp_path / "a.txt", "3 1\nr l 1 2 0\nl r 2 0 1\n")
+    with pytest.raises(ValueError, match="declares 1 generators but file has 2"):
+        read_action_file(path)
+
+
+def test_action_file_names_unknown_inverse_label(tmp_path):
+    path = _write(tmp_path / "a.txt", "3 2\nr z 1 2 0\nl r 2 0 1\n")
+    with pytest.raises(ValueError, match="unknown inverse label 'z'"):
+        read_action_file(path)
