@@ -28,8 +28,17 @@ from .distortion import (
     max_displacement,
     r_eps_lower,
 )
-from .graphs import MetricTable, MultiGraph, all_pairs_distances, gen_family, graph_to_json, read_edge_list, write_edge_list
-from .groups import action_from_group, verify_sandwich, write_action_file
+from .graphs import (
+    FAMILY_FORMS,
+    MetricTable,
+    MultiGraph,
+    all_pairs_distances,
+    gen_family,
+    graph_to_json,
+    read_edge_list,
+    write_edge_list,
+)
+from .groups import GROUP_FORMS, action_from_group, verify_sandwich, write_action_file
 from .realization import schreier_realize, spec_to_action, verify_realization
 from .spectral import gap as spectral_gap
 from .spectral import gap_estimate, gap_exact_2, gap_oracle_small
@@ -83,16 +92,26 @@ def _load_graph(args) -> MultiGraph:
     if getattr(args, "file", None):
         return read_edge_list(args.file)
     if getattr(args, "gen", None):
-        kind, _, rest = args.gen.partition(":")
-        params = [int(x) for x in rest.split(",")] if rest else []
+        kind, params = _parse_spec(args.gen, FAMILY_FORMS)
         return gen_family(kind, params, seed=args.seed)
     raise SystemExit("one of --gen KIND:PARAMS or --file PATH is required")
 
 
 def _load_action(spec: str):
-    kind, _, rest = spec.partition(":")
-    params = [int(x) for x in rest.split(",")] if rest else []
+    kind, params = _parse_spec(spec, GROUP_FORMS)
     return action_from_group(kind, *params)
+
+
+def _parse_spec(spec: str, forms: dict[str, str]) -> tuple[str, list[int]]:
+    """Split ``KIND:P1,P2,...`` into the kind and its integer parameters.
+    A parameter that is not an integer is refused with the kind's form."""
+    kind, _, rest = spec.partition(":")
+    if kind not in forms:
+        return kind, []  # its builder refuses the unknown kind
+    try:
+        return kind, [int(x) for x in rest.split(",")] if rest else []
+    except ValueError:
+        raise ValueError(f"{kind} takes {forms[kind]}, got {rest!r}") from None
 
 
 def _out_path(args, name: str) -> str | None:

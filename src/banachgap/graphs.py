@@ -21,6 +21,7 @@ __all__ = [
     "MetricTable",
     "build_graph",
     "gen_family",
+    "FAMILY_FORMS",
     "all_pairs_distances",
     "write_edge_list",
     "read_edge_list",
@@ -157,7 +158,15 @@ def _is_connected(n: int, edges: Sequence[tuple[int, int, int]]) -> bool:
 # Generators
 # ----------------------------------------------------------------------
 
-_KINDS = ("cycle", "complete", "hamming", "random_regular", "margulis", "path")
+# kind -> parameter form
+FAMILY_FORMS = {
+    "cycle": "cycle:N",
+    "complete": "complete:N",
+    "hamming": "hamming:N",
+    "random_regular": "random_regular:N,D",
+    "margulis": "margulis:N",
+    "path": "path:N",
+}
 
 
 def gen_family(kind: str, params: Sequence[int], seed: int | None = None) -> MultiGraph:
@@ -166,9 +175,12 @@ def gen_family(kind: str, params: Sequence[int], seed: int | None = None) -> Mul
     cycle(n), complete(n), hamming(n), path(n), margulis(n) on (Z/n)^2,
     random_regular(n, d).
     """
-    if kind not in _KINDS:
-        raise ValueError(f"unknown generator kind {kind!r}; choose from {_KINDS}")
+    if kind not in FAMILY_FORMS:
+        raise ValueError(f"unknown generator kind {kind!r}; choose from {tuple(FAMILY_FORMS)}")
     params = tuple(int(x) for x in params)
+    form = FAMILY_FORMS[kind]
+    if len(params) != form.count(",") + 1:
+        raise ValueError(f"{kind} takes {form}, got {len(params)} parameter(s)")
     if kind == "cycle":
         (n,) = params
         if n < 1:
@@ -282,7 +294,14 @@ def all_pairs_distances(G: MultiGraph) -> MetricTable:
     return G.memo("metric", lambda: _bfs_all_sources(G))
 
 
+# Table entries held by one chunk of sources in _bfs_all_sources: a level's
+# int64 temporaries then stay near the size of the chunk's rows.
+_BFS_CHUNK_ENTRIES = 1 << 20
+
+
 def _bfs_all_sources(G: MultiGraph) -> MetricTable:
+    """Breadth-first search from every source at once, over flat
+    (source, vertex) indices, for chunks of about 2^20 / n sources at a time."""
     n = G.n
     eu, ev, _ = G.nonloop_arrays()
     tails = np.concatenate([eu, ev])
@@ -290,24 +309,29 @@ def _bfs_all_sources(G: MultiGraph) -> MetricTable:
     deg = np.bincount(tails, minlength=n)
     first = np.cumsum(deg) - deg
     dist = np.full(n * n, -1, dtype=np.int64)
-    front = np.arange(n) * (n + 1)
-    dist[front] = 0
-    level = 0
-    while front.size:
-        level += 1
-        v = front % n
-        c = deg[v]
-        cut = np.cumsum(c)
-        slot = np.repeat(first[v] - (cut - c), c) + np.arange(cut[-1])
-        cand = np.repeat(front - v, c) + nbr[slot]
-        cand = cand[dist[cand] < 0]
-        # De-duplicate without a sort: each unseen slot keeps one writer's mark.
-        mark = -2 - np.arange(cand.size)
-        dist[cand] = mark
-        front = cand[dist[cand] == mark]
-        dist[front] = level
+    chunk = max(1, _BFS_CHUNK_ENTRIES // n)
+    diameter = 0
+    for lo in range(0, n, chunk):
+        rows = dist[lo * n : min(lo + chunk, n) * n]  # a view: chunk-local flat indices
+        front = np.arange(rows.size // n) * (n + 1) + lo
+        rows[front] = 0
+        level = 0
+        while front.size:
+            level += 1
+            v = front % n
+            c = deg[v]
+            cut = np.cumsum(c)
+            slot = np.repeat(first[v] - (cut - c), c) + np.arange(cut[-1])
+            cand = np.repeat(front - v, c) + nbr[slot]
+            cand = cand[rows[cand] < 0]
+            # De-duplicate without a sort: each unseen slot keeps one writer's mark.
+            mark = -2 - np.arange(cand.size)
+            rows[cand] = mark
+            front = cand[rows[cand] == mark]
+            rows[front] = level
+        diameter = max(diameter, level - 1)
     dist.setflags(write=False)
-    return MetricTable(d=dist.reshape(n, n), diameter=level - 1)
+    return MetricTable(d=dist.reshape(n, n), diameter=diameter)
 
 
 # ----------------------------------------------------------------------

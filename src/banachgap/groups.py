@@ -40,6 +40,7 @@ __all__ = [
     "KappaEstimate",
     "SandwichReport",
     "action_from_group",
+    "GROUP_FORMS",
     "schreier_graph",
     "kappa_estimate",
     "pak_zuk_nu",
@@ -160,7 +161,15 @@ def _sl_tables(n: int, k: int):
     if n < 2 or k < 2:
         raise ValueError("sl_mod needs n >= 2, k >= 2")
 
+    row_ops = {}  # generator I + s E_ij -> (i, j, s)
+
     def mat_mult(x, y):
+        op = row_ops.get(x)
+        if op is not None:  # (I + s E_ij) y adds s times row j of y to row i
+            i, j, sgn = op
+            rows = list(y)
+            rows[i] = tuple((a + sgn * b) % k for a, b in zip(y[i], y[j]))
+            return tuple(rows)
         return tuple(
             tuple(sum(x[i][t] * y[t][j] for t in range(n)) % k for j in range(n)) for i in range(n)
         )
@@ -173,7 +182,9 @@ def _sl_tables(n: int, k: int):
         for sgn, tag, inv in signs:
             M = [list(row) for row in ident]
             M[i][j] = sgn
-            gens.append((f"e{i}{j}{tag}", tuple(map(tuple, M))))
+            M = tuple(map(tuple, M))
+            row_ops[M] = (i, j, sgn)
+            gens.append((f"e{i}{j}{tag}", M))
             inverse_of[f"e{i}{j}{tag}"] = f"e{i}{j}{inv}"
     return (ident,), gens, mat_mult, inverse_of  # the closure enumerates the rest
 
@@ -185,6 +196,7 @@ _GROUPS = {
     "symmetric": ("symmetric:N", _symmetric_tables),
     "sl_mod": ("sl_mod:N,K", _sl_tables),
 }
+GROUP_FORMS = {kind: form for kind, (form, _) in _GROUPS.items()}
 
 
 def _close(seed, gens, mult):

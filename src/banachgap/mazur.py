@@ -8,11 +8,19 @@ classical upper moduli of continuity are ``(p/2) t`` when p >= 2 and
 ``4 t^(p/2)`` when p < 2.  A sphere map with modulus C t^alpha stabilizes
 blockwise (extend by homogeneity, apply per block) with modulus
 ``(2C+2) t^alpha`` in the block-l_p norm, for every p >= 1.
+
+The modulus estimators draw their pairs in blocks of ``_BLOCK``.  Block i
+draws from its own stream, ``PCG64(seed).jumped(i)``, and the blocks run on
+one thread per usable CPU (the caller and a thread pool); numpy's random
+fills and ufuncs release the GIL.  Results depend only on the seed, never
+on the number of threads or the order blocks finish in.
 """
 
 from __future__ import annotations
 
 import math
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable
 
@@ -39,6 +47,15 @@ _UNIT_TOL = 1e-9
 # Pairs per block of the modulus estimators: a block's (pairs, d) temporaries
 # stay cache-resident, and no (n_samples, d) array is ever held.
 _BLOCK = 4096
+# Pairs measured at a time within a block (see _stream).
+_ROWS = 512
+
+
+def _usable_cpus() -> int:
+    """CPUs this process may run on (its affinity mask, so taskset counts)."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def _lp_norm(x: np.ndarray, p: float, axis=None):
@@ -230,16 +247,52 @@ class ModulusEstimate:
         }
 
 
-def _stream(n_samples: int, block) -> tuple[np.ndarray, np.ndarray]:
-    """Fill length-``n_samples`` eps and delta arrays from ``block(count)``,
-    which draws ``count`` pairs and returns their (eps, delta); it is called
-    once per run of at most ``_BLOCK`` pairs, in order."""
+def _stream(n_samples: int, seed: int, draw, measure) -> tuple[np.ndarray, np.ndarray]:
+    """Fill length-``n_samples`` eps and delta arrays: ``draw(rng, count)``
+    returns ``count`` pairs (x, y) drawn from ``rng``, and ``measure(x, y)``
+    their (eps, delta), row by row.
+
+    Block i covers pairs [i _BLOCK, (i+1) _BLOCK) and draws from
+    ``Generator(PCG64(seed).jumped(i))``; it writes only its own slice.
+    ``jumped(0)`` is ``PCG64(seed)`` itself, so a call of at most ``_BLOCK``
+    pairs draws exactly what one generator would.  The calling thread and
+    min(usable CPUs, blocks) - 1 pool threads take blocks from one shared
+    iterator, and a block's exception reaches the caller.
+
+    Memory: glibc keeps what a pool thread frees in that thread's own arena,
+    out of the calling thread's reach, so every block held at once adds to
+    the process's peak.  The caller therefore runs blocks too, and a block
+    is measured ``_ROWS`` pairs at a time, so that its temporaries beyond x
+    and y stay small.
+    """
     eps = np.empty(n_samples)
     delta = np.empty(n_samples)
-    for lo in range(0, n_samples, _BLOCK):
-        hi = min(lo + _BLOCK, n_samples)
-        eps[lo:hi], delta[lo:hi] = block(hi - lo)
+    root = np.random.PCG64(seed)
+    blocks = -(-n_samples // _BLOCK)
+    todo = iter(range(blocks))
+
+    def drain():
+        for i in todo:  # next() on the shared iterator is atomic under the GIL
+            lo = i * _BLOCK
+            hi = min(lo + _BLOCK, n_samples)
+            x, y = draw(np.random.Generator(root.jumped(i)), hi - lo)
+            for a in range(lo, hi, _ROWS):
+                b = min(a + _ROWS, hi)
+                eps[a:b], delta[a:b] = measure(x[a - lo : b - lo], y[a - lo : b - lo])
+
+    helpers = min(_usable_cpus(), blocks) - 1
+    with ThreadPoolExecutor(max_workers=max(1, helpers)) as pool:
+        running = [pool.submit(drain) for _ in range(helpers)]
+        drain()
+        for job in running:
+            job.result()
     return eps, delta
+
+
+def _require_at_least_one(*named: tuple[str, float]) -> None:
+    for name, value in named:
+        if not value >= 1:  # also refuses NaN
+            raise ValueError(f"{name} must be >= 1, got {value}")
 
 
 def _fit_envelope(eps: np.ndarray, delta: np.ndarray, bins: int = 64) -> tuple[float, float]:
@@ -282,20 +335,21 @@ def estimate_modulus(
     """Sample pairs on the source sphere, record (eps, delta) and fit the
     upper envelope to C t^alpha.  If ``bound=(C0, alpha0)`` is supplied,
     count pairs with delta > C0 eps^alpha0 (up to 1e-9 relative float
-    slack).  Pairs are drawn and measured ``_BLOCK`` at a time, so memory
-    beyond the returned arrays does not grow with ``n_samples``."""
-    if n_samples < 1:
-        raise ValueError("n_samples must be >= 1")
+    slack).  Pairs are drawn and measured ``_BLOCK`` at a time, one stream
+    per block, on every usable CPU (see ``_stream``), so memory beyond the
+    returned arrays does not grow with ``n_samples``."""
+    _require_at_least_one(("n_samples", n_samples), ("dimension d", d))
     if sampler not in SAMPLERS:
         raise ValueError(f"unknown sampler {sampler!r}")
-    rng = np.random.Generator(np.random.PCG64(seed))
-    draw = SAMPLERS[sampler]
+    sample = SAMPLERS[sampler]
 
-    def block(count):
-        x, y = draw(rng, count, d, phi.source_p)
+    def draw(rng, count):
+        return sample(rng, count, d, phi.source_p)
+
+    def measure(x, y):
         return _lp_norm(x - y, phi.source_p, axis=1), _lp_norm(phi.fn(x) - phi.fn(y), phi.target_p, axis=1)
 
-    eps, delta = _stream(n_samples, block)
+    eps, delta = _stream(n_samples, seed, draw, measure)
     C, alpha = _fit_envelope(eps, delta)
     violations = None
     if bound is not None:
@@ -315,16 +369,18 @@ class StabilizedCheck:
 
 def _block_pairs(rng, count, k, d, p, phi_p):
     """Pairs on the sphere of l_p(k blocks, l_{phi_p}^d); half of them near."""
-    def normalize(z):
+    def normalize(z):  # in place
         nrm = _lp_norm(_lp_norm(z, phi_p, axis=2), p, axis=1)
         nrm[nrm == 0.0] = 1.0
-        return z / nrm[:, None, None]
+        z /= nrm[:, None, None]
+        return z
 
     x = normalize(rng.standard_normal((count, k, d)))
     y = rng.standard_normal((count, k, d))
     half = count // 2
     scale = 10.0 ** rng.uniform(-6.0, 0.0, size=half)
-    y[:half] = x[:half] + scale[:, None, None] * y[:half]
+    y[:half] *= scale[:, None, None]
+    y[:half] += x[:half]
     return x, normalize(y)
 
 
@@ -337,18 +393,21 @@ def check_stabilized_modulus(
     d: int = 8,
 ) -> StabilizedCheck:
     """Count violations of the stabilized bound (2C+2) t^alpha over sampled
-    block-vector pairs; the expected count is 0."""
+    block-vector pairs; the expected count is 0.  The bound is proven for a
+    block exponent p >= 1 only.  Pairs are drawn as in ``estimate_modulus``."""
+    _require_at_least_one(("n_samples", n_samples), ("block count k", k), ("block exponent p", p), ("dimension d", d))
     bound_C, alpha = stabilized_modulus(phi)
-    rng = np.random.Generator(np.random.PCG64(seed))
 
-    def block(count):
-        x, y = _block_pairs(rng, count, k, d, p, phi.source_p)
+    def draw(rng, count):
+        return _block_pairs(rng, count, k, d, p, phi.source_p)
+
+    def measure(x, y):
         eps = _lp_norm(_lp_norm(x - y, phi.source_p, axis=2), p, axis=1)
         fx = _extension_batch(phi, x.reshape(-1, d)).reshape(x.shape)
         fy = _extension_batch(phi, y.reshape(-1, d)).reshape(y.shape)
         return eps, _lp_norm(_lp_norm(fx - fy, phi.target_p, axis=2), p, axis=1)
 
-    eps, delta = _stream(n_samples, block)
+    eps, delta = _stream(n_samples, seed, draw, measure)
     pos = eps > 0
     ratio = delta[pos] / (bound_C * eps[pos] ** alpha)
     violations = int((ratio > 1 + 1e-9).sum())

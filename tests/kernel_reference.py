@@ -311,9 +311,15 @@ def _close_elements(identity, gen_elements, mult):
 def group_action(kind, *params, subgroup="trivial"):
     """``groups.action_from_group`` with one product per element and
     generator, and m^2 products for the right translations.  The group
-    definitions (generators, product, inverse labels) are the library's."""
+    definitions (generators, product, inverse labels) are the library's,
+    except that sl_mod multiplies matrices entry by entry, not by the
+    library's row update for a generator."""
     seed, gens, mult, inverse_of = groups._GROUPS[kind][1](*params)
     if kind == "sl_mod":
+        n, k = params
+        mult = lambda x, y: tuple(  # noqa: E731
+            tuple(sum(x[i][t] * y[t][j] for t in range(n)) % k for j in range(n)) for i in range(n)
+        )
         elements, index = _close_elements(next(iter(seed)), [g for _, g in gens], mult)
     else:
         elements = list(seed)

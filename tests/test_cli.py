@@ -125,11 +125,38 @@ def test_error_exit_code(capsys):
 
 
 @pytest.mark.parametrize(
-    "spec,form", [("cyclic", "cyclic:N"), ("sl_mod:2", "sl_mod:N,K"), ("symmetric:3,4", "symmetric:N")]
+    "spec,form",
+    [
+        ("cyclic", "cyclic:N"),
+        ("sl_mod:2", "sl_mod:N,K"),
+        ("symmetric:3,4", "symmetric:N"),
+        ("cyclic:a", "cyclic:N, got 'a'"),
+        ("sl_mod:2,x", "sl_mod:N,K, got '2,x'"),
+        ("cycle:a", "cycle:N, got 'a'"),
+        ("random_regular:10,x", "random_regular:N,D, got '10,x'"),
+        ("random_regular:10", "random_regular:N,D, got 1 parameter(s)"),
+    ],
 )
 def test_group_spec_error_names_the_form(capsys, spec, form):
-    assert main(["kappa", "--group", spec, "--p", "2"]) == 1
-    assert form in capsys.readouterr().err
+    # group kinds go to kappa --group, graph families to gap --gen
+    opt = "--gen" if spec.split(":")[0] in ("cycle", "random_regular") else "--group"
+    assert main(["gap" if opt == "--gen" else "kappa", opt, spec, "--p", "2"]) == 1
+    err = capsys.readouterr().err
+    assert form in err and "invalid literal" not in err
+
+
+@pytest.mark.parametrize(
+    "argv,name",
+    [
+        (["--dim", "0"], "dimension d"),
+        (["--blocks", "2", "--block-p", "0.5"], "block exponent p"),
+        (["--blocks", "-1"], "block count k"),
+    ],
+)
+def test_mazur_refuses_degenerate_inputs(capsys, argv, name):
+    assert main(["mazur", "--p", "3", "--pairs", "10", *argv]) == 1
+    captured = capsys.readouterr()
+    assert f"error: {name} must be >= 1" in captured.err and captured.out == ""
 
 
 def test_usage_error_exit_code():

@@ -1,9 +1,12 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from kernel_reference import bfs_distances
 
+from banachgap import graphs
 from banachgap.distortion import frechet_embedding
 from banachgap.graphs import (
     all_pairs_distances,
@@ -172,6 +175,17 @@ def test_metric_equals_reference_bfs(G):
     met = all_pairs_distances(G)
     ref = bfs_distances(G)
     assert met.d.dtype == np.int64
+    assert np.array_equal(met.d, ref)
+    assert met.diameter == int(ref.max())
+
+
+@given(connected_multigraphs(), st.integers(1, 40))
+@settings(max_examples=100, deadline=None)
+def test_chunked_metric_equals_reference_bfs(G, entries):
+    # chunks of max(1, entries // n) sources: single sources, partial last chunks
+    with mock.patch.object(graphs, "_BFS_CHUNK_ENTRIES", entries):
+        met = graphs._bfs_all_sources(G)
+    ref = bfs_distances(G)
     assert np.array_equal(met.d, ref)
     assert met.diameter == int(ref.max())
 

@@ -81,7 +81,7 @@ ACTION_CASES = (
     + [("boolean_cube", (n,), "trivial") for n in range(1, 11)]
     + [("symmetric", (n,), "trivial") for n in range(2, 7)]
     + [("sl_mod", (2, k), "trivial") for k in (2, 3, 5, 7)]
-    + [("sl_mod", (3, 2), "trivial")]
+    + [("sl_mod", (3, k), "trivial") for k in (2, 3)]
     + [("cyclic", (6,), [3]), ("symmetric", (4,), [T0]), ("sl_mod", (2, 3), [1, 2]), ("boolean_cube", (4,), [3])]
 )
 

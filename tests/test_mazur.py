@@ -1,4 +1,7 @@
 import math
+import sys
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -155,18 +158,26 @@ def test_check_stabilized_identity():
     assert chk.violations == 0
 
 
+def _block_counts(n):
+    """Pairs in each block of an n-pair call; block i draws from PCG64(seed).jumped(i)."""
+    return [min(mazur._BLOCK, n - lo) for lo in range(0, n, mazur._BLOCK)]
+
+
 @pytest.mark.parametrize("p_src,k,p_block", [(4.0, 4, 2.0), (1.0, 1, 3.0)])
 def test_check_stabilized_matches_per_row_extension(p_src, k, p_block):
     # the check extends all k*n_samples blocks in one call; extending
     # each pair's k blocks separately must give the same verdict
     phi = mazur.mazur_sphere_map(p_src, 2.0)
     chk = mazur.check_stabilized_modulus(phi, k=k, p=p_block, n_samples=2000, seed=3, d=8)
-    rng = np.random.Generator(np.random.PCG64(3))
-    x, y = mazur._block_pairs(rng, 2000, k, 8, p_block, phi.source_p)
-    eps = mazur._lp_norm(mazur._lp_norm(x - y, phi.source_p, axis=2), p_block, axis=1)
-    fx = np.stack([mazur._extension_batch(phi, row) for row in x])
-    fy = np.stack([mazur._extension_batch(phi, row) for row in y])
-    delta = mazur._lp_norm(mazur._lp_norm(fx - fy, phi.target_p, axis=2), p_block, axis=1)
+    eps, delta = [], []
+    for i, count in enumerate(_block_counts(2000)):
+        rng = np.random.Generator(np.random.PCG64(3).jumped(i))
+        x, y = mazur._block_pairs(rng, count, k, 8, p_block, phi.source_p)
+        eps.append(mazur._lp_norm(mazur._lp_norm(x - y, phi.source_p, axis=2), p_block, axis=1))
+        fx = np.stack([mazur._extension_batch(phi, row) for row in x])
+        fy = np.stack([mazur._extension_batch(phi, row) for row in y])
+        delta.append(mazur._lp_norm(mazur._lp_norm(fx - fy, phi.target_p, axis=2), p_block, axis=1))
+    eps, delta = np.concatenate(eps), np.concatenate(delta)
     pos = eps > 0
     ratio = delta[pos] / (chk.bound_C * eps[pos] ** chk.alpha)
     assert chk.violations == int((ratio > 1 + 1e-9).sum())
@@ -217,15 +228,30 @@ def test_estimate_modulus_fills_every_slot(n):
     phi = mazur.mazur_sphere_map(1.5, 2.0)
     est = mazur.estimate_modulus(phi, "near_pairs", n, seed=9, d=16, bound=phi.modulus)
     assert est.eps.shape == est.delta.shape == (n,)
-    rng = np.random.Generator(np.random.PCG64(9))
     eps, delta = [], []
-    for lo in range(0, n, mazur._BLOCK):
-        x, y = mazur.SAMPLERS["near_pairs"](rng, min(mazur._BLOCK, n - lo), 16, 1.5)
+    for i, count in enumerate(_block_counts(n)):
+        rng = np.random.Generator(np.random.PCG64(9).jumped(i))
+        x, y = mazur.SAMPLERS["near_pairs"](rng, count, 16, 1.5)
         eps.append((np.abs(x - y) ** 1.5).sum(axis=1) ** (1 / 1.5))
         delta.append(np.sqrt(((phi.fn(x) - phi.fn(y)) ** 2).sum(axis=1)))
     assert np.allclose(est.eps, np.concatenate(eps), rtol=1e-12, atol=0.0)
     assert np.allclose(est.delta, np.concatenate(delta), rtol=1e-12, atol=0.0)
     assert est.violations == 0
+
+
+def test_block_pairs_equal_the_out_of_place_formula():
+    # half of the pairs are x + s * noise; both ends normalised in l_3 of l_1.5
+    x, y = mazur._block_pairs(np.random.Generator(np.random.PCG64(4)), 101, 3, 4, 3.0, 1.5)
+    rng = np.random.Generator(np.random.PCG64(4))
+
+    def normalize(z):
+        return z / mazur._lp_norm(mazur._lp_norm(z, 1.5, axis=2), 3.0, axis=1)[:, None, None]
+
+    want_x = normalize(rng.standard_normal((101, 3, 4)))
+    want_y = rng.standard_normal((101, 3, 4))
+    scale = 10.0 ** rng.uniform(-6.0, 0.0, size=50)
+    want_y[:50] = want_x[:50] + scale[:, None, None] * want_y[:50]
+    assert np.array_equal(x, want_x) and np.array_equal(y, normalize(want_y))
 
 
 def test_check_stabilized_spans_blocks():
@@ -234,3 +260,140 @@ def test_check_stabilized_spans_blocks():
         phi = mazur.mazur_sphere_map(p_src, 2.0)
         chk = mazur.check_stabilized_modulus(phi, k=k, p=3.0, n_samples=n, seed=5, d=8)
         assert chk.violations == 0 and 0.0 < chk.max_ratio <= 1.0 + 1e-9
+
+
+BLOCK_EDGES = [1, mazur._BLOCK - 1, mazur._BLOCK, mazur._BLOCK + 1, 2 * mazur._BLOCK + 3]
+STREAM, POOL = mazur._stream, mazur.ThreadPoolExecutor
+
+
+def _run_both(monkeypatch, cpus, n):
+    """Both estimators on n pairs with ``cpus`` usable CPUs: their results,
+    the (eps, delta) of every _stream call, and the pool tasks submitted."""
+    streams, helpers = [], []
+
+    def spy_stream(*args):
+        streams.append(tuple(a.tobytes() for a in STREAM(*args)))
+        return np.frombuffer(streams[-1][0]), np.frombuffer(streams[-1][1])
+
+    class spy_pool(POOL):
+        def __init__(self, max_workers):
+            super().__init__(max_workers=max_workers)
+            helpers.append(0)
+
+        def submit(self, *args):
+            helpers[-1] += 1
+            return super().submit(*args)
+
+    monkeypatch.setattr(mazur, "_usable_cpus", lambda: cpus)
+    monkeypatch.setattr(mazur, "_stream", spy_stream)
+    monkeypatch.setattr(mazur, "ThreadPoolExecutor", spy_pool)
+    phi = mazur.mazur_sphere_map(1.5, 2.0)
+    est = mazur.estimate_modulus(phi, "near_pairs", n, seed=12, d=16, bound=phi.modulus)
+    chk = mazur.check_stabilized_modulus(phi, k=3, p=2.0, n_samples=n, seed=12, d=8)
+    return (est.fitted_C, est.fitted_alpha, est.violations, chk), streams, helpers
+
+
+@pytest.mark.parametrize("n", BLOCK_EDGES)
+def test_estimators_do_not_depend_on_the_worker_count(monkeypatch, n):
+    blocks = len(_block_counts(n))
+    runs = []
+    for cpus in (1, 2, 4):
+        fits, streams, helpers = _run_both(monkeypatch, cpus, n)
+        # the caller plus min(cpus, blocks) - 1 pool threads
+        assert helpers == [min(cpus, blocks) - 1] * 2
+        runs.append((fits, streams))
+    assert runs[0] == runs[1] == runs[2]
+
+
+def test_blocks_survive_frequent_thread_switches(monkeypatch):
+    # more workers than cores, switching every microsecond: a lost or
+    # misplaced block write would change the arrays
+    phi = mazur.mazur_sphere_map(3.0, 2.0)
+    n = 8 * mazur._BLOCK + 5
+    monkeypatch.setattr(mazur, "_usable_cpus", lambda: 1)
+    one = mazur.estimate_modulus(phi, "uniform_sphere", n, seed=8, d=4)
+    monkeypatch.setattr(mazur, "_usable_cpus", lambda: 8)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        start = time.perf_counter()
+        many = mazur.estimate_modulus(phi, "uniform_sphere", n, seed=8, d=4)
+        assert time.perf_counter() - start < 30.0
+    finally:
+        sys.setswitchinterval(interval)
+    assert np.array_equal(one.eps, many.eps) and np.array_equal(one.delta, many.delta)
+
+
+@pytest.mark.parametrize("n", [1, 100, mazur._BLOCK])
+def test_one_block_call_is_one_pcg64_stream(n):
+    # a call of at most _BLOCK pairs draws exactly what Generator(PCG64(seed)) draws
+    phi = mazur.mazur_sphere_map(3.0, 2.0)
+    est = mazur.estimate_modulus(phi, "near_pairs", n, seed=5, d=16)
+    x, y = mazur.SAMPLERS["near_pairs"](np.random.Generator(np.random.PCG64(5)), n, 16, 3.0)
+    assert np.array_equal(est.eps, mazur._lp_norm(x - y, 3.0, axis=1))
+    assert np.array_equal(est.delta, mazur._lp_norm(phi.fn(x) - phi.fn(y), 2.0, axis=1))
+    chk = mazur.check_stabilized_modulus(phi, k=2, p=2.0, n_samples=n, seed=5, d=8)
+    x, y = mazur._block_pairs(np.random.Generator(np.random.PCG64(5)), n, 2, 8, 2.0, 3.0)
+    eps = mazur._lp_norm(mazur._lp_norm(x - y, 3.0, axis=2), 2.0, axis=1)
+    fx = mazur._extension_batch(phi, x.reshape(-1, 8)).reshape(x.shape)
+    fy = mazur._extension_batch(phi, y.reshape(-1, 8)).reshape(y.shape)
+    ratio = mazur._lp_norm(mazur._lp_norm(fx - fy, 2.0, axis=2), 2.0, axis=1)[eps > 0] / (chk.bound_C * eps[eps > 0])
+    assert chk.max_ratio == float(ratio.max())
+
+
+def test_sphere_map_error_reaches_the_caller():
+    # the last, partial block's map raises on a worker thread
+    def fn(batch):
+        if len(batch) < mazur._BLOCK:
+            raise FloatingPointError("map failed on a short block")
+        return batch.copy()
+
+    phi = mazur.SphereMap(2.0, 2.0, fn, "faulty", modulus=(1.0, 1.0))
+    with pytest.raises(FloatingPointError, match="short block"):
+        mazur.estimate_modulus(phi, "uniform_sphere", 3 * mazur._BLOCK + 1, seed=0, d=4)
+    with pytest.raises(FloatingPointError, match="short block"):
+        mazur.check_stabilized_modulus(phi, k=1, p=2.0, n_samples=3 * mazur._BLOCK + 1, seed=0, d=4)
+
+
+def test_pool_thread_error_reaches_the_caller(monkeypatch):
+    # the caller's first block waits until a pool thread has failed on its own
+    monkeypatch.setattr(mazur, "_usable_cpus", lambda: 2)
+    failed = threading.Event()
+
+    def draw(rng, count):
+        if threading.current_thread() is threading.main_thread():
+            assert failed.wait(timeout=30.0)
+            return np.zeros((count, 2)), np.zeros((count, 2))
+        failed.set()
+        raise FloatingPointError("pool thread failed")
+
+    with pytest.raises(FloatingPointError, match="pool thread"):
+        mazur._stream(3 * mazur._BLOCK, 0, draw, lambda x, y: (x[:, 0], y[:, 0]))
+
+
+@pytest.mark.parametrize(
+    "kwargs,name",
+    [
+        ({"n_samples": 10, "d": 0}, "dimension d"),
+        ({"n_samples": 0}, "n_samples"),
+    ],
+)
+def test_estimate_modulus_refuses_degenerate_inputs(kwargs, name):
+    with pytest.raises(ValueError, match=f"^{name} must be >= 1"):
+        mazur.estimate_modulus(mazur.mazur_sphere_map(3.0, 2.0), "near_pairs", **kwargs)
+
+
+@pytest.mark.parametrize(
+    "kwargs,name",
+    [
+        ({"k": 0, "p": 2.0, "n_samples": 10}, "block count k"),
+        ({"k": -1, "p": 2.0, "n_samples": 10}, "block count k"),
+        ({"k": 2, "p": 0.5, "n_samples": 10}, "block exponent p"),
+        ({"k": 2, "p": float("nan"), "n_samples": 10}, "block exponent p"),
+        ({"k": 2, "p": 2.0, "n_samples": 10, "d": 0}, "dimension d"),
+        ({"k": 2, "p": 2.0, "n_samples": 0}, "n_samples"),
+    ],
+)
+def test_check_stabilized_refuses_degenerate_inputs(kwargs, name):
+    with pytest.raises(ValueError, match=f"^{name} must be >= 1"):
+        mazur.check_stabilized_modulus(mazur.mazur_sphere_map(3.0, 2.0), **kwargs)
