@@ -140,8 +140,14 @@ def cmd_gen(args) -> int:
 def cmd_gap(args) -> int:
     G = _load_graph(args)
     if args.method == "exact":
+        if (args.p, args.q, args.d) != (2.0, 2.0, 1):
+            raise ValueError(f"--method exact needs --p 2 --q 2 --d 1, got --p {args.p:g} --q {args.q:g} --d {args.d}")
         est = gap_exact_2(G)
     elif args.method == "oracle":
+        if (args.q, args.d) != (2.0, 1) or G.n > 4:
+            raise ValueError(
+                f"--method oracle needs --q 2 --d 1 and at most 4 vertices, got --q {args.q:g} --d {args.d} on {G.n} vertices"
+            )
         est = gap_oracle_small(G, p=args.p, resolution=args.resolution)
     else:
         solve = spectral_gap if args.method == "auto" else gap_estimate

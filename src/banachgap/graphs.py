@@ -93,15 +93,20 @@ class MultiGraph:
 
     def laplacian(self) -> np.ndarray:
         """Dense combinatorial Laplacian; loops drop out entirely."""
-        L = np.zeros((self.n, self.n))
-        for u, v, m in self.edges:
-            if u == v:
-                continue
-            L[u, u] += m
-            L[v, v] += m
-            L[u, v] -= m
-            L[v, u] -= m
-        return L
+        return self.add_laplacian(np.zeros((self.n, self.n)))
+
+    def add_laplacian(self, A: np.ndarray) -> np.ndarray:
+        """Add the Laplacian into the C-contiguous n x n float64 array ``A``
+        in place and return ``A``.  Every entry gains an integer sum, so the
+        result is exact while entries stay below 2^53."""
+        eu, ev, em = self.nonloop_arrays()
+        w = em.astype(np.float64)
+        np.add.at(A, (eu, ev), -w)
+        np.add.at(A, (ev, eu), -w)
+        diag = A.reshape(-1)[:: self.n + 1]  # a view of the diagonal
+        np.add.at(diag, eu, w)
+        np.add.at(diag, ev, w)
+        return A
 
 
 @dataclass(frozen=True)

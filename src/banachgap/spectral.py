@@ -42,6 +42,15 @@ DEFAULT_RESTARTS = 32
 DEFAULT_MAX_ITER = 5000
 DEFAULT_TOL = 1e-10
 
+# Graphs of at least this many vertices get lambda_2 and the Fiedler vector
+# from a certified Lanczos run (_lanczos_head); smaller ones from one dense
+# eigh, which costs at most 0.05 s there.
+_LANCZOS_MIN_N = 1000
+_LANCZOS_MAX_STEPS = 400
+_LANCZOS_CHECK_EVERY = 20  # steps between solves of the tridiagonal system
+_LANCZOS_RTOL = 1e-11  # converged once ||L y - theta y|| <= _LANCZOS_RTOL * theta
+_LANCZOS_SEED = 20131017  # fixed start vector, so the head is deterministic
+
 
 @dataclass(frozen=True)
 class VectorMap:
@@ -157,33 +166,167 @@ def _one_blas_thread():
         put(before)
 
 
-def _laplacian_head(G: MultiGraph) -> tuple[np.ndarray, np.ndarray]:
-    """The first min(4, n) Laplacian eigenvalues and the Fiedler vector
-    ``V[:, 1]``, from one dense eigh per graph object.
+def _laplacian_matvec(G: MultiGraph):
+    """x -> L x, matrix-free: two bincounts over the non-loop edges."""
+    eu, ev, em = G.nonloop_arrays()
+    w = em.astype(np.float64)
+    n = G.n
 
-    Both are read-only.  Only these O(n) floats stay on the graph, never
-    the full eigenbasis or the dense Laplacian.
+    def mul(x: np.ndarray) -> np.ndarray:
+        t = w * (x[eu] - x[ev])
+        return np.bincount(eu, t, n) - np.bincount(ev, t, n)
+
+    return mul
+
+
+def _lanczos(G: MultiGraph) -> tuple[np.ndarray, np.ndarray, int, float]:
+    """Lanczos on the mean-zero subspace, with full reorthogonalisation.
+
+    Returns the three smallest Ritz values (the first replaced by
+    ``y^T L y``), the unit mean-zero Ritz vector y of the smallest, the
+    step count and the residual ``||L y - y^T L y y||``.  The run stops
+    once the residual is at most ``_LANCZOS_RTOL`` times the value, or at
+    ``min(_LANCZOS_MAX_STEPS, n - 1)`` steps, or when the Krylov space
+    stops growing; the caller reads convergence off the residual.
+    """
+    n = G.n
+    mul = _laplacian_matvec(G)
+    kmax = min(_LANCZOS_MAX_STEPS, n - 1)
+    Q = np.empty((kmax, n))
+    alpha, beta = np.empty(kmax), np.empty(kmax)
+    q = np.random.Generator(np.random.PCG64(_LANCZOS_SEED)).standard_normal(n)
+    q -= q.mean()
+    q /= np.linalg.norm(q)
+    for k in range(kmax):
+        Q[k] = q
+        w = mul(q)
+        scale = np.linalg.norm(w)
+        alpha[k] = q @ w
+        w -= alpha[k] * q
+        if k:
+            w -= beta[k - 1] * Q[k - 1]
+        B = Q[: k + 1]
+        for _ in range(2):
+            # The constant vector is the zero eigenvector: without removing
+            # it here, rounding lets it back in and the smallest Ritz value
+            # sinks towards 0.
+            w -= w.mean()
+            w -= (B @ w) @ B
+        beta[k] = np.linalg.norm(w)
+        steps = k + 1
+        last = steps == kmax or beta[k] <= 1e-10 * scale
+        if steps % _LANCZOS_CHECK_EVERY == 0 or last:
+            T = np.diag(alpha[:steps])
+            T[np.arange(1, steps), np.arange(steps - 1)] = beta[: steps - 1]
+            ritz, S = np.linalg.eigh(T)
+            y = S[:, 0] @ B
+            y -= y.mean()
+            y /= np.linalg.norm(y)
+            Ly = mul(y)
+            theta = float(y @ Ly)
+            r = float(np.linalg.norm(Ly - theta * y))
+            if last or r <= _LANCZOS_RTOL * theta:
+                ritz = ritz[:3].copy()
+                ritz[0] = theta
+                return ritz, y, steps, r
+        q = w / beta[k]
+    raise AssertionError("unreachable: the last step always returns")
+
+
+def _cholesky_lower_bound(G: MultiGraph, theta: float, r: float) -> float | None:
+    """A proven lower bound on lambda_2 near ``theta - r``, or None.
+
+    Factors ``A = L + t 11^T - s I`` by Cholesky, with t the least integer
+    with ``t n > theta`` (so off-diagonal entries are exact integers) and
+    ``s = theta - r - margin``.  Success means the computed factor R has
+    ``R^T R = A + dA`` with ``|dA| <= gamma_{n+1} |R^T||R|`` (Higham,
+    Accuracy and Stability of Numerical Algorithms, Thm 10.3), whence
+    ``||dA||_2 <= gamma/(1 - gamma) trace(A)``; rounding the shifted
+    diagonal adds at most ``u`` times its largest entry.  Their sum,
+    bounded with ``trace(A) <= trace(L) + t n``, is the margin, so every
+    eigenvalue of ``L + t 11^T`` is at least ``s - margin``.  Those
+    eigenvalues are ``t n`` on the constants and lambda_2..lambda_n on the
+    mean-zero subspace, so lambda_2 >= s - margin, also inside a degenerate
+    eigenspace.  The factored shift sits one margin below ``theta - r`` so
+    that rounding in the factorisation does not make it fail.
+    """
+    n = G.n
+    u = 2.0**-53
+    gamma = (n + 1) * u / (1.0 - (n + 1) * u)
+    t = math.floor(theta / n) + 1
+    _, _, em = G.nonloop_arrays()
+    margin = (gamma / (1.0 - gamma) + u) * (2.0 * float(em.sum()) + t * n)
+    s = theta - r - margin
+    if s <= 0.0:
+        return None
+    A = G.add_laplacian(np.full((n, n), float(t)))
+    A.reshape(-1)[:: n + 1] -= s
+    try:
+        np.linalg.cholesky(A)
+    except np.linalg.LinAlgError:
+        return None
+    return s - margin
+
+
+def _lanczos_head(G: MultiGraph) -> tuple[np.ndarray, np.ndarray, dict]:
+    """``[0, theta, theta_3, theta_4]``, the Fiedler vector and the solver
+    facts from one Lanczos run and its Cholesky certificate.
+
+    theta is the Rayleigh quotient of a mean-zero vector, so theta >=
+    lambda_2; theta_3 and theta_4 are Ritz values, upper bounds on lambda_3
+    and lambda_4 by interlacing.  ``certified_lower`` is the proven lower
+    bound on lambda_2, or None when the run did not converge or the
+    certificate failed.
+    """
+    ritz, y, steps, r = _lanczos(G)
+    theta = float(ritz[0])
+    lower = _cholesky_lower_bound(G, theta, r) if r <= _LANCZOS_RTOL * theta else None
+    facts = {"eigensolver": "lanczos", "lanczos_steps": steps, "residual": r, "certified_lower": lower}
+    return np.concatenate([[0.0], ritz]), y, facts
+
+
+def _laplacian_head(G: MultiGraph) -> tuple[np.ndarray, np.ndarray, dict]:
+    """The first min(4, n) Laplacian eigenvalues, the Fiedler vector and
+    the solver facts, solved once per graph object.
+
+    At ``n >= _LANCZOS_MIN_N`` a certified Lanczos run gives them; when it
+    does not converge or its certificate fails, and below that size, one
+    dense eigh does, and the eigenvalues are ``w[:4]`` and the vector
+    ``V[:, 1]``.  The arrays are read-only.  Only these O(n) floats stay on
+    the graph, never the full eigenbasis or the dense Laplacian.
     """
 
     def solve():
-        L = G.laplacian()
+        facts = {"eigensolver": "dense", "lanczos_steps": 0, "residual": None, "certified_lower": None}
         with _one_blas_thread():
-            w, V = np.linalg.eigh(L)
-        head = (w[: min(4, len(w))].copy(), V[:, 1].copy())
-        for a in head:
+            if G.n >= _LANCZOS_MIN_N:
+                w, fiedler, tried = _lanczos_head(G)
+                if tried["certified_lower"] is not None:
+                    facts = tried
+                else:
+                    facts.update(lanczos_steps=tried["lanczos_steps"], residual=tried["residual"])
+            if facts["eigensolver"] == "dense":
+                w, V = np.linalg.eigh(G.laplacian())
+                w, fiedler = w[: min(4, len(w))].copy(), V[:, 1].copy()
+        for a in (w, fiedler):
             a.setflags(write=False)
-        return head
+        return w, fiedler, facts
 
     return G.memo("laplacian_head", solve)
 
 
 def gap_exact_2(G: MultiGraph) -> GapEstimate:
-    """Exact gap at (p, q, d) = (2, 2, 1): second-smallest Laplacian eigenvalue."""
+    """Exact gap at (p, q, d) = (2, 2, 1): second-smallest Laplacian eigenvalue.
+
+    The diagnostics name the solver (``eigensolver``, ``lanczos_steps``,
+    ``residual``) and, on the Lanczos path, the proven lower end
+    ``certified_lower`` of an interval whose upper end is the value.
+    """
     if not G.connected:
         raise ValueError("gap_exact_2 requires a connected graph")
     if G.n < 2:
         raise ValueError("gap undefined on a single vertex (no nonconstant maps)")
-    w, fiedler = _laplacian_head(G)
+    w, fiedler, facts = _laplacian_head(G)
     est = GapEstimate(
         value=float(w[1]),
         minimizer=VectorMap(fiedler[:, None].copy(), q=2.0, p=2.0),
@@ -192,7 +335,7 @@ def gap_exact_2(G: MultiGraph) -> GapEstimate:
         p=2.0,
         q=2.0,
         d=1,
-        diagnostics={"eigenvalues_head": [float(x) for x in w]},
+        diagnostics={"eigenvalues_head": [float(x) for x in w], **facts},
     )
     return _check_estimate(G, est)
 

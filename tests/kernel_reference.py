@@ -2,15 +2,16 @@
 
 The descents are the serial numpy kernels that ran one start at a time
 before they were vectorised over a block of starts; the tests compare the
-block kernels of ``banachgap._kernels`` against them.  The metric loops are
-the per-source BFS, the pairwise ``Fraction`` distortion and the
-per-translation displacement that ``banachgap.graphs`` and
-``banachgap.distortion`` replaced with array code.  The sphere references
-are the Gamma(1/p)-and-random-sign sampler and the per-bin envelope loop
-that ``banachgap.mazur`` replaced.  The group references build actions
-and Schreier graphs element by element and vertex by vertex, with m^2
-products for the right translations, as ``banachgap.groups`` did before it
-read them off one closure table and one search tree.
+block kernels of ``banachgap._kernels`` against them.  The graph and
+metric loops are the per-edge dense Laplacian, the per-source BFS, the
+pairwise ``Fraction`` distortion and the per-translation displacement that
+``banachgap.graphs`` and ``banachgap.distortion`` replaced with array
+code.  The sphere references are the Gamma(1/p)-and-random-sign sampler
+and the per-bin envelope loop that ``banachgap.mazur`` replaced.  The
+group references build actions and Schreier graphs element by element and
+vertex by vertex, with m^2 products for the right translations, as
+``banachgap.groups`` did before it read them off one closure table and one
+search tree.
 """
 
 import math
@@ -205,6 +206,18 @@ def kappa_descend(xi0, perms, p, betas, iters_per_stage, tol):
             if step < tol:
                 break
     return best_xi, best, total_it
+
+
+def laplacian(G):
+    L = np.zeros((G.n, G.n))
+    for u, v, m in G.edges:
+        if u == v:
+            continue
+        L[u, u] += m
+        L[v, v] += m
+        L[u, v] -= m
+        L[v, u] -= m
+    return L
 
 
 def bfs_distances(G):

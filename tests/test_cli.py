@@ -25,6 +25,19 @@ def test_gap_exact_hamming(tmp_path, capsys):
     assert payload["value"] == 2.0
     assert payload["bound_kind"] == "exact"
     assert (tmp_path / "gap.json").exists()
+    diag = payload["diagnostics"]
+    assert diag["eigensolver"] == "dense" and diag["lanczos_steps"] == 0
+    assert diag["residual"] is None and diag["certified_lower"] is None
+
+
+def test_gap_exact_reports_the_lanczos_certificate(capsys):
+    code, out = run(capsys, "gap", "--gen", "margulis:32", "--p", "2", "--method", "exact")
+    assert code == 0
+    payload = json.loads(out)
+    diag = payload["diagnostics"]
+    assert diag["eigensolver"] == "lanczos" and 0 < diag["lanczos_steps"] <= 400
+    assert 0.0 <= diag["residual"] <= 1e-11 * payload["value"]
+    assert 0.0 < diag["certified_lower"] <= payload["value"]
 
 
 def test_gap_estimate_and_minimizer_dump(tmp_path, capsys):
@@ -41,6 +54,23 @@ def test_gap_oracle_method(capsys):
     code, out = run(capsys, "gap", "--gen", "complete:3", "--p", "2", "--method", "oracle", "--resolution", "1e-3")
     assert code == 0
     assert abs(json.loads(out)["value"] - 3.0) < 1e-2
+
+
+@pytest.mark.parametrize(
+    "argv,need",
+    [
+        (["--gen", "cycle:6", "--p", "3", "--q", "1.5", "--d", "2", "--method", "exact"], "exact needs --p 2 --q 2 --d 1"),
+        (["--gen", "cycle:6", "--p", "2", "--q", "3", "--method", "exact"], "exact needs --p 2 --q 2 --d 1"),
+        (["--gen", "cycle:6", "--p", "2", "--d", "2", "--method", "exact"], "exact needs --p 2 --q 2 --d 1"),
+        (["--gen", "cycle:4", "--p", "1.5", "--q", "3", "--method", "oracle"], "oracle needs --q 2 --d 1 and at most 4"),
+        (["--gen", "cycle:4", "--p", "1.5", "--d", "2", "--method", "oracle"], "oracle needs --q 2 --d 1 and at most 4"),
+        (["--gen", "cycle:5", "--p", "1.5", "--method", "oracle"], "oracle needs --q 2 --d 1 and at most 4"),
+    ],
+)
+def test_gap_method_refuses_exponents_it_ignores(capsys, argv, need):
+    assert main(["gap", *argv]) == 1
+    captured = capsys.readouterr()
+    assert need in captured.err and captured.out == ""
 
 
 def test_gap_reads_file(tmp_path, capsys):

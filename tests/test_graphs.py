@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from kernel_reference import bfs_distances
+from kernel_reference import bfs_distances, laplacian
 
 from banachgap import graphs
 from banachgap.distortion import frechet_embedding
@@ -188,6 +188,15 @@ def test_chunked_metric_equals_reference_bfs(G, entries):
     ref = bfs_distances(G)
     assert np.array_equal(met.d, ref)
     assert met.diameter == int(ref.max())
+
+
+@given(connected_multigraphs(), st.integers(0, 5))
+@settings(max_examples=150, deadline=None)
+def test_laplacian_equals_reference_loop(G, t):
+    assert G.laplacian().tobytes() == laplacian(G).tobytes()
+    # The certificate's shifted matrix: integer fill plus the Laplacian, exactly.
+    filled = G.add_laplacian(np.full((G.n, G.n), float(t)))
+    assert filled.tobytes() == (laplacian(G) + float(t)).tobytes()
 
 
 def test_metric_of_one_vertex():

@@ -4,8 +4,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from kernel_reference import laplacian as reference_laplacian
 
+from banachgap import spectral
 from banachgap.graphs import build_graph, gen_family
+from banachgap.groups import action_from_group, schreier_graph
 from banachgap.spectral import (
     extrapolation_report,
     gap,
@@ -191,7 +194,7 @@ def _gap_calls(graph):
     return out
 
 
-@pytest.mark.parametrize("kind,params", [("random_regular", [60, 3]), ("hamming", [4])])
+@pytest.mark.parametrize("kind,params", [("random_regular", [60, 3]), ("hamming", [4]), ("margulis", [32])])
 def test_cached_head_gives_the_same_bytes_as_fresh_graphs(kind, params):
     G = gen_family(kind, params, seed=3)
     shared = _gap_calls(lambda: G)
@@ -217,6 +220,21 @@ def test_eigh_runs_once_per_graph_object(monkeypatch):
     assert len(calls) == 1
     gap_exact_2(gen_family("hamming", [4]))
     assert len(calls) == 2
+
+    # On the Lanczos path: one run and one Cholesky per graph object, and no
+    # dense eigh of the Laplacian.
+    monkeypatch.setattr(spectral, "_LANCZOS_MIN_N", 16)
+    runs, factorisations = [], []
+    lanczos, cholesky = spectral._lanczos, np.linalg.cholesky
+    monkeypatch.setattr(spectral, "_lanczos", lambda G: runs.append(G.n) or lanczos(G))
+    monkeypatch.setattr(np.linalg, "cholesky", lambda a: factorisations.append(a.shape) or cholesky(a))
+    G = gen_family("hamming", [4])
+    _gap_calls(lambda: G)
+    assert gap_exact_2(G).diagnostics["eigensolver"] == "lanczos"
+    assert (runs, factorisations) == ([16], [(16, 16)])
+    gap_exact_2(gen_family("hamming", [4]))
+    assert (runs, factorisations) == ([16, 16], [(16, 16)] * 2)
+    assert calls.count((16, 16)) == 2
 
 
 def test_exact_minimizer_is_a_copy():
@@ -269,3 +287,127 @@ def test_eigensolve_runs_on_one_blas_thread_and_restores_the_count(monkeypatch):
     finally:
         put(before)
     assert seen == [1, 1]
+
+
+# ----------------------------------------------------------------------
+# Certified Lanczos head
+# ----------------------------------------------------------------------
+
+
+def _lanczos_cases():
+    cases = [
+        ("rr(2000,3)", lambda: gen_family("random_regular", [2000, 3], seed=1531)),
+        ("rr(1000,3)", lambda: gen_family("random_regular", [1000, 3], seed=5)),
+        ("margulis(20)", lambda: gen_family("margulis", [20])),
+        ("margulis(24)", lambda: gen_family("margulis", [24])),
+        ("margulis(32)", lambda: gen_family("margulis", [32])),
+        ("H9", lambda: gen_family("hamming", [9])),
+        ("H10", lambda: gen_family("hamming", [10])),
+        ("symmetric(6)", lambda: schreier_graph(action_from_group("symmetric", 6))),
+        ("sl_mod(2,7)", lambda: schreier_graph(action_from_group("sl_mod", 2, 7))),
+        ("boolean_cube(8)", lambda: schreier_graph(action_from_group("boolean_cube", 8))),
+    ]
+    # Criterion 9's family at suite seed 1.
+    cases += [(f"rr({n},3)#c9", lambda n=n: gen_family("random_regular", [n, 3], seed=1 + n)) for n in (10, 20, 40, 60)]
+    return [pytest.param(build, id=label) for label, build in cases]
+
+
+def _assert_certified_head(G):
+    # Also inside a degenerate eigenspace (H9, H10), where the vector is
+    # another one of the eigenspace than eigh's.
+    w, y, facts = spectral._lanczos_head(G)
+    L = reference_laplacian(G)
+    lam = np.linalg.eigvalsh(L)
+    lower = facts["certified_lower"]
+    assert facts["eigensolver"] == "lanczos" and lower is not None
+    assert abs(w[1] - lam[1]) <= 1e-9 * lam[1]
+    assert lower <= lam[1] <= w[1] * (1 + 1e-12)
+    # theta_3 and theta_4 are Ritz values, so upper bounds by interlacing.
+    assert np.all(w[2:] >= lam[2 : len(w)] * (1 - 1e-12))
+    assert w[0] == 0.0 and abs(y.sum()) <= 1e-12 and np.linalg.norm(y) == pytest.approx(1.0, rel=1e-14)
+    assert facts["residual"] <= 1e-11 * w[1]
+    assert np.linalg.norm(L @ y - w[1] * y) <= 1e-11 * w[1] + 1e-13
+
+
+@pytest.mark.parametrize("build", _lanczos_cases())
+def test_lanczos_head_is_certified(build):
+    _assert_certified_head(build())
+
+
+@st.composite
+def connected_multigraphs(draw):
+    """A random spanning tree plus extra edges, with loops and multiplicities."""
+    n = draw(st.integers(2, 40))
+    edges = [(draw(st.integers(0, v - 1)), v, draw(st.integers(1, 3))) for v in range(1, n)]
+    vertex = st.integers(0, n - 1)
+    edges += draw(st.lists(st.tuples(vertex, vertex, st.integers(1, 3)), max_size=2 * n))
+    return build_graph(n, edges)
+
+
+@given(connected_multigraphs())
+@settings(max_examples=150, deadline=None)
+def test_lanczos_head_is_certified_on_multigraphs(G):
+    _assert_certified_head(G)
+
+
+def test_large_head_takes_the_lanczos_path():
+    G = gen_family("margulis", [32])
+    est = gap_exact_2(G)
+    w, y, facts = spectral._lanczos_head(gen_family("margulis", [32]))
+    assert est.diagnostics["eigensolver"] == "lanczos"
+    assert est.value == w[1] and est.minimizer.values[:, 0].tobytes() == y.tobytes()
+    assert {k: est.diagnostics[k] for k in facts} == facts
+
+
+def test_head_below_the_threshold_is_the_dense_eigh():
+    G = gen_family("hamming", [9])
+    w, fiedler, facts = spectral._laplacian_head(G)
+    with spectral._one_blas_thread():
+        lam, V = np.linalg.eigh(reference_laplacian(G))
+    assert w.tobytes() == lam[:4].tobytes() and fiedler.tobytes() == V[:, 1].tobytes()
+    assert facts == {"eigensolver": "dense", "lanczos_steps": 0, "residual": None, "certified_lower": None}
+
+
+@pytest.mark.parametrize(
+    "kind,params,want",
+    [("cycle", [2000], 4 * math.sin(math.pi / 2000) ** 2), ("path", [1000], 4 * math.sin(math.pi / 2000) ** 2)],
+    ids=["cycle(2000)", "path(1000)"],
+)
+def test_unconverged_lanczos_falls_back_to_eigh(kind, params, want):
+    est = gap_exact_2(gen_family(kind, params))
+    diag = est.diagnostics
+    assert diag["eigensolver"] == "dense" and diag["certified_lower"] is None
+    assert diag["lanczos_steps"] == spectral._LANCZOS_MAX_STEPS and diag["residual"] > 1e-11 * est.value
+    assert est.value == pytest.approx(want, rel=1e-9)
+
+
+@pytest.mark.parametrize("failure", ["cholesky", "no_convergence"])
+def test_lanczos_failure_falls_back_to_eigh(monkeypatch, failure):
+    dense = gap_exact_2(gen_family("random_regular", [200, 3], seed=4))
+    monkeypatch.setattr(spectral, "_LANCZOS_MIN_N", 100)
+    if failure == "cholesky":
+
+        def refuse(a):
+            raise np.linalg.LinAlgError("forced")
+
+        monkeypatch.setattr(np.linalg, "cholesky", refuse)
+    else:
+        monkeypatch.setattr(spectral, "_LANCZOS_MAX_STEPS", 20)
+    est = gap_exact_2(gen_family("random_regular", [200, 3], seed=4))
+    diag = est.diagnostics
+    assert diag["eigensolver"] == "dense" and diag["certified_lower"] is None
+    if failure == "cholesky":  # the run converged; its certificate failed
+        assert 0 < diag["lanczos_steps"] < 199 and diag["residual"] <= 1e-11 * est.value
+    else:
+        assert diag["lanczos_steps"] == 20 and diag["residual"] > 1e-11 * est.value
+    assert est.value == dense.value
+    assert est.minimizer.values.tobytes() == dense.minimizer.values.tobytes()
+
+
+def test_certificate_refuses_a_value_above_a_missed_eigenvalue():
+    G = gen_family("random_regular", [200, 3], seed=4)
+    lam = np.linalg.eigvalsh(reference_laplacian(G))
+    # lambda_3 is an eigenvalue with a tiny residual, but lambda_2 lies below it.
+    assert spectral._cholesky_lower_bound(G, float(lam[2]), 1e-14) is None
+    lower = spectral._cholesky_lower_bound(G, float(lam[1]), 1e-14)
+    assert lower is not None and lower <= lam[1] and lam[1] - lower <= 1e-9 * lam[1]
