@@ -85,7 +85,7 @@ def dump_csv(rows: list[dict], path: str) -> None:
 def _fmt_cell(v) -> str:
     if isinstance(v, float):
         return f"{v:.12g}"
-    return str(v)
+    return "" if v is None else str(v)
 
 
 def _load_graph(args) -> MultiGraph:
@@ -214,25 +214,23 @@ def _distortion_row(
     gap = spectral_gap(G, p=p, q=p, seed=seed, restarts=restarts)
     reps = r_eps_lower(G, met, eps)
     if kind == "hamming":
-        nbits = int(round(np.log2(G.n)))
-        F = hamming_identity_embedding(nbits)
+        F = hamming_identity_embedding(int(round(np.log2(G.n))))
         upper_desc = "identity cube embedding"
-        disp = max_displacement(G, met, "cayley", action=action_from_group("boolean_cube", nbits))
     else:
         F = frechet_embedding(G, met)
         upper_desc = "distance-row embedding"
-        mode = "brute" if G.n <= 8 else "heuristic"
-        disp = max_displacement(G, met, mode, seed=seed)
+    disp = max_displacement(G, met)
     upper = map_distortion(G, F, q=q, metric=met).value
     gn = gn_bound(G, gap, p=p, eps=eps, r_eps=reps.value, metric=met)
     jv = jv_bound(G, gap, p=p, D=disp)
     return DistortionBounds(
-        graph_id=graph_id,
+        graph=graph_id,
         p=p,
         q=q,
         gn_lower=gn.value,
         gn_eps=eps,
         jv_lower=jv.value,
+        displacement=disp.value,
         upper=upper,
         upper_description=upper_desc,
         certified=gn.certified and jv.certified,
@@ -241,23 +239,21 @@ def _distortion_row(
 
 def cmd_distort(args) -> int:
     if args.family:
-        kind = (args.gen or "hamming").partition(":")[0]
+        kind, params = _parse_spec(args.gen or "hamming", FAMILY_FORMS)
         lo, _, hi = args.family.partition(":")
         rows = []
         for n in range(int(lo), int(hi) + 1):
-            G = gen_family(kind, [n], seed=args.seed)
+            G = gen_family(kind, [n, *params[1:]], seed=args.seed)
             met = all_pairs_distances(G)
             row = _distortion_row(G, met, f"{kind}:{n}", kind, args.p, args.q, args.eps, args.seed, args.restarts)
-            if kind == "hamming":
-                target = n ** (1.0 - 1.0 / args.p) if args.p < 2.0 else n**0.5
-            else:
-                target = float("nan")
+            target = n ** (1.0 - 1.0 / min(args.p, 2.0)) if kind == "hamming" else None  # no closed form off the cube
             rows.append(
                 {
                     "n": n,
                     "diam": met.diameter,
                     "gn_lower": row.gn_lower,
                     "jv_lower": row.jv_lower,
+                    "displacement": row.displacement,
                     "upper": row.upper,
                     "target_order": target,
                 }
@@ -383,7 +379,7 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--q", type=float, default=2.0)
     g.add_argument("--eps", type=float, default=0.5)
     g.add_argument("--restarts", type=int, default=16)
-    g.add_argument("--family", help="LO:HI size sweep of the --gen kind, emitted as a CSV table")
+    g.add_argument("--family", help="LO:HI sweep of the first --gen parameter: JSON rows, family.csv under --out")
     g.set_defaults(fn=cmd_distort)
 
     g = sub.add_parser("mazur", help="sphere-map modulus estimation and checks")

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -208,63 +208,76 @@ class Displacement:
     permutation: np.ndarray
     exact: bool
     mode: str
+    hall_set: np.ndarray | None = None  # exact mode: S with fewer than |S| partners at distance >= value + 1
 
 
-def _min_disp(metric: MetricTable, perm) -> int:
-    return int(min(metric.d[v, perm[v]] for v in range(len(perm))))
+def _hopcroft_karp(indptr: list, indices: list, match_l: list, match_r: list) -> list:
+    """Grow a bipartite matching (left -> right, right -> left, -1 free) to a
+    maximum one in place, by Hopcroft-Karp phases on an explicit stack.
+    Returns the left vertices the last BFS reached from the free ones: empty
+    iff the matching is perfect, else a set S with fewer than |S| neighbours."""
+    while True:
+        roots = [v for v, w in enumerate(match_l) if w < 0]
+        layer = [0 if w < 0 else -1 for w in match_l]
+        queue, stop = list(roots), math.inf  # stop: the layer that first sees a free right vertex
+        for u in queue:
+            if layer[u] > stop:
+                break
+            for w in indices[indptr[u] : indptr[u + 1]]:
+                x = match_r[w]
+                if x < 0:
+                    stop = layer[u]
+                elif layer[x] < 0:
+                    layer[x] = layer[u] + 1
+                    queue.append(x)
+        if stop == math.inf:
+            return queue
+        ptr = indptr[:-1]
+        for root in roots:
+            path = [(root, -1)]  # (left vertex, the right vertex it was reached through)
+            while path:
+                u = path[-1][0]
+                if ptr[u] == indptr[u + 1]:  # exhausted for this phase
+                    path.pop()
+                    continue
+                w = indices[ptr[u]]
+                ptr[u] += 1
+                x = match_r[w]
+                if x < 0:
+                    for (v, _), (_, y) in zip(path, path[1:] + [(x, w)]):
+                        match_l[v], match_r[y] = y, v
+                    break
+                if layer[x] == layer[u] + 1 and layer[u] < stop:
+                    path.append((x, w))
 
 
 def max_displacement(
-    G: MultiGraph,
-    metric: MetricTable,
-    mode: str = "heuristic",
-    seed: int = 0,
-    samples: int = 200,
-    action: PermutationAction | None = None,
+    G: MultiGraph, metric: MetricTable, mode: str = "exact", action: PermutationAction | None = None
 ) -> Displacement:
     """Best-over-permutations worst vertex movement D(G).
 
-    brute: exact enumeration, |V| <= 8.  heuristic: seeded random
-    permutations plus greedy 2-swaps (certified lower bound).  cayley: for
-    a transitive action on itself, right translations are isometries; the
-    best one gives a certified lower bound which equals D(G) whenever it
-    reaches the diameter.
+    exact: D >= t iff the threshold graph {(v, w) : d(v, w) >= t} has a
+    perfect matching (Hall).  Thresholds gallop down from the diameter
+    (diam, diam-1, diam-3, ...), then bisect; each matching grows from the
+    one at the smallest failed threshold.  ``hall_set`` (None when D is the
+    diameter) shows that D + 1 fails.  cayley: for a transitive action on
+    itself, right translations are isometries; the best one gives a
+    certified lower bound which equals D(G) whenever it reaches the diameter.
     """
     n = G.n
-    if mode == "brute":
-        if n > 8:
-            raise ValueError("brute displacement is gated at 8 vertices")
-        best, best_perm = -1, None
-        for perm in itertools.permutations(range(n)):
-            v = _min_disp(metric, perm)
-            if v > best:
-                best, best_perm = v, perm
-        return Displacement(value=best, permutation=np.array(best_perm, dtype=np.int64), exact=True, mode=mode)
-    if mode == "heuristic":
-        rng = np.random.Generator(np.random.PCG64(seed))
-        best, best_perm = -1, np.arange(n)
-        for _ in range(samples):
-            perm = rng.permutation(n)
-            val = _min_disp(metric, perm)
-            improved = True
-            while improved:
-                improved = False
-                worst = [v for v in range(n) if metric.d[v, perm[v]] == val]
-                for v in worst:
-                    for w in range(n):
-                        pv, pw = perm[v], perm[w]
-                        new_v, new_w = metric.d[v, pw], metric.d[w, pv]
-                        if min(new_v, new_w) > val:
-                            perm[v], perm[w] = pw, pv
-                            nval = _min_disp(metric, perm)
-                            if nval > val:
-                                val, improved = nval, True
-                            break
-                    if improved:
-                        break
-            if val > best:
-                best, best_perm = val, perm.copy()
-        return Displacement(value=int(best), permutation=best_perm, exact=best == metric.diameter, mode=mode)
+    if mode == "exact":
+        lo, hi = -1, metric.diameter + 1  # D in [lo, hi): lo attained (or -1), hi not
+        match, perm, hall = ([-1] * n, [-1] * n), None, None
+        while hi - lo > 1:  # gallop down (diam, diam-1, diam-3, diam-7, ...), then bisect
+            t = max(hi - max(metric.diameter + 1 - hi, 1), 0) if lo < 0 else (lo + hi) // 2
+            rows = metric.d >= t
+            ml, mr = match[0].copy(), match[1].copy()  # the matching at hi is one at t < hi too
+            reach = _hopcroft_karp([0, *np.cumsum(rows.sum(axis=1)).tolist()], np.nonzero(rows)[1].tolist(), ml, mr)
+            if reach:
+                hi, match, hall = t, (ml, mr), np.array(sorted(reach), dtype=np.int64)
+            else:
+                lo, perm = t, np.array(ml, dtype=np.int64)
+        return Displacement(value=lo, permutation=perm, exact=True, mode=mode, hall_set=hall)
     if mode == "cayley":
         if action is None or action.right_translations is None:
             raise ValueError("cayley mode needs an action on itself with right translations")
@@ -337,28 +350,19 @@ def jv_bound_exact_sq(D: int, gap: Fraction, avg_degree: Fraction) -> Fraction:
 
 @dataclass(frozen=True)
 class DistortionBounds:
-    graph_id: str
+    graph: str
     p: float
     q: float
     gn_lower: float
     gn_eps: float
     jv_lower: float
+    displacement: int
     upper: float
     upper_description: str
     certified: bool
 
     def to_dict(self) -> dict:
-        return {
-            "graph": self.graph_id,
-            "p": self.p,
-            "q": self.q,
-            "gn_lower": self.gn_lower,
-            "gn_eps": self.gn_eps,
-            "jv_lower": self.jv_lower,
-            "upper": self.upper,
-            "upper_description": self.upper_description,
-            "certified": self.certified,
-        }
+        return asdict(self)
 
 
 # ----------------------------------------------------------------------

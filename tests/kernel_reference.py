@@ -6,14 +6,17 @@ block kernels of ``banachgap._kernels`` against them.  The graph and
 metric loops are the per-edge dense Laplacian, the per-source BFS, the
 pairwise ``Fraction`` distortion and the per-translation displacement that
 ``banachgap.graphs`` and ``banachgap.distortion`` replaced with array
-code.  The sphere references are the Gamma(1/p)-and-random-sign sampler
-and the per-bin envelope loop that ``banachgap.mazur`` replaced.  The
-group references build actions and Schreier graphs element by element and
-vertex by vertex, with m^2 products for the right translations, as
+code, and the enumeration of all permutations for the maximal
+displacement that ``banachgap.distortion`` solves as a bottleneck
+matching.  The sphere references are the Gamma(1/p)-and-random-sign
+sampler and the per-bin envelope loop that ``banachgap.mazur`` replaced.
+The group references build actions and Schreier graphs element by element
+and vertex by vertex, with m^2 products for the right translations, as
 ``banachgap.groups`` did before it read them off one closure table and one
 search tree.
 """
 
+import itertools
 import math
 from collections import deque
 from fractions import Fraction
@@ -262,6 +265,17 @@ def cayley_displacement(d, right_translations):
         if val > best:
             best, best_g = val, g
     return best, best_g
+
+
+def brute_displacement(d):
+    """max over permutations pi of min_v d[v, pi(v)], by enumeration (n <= 8)."""
+    n = len(d)
+    if n > 8:
+        raise ValueError("brute displacement is gated at 8 vertices")
+    best = -1
+    for perm in itertools.permutations(range(n)):
+        best = max(best, int(min(d[v, perm[v]] for v in range(n))))
+    return best
 
 
 def sphere_sample(rng, count, d, p):

@@ -117,6 +117,7 @@ def test_distort_subcommand(capsys):
     payload = json.loads(out)
     assert payload["certified"]
     assert abs(payload["jv_lower"] - payload["upper"]) < 1e-9
+    assert payload["displacement"] == 3
     assert "d" not in payload
 
 
@@ -124,10 +125,33 @@ def test_distort_family_sweep(tmp_path, capsys):
     code, out = run(capsys, "distort", "--gen", "hamming", "--family", "2:4", "--p", "2", "--out", str(tmp_path))
     assert code == 0
     lines = (tmp_path / "family.csv").read_text().strip().splitlines()
-    assert lines[0] == "n,diam,gn_lower,jv_lower,upper,target_order"
+    assert lines[0] == "n,diam,gn_lower,jv_lower,displacement,upper,target_order"
     assert len(lines) == 4
     rows = json.loads(out)
     assert all(abs(r["jv_lower"] - r["upper"]) < 1e-9 for r in rows)
+    assert [r["displacement"] for r in rows] == [2, 3, 4]
+
+
+def _refuse_constant(name):
+    raise ValueError(f"{name} is not valid JSON")
+
+
+def test_distort_family_without_closed_form_writes_null(tmp_path, capsys):
+    code, out = run(capsys, "distort", "--gen", "cycle:3", "--family", "3:5", "--out", str(tmp_path))
+    assert code == 0
+    rows = json.loads(out, parse_constant=_refuse_constant)
+    assert [r["target_order"] for r in rows] == [None, None, None]
+    assert [r["displacement"] for r in rows] == [1, 2, 2]
+    lines = (tmp_path / "family.csv").read_text().strip().splitlines()
+    assert all(line.endswith(",") for line in lines[1:])
+
+
+def test_distort_family_keeps_the_other_generator_parameters(capsys):
+    code, out = run(capsys, "distort", "--gen", "random_regular:10,2", "--family", "5:7")
+    assert code == 0
+    rows = json.loads(out, parse_constant=_refuse_constant)
+    assert [r["n"] for r in rows] == [5, 6, 7]
+    assert all(r["displacement"] == r["diam"] for r in rows)  # 2-regular and connected: cycles
 
 
 def test_mazur_subcommand(tmp_path, capsys):

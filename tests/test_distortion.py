@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from kernel_reference import cayley_displacement, distortion_exact_sq
+from kernel_reference import brute_displacement, cayley_displacement, distortion_exact_sq
 
 from banachgap.distortion import (
     austin_exclude,
@@ -133,13 +133,53 @@ def test_r_eps_exact_gate():
         r_eps_exact(G, all_pairs_distances(G), 0.5)
 
 
+def _check_certificate(met, disp):
+    """The permutation attains D; the Hall set shows D + 1 is not attained."""
+    d, D = met.d, disp.value
+    n = len(d)
+    assert disp.exact and disp.mode == "exact" and type(D) is int
+    assert np.array_equal(np.sort(disp.permutation), np.arange(n))
+    assert d[np.arange(n), disp.permutation].min() == D
+    if D == met.diameter:
+        assert disp.hall_set is None
+    else:
+        S = disp.hall_set
+        assert S is not None and S.size > 0 and np.unique(S).size == S.size
+        partners = np.flatnonzero((d[S] >= D + 1).any(axis=0))
+        assert partners.size < S.size
+
+
 def test_displacement_brute_values(cube3):
-    C6 = gen_family("cycle", [6])
-    assert max_displacement(C6, all_pairs_distances(C6), "brute").value == 3
-    K4 = gen_family("complete", [4])
-    assert max_displacement(K4, all_pairs_distances(K4), "brute").value == 1
-    G, met = cube3
-    assert max_displacement(G, met, "brute").value == 3
+    C6, K4 = gen_family("cycle", [6]), gen_family("complete", [4])
+    for G, met, want in ((C6, all_pairs_distances(C6), 3), (K4, all_pairs_distances(K4), 1), (*cube3, 3)):
+        assert max_displacement(G, met).value == brute_displacement(met.d) == want
+
+
+@st.composite
+def _small_connected_multigraphs(draw):
+    n = draw(st.integers(1, 8))
+    edges = [(draw(st.integers(0, v - 1)), v, draw(st.integers(1, 3))) for v in range(1, n)]  # a spanning tree
+    vertex = st.integers(0, n - 1)
+    edges += draw(st.lists(st.tuples(vertex, vertex, st.integers(1, 3)), max_size=2 * n))
+    return build_graph(n, edges)
+
+
+@given(_small_connected_multigraphs())
+@settings(max_examples=60, deadline=None)
+def test_displacement_exact_equals_brute(G):
+    met = all_pairs_distances(G)
+    disp = max_displacement(G, met)
+    assert disp.value == brute_displacement(met.d)
+    _check_certificate(met, disp)
+
+
+@pytest.mark.parametrize(
+    "kind, params", [("random_regular", [60, 3]), ("random_regular", [200, 3]), ("margulis", [10]), ("hamming", [8]), ("path", [9])]
+)
+def test_displacement_certificate(kind, params):
+    G = gen_family(kind, params, seed=1)
+    met = all_pairs_distances(G)
+    _check_certificate(met, max_displacement(G, met))
 
 
 def test_displacement_cayley_matches_brute(cube3):
@@ -160,24 +200,45 @@ def test_displacement_cayley_equals_reference_loop(kind, n):
     assert d.exact == (best == met.diameter)
 
 
-def test_displacement_heuristic_is_lower_bound(cube3):
-    G, met = cube3
-    h = max_displacement(G, met, "heuristic", seed=1, samples=50)
-    assert 1 <= h.value <= met.diameter
+def test_displacement_exact_beats_old_heuristic():
+    # D reported by the seeded random-permutation-and-2-swap search this solver replaced
+    old = {("random_regular", (60, 3)): 6, ("random_regular", (200, 3)): 7, ("margulis", (10,)): 3, ("hamming", (8,)): 6}
+    for (kind, params), heuristic in old.items():
+        G = gen_family(kind, params, seed=1)
+        met = all_pairs_distances(G)
+        assert heuristic <= max_displacement(G, met).value <= met.diameter
 
 
 def test_displacement_never_exceeds_diameter():
     for G in (gen_family("cycle", [7]), gen_family("path", [6])):
         met = all_pairs_distances(G)
-        assert max_displacement(G, met, "brute").value <= met.diameter
+        assert max_displacement(G, met).value <= met.diameter
 
 
-def test_displacement_heuristic_matches_brute_on_small_graphs():
+def test_displacement_exact_matches_brute_on_small_graphs():
     for G in (gen_family("cycle", [6]), gen_family("cycle", [7]), gen_family("hamming", [3]), gen_family("path", [5])):
         met = all_pairs_distances(G)
-        brute = max_displacement(G, met, "brute").value
-        heur = max_displacement(G, met, "heuristic", seed=3, samples=120).value
-        assert heur == brute
+        disp = max_displacement(G, met)
+        assert disp.value == brute_displacement(met.d)
+        _check_certificate(met, disp)
+
+
+@pytest.mark.parametrize(
+    "kind, params, want", [("cycle", [2000], 1000), ("random_regular", [2000, 3], 12), ("path", [1000], 500)]
+)
+def test_displacement_exact_scales_without_recursion(kind, params, want):
+    G = gen_family(kind, params, seed=1)
+    met = all_pairs_distances(G)
+    disp = max_displacement(G, met)
+    assert disp.value == want
+    _check_certificate(met, disp)
+
+
+def test_displacement_rejects_unknown_mode(cube3):
+    G, met = cube3
+    for mode in ("brute", "heuristic"):
+        with pytest.raises(ValueError, match="unknown displacement mode"):
+            max_displacement(G, met, mode)
 
 
 def test_gn_bound_values(cube3):
@@ -227,7 +288,7 @@ def test_lower_bounds_below_upper(cube3):
     upper = map_distortion(G, hamming_identity_embedding(3), q=2, metric=met).value
     gap = gap_exact_2(G)
     gn = gn_bound(G, gap, p=2.0, eps=0.5, r_eps=r_eps_lower(G, met, 0.5).value, metric=met)
-    jv = jv_bound(G, gap, p=2.0, D=max_displacement(G, met, "brute"))
+    jv = jv_bound(G, gap, p=2.0, D=max_displacement(G, met))
     assert gn.value <= upper + 1e-12
     assert jv.value <= upper + 1e-12
 
