@@ -13,21 +13,21 @@ them together one iteration at a time.  Inside, a block is stored as
 (R, d, n), so each start's coordinates are contiguous rows and every
 reduction runs over the last axis.  Every per-start quantity is computed
 from that start's rows alone, so a start follows the same path whichever
-starts share its block.  Each start keeps its own step size, Armijo
-backtracking, best point and stop reason; it leaves the block when it
-stops, and the block runs until its last start stops.
+starts share its block.
 
-``descend_block`` returns ``(F, R, iterations, step, stop)`` with one entry
-per start: the best map, its recomputed quotient, the iteration count, the
-last step norm and a stop code indexing ``STOP_REASONS``.  A start stops
-when it has converged (vanishing gradient or a step below ``tol``), when
-its best quotient has not improved by more than a relative ``_STALL_REL``
-in ``_STALL_ITERS`` iterations (stalled), when the line search finds no
-decrease, or at ``max_iter``.  The backtracking factor ``_SHRINK`` is not a
-power of two, so the trial steps cannot lock onto an exact
-1/(lambda_max - lambda_2) of an integer Laplacian spectrum, where the top
-mode flips sign at almost unchanged size and the quotient converges only
-like 1/k.
+Both descents are adapters of one driver, ``_descend``, which keeps each
+start's step size, Armijo backtracking, best point, stage and stop reason;
+a start leaves the block when it stops.  A stage ends on convergence
+(vanishing gradient or a step below ``tol``), a failed line search or its
+iteration budget (max_iter), and the reason that ended the last stage is
+the stop code; a start that is zero once centred is degenerate.
+``descend_block`` runs one stage and also stops a start whose best
+quotient has not improved by a relative ``_STALL_REL`` in ``_STALL_ITERS``
+iterations (stalled).  Its backtracking factor ``_SHRINK`` is not a power
+of two, so the trial steps cannot lock onto an exact 1/(lambda_max -
+lambda_2) of an integer Laplacian spectrum, where the top mode flips sign
+at almost unchanged size and the quotient converges only like 1/k.
+``kappa_descend_block`` runs one stage per smoothing parameter.
 """
 
 from __future__ import annotations
@@ -57,6 +57,22 @@ _STALL_ITERS = 50
 STOP_CONVERGED, STOP_STALLED, STOP_LINE_SEARCH, STOP_MAX_ITER, STOP_DEGENERATE = range(5)
 STOP_REASONS = ("converged", "stalled", "line_search", "max_iter", "degenerate")
 _RUNNING = -1
+
+
+def stack_starts(fixed, warm, shape, restarts, rng):
+    """The (R, n, d) block of descent starts: the ``fixed`` ones, then the
+    ``warm`` ones (a 1-D start as a column), then standard Gaussian draws
+    from ``rng`` up to ``restarts`` starts in all."""
+    starts = list(fixed)
+    for ws in warm or []:
+        W = np.asarray(ws, dtype=np.float64)
+        if W.ndim == 1:
+            W = W[:, None]
+        if W.shape != shape:
+            raise ValueError(f"warm start shape {W.shape} != {shape}")
+        starts.append(W)
+    starts += [rng.standard_normal(shape) for _ in range(restarts - len(starts))]
+    return np.stack(starts)
 
 
 def per_restart(iterations, stops) -> list[dict]:
@@ -114,14 +130,14 @@ def _block_grads(F, eu, ev, em, p, q, scatter):
     return E, D, gE, gD
 
 
-def _backtrack(X, direction, f0, g2, eta, todo, shrink, evaluate):
+def _backtrack(X, direction, f0, g2, eta, todo, shrink, evaluate, stage):
     """Armijo backtracking along ``-direction`` from step ``4 * eta``, for
     the starts of the block ``X`` flagged in ``todo``.
 
-    ``evaluate(trials, rows)`` takes a stack of trial points, ``_LEVELS``
-    per searching start in ``rows``, may project them in place, and returns
-    their objective values, a mask of admissible trials and one extra value
-    per trial.  Each pass tries the next ``_LEVELS`` steps of every
+    ``evaluate(trials, rows, stage)`` takes a stack of trial points,
+    ``_LEVELS`` per searching start in ``rows``, and the block's stages; it
+    may project the trials in place, and returns their objective values, a
+    mask of admissible trials and one extra value per trial.  Each pass tries the next ``_LEVELS`` steps of every
     searching start at once and accepts the first that passes, which is the
     step a one-at-a-time search accepts: the steps are formed by the same
     repeated multiplication.  Most iterations of both descents need 3 or 4
@@ -144,7 +160,7 @@ def _backtrack(X, direction, f0, g2, eta, todo, shrink, evaluate):
         steps[:, 0] = eta_try[rows]
         steps = np.multiply.accumulate(steps, axis=1)
         trials = (X[rows, None] - steps[:, :, None, None] * direction[rows, None]).reshape(-1, d, n)
-        f, ok, aux = evaluate(trials, rows)
+        f, ok, aux = evaluate(trials, rows, stage)
         f = f.reshape(steps.shape)
         ok = ok.reshape(steps.shape) & (f <= f0[rows, None] - _ARMIJO * steps * g2[rows, None])
         found = ok.any(axis=1)
@@ -158,77 +174,108 @@ def _backtrack(X, direction, f0, g2, eta, todo, shrink, evaluate):
     return X2, f2, extra, eta_try, accepted
 
 
-def descend_block(F0, eu, ev, em, p, q, max_iter, tol):
-    """Projected subgradient descent of the gap quotient from each of the
-    (R, n, d) starts ``F0``, run as one block."""
-    F = np.asarray(F0, dtype=np.float64).transpose(0, 2, 1).copy()
-    nR, d, n = F.shape
-    F -= F.sum(axis=2, keepdims=True) / n
-    E, D = _block_ratio(F, eu, ev, em, p, q)
+def _descend(X, live, value, grad, evaluate, shrink, stages, iters, tol, stall):
+    """The descent loop of both adapters, as the module docstring describes.
 
-    def evaluate(trials, rows):
-        trials -= trials.sum(axis=2, keepdims=True) / n
-        Et, Dt = _block_ratio(trials, eu, ev, em, p, q)
-        pos = Dt > 0.0
-        return np.divide(Et, Dt, out=np.full_like(Et, np.inf), where=pos), pos, Dt
-
-    out_F = F.copy()
-    out_R = np.full(nR, np.inf)
-    out_it = np.zeros(nR, dtype=np.int64)
-    out_step = np.zeros(nR)
-    out_stop = np.full(nR, STOP_DEGENERATE)
+    ``X`` is a projected (R, d, n) block, ``live`` flags the starts that
+    descend and ``value`` holds each start's tracked value.  ``grad(X,
+    stage)`` returns the objective at each start's stage and its gradient;
+    ``evaluate(trials, rows, stage)`` is the ``_backtrack`` callback, whose
+    extra value is the tracked one.  Returns per start the accepted point
+    of lowest tracked value, that value, the iteration count, the last step
+    norm and the stop code.
+    """
+    nR, _, n = X.shape
+    out_X, out_value = X.copy(), np.full(nR, np.inf)
+    out_it, out_step, out_stop = np.zeros(nR, dtype=np.int64), np.zeros(nR), np.full(nR, STOP_DEGENERATE)
 
     # State of the starts still running, in block order.
-    idx = np.flatnonzero(D > 0.0)
-    F = F[idx] / (D[idx] ** (1.0 / p))[:, None, None]
-    bestF = F.copy()
-    bestR = E[idx] / D[idx]
-    refR = bestR.copy()
+    idx = np.flatnonzero(live)
+    X = X[idx]
+    best_X, best, ref = X.copy(), value[idx], value[idx]
     ref_it = np.zeros(idx.size, dtype=np.int64)
     eta = np.full(idx.size, 0.25)
     step = np.zeros(idx.size)
+    stage = np.zeros(idx.size, dtype=np.int64)
+    deadline = np.full(idx.size, iters)
     code = np.full(idx.size, _RUNNING)
-    scatter = _edge_scatter_index(eu, ev, n, idx.size * d)
+    due = iters  # the earliest deadline
+
     it = 0
     while idx.size:
-        if it == max_iter:
-            code[:] = STOP_MAX_ITER
-        else:
-            it += 1
-            E, D, gE, gD = _block_grads(F, eu, ev, em, p, q, scatter)
-            R = E / D
-            g = (gE - R[:, None, None] * gD) / D[:, None, None]
-            g -= g.sum(axis=2, keepdims=True) / n
-            g2 = (g * g).sum(axis=(1, 2))
-            code[g2 < 1e-30] = STOP_CONVERGED
-            F2, R2, D2, eta_try, accepted = _backtrack(F, g, R, g2, eta, code == _RUNNING, _SHRINK, evaluate)
-            code[(code == _RUNNING) & ~accepted] = STOP_LINE_SEARCH
-            acc = np.flatnonzero(accepted)
-            F2 = F2[acc] / (D2[acc] ** (1.0 / p))[:, None, None]
-            eta[acc] = eta_try[acc]
-            step[acc] = np.sqrt(((F2 - F[acc]) ** 2).sum(axis=(1, 2)))
-            F[acc] = F2
-            better = acc[R2[acc] < bestR[acc]]
-            bestR[better] = R2[better]
-            bestF[better] = F[better]
-            code[acc[step[acc] < tol]] = STOP_CONVERGED
+        if it >= due:
+            code[(code == _RUNNING) & (deadline <= it)] = STOP_MAX_ITER
+        ended = code != _RUNNING
+        if ended.any():
+            done = ended & (stage == stages - 1)
+            j = idx[done]
+            out_X[j], out_value[j], out_it[j] = best_X[done], best[done], it
+            out_step[j], out_stop[j] = step[done], code[done]
+            keep = ~done
+            idx, X, best_X, best, ref, ref_it, eta, step, stage, deadline, code = (
+                a[keep] for a in (idx, X, best_X, best, ref, ref_it, eta, step, stage, deadline, code)
+            )
+            if not idx.size:
+                break
+            nxt = code != _RUNNING
+            stage[nxt] += 1
+            code[nxt], eta[nxt], deadline[nxt] = _RUNNING, 0.25, it + iters
+            due = int(deadline.min())
+        it += 1
+        f, g = grad(X, stage)
+        g -= g.sum(axis=2, keepdims=True) / n
+        g2 = (g * g).sum(axis=(1, 2))
+        code[g2 < 1e-30] = STOP_CONVERGED
+        X2, _, val, eta_try, accepted = _backtrack(X, g, f, g2, eta, code == _RUNNING, shrink, evaluate, stage)
+        code[(code == _RUNNING) & ~accepted] = STOP_LINE_SEARCH
+        acc = np.flatnonzero(accepted)
+        eta[acc] = eta_try[acc]
+        X2 = X2[acc]
+        step[acc] = np.sqrt(((X2 - X[acc]) ** 2).sum(axis=(1, 2)))
+        X[acc] = X2
+        better = acc[val[acc] < best[acc]]
+        best[better] = val[better]
+        best_X[better] = X[better]
+        code[acc[step[acc] < tol]] = STOP_CONVERGED
+        if stall:
             live = acc[code[acc] == _RUNNING]
-            gained = bestR[live] < refR[live] - _STALL_REL * np.abs(refR[live])
-            refR[live[gained]] = bestR[live[gained]]
+            gained = best[live] < ref[live] - _STALL_REL * np.abs(ref[live])
+            ref[live[gained]] = best[live[gained]]
             ref_it[live[gained]] = it
             code[live[~gained & (it - ref_it[live] >= _STALL_ITERS)]] = STOP_STALLED
-        done = code != _RUNNING
-        if done.any():
-            j = idx[done]
-            out_F[j], out_it[j], out_step[j], out_stop[j] = bestF[done], it, step[done], code[done]
-            keep = ~done
-            idx, F, bestF, bestR, refR, ref_it, eta, step, code = (
-                a[keep] for a in (idx, F, bestF, bestR, refR, ref_it, eta, step, code)
-            )
-    live = out_stop != STOP_DEGENERATE
-    E, D = _block_ratio(out_F[live], eu, ev, em, p, q)
-    out_R[live] = E / D
-    return np.ascontiguousarray(out_F.transpose(0, 2, 1)), out_R, out_it, out_step, out_stop
+    return out_X, out_value, out_it, out_step, out_stop
+
+
+def descend_block(F0, eu, ev, em, p, q, max_iter, tol):
+    """Projected subgradient descent of the gap quotient from each of the
+    (R, n, d) starts ``F0``, run as one block.  Returns ``(F, R, iterations,
+    step, stop)`` per start: the best map, its recomputed quotient, the
+    iteration count, the last step norm and a stop code indexing
+    ``STOP_REASONS``; a degenerate start has value inf."""
+    F = np.asarray(F0, dtype=np.float64).transpose(0, 2, 1).copy()
+    nR, d, n = F.shape
+    scatter = _edge_scatter_index(eu, ev, n, nR * d)
+
+    def grad(F, stage):
+        E, D, gE, gD = _block_grads(F, eu, ev, em, p, q, scatter)
+        R = E / D
+        return R, (gE - R[:, None, None] * gD) / D[:, None, None]
+
+    def evaluate(trials, rows, stage):
+        # centre, take the quotient, then scale to unit spread in place
+        trials -= trials.sum(axis=2, keepdims=True) / n
+        Et, Dt = _block_ratio(trials, eu, ev, em, p, q)
+        pos = Dt > 0.0
+        R = np.divide(Et, Dt, out=np.full_like(Et, np.inf), where=pos)
+        trials /= (np.where(pos, Dt, 1.0) ** (1.0 / p))[:, None, None]
+        return R, pos, R
+
+    R, live, _ = evaluate(F, None, None)
+    F, R, it, step, stop = _descend(F, live, R, grad, evaluate, _SHRINK, 1, max_iter, tol, True)
+    live = stop != STOP_DEGENERATE
+    E, D = _block_ratio(F[live], eu, ev, em, p, q)
+    R[live] = E / D
+    return np.ascontiguousarray(F.transpose(0, 2, 1)), R, it, step, stop
 
 
 # ======================================================================
@@ -348,76 +395,31 @@ def _block_kappa_grad(xi, perms, inv_flat, p, beta):
 
 def kappa_descend_block(xi0, perms, p, betas, iters_per_stage, tol):
     """Annealed smoothed-max descent of the worst generator displacement
-    from each of the (R, m, d) starts ``xi0``, run as one block.
-
-    Each start runs one stage per entry of ``betas``; a stage ends on a
-    vanishing gradient or a step below ``tol`` (converged), a failed line
-    search, or after ``iters_per_stage`` iterations (max_iter), and the
-    next stage resumes from the same field with a fresh step size.  The
-    reason that ended a start's last stage is its stop code.  Returns
+    from each of the (R, m, d) starts ``xi0``, run as one block: one stage
+    of ``iters_per_stage`` iterations per entry of ``betas``.  Returns
     ``(xi, value, iterations, stop)`` per start: the field with the lowest
     true max residual seen at an accepted step, that residual, the total
-    iteration count and the stop code.  A start whose centred field is zero
-    stops at once as degenerate, with value inf.
+    iteration count and the stop code; a degenerate start has value inf.
     """
     xi = np.asarray(xi0, dtype=np.float64).transpose(0, 2, 1).copy()
-    nR, d, m = xi.shape
+    m = xi.shape[2]
     g = perms.shape[0]
     inv_flat = (np.arange(g)[:, None] * m + np.argsort(perms, axis=1)).ravel()
-    S = _block_kappa_normalize(xi, p)
-    out_xi = xi.copy()
-    out_best = np.full(nR, np.inf)
-    out_it = np.zeros(nR, dtype=np.int64)
-    out_stop = np.full(nR, STOP_DEGENERATE)
 
-    def evaluate(trials, rows):
-        # smooths with each start's current stage parameter, ``beta`` below
-        S = _block_kappa_normalize(trials, p)
-        r = _block_kappa_residuals(_block_kappa_diffs(trials, perms), p)
-        return _block_smoothed(r, np.repeat(beta[rows], _LEVELS))[0], S > 0.0, r.max(axis=1)
+    def residuals(trials):
+        # centre and scale in place; the residuals and the mask of nonzero fields
+        live = _block_kappa_normalize(trials, p) > 0.0
+        return _block_kappa_residuals(_block_kappa_diffs(trials, perms), p), live
 
-    # State of the starts still running, in block order.
-    idx = np.flatnonzero(S > 0.0)
-    xi = xi[idx]
-    best = _block_kappa_residuals(_block_kappa_diffs(xi, perms), p).max(axis=1)
-    best_xi = xi.copy()
-    stage = np.zeros(idx.size, dtype=np.int64)
-    sit = np.zeros(idx.size, dtype=np.int64)
-    eta = np.full(idx.size, 0.25)
-    total = 0
-    while idx.size:
-        total += 1
-        sit += 1
-        beta = betas[stage]
-        fsm, grad = _block_kappa_grad(xi, perms, inv_flat, p, beta)
-        grad -= grad.sum(axis=2, keepdims=True) / m
-        g2 = (grad * grad).sum(axis=(1, 2))
-        ended = np.where(g2 < 1e-30, STOP_CONVERGED, _RUNNING)
+    def grad(xi, stage):
+        return _block_kappa_grad(xi, perms, inv_flat, p, betas[stage])
 
-        xi2, _, tru, eta_try, accepted = _backtrack(
-            xi, grad, fsm, g2, eta, ended == _RUNNING, _KAPPA_SHRINK, evaluate
-        )
-        ended[(ended == _RUNNING) & ~accepted] = STOP_LINE_SEARCH
-        acc = np.flatnonzero(accepted)
-        better = acc[tru[acc] < best[acc]]
-        best[better] = tru[better]
-        best_xi[better] = xi2[better]
-        eta[acc] = eta_try[acc]
-        step = np.sqrt(((xi2[acc] - xi[acc]) ** 2).sum(axis=(1, 2)))
-        xi[acc] = xi2[acc]
-        ended[acc[step < tol]] = STOP_CONVERGED
-        ended[(ended == _RUNNING) & (sit == iters_per_stage)] = STOP_MAX_ITER
+    def evaluate(trials, rows, stage):
+        r, live = residuals(trials)
+        return _block_smoothed(r, np.repeat(betas[stage[rows]], _LEVELS))[0], live, r.max(axis=1)
 
-        nxt = ended != _RUNNING
-        stage[nxt] += 1
-        sit[nxt] = 0
-        eta[nxt] = 0.25
-        done = stage == betas.shape[0]
-        if done.any():
-            j = idx[done]
-            out_xi[j], out_best[j], out_it[j], out_stop[j] = best_xi[done], best[done], total, ended[done]
-            keep = ~done
-            idx, xi, best_xi, best, stage, sit, eta = (
-                a[keep] for a in (idx, xi, best_xi, best, stage, sit, eta)
-            )
-    return np.ascontiguousarray(out_xi.transpose(0, 2, 1)), out_best, out_it, out_stop
+    r, live = residuals(xi)
+    xi, value, it, _, stop = _descend(
+        xi, live, r.max(axis=1), grad, evaluate, _KAPPA_SHRINK, betas.shape[0], iters_per_stage, tol, False
+    )
+    return np.ascontiguousarray(xi.transpose(0, 2, 1)), value, it, stop

@@ -404,6 +404,7 @@ def criterion_8(seed: int = 0) -> CriterionResult:
         # Coordinate cut as a certificate start: the same explicit map family
         # the identity embedding uses, and the right basin for kinked p.
         cut = np.where((np.arange(1 << n) & 1).astype(bool), 1.0, -1.0)[:, None]
+        disp = max_displacement(H, met, "cayley", action=action_from_group("boolean_cube", n))
         for p in (1.0, 1.5):
             upper = map_distortion(H, F, q=p, metric=met).value
             target = n ** (1.0 - 1.0 / p)
@@ -411,7 +412,6 @@ def criterion_8(seed: int = 0) -> CriterionResult:
                 ok = False
                 lines.append(f"H{n} p={p}: upper {upper} != n^(1-1/p) = {target}")
             gap = gap_estimate(H, p=p, q=p, d=1, seed=seed, restarts=12, warm_starts=[cut])
-            disp = max_displacement(H, met, "cayley", action=action_from_group("boolean_cube", n))
             ratio = jv_bound(H, gap, p, disp).value / upper
             ratios[p].append(ratio)
             lo, hi = _C8_RATIO_BAND[p]

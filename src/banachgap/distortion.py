@@ -257,19 +257,25 @@ def max_displacement(
     """Best-over-permutations worst vertex movement D(G).
 
     exact: D >= t iff the threshold graph {(v, w) : d(v, w) >= t} has a
-    perfect matching (Hall).  Thresholds gallop down from the diameter
-    (diam, diam-1, diam-3, ...), then bisect; each matching grows from the
-    one at the smallest failed threshold.  ``hall_set`` (None when D is the
-    diameter) shows that D + 1 fails.  cayley: for a transitive action on
-    itself, right translations are isometries; the best one gives a
-    certified lower bound which equals D(G) whenever it reaches the diameter.
+    perfect matching (Hall).  D is at most the radius: a centre c moves at
+    most ecc(c), so {c} is a Hall set at radius + 1.  Thresholds gallop
+    down from the radius (rad, rad-1, rad-3, ...), then bisect; each
+    matching grows from the one at the smallest failed threshold.
+    ``hall_set`` (None when D is the diameter) shows that D + 1 fails.
+    cayley: for a transitive action on itself, right translations are
+    isometries; the best one gives a certified lower bound which equals D(G)
+    whenever it reaches the diameter.
     """
     n = G.n
     if mode == "exact":
-        lo, hi = -1, metric.diameter + 1  # D in [lo, hi): lo attained (or -1), hi not
-        match, perm, hall = ([-1] * n, [-1] * n), None, None
-        while hi - lo > 1:  # gallop down (diam, diam-1, diam-3, diam-7, ...), then bisect
-            t = max(hi - max(metric.diameter + 1 - hi, 1), 0) if lo < 0 else (lo + hi) // 2
+        ecc = metric.d.max(axis=1)
+        centre = int(np.argmin(ecc))
+        top = int(ecc[centre]) + 1
+        lo, hi = -1, top  # D in [lo, hi): lo attained (or -1), hi not
+        match, perm = ([-1] * n, [-1] * n), None
+        hall = np.array([centre], dtype=np.int64) if top <= metric.diameter else None
+        while hi - lo > 1:  # gallop down (rad, rad-1, rad-3, rad-7, ...), then bisect
+            t = max(hi - max(top - hi, 1), 0) if lo < 0 else (lo + hi) // 2
             rows = metric.d >= t
             ml, mr = match[0].copy(), match[1].copy()  # the matching at hi is one at t < hi too
             reach = _hopcroft_karp([0, *np.cumsum(rows.sum(axis=1)).tolist()], np.nonzero(rows)[1].tolist(), ml, mr)

@@ -17,9 +17,10 @@ The displacement constant for exponent p and block dimension d is
     kappa = inf max_s ||xi o s - xi||_p / ||xi||_p
 
 over zero-sum maps xi: cosets -> R^d, with the flat l_p norm over all
-m*d entries.  It is estimated by annealed smoothed-max descent; a certified
-companion lower bound (2*gap/|S|)^(1/p) comes from the gap of the Schreier
-graph.
+m*d entries.  It is estimated by annealed smoothed-max descent; a companion
+lower bound (2*gap/|S|)^(1/p) comes from the gap of the Schreier graph.  It
+is certified only at p = 2, where that gap is exact; elsewhere the gap is a
+descent estimate from above, and so is the bound.
 """
 
 from __future__ import annotations
@@ -349,8 +350,9 @@ def kappa_estimate(
 
     Annealed smoothed-max descent (log-sum-exp with beta raised over
     stages); the reported value upper-bounds the true constant.  The
-    certified companion ``lower_from_gap`` is (2*gap/|S|)^(1/p), exact at
-    p=2 and heuristic otherwise (the gap itself is then an upper estimate).
+    companion ``lower_from_gap`` is (2*gap/|S|)^(1/p).  It is a certified
+    lower bound only at p=2, where the Schreier gap is exact; otherwise it
+    is heuristic, since the gap itself is then an upper estimate.
     """
     if p < 1 or d < 1:
         raise ValueError(f"invalid p={p} or d={d}")
@@ -361,27 +363,16 @@ def kappa_estimate(
         gap = _schreier_gap(a, p, seed + 1, restarts)
     lower = (2.0 * gap.value / a.size) ** (1.0 / p)
 
-    starts: list[np.ndarray] = []
-    fied = gap.minimizer.values if gap.minimizer.values.shape[0] == a.m else None
-    if fied is not None:
+    fixed = []
+    if gap.minimizer.values.shape[0] == a.m:
         F = np.zeros((a.m, d))
-        F[:, 0] = fied[:, 0]
-        starts.append(F)
-    for ws in warm_starts or []:
-        arr = np.asarray(ws, dtype=np.float64)
-        if arr.ndim == 1:
-            arr = arr[:, None]
-        if arr.shape != (a.m, d):
-            raise ValueError(f"warm start shape {arr.shape} != {(a.m, d)}")
-        starts.append(arr)
-    while len(starts) < restarts:
-        starts.append(rng.standard_normal((a.m, d)))
+        F[:, 0] = gap.minimizer.values[:, 0]
+        fixed.append(F)
+    starts = _kernels.stack_starts(fixed, warm_starts, (a.m, d), restarts, rng)
 
     betas = np.asarray(KAPPA_BETAS, dtype=np.float64)
     iters_per_stage = max(1, max_iter // len(KAPPA_BETAS))
-    xis, values, iters, stops = _kernels.kappa_descend_block(
-        np.stack(starts), perms, float(p), betas, iters_per_stage, tol
-    )
+    xis, values, iters, stops = _kernels.kappa_descend_block(starts, perms, float(p), betas, iters_per_stage, tol)
     b = int(np.argmin(values))
     best_val, best_xi = float(values[b]), xis[b]
     est = KappaEstimate(
@@ -392,7 +383,7 @@ def kappa_estimate(
         p=float(p),
         d=d,
         diagnostics={
-            "restarts": len(starts),
+            "restarts": len(iters),
             "iterations": int(iters.sum()),
             "per_restart": _kernels.per_restart(iters, stops),
             "tol": tol,
@@ -472,6 +463,8 @@ def verify_sandwich(
     """Check kappa^p <= gap <= (|S|/2) kappa^p, and the sharpened lower
     bound (|S|/2 nu) kappa^p <= gap when a symmetry factor nu is supplied.
     Violations beyond the relative tolerance are flagged, not raised."""
+    if nu is not None and nu < 1:
+        raise ValueError(f"nu = |S|/|orbit| is at least 1, got {nu}")
     if gap is None:
         gap = _schreier_gap(a, p, seed + 1, kappa_opts.get("restarts", 16))
     if kappa is None:

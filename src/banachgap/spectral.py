@@ -374,21 +374,13 @@ def gap_estimate(
     eu, ev, em = G.nonloop_arrays()
     rng = np.random.Generator(np.random.PCG64(seed))
     fied = _fiedler_start(G, d)
-    starts: list[np.ndarray] = [fied]
     # Sign-rounding of the eigenvector: a cut-shaped candidate that often
     # sits in the right basin when p=1 makes the landscape polyhedral.
     rounded = np.sign(fied)
     rounded[:, 0][rounded[:, 0] == 0.0] = 1.0
-    starts.append(rounded)
-    for ws in warm_starts or []:
-        W = _as_matrix(ws)
-        if W.shape != (G.n, d):
-            raise ValueError(f"warm start shape {W.shape} != {(G.n, d)}")
-        starts.append(W)
-    for _ in range(max(0, restarts - len(starts))):
-        starts.append(rng.standard_normal((G.n, d)))
+    starts = _kernels.stack_starts([fied, rounded], warm_starts, (G.n, d), restarts, rng)
     pf, qf = float(p), float(q)
-    Fs, values, iters, steps, stops = _kernels.descend_block(np.stack(starts), eu, ev, em, pf, qf, max_iter, tol)
+    Fs, values, iters, steps, stops = _kernels.descend_block(starts, eu, ev, em, pf, qf, max_iter, tol)
     best_idx = int(np.argmin(values))
     est = GapEstimate(
         value=float(values[best_idx]),
@@ -399,7 +391,7 @@ def gap_estimate(
         q=qf,
         d=d,
         diagnostics={
-            "restarts": len(starts),
+            "restarts": len(iters),
             "iterations": int(iters.sum()),
             "best_restart": best_idx,
             "best_iterations": int(iters[best_idx]),

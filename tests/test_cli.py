@@ -199,6 +199,12 @@ def test_group_spec_error_names_the_form(capsys, spec, form):
     assert form in err and "invalid literal" not in err
 
 
+def test_kappa_refuses_nu_below_one(capsys):
+    assert main(["kappa", "--group", "cyclic:5", "--nu", "0"]) == 1
+    captured = capsys.readouterr()
+    assert "error: nu = |S|/|orbit| is at least 1, got 0" in captured.err and captured.out == ""
+
+
 @pytest.mark.parametrize(
     "argv,name",
     [

@@ -224,7 +224,8 @@ def test_displacement_exact_matches_brute_on_small_graphs():
 
 
 @pytest.mark.parametrize(
-    "kind, params, want", [("cycle", [2000], 1000), ("random_regular", [2000, 3], 12), ("path", [1000], 500)]
+    "kind, params, want",
+    [("cycle", [2000], 1000), ("random_regular", [2000, 3], 12), ("path", [1000], 500), ("path", [2000], 1000)],
 )
 def test_displacement_exact_scales_without_recursion(kind, params, want):
     G = gen_family(kind, params, seed=1)

@@ -244,6 +244,12 @@ def test_sandwich_tight_on_cycles():
     assert abs(rep.slacks["upper"]) < 1e-6
 
 
+@pytest.mark.parametrize("nu", [0, -1])
+def test_sandwich_rejects_nu_below_one(nu):
+    with pytest.raises(ValueError, match="at least 1"):
+        verify_sandwich(action_from_group("cyclic", 5), p=2.0, nu=nu)
+
+
 def test_sandwich_cube_p2_upper_equality():
     # gap = (|S|/2) kappa^2 exactly on cubes
     rep = verify_sandwich(action_from_group("boolean_cube", 3), p=2.0, seed=3)

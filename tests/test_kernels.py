@@ -46,18 +46,58 @@ def test_block_descent_best_matches_single_start_reference(name, G, p):
     assert values.min() == pytest.approx(ref, rel=1e-9)
 
 
-def test_start_runs_the_same_alone_and_in_a_block():
-    G = gen_family("cycle", [6])
-    eu, ev, em = G.nonloop_arrays()
-    starts = _gap_starts(G, 8, seed=3)
-    Fb, vb, itb, _, stopb = _kernels.descend_block(starts, eu, ev, em, 2.0, 2.0, 5000, 1e-10)
-    assert all(_kernels.STOP_REASONS[s] == "converged" for s in stopb)
+def _same_alone_and_in_a_block(descent, starts):
+    """Each start gives the same value, iterations, stop code and point alone
+    as in the block; ``descent`` returns (points, values, iterations, stops)."""
+    Fb, vb, itb, stopb = descent(starts)
     for k in range(len(starts)):
-        Fa, va, ita, _, stopa = _kernels.descend_block(starts[k : k + 1], eu, ev, em, 2.0, 2.0, 5000, 1e-10)
+        Fa, va, ita, stopa = descent(starts[k : k + 1])
         assert va[0] == pytest.approx(vb[k], rel=1e-9)
         assert stopa[0] == stopb[k]
         assert ita[0] == itb[k]
         assert np.allclose(Fa[0], Fb[k], rtol=0.0, atol=1e-12)
+    return stopb
+
+
+def test_start_runs_the_same_alone_and_in_a_block():
+    G = gen_family("cycle", [6])
+    eu, ev, em = G.nonloop_arrays()
+
+    def descent(starts):
+        F, values, iters, _, stops = _kernels.descend_block(starts, eu, ev, em, 2.0, 2.0, 5000, 1e-10)
+        return F, values, iters, stops
+
+    stops = _same_alone_and_in_a_block(descent, _gap_starts(G, 8, seed=3))
+    assert all(_kernels.STOP_REASONS[s] == "converged" for s in stops)
+
+
+def test_kappa_start_runs_the_same_alone_and_in_a_block():
+    perms = np.ascontiguousarray(action_from_group("sl_mod", 2, 3).perms)
+    starts = np.random.Generator(np.random.PCG64(3)).standard_normal((5, 24, 2))
+    _same_alone_and_in_a_block(lambda xi0: _kernels.kappa_descend_block(xi0, perms, 1.5, BETAS, 100, 1e-12), starts)
+
+
+def test_gap_descent_with_no_iterations_returns_the_scaled_starts():
+    G = gen_family("cycle", [6])
+    eu, ev, em = G.nonloop_arrays()
+    starts = _gap_starts(G, 4, seed=2)
+    F, values, iters, steps, stops = _kernels.descend_block(starts, eu, ev, em, 1.5, 2.0, 0, 1e-10)
+    centred = starts - starts.mean(axis=1, keepdims=True)
+    for k, S in enumerate(centred):
+        E, D = _kernels.ratio_parts(S, eu, ev, em, 1.5, 2.0)
+        assert np.allclose(F[k], S / D ** (1 / 1.5), rtol=0.0, atol=1e-12)
+        assert values[k] == pytest.approx(E / D, rel=1e-12)
+    assert (iters == 0).all() and (steps == 0.0).all()
+    assert all(_kernels.STOP_REASONS[s] == "max_iter" for s in stops)
+
+
+def test_kappa_descent_never_stalls():
+    # a tiny step tolerance and long stages, where the gap descent's stall rule would fire
+    perms = np.ascontiguousarray(action_from_group("cyclic", 8).perms)
+    starts = np.random.Generator(np.random.PCG64(4)).standard_normal((6, 8, 1))
+    _, _, iters, stops = _kernels.kappa_descend_block(starts, perms, 1.0, BETAS, 300, 0.0)
+    assert iters.max() > _kernels._STALL_ITERS
+    assert all(_kernels.STOP_REASONS[s] != "stalled" for s in stops)
 
 
 def test_degenerate_start_stops_at_once():
