@@ -28,19 +28,21 @@ of two, so the trial steps cannot lock onto an exact 1/(lambda_max -
 lambda_2) of an integer Laplacian spectrum, where the top mode flips sign
 at almost unchanged size and the quotient converges only like 1/k.
 ``kappa_descend_block`` runs one stage per smoothing parameter.
+
+``oracle_grid`` is the brute-force check on graphs of at most 4 vertices:
+it evaluates the quotient of scalar maps over an angular grid of the
+mean-zero unit sphere, whole grid rows at a time in chunks of at most
+``_GRID_CHUNK`` points, so its memory does not grow with the grid.
 """
 
 from __future__ import annotations
-
-import math
 
 import numpy as np
 
 __all__ = [
     "ratio_parts",
     "descend_block",
-    "oracle_circle",
-    "oracle_sphere",
+    "oracle_grid",
     "kappa_residuals",
     "kappa_descend_block",
     "STOP_REASONS",
@@ -53,6 +55,7 @@ _LEVELS = 4
 _KAPPA_SHRINK = 0.5
 _STALL_REL = 1e-9
 _STALL_ITERS = 50
+_GRID_CHUNK = 16384  # grid points per oracle chunk, which bounds its memory
 
 STOP_CONVERGED, STOP_STALLED, STOP_LINE_SEARCH, STOP_MAX_ITER, STOP_DEGENERATE = range(5)
 STOP_REASONS = ("converged", "stalled", "line_search", "max_iter", "degenerate")
@@ -279,7 +282,7 @@ def descend_block(F0, eu, ev, em, p, q, max_iter, tol):
 
 
 # ======================================================================
-# grid oracles (scalar maps on at most 4 vertices)
+# grid oracle (scalar maps on at most 4 vertices)
 # ======================================================================
 
 
@@ -290,54 +293,37 @@ def _batch_ratio(Fs, eu, ev, em, p):
     return E / D
 
 
-def oracle_circle(b1, b2, eu, ev, em, p, npts, chunk=65536):
-    h = math.pi / npts
-    best = np.inf
-    best_t = 0.0
-    maxjump = 0.0
-    prev_last = None
-    for start in range(0, npts, chunk):
-        ts = (np.arange(start, min(start + chunk, npts))) * h
-        # grid evaluations: (n, chunk) map values
-        Fs = np.outer(b1, np.cos(ts)) + np.outer(b2, np.sin(ts))
-        R = _batch_ratio(Fs, eu, ev, em, p)
-        k = int(np.argmin(R))
-        if R[k] < best:
-            best = float(R[k])
-            best_t = float(ts[k])
-        if R.shape[0] > 1:
-            maxjump = max(maxjump, float(np.abs(np.diff(R)).max()))
-        if prev_last is not None:
-            maxjump = max(maxjump, abs(float(R[0]) - prev_last))
-        prev_last = float(R[-1])
-    return best, best_t, maxjump
+def oracle_grid(b1, b2, b3, eu, ev, em, p, nth, hth, nph, hph):
+    """The quotient's minimum over the grid of unit maps
 
+        sin t (cos f b1 + sin f b2) + cos t b3,  t = a*hth (a < nth), f = k*hph (k < nph),
 
-def oracle_sphere(b1, b2, b3, eu, ev, em, p, nth, nph):
-    hth = math.pi / (nth - 1)
-    hph = 2.0 * math.pi / nph
+    taken row by row (t fixed), whole rows at a time, ``_GRID_CHUNK``
+    points per chunk at most unless one row is longer.  Returns ``(value,
+    t, f, maxjump)``: the first minimum in row order, its angles, and the
+    largest jump between grid neighbours in a row or a column.
+    """
     phs = np.arange(nph) * hph
-    best = np.inf
-    best_th = 0.0
-    best_ph = 0.0
-    maxjump = 0.0
+    cph, sph = np.cos(phs), np.sin(phs)
+    best, best_th, best_ph, maxjump = np.inf, 0.0, 0.0, 0.0
     prev_row = None
-    for a in range(nth):
-        th = a * hth
-        x = math.sin(th) * np.cos(phs)
-        y = math.sin(th) * np.sin(phs)
-        Fs = np.outer(b1, x) + np.outer(b2, y) + math.cos(th) * b3[:, None]
-        R = _batch_ratio(Fs, eu, ev, em, p)
+    rows = max(1, _GRID_CHUNK // nph)
+    for start in range(0, nth, rows):
+        ths = np.arange(start, min(start + rows, nth)) * hth
+        st = np.sin(ths)[:, None]
+        Fs = b1[:, None, None] * (st * cph) + b2[:, None, None] * (st * sph) + b3[:, None, None] * np.cos(ths)[:, None]
+        R = _batch_ratio(Fs.reshape(b1.size, -1), eu, ev, em, p).reshape(ths.size, nph)
         k = int(np.argmin(R))
-        if R[k] < best:
-            best = float(R[k])
-            best_th = th
-            best_ph = float(phs[k])
+        a, j = divmod(k, nph)
+        if R[a, j] < best:
+            best, best_th, best_ph = float(R[a, j]), float(ths[a]), float(phs[j])
         if nph > 1:
-            maxjump = max(maxjump, float(np.abs(np.diff(R)).max()))
+            maxjump = max(maxjump, float(np.abs(np.diff(R, axis=1)).max()))
+        if ths.size > 1:
+            maxjump = max(maxjump, float(np.abs(np.diff(R, axis=0)).max()))
         if prev_row is not None:
-            maxjump = max(maxjump, float(np.abs(R - prev_row).max()))
-        prev_row = R
+            maxjump = max(maxjump, float(np.abs(R[0] - prev_row).max()))
+        prev_row = R[-1]
     return best, best_th, best_ph, maxjump
 
 

@@ -53,6 +53,7 @@ __all__ = [
 KAPPA_BETAS = (1e1, 1e2, 1e3, 1e4)
 COSET_CAP = 20000
 RIGHT_TRANSLATION_CAP = 4096
+SANDWICH_TOLERANCE = 1e-2  # relative slack of verify_sandwich's inequalities
 
 
 @dataclass(frozen=True, eq=False)
@@ -455,29 +456,27 @@ def verify_sandwich(
     d: int = 1,
     nu: int | None = None,
     seed: int = 0,
-    tolerance: float = 1e-2,
-    kappa: KappaEstimate | None = None,
     gap: GapEstimate | None = None,
     **kappa_opts,
 ) -> SandwichReport:
     """Check kappa^p <= gap <= (|S|/2) kappa^p, and the sharpened lower
     bound (|S|/2 nu) kappa^p <= gap when a symmetry factor nu is supplied.
-    Violations beyond the relative tolerance are flagged, not raised."""
+    Violations beyond the relative tolerance ``SANDWICH_TOLERANCE`` are
+    flagged, not raised."""
     if nu is not None and nu < 1:
         raise ValueError(f"nu = |S|/|orbit| is at least 1, got {nu}")
     if gap is None:
         gap = _schreier_gap(a, p, seed + 1, kappa_opts.get("restarts", 16))
-    if kappa is None:
-        kappa = kappa_estimate(a, p=p, d=d, seed=seed, gap=gap, **kappa_opts)
+    kappa = kappa_estimate(a, p=p, d=d, seed=seed, gap=gap, **kappa_opts)
     g = a.size
     kp = kappa.value**p
     lam = gap.value
     tiny = 1e-9
-    lower_ok = kp <= lam * (1 + tolerance) + tiny
-    upper_ok = lam <= (g / 2.0) * kp * (1 + tolerance) + tiny
+    lower_ok = kp <= lam * (1 + SANDWICH_TOLERANCE) + tiny
+    upper_ok = lam <= (g / 2.0) * kp * (1 + SANDWICH_TOLERANCE) + tiny
     orbit_ok = None
     if nu is not None:
-        orbit_ok = (g / (2.0 * nu)) * kp <= lam * (1 + tolerance) + tiny
+        orbit_ok = (g / (2.0 * nu)) * kp <= lam * (1 + SANDWICH_TOLERANCE) + tiny
     slacks = {
         "lower": (lam - kp) / max(lam, tiny),
         "upper": ((g / 2.0) * kp - lam) / max(lam, tiny),
@@ -493,7 +492,7 @@ def verify_sandwich(
         upper_ok=bool(upper_ok),
         orbit_lower_ok=orbit_ok,
         slacks=slacks,
-        tolerance=tolerance,
+        tolerance=SANDWICH_TOLERANCE,
     )
 
 
@@ -515,12 +514,16 @@ def read_action_file(path: str, allow_identity: bool = False) -> PermutationActi
     with open(path) as fh:
         lines = [ln.split("#", 1)[0].strip() for ln in fh]
     lines = [ln for ln in lines if ln]
+    if not lines:
+        raise ValueError(f"empty action file: {path}")
     m, g = (int(t) for t in lines[0].split())
     if len(lines) - 1 != g:
         raise ValueError(f"header declares {g} generators but file has {len(lines) - 1}")
     labels, invlabels, rows = [], [], []
     for ln in lines[1:]:
         toks = ln.split()
+        if len(toks) < 2:
+            raise ValueError(f"{path}: generator line {ln!r} lacks a label and an inverse label")
         labels.append(toks[0])
         invlabels.append(toks[1])
         rows.append([int(t) for t in toks[2:]])

@@ -424,9 +424,16 @@ def mean_zero_basis(n: int) -> np.ndarray:
 
 
 def gap_oracle_small(G: MultiGraph, p: float, resolution: float = 1e-4) -> GapEstimate:
-    """Brute-force gap for |V| <= 4, d=1, by angular grid over the mean-zero
-    unit sphere.  Independent of the descent path; the grid-induced error
-    bound is reported in the diagnostics.
+    """Brute-force gap for |V| <= 4, d=1: the least quotient over an angular
+    grid of the mean-zero unit sphere, with angle steps about ``resolution``.
+    Independent of the descent path.
+
+    At n = 2 the sphere is {+-b} and the value is exact.  At n = 3 (a half
+    circle) and n = 4 (a sphere) every grid point is an admissible map, so
+    the value only bounds the gap from above (``bound_kind="upper"``).  The
+    diagnostics' ``grid_error_bound`` is twice the largest jump between
+    neighbouring grid values, a heuristic estimate of the grid error, not a
+    proven bound.
     """
     if G.n > 4:
         raise ValueError("gap_oracle_small supports at most 4 vertices")
@@ -436,50 +443,36 @@ def gap_oracle_small(G: MultiGraph, p: float, resolution: float = 1e-4) -> GapEs
         raise ValueError("gap_oracle_small requires a connected graph")
     if p < 1:
         raise ValueError("p must be >= 1")
+    if not (math.isfinite(resolution) and resolution > 0):
+        raise ValueError(f"resolution must be a positive finite number, got {resolution}")
     eu, ev, em = G.nonloop_arrays()
     B = mean_zero_basis(G.n)
+    zero = np.zeros(G.n)
     pf = float(p)
+    # The grid sin t (cos f b1 + sin f b2) + cos t b3 over rows t and columns f.
     if G.n == 2:
-        f = B[:, 0][:, None]
-        value = rayleigh_quotient(G, f, p=pf, q=2.0)
-        minimizer, err = f, 0.0
-        grid_points = 2
+        # one point, t = 0: b3
+        basis, nth, hth, nph, hph = (zero, zero, B[:, 0]), 1, 0.0, 1, 0.0
     elif G.n == 3:
-        npts = max(8, int(math.ceil(math.pi / resolution)))
-        value, t, maxjump = _kernels.oracle_circle(
-            np.ascontiguousarray(B[:, 0]), np.ascontiguousarray(B[:, 1]), eu, ev, em, pf, npts
-        )
-        minimizer = (math.cos(t) * B[:, 0] + math.sin(t) * B[:, 1])[:, None]
-        err, grid_points = 2.0 * maxjump, npts
+        # the half circle cos t B0 + sin t B1 as one column, f = 0
+        nth = max(8, int(math.ceil(math.pi / resolution)))
+        basis, hth, nph, hph = (B[:, 1], zero, B[:, 0]), math.pi / nth, 1, 0.0
     else:
         nth = max(8, int(math.ceil(math.pi / resolution)) + 1)
         nph = max(8, int(math.ceil(2.0 * math.pi / resolution)))
-        value, th, ph, maxjump = _kernels.oracle_sphere(
-            np.ascontiguousarray(B[:, 0]),
-            np.ascontiguousarray(B[:, 1]),
-            np.ascontiguousarray(B[:, 2]),
-            eu,
-            ev,
-            em,
-            pf,
-            nth,
-            nph,
-        )
-        minimizer = (
-            math.sin(th) * math.cos(ph) * B[:, 0]
-            + math.sin(th) * math.sin(ph) * B[:, 1]
-            + math.cos(th) * B[:, 2]
-        )[:, None]
-        err, grid_points = 2.0 * maxjump, nth * nph
+        basis, hth, hph = (B[:, 0], B[:, 1], B[:, 2]), math.pi / (nth - 1), 2.0 * math.pi / nph
+    b1, b2, b3 = basis
+    value, th, ph, maxjump = _kernels.oracle_grid(b1, b2, b3, eu, ev, em, pf, nth, hth, nph, hph)
+    minimizer = (math.sin(th) * math.cos(ph) * b1 + math.sin(th) * math.sin(ph) * b2 + math.cos(th) * b3)[:, None]
     est = GapEstimate(
         value=float(value),
-        minimizer=VectorMap(np.ascontiguousarray(minimizer), q=2.0, p=pf),
+        minimizer=VectorMap(minimizer, q=2.0, p=pf),
         method="grid_oracle",
-        bound_kind="exact",
+        bound_kind="exact" if G.n == 2 else "upper",
         p=pf,
         q=2.0,
         d=1,
-        diagnostics={"resolution": resolution, "grid_points": grid_points, "grid_error_bound": float(err)},
+        diagnostics={"resolution": resolution, "grid_points": nth * nph, "grid_error_bound": 2.0 * maxjump},
     )
     return _check_estimate(G, est)
 

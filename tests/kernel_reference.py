@@ -2,7 +2,9 @@
 
 The descents are the serial numpy kernels that ran one start at a time
 before they were vectorised over a block of starts; the tests compare the
-block kernels of ``banachgap._kernels`` against them.  The graph and
+block kernels of ``banachgap._kernels`` against them.  The grid oracles
+are the half-circle scan (n = 3) and the row-by-row sphere scan (n = 4)
+that ``_kernels.oracle_grid`` replaced with one chunked grid kernel.  The graph and
 metric loops are the per-edge dense Laplacian, the per-source BFS, the
 pairwise ``Fraction`` distortion and the per-translation displacement that
 ``banachgap.graphs`` and ``banachgap.distortion`` replaced with array
@@ -35,6 +37,7 @@ from banachgap._kernels import (
     STOP_LINE_SEARCH,
     STOP_MAX_ITER,
     STOP_STALLED,
+    _batch_ratio,
 )
 
 
@@ -209,6 +212,57 @@ def kappa_descend(xi0, perms, p, betas, iters_per_stage, tol):
             if step < tol:
                 break
     return best_xi, best, total_it
+
+
+def oracle_circle(b1, b2, eu, ev, em, p, npts, chunk=65536):
+    h = math.pi / npts
+    best = np.inf
+    best_t = 0.0
+    maxjump = 0.0
+    prev_last = None
+    for start in range(0, npts, chunk):
+        ts = (np.arange(start, min(start + chunk, npts))) * h
+        # grid evaluations: (n, chunk) map values
+        Fs = np.outer(b1, np.cos(ts)) + np.outer(b2, np.sin(ts))
+        R = _batch_ratio(Fs, eu, ev, em, p)
+        k = int(np.argmin(R))
+        if R[k] < best:
+            best = float(R[k])
+            best_t = float(ts[k])
+        if R.shape[0] > 1:
+            maxjump = max(maxjump, float(np.abs(np.diff(R)).max()))
+        if prev_last is not None:
+            maxjump = max(maxjump, abs(float(R[0]) - prev_last))
+        prev_last = float(R[-1])
+    return best, best_t, maxjump
+
+
+def oracle_sphere(b1, b2, b3, eu, ev, em, p, nth, nph):
+    hth = math.pi / (nth - 1)
+    hph = 2.0 * math.pi / nph
+    phs = np.arange(nph) * hph
+    best = np.inf
+    best_th = 0.0
+    best_ph = 0.0
+    maxjump = 0.0
+    prev_row = None
+    for a in range(nth):
+        th = a * hth
+        x = math.sin(th) * np.cos(phs)
+        y = math.sin(th) * np.sin(phs)
+        Fs = np.outer(b1, x) + np.outer(b2, y) + math.cos(th) * b3[:, None]
+        R = _batch_ratio(Fs, eu, ev, em, p)
+        k = int(np.argmin(R))
+        if R[k] < best:
+            best = float(R[k])
+            best_th = th
+            best_ph = float(phs[k])
+        if nph > 1:
+            maxjump = max(maxjump, float(np.abs(np.diff(R)).max()))
+        if prev_row is not None:
+            maxjump = max(maxjump, float(np.abs(R - prev_row).max()))
+        prev_row = R
+    return best, best_th, best_ph, maxjump
 
 
 def laplacian(G):

@@ -53,7 +53,9 @@ def test_gap_estimate_and_minimizer_dump(tmp_path, capsys):
 def test_gap_oracle_method(capsys):
     code, out = run(capsys, "gap", "--gen", "complete:3", "--p", "2", "--method", "oracle", "--resolution", "1e-3")
     assert code == 0
-    assert abs(json.loads(out)["value"] - 3.0) < 1e-2
+    payload = json.loads(out)
+    assert abs(payload["value"] - 3.0) < 1e-2
+    assert payload["bound_kind"] == "upper"
 
 
 @pytest.mark.parametrize(
@@ -71,6 +73,13 @@ def test_gap_method_refuses_exponents_it_ignores(capsys, argv, need):
     assert main(["gap", *argv]) == 1
     captured = capsys.readouterr()
     assert need in captured.err and captured.out == ""
+
+
+@pytest.mark.parametrize("resolution", ["0", "nan", "-1"])
+def test_gap_oracle_refuses_bad_resolution(capsys, resolution):
+    assert main(["gap", "--gen", "cycle:4", "--p", "1.5", "--method", "oracle", "--resolution", resolution]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: resolution must be a positive finite number") and captured.out == ""
 
 
 def test_gap_reads_file(tmp_path, capsys):

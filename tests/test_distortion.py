@@ -23,7 +23,7 @@ from banachgap.distortion import (
 )
 from banachgap.graphs import MetricTable, all_pairs_distances, build_graph, gen_family
 from banachgap.groups import action_from_group, schreier_graph
-from banachgap.spectral import gap_estimate, gap_exact_2
+from banachgap.spectral import gap_estimate, gap_exact_2, gap_oracle_small
 
 
 @pytest.fixture(scope="module")
@@ -276,6 +276,15 @@ def test_jv_heuristic_label():
     est = gap_estimate(H, p=3.0, q=3.0, seed=0, restarts=4)
     b = jv_bound(H, est, p=3.0, D=3)
     assert not b.certified and b.label == "heuristic lower"
+
+
+def test_bounds_from_a_grid_oracle_gap_are_not_certified():
+    # the grid minimum on C4 only bounds its gap from above
+    C4 = gen_family("cycle", [4])
+    gap = gap_oracle_small(C4, p=1.5, resolution=0.05)
+    D = max_displacement(C4, all_pairs_distances(C4), "cayley", action=action_from_group("cyclic", 4))
+    assert not jv_bound(C4, gap, p=1.5, D=D).certified
+    assert not gn_bound(C4, gap, p=1.5, eps=0.5, r_eps=1.0).certified
 
 
 def test_jv_bare_number_is_not_certified():

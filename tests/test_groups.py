@@ -1,4 +1,5 @@
 import math
+import re
 import resource
 import time
 from itertools import permutations
@@ -286,6 +287,13 @@ def test_action_file_refuses_missing_generator_lines(tmp_path):
 def test_action_file_refuses_extra_generator_lines(tmp_path):
     path = _write(tmp_path / "a.txt", "3 1\nr l 1 2 0\nl r 2 0 1\n")
     with pytest.raises(ValueError, match="declares 1 generators but file has 2"):
+        read_action_file(path)
+
+
+@pytest.mark.parametrize("text", ["", "# only a comment\n", "3 2\nr l 1 2 0\nl\n"])
+def test_action_file_refuses_malformed_files_by_path(tmp_path, text):
+    path = _write(tmp_path / "a.txt", text)
+    with pytest.raises(ValueError, match=re.escape(path)):
         read_action_file(path)
 
 

@@ -1,15 +1,17 @@
 """Block kernels checked against the single-start references in
 ``kernel_reference`` and against closed forms."""
 
+import math
+
 import numpy as np
 import pytest
-from kernel_reference import descend, kappa_descend
+from kernel_reference import descend, kappa_descend, oracle_circle, oracle_sphere
 
 from banachgap import _kernels
 from banachgap.acceptance import _SMALL_GRAPHS
 from banachgap.graphs import build_graph, gen_family
 from banachgap.groups import action_from_group, schreier_graph
-from banachgap.spectral import _fiedler_start, mean_zero_basis
+from banachgap.spectral import _fiedler_start, mean_zero_basis, rayleigh_quotient
 
 BETAS = np.array([1e1, 1e2, 1e3, 1e4])
 
@@ -176,7 +178,9 @@ def test_oracle_circle_triangle_closed_form():
     G = gen_family("complete", [3])
     eu, ev, em = G.nonloop_arrays()
     B = mean_zero_basis(3)
-    value, _, maxjump = _kernels.oracle_circle(B[:, 0].copy(), B[:, 1].copy(), eu, ev, em, 2.0, 5000)
+    value, _, _, maxjump = _kernels.oracle_grid(
+        B[:, 1].copy(), np.zeros(3), B[:, 0].copy(), eu, ev, em, 2.0, 5000, math.pi / 5000, 1, 0.0
+    )
     assert value == pytest.approx(3.0, rel=1e-12)
     assert maxjump == pytest.approx(0.0, abs=1e-12)
 
@@ -187,9 +191,46 @@ def test_oracle_sphere_c4_closed_form():
     eu, ev, em = G.nonloop_arrays()
     B = mean_zero_basis(4)
     args = tuple(B[:, j].copy() for j in range(3))
-    value, _, _, maxjump = _kernels.oracle_sphere(*args, eu, ev, em, 2.0, 200, 400)
+    value, _, _, maxjump = _kernels.oracle_grid(*args, eu, ev, em, 2.0, 200, math.pi / 199, 400, 2.0 * math.pi / 400)
     assert value >= 2.0 - 1e-12
     assert value - 2.0 <= max(1e-3, 2.0 * maxjump)
+
+
+# Every criterion-2 graph at every exponent, at the resolutions of the
+# acceptance suite (1e-4 / 4e-3) and of the benchmark (1e-4 / 8e-3).
+_ORACLE_CASES = [
+    (name, p, res)
+    for name, (n, _) in _SMALL_GRAPHS.items()
+    for p in (1.0, 1.5, 2.0, 3.0)
+    for res in ((1e-4,) if n <= 3 else (8e-3, 4e-3))
+]
+
+
+@pytest.mark.parametrize("name,p,res", _ORACLE_CASES)
+def test_oracle_grid_matches_the_circle_and_sphere_scans(monkeypatch, name, p, res):
+    """The grid kernel returns exactly the value, argmin angles and largest
+    jump of the scans it replaced, with its own chunks and with chunks of
+    one row (a 4-vertex row is then longer than a chunk)."""
+    n, edges = _SMALL_GRAPHS[name]
+    G = build_graph(n, edges)
+    eu, ev, em = G.nonloop_arrays()
+    B = [np.ascontiguousarray(b) for b in mean_zero_basis(n).T]
+    zero = np.zeros(n)
+    if n == 2:
+        args = (zero, zero, B[0], eu, ev, em, p, 1, 0.0, 1, 0.0)
+        want = (rayleigh_quotient(G, B[0][:, None], p=p, q=2.0), 0.0, 0.0, 0.0)
+    elif n == 3:
+        npts = max(8, math.ceil(math.pi / res))
+        args = (B[1], zero, B[0], eu, ev, em, p, npts, math.pi / npts, 1, 0.0)
+        value, t, maxjump = oracle_circle(B[0], B[1], eu, ev, em, p, npts)
+        want = (value, t, 0.0, maxjump)
+    else:
+        nth, nph = max(8, math.ceil(math.pi / res) + 1), max(8, math.ceil(2.0 * math.pi / res))
+        args = (*B, eu, ev, em, p, nth, math.pi / (nth - 1), nph, 2.0 * math.pi / nph)
+        want = oracle_sphere(*B, eu, ev, em, p, nth, nph)
+    for chunk in (_kernels._GRID_CHUNK, 1000):
+        monkeypatch.setattr(_kernels, "_GRID_CHUNK", chunk)
+        assert _kernels.oracle_grid(*args) == want
 
 
 def test_kappa_residuals_match_direct_sum():

@@ -147,13 +147,30 @@ def test_mean_zero_basis_orthonormal():
 
 def test_oracle_two_vertices():
     K2 = build_graph(2, [(0, 1, 1)])
-    assert gap_oracle_small(K2, p=2.0).value == pytest.approx(2.0)
+    est = gap_oracle_small(K2, p=2.0)
+    assert est.value == pytest.approx(2.0)
+    # the mean-zero unit sphere of R^2 is {+-b}, so its one point is exact
+    assert est.bound_kind == "exact"
+    assert est.diagnostics["grid_points"] == 1 and est.diagnostics["grid_error_bound"] == 0.0
 
 
 def test_oracle_triangle():
     est = gap_oracle_small(gen_family("complete", [3]), p=2.0, resolution=1e-4)
     assert est.value == pytest.approx(3.0, abs=1e-3)
     assert est.method == "grid_oracle"
+    assert est.bound_kind == "upper"
+
+
+def test_oracle_grid_minimum_is_an_upper_bound():
+    est = gap_oracle_small(gen_family("cycle", [4]), p=1.5, resolution=0.05)
+    assert est.bound_kind == "upper"
+    assert est.value >= 2.0 ** 0.5 - 1e-12  # C4's gap at p=1.5 is sqrt(2)
+
+
+@pytest.mark.parametrize("resolution", [0.0, -1.0, math.nan, math.inf, -math.inf])
+def test_oracle_refuses_bad_resolution(resolution):
+    with pytest.raises(ValueError, match="resolution must be a positive finite number"):
+        gap_oracle_small(gen_family("cycle", [4]), p=1.5, resolution=resolution)
 
 
 def test_oracle_cross_checks_descent_on_kinked_case():
