@@ -16,8 +16,16 @@ from that start's rows alone, so a start follows the same path whichever
 starts share its block.
 
 Both descents are adapters of one driver, ``_descend``, which keeps each
-start's step size, Armijo backtracking, best point, stage and stop reason;
-a start leaves the block when it stops.  A stage ends on convergence
+start's step size, Armijo backtracking, best point, stage, stop reason and
+count of rejected trial steps; a start leaves the block when it stops.
+Its direction is the projected (sub)gradient, or, where ``descend_block``'s
+quotient is smooth (p > 1 and q > 1, ``gap_direction``), the L-BFGS
+direction of ``_QuasiNewton``: each start keeps its own last ``_MEMORY``
+curvature pairs, tries the full step 1 first and backtracks on the Armijo
+test with slope g.d.  When every searching start takes that direction, the
+first backtracking pass tries step 1 alone, since it mostly passes.  A
+start whose direction is not a descent direction empties its memory and
+takes the gradient.  A stage ends on convergence
 (vanishing gradient or a step below ``tol``), a failed line search or its
 iteration budget (max_iter), and the reason that ended the last stage is
 the stop code; a start that is zero once centred is degenerate.
@@ -42,6 +50,7 @@ import numpy as np
 __all__ = [
     "ratio_parts",
     "descend_block",
+    "gap_direction",
     "oracle_grid",
     "kappa_residuals",
     "kappa_descend_block",
@@ -55,6 +64,7 @@ _LEVELS = 4
 _KAPPA_SHRINK = 0.5
 _STALL_REL = 1e-9
 _STALL_ITERS = 50
+_MEMORY = 2  # (s, y) pairs per quasi-Newton start
 _GRID_CHUNK = 16384  # grid points per oracle chunk, which bounds its memory
 
 STOP_CONVERGED, STOP_STALLED, STOP_LINE_SEARCH, STOP_MAX_ITER, STOP_DEGENERATE = range(5)
@@ -78,9 +88,13 @@ def stack_starts(fixed, warm, shape, restarts, rng):
     return np.stack(starts)
 
 
-def per_restart(iterations, stops) -> list[dict]:
-    """Each start's stop reason and iteration count, for diagnostics."""
-    return [{"stop_reason": STOP_REASONS[s], "iterations": int(i)} for i, s in zip(iterations, stops)]
+def per_restart(iterations, stops, backtracks) -> list[dict]:
+    """Each start's stop reason, iteration count and count of rejected
+    trial steps, for diagnostics."""
+    return [
+        {"stop_reason": STOP_REASONS[s], "iterations": int(i), "backtracks": int(b)}
+        for i, s, b in zip(iterations, stops, backtracks)
+    ]
 
 
 # ======================================================================
@@ -133,64 +147,182 @@ def _block_grads(F, eu, ev, em, p, q, scatter):
     return E, D, gE, gD
 
 
-def _backtrack(X, direction, f0, g2, eta, todo, shrink, evaluate, stage):
-    """Armijo backtracking along ``-direction`` from step ``4 * eta``, for
-    the starts of the block ``X`` flagged in ``todo``.
+def _backtrack(X, direction, f0, slope, eta_try, todo, levels, shrink, evaluate, stage):
+    """Armijo backtracking along ``-direction`` from the trial steps
+    ``eta_try`` (overwritten), for the starts of the block ``X`` flagged in
+    ``todo``; ``slope`` is each start's gradient dotted with its direction.
 
-    ``evaluate(trials, rows, stage)`` takes a stack of trial points,
-    ``_LEVELS`` per searching start in ``rows``, and the block's stages; it
-    may project the trials in place, and returns their objective values, a
-    mask of admissible trials and one extra value per trial.  Each pass tries the next ``_LEVELS`` steps of every
-    searching start at once and accepts the first that passes, which is the
-    step a one-at-a-time search accepts: the steps are formed by the same
-    repeated multiplication.  Most iterations of both descents need 3 or 4
-    trials, so most line searches take one pass.
+    ``evaluate(trials, rows, stage)`` takes a stack of trial points, the
+    same number in a row per searching start in ``rows``, and the block's
+    stages; it may project the trials in place, and returns their objective
+    values, a mask of admissible trials and one extra value per trial.  The
+    first pass tries ``levels`` steps of every searching start at once, and
+    each later pass the next ``_LEVELS``; a pass accepts a start's first
+    step that passes, which is the step a one-at-a-time search accepts: the
+    steps are formed by the same repeated multiplication.  Most gradient
+    iterations need 3 or 4 trials, so most line searches take one pass of
+    ``_LEVELS``; a quasi-Newton start mostly accepts its first trial.
 
     Returns the accepted points, their values and extras, the accepted
-    steps and the mask of accepted starts; other rows hold no meaning.
+    steps, the mask of accepted starts and each start's count of rejected
+    trials; other rows hold no meaning.
     """
     B, d, n = X.shape
-    eta_try = eta * 4.0
     X2 = np.empty_like(X)
     f2 = np.zeros(B)
     extra = np.zeros(B)
     accepted = np.zeros(B, dtype=bool)
+    rejected = np.zeros(B, dtype=np.int64)
     rows = np.flatnonzero(todo)
-    for _ in range(0, _BACKTRACKS, _LEVELS):
-        if not rows.size:
-            break
-        steps = np.full((rows.size, _LEVELS), shrink)
+    tried = 0
+    while rows.size and tried < _BACKTRACKS:
+        levels = min(levels, _BACKTRACKS - tried)
+        steps = np.full((rows.size, levels), shrink)
         steps[:, 0] = eta_try[rows]
         steps = np.multiply.accumulate(steps, axis=1)
         trials = (X[rows, None] - steps[:, :, None, None] * direction[rows, None]).reshape(-1, d, n)
         f, ok, aux = evaluate(trials, rows, stage)
         f = f.reshape(steps.shape)
-        ok = ok.reshape(steps.shape) & (f <= f0[rows, None] - _ARMIJO * steps * g2[rows, None])
+        ok = ok.reshape(steps.shape) & (f <= f0[rows, None] - _ARMIJO * steps * slope[rows, None])
         found = ok.any(axis=1)
         first = ok.argmax(axis=1)[found]
         hit = rows[found]
-        pick = np.flatnonzero(found) * _LEVELS + first
+        pick = np.flatnonzero(found) * levels + first
         X2[hit], f2[hit], extra[hit], eta_try[hit] = trials[pick], f[found, first], aux[pick], steps[found, first]
         accepted[hit] = True
+        rejected[hit] = tried + first
         eta_try[rows[~found]] = steps[~found, -1] * shrink
         rows = rows[~found]
-    return X2, f2, extra, eta_try, accepted
+        tried += levels
+        levels = _LEVELS
+    rejected[rows] = _BACKTRACKS
+    return X2, f2, extra, eta_try, accepted, rejected
 
 
-def _descend(X, live, value, grad, evaluate, shrink, stages, iters, tol, stall):
+def _age_masks(m):
+    """For each ring-buffer head h, the mask of [S Y]^T [S Y] that keeps
+    R (s_i no newer than y_j, in slot order) and its transpose, and Y^T Y."""
+    masks = np.zeros((m, 2 * m, 2 * m))
+    for h in range(m):
+        age = (np.arange(m) - h) % m  # 0 for the oldest slot
+        R = age[:, None] <= age[None, :]
+        masks[h, :m, m:], masks[h, m:, :m], masks[h, m:, m:] = R, R.T, 1.0
+    return masks
+
+
+_AGE_MASKS = _age_masks(_MEMORY)
+_EYE = np.eye(2 * _MEMORY)
+
+
+class _QuasiNewton:
+    """The L-BFGS memory of each start of a block, and its direction.
+
+    Each start keeps up to ``_MEMORY`` pairs (s, y): s is the difference of
+    two accepted points and y that of their projected gradients.  A pair
+    is stored only when s.y > 0, in the slot after the start's newest pair
+    (a ring buffer, so a full memory overwrites its oldest pair).  The
+    direction is H g in the compact inverse-Hessian form of Byrd, Nocedal
+    and Schnabel (Math. Programming 63, 1994),
+
+        H = gamma I + [S Y] C M C [S Y]^T,  C = diag(I, gamma I),
+        (C M C)^-1 = -[[0, R / gamma], [R^T / gamma, Y^T Y / gamma + D / gamma^2]],
+
+    where R is the part of S^T Y with s_i no newer than y_j, D its diagonal
+    and gamma = s.y / y.y of the newest pair.  ``K`` holds the bracket, in
+    slot order; it is formed from [S Y]^T [S Y] whenever a start stores a
+    pair, so a direction is three batched products and one small solve,
+    whatever the memory.  An empty slot holds zero vectors, and K holds
+    1 / gamma on the diagonal at its s and y so that K stays invertible; a
+    start with no pairs gets H g = g.
+    """
+
+    def __init__(self, B, N):
+        self.SY = np.zeros((B, 2 * _MEMORY, N))  # s slots, then y slots
+        self.K = np.empty((B, 2 * _MEMORY, 2 * _MEMORY))
+        self.head = np.empty(B, dtype=np.int64)  # the slot the next pair goes to
+        self.gamma = np.empty(B)
+        self.newton = np.empty(B, dtype=bool)  # holds a pair
+        self.prev = None  # the last point and gradient, (B, 2, N)
+        self.reset(slice(None))
+
+    def keep(self, rows):
+        """Keep the memories of ``rows`` (a mask) alone."""
+        self.SY, self.K, self.head, self.gamma, self.newton = (
+            a[rows] for a in (self.SY, self.K, self.head, self.gamma, self.newton)
+        )
+        if self.prev is not None:
+            self.prev = self.prev[rows]
+
+    def reset(self, rows):
+        """Empty the memories of ``rows``."""
+        self.SY[rows] = 0.0
+        self.head[rows] = 0
+        self.gamma[rows] = 1.0
+        self.newton[rows] = False
+        self._form_K(rows)
+
+    def _form_K(self, rows):
+        """Form K for ``rows`` from their pairs, heads and gammas."""
+        m = _MEMORY
+        SY = self.SY[rows]
+        G = SY @ SY.transpose(0, 2, 1)  # [S Y]^T [S Y]
+        iota = 1.0 / self.gamma[rows]
+        diag = (np.diagonal(G, axis1=1, axis2=2) == 0.0).astype(np.float64)  # 1 at an empty slot's s and y
+        diag[:, m:] += iota[:, None] * np.diagonal(G, m, axis1=1, axis2=2)  # D / gamma
+        self.K[rows] = iota[:, None, None] * (G * _AGE_MASKS[self.head[rows]] + _EYE * diag[:, None, :])
+
+    def direction(self, X, g, g2):
+        """Store the pairs the last step made, then return each start's
+        direction, its slope g.d and the mask of starts that take the
+        quasi-Newton direction; the others take g, with their memory
+        emptied when H g was not a descent direction."""
+        B = X.shape[0]
+        cur = np.empty((B, 2, X[0].size))
+        cur[:, 0] = X.reshape(B, -1)
+        cur[:, 1] = g.reshape(B, -1)
+        prev, self.prev = self.prev, cur
+        if prev is None:
+            return g, g2, self.newton.copy()
+        P = cur - prev
+        yP = (P[:, 1:] @ P.transpose(0, 2, 1)).reshape(B, 2)  # y.s, y.y
+        rows = np.flatnonzero(yP[:, 0] > 0.0)
+        if rows.size:
+            slot = self.head[rows]
+            self.SY[rows, slot] = P[rows, 0]
+            self.SY[rows, _MEMORY + slot] = P[rows, 1]
+            self.head[rows] = (slot + 1) % _MEMORY
+            self.gamma[rows] = yP[rows, 0] / yP[rows, 1]
+            self.newton[rows] = True
+            self._form_K(rows)
+        gf = cur[:, 1]
+        z = np.linalg.solve(self.K, self.SY @ gf[:, :, None])
+        d = self.gamma[:, None] * gf - (z.transpose(0, 2, 1) @ self.SY).reshape(B, -1)
+        slope = (gf[:, None, :] @ d[:, :, None]).reshape(B)
+        bad = self.newton & ~(slope > 0.0)
+        if bad.any():  # rare; a start without pairs has slope g.g
+            self.reset(bad)
+            d[bad], slope[bad] = gf[bad], g2[bad]
+        return d.reshape(g.shape), slope, self.newton.copy()
+
+
+def _descend(X, live, value, grad, evaluate, shrink, stages, iters, tol, stall, quasi_newton=False):
     """The descent loop of both adapters, as the module docstring describes.
 
     ``X`` is a projected (R, d, n) block, ``live`` flags the starts that
     descend and ``value`` holds each start's tracked value.  ``grad(X,
     stage)`` returns the objective at each start's stage and its gradient;
     ``evaluate(trials, rows, stage)`` is the ``_backtrack`` callback, whose
-    extra value is the tracked one.  Returns per start the accepted point
-    of lowest tracked value, that value, the iteration count, the last step
-    norm and the stop code.
+    extra value is the tracked one.  With ``quasi_newton`` the direction is
+    ``_QuasiNewton``'s, whose memory spans all stages (the gap descent has
+    one), else the projected gradient.  Returns per start the
+    accepted point of lowest tracked value, that value, the iteration
+    count, the last step norm, the stop code and the count of rejected
+    trial steps.
     """
-    nR, _, n = X.shape
+    nR, d, n = X.shape
     out_X, out_value = X.copy(), np.full(nR, np.inf)
     out_it, out_step, out_stop = np.zeros(nR, dtype=np.int64), np.zeros(nR), np.full(nR, STOP_DEGENERATE)
+    out_bt = np.zeros(nR, dtype=np.int64)
 
     # State of the starts still running, in block order.
     idx = np.flatnonzero(live)
@@ -202,6 +334,8 @@ def _descend(X, live, value, grad, evaluate, shrink, stages, iters, tol, stall):
     stage = np.zeros(idx.size, dtype=np.int64)
     deadline = np.full(idx.size, iters)
     code = np.full(idx.size, _RUNNING)
+    bt = np.zeros(idx.size, dtype=np.int64)
+    qn = _QuasiNewton(idx.size, d * n) if quasi_newton else None
     due = iters  # the earliest deadline
 
     it = 0
@@ -213,10 +347,10 @@ def _descend(X, live, value, grad, evaluate, shrink, stages, iters, tol, stall):
             done = ended & (stage == stages - 1)
             j = idx[done]
             out_X[j], out_value[j], out_it[j] = best_X[done], best[done], it
-            out_step[j], out_stop[j] = step[done], code[done]
+            out_step[j], out_stop[j], out_bt[j] = step[done], code[done], bt[done]
             keep = ~done
-            idx, X, best_X, best, ref, ref_it, eta, step, stage, deadline, code = (
-                a[keep] for a in (idx, X, best_X, best, ref, ref_it, eta, step, stage, deadline, code)
+            idx, X, best_X, best, ref, ref_it, eta, step, stage, deadline, code, bt = (
+                a[keep] for a in (idx, X, best_X, best, ref, ref_it, eta, step, stage, deadline, code, bt)
             )
             if not idx.size:
                 break
@@ -224,12 +358,24 @@ def _descend(X, live, value, grad, evaluate, shrink, stages, iters, tol, stall):
             stage[nxt] += 1
             code[nxt], eta[nxt], deadline[nxt] = _RUNNING, 0.25, it + iters
             due = int(deadline.min())
+            if qn is not None:
+                qn.keep(keep)
         it += 1
         f, g = grad(X, stage)
         g -= g.sum(axis=2, keepdims=True) / n
         g2 = (g * g).sum(axis=(1, 2))
         code[g2 < 1e-30] = STOP_CONVERGED
-        X2, _, val, eta_try, accepted = _backtrack(X, g, f, g2, eta, code == _RUNNING, shrink, evaluate, stage)
+        direction, slope, first = g, g2, eta * 4.0
+        search, levels = code == _RUNNING, _LEVELS
+        if qn is not None:
+            direction, slope, newton = qn.direction(X, g, g2)
+            first[newton] = 1.0
+            if newton[search].all():  # the first trial, step 1, alone
+                levels = 1
+        X2, _, val, eta_try, accepted, rejected = _backtrack(
+            X, direction, f, slope, first, search, levels, shrink, evaluate, stage
+        )
+        bt += rejected
         code[(code == _RUNNING) & ~accepted] = STOP_LINE_SEARCH
         acc = np.flatnonzero(accepted)
         eta[acc] = eta_try[acc]
@@ -246,15 +392,24 @@ def _descend(X, live, value, grad, evaluate, shrink, stages, iters, tol, stall):
             ref[live[gained]] = best[live[gained]]
             ref_it[live[gained]] = it
             code[live[~gained & (it - ref_it[live] >= _STALL_ITERS)]] = STOP_STALLED
-    return out_X, out_value, out_it, out_step, out_stop
+    return out_X, out_value, out_it, out_step, out_stop, out_bt
+
+
+def gap_direction(p, q):
+    """The direction ``descend_block`` takes at exponents (p, q):
+    ``"quasi_newton"`` where the quotient is smooth (p > 1 and q > 1),
+    else ``"gradient"``."""
+    return "quasi_newton" if p > 1.0 and q > 1.0 else "gradient"
 
 
 def descend_block(F0, eu, ev, em, p, q, max_iter, tol):
-    """Projected subgradient descent of the gap quotient from each of the
-    (R, n, d) starts ``F0``, run as one block.  Returns ``(F, R, iterations,
-    step, stop)`` per start: the best map, its recomputed quotient, the
-    iteration count, the last step norm and a stop code indexing
-    ``STOP_REASONS``; a degenerate start has value inf."""
+    """Projected descent of the gap quotient from each of the (R, n, d)
+    starts ``F0``, run as one block, along the L-BFGS direction where the
+    quotient is smooth and the subgradient elsewhere (``gap_direction``).
+    Returns ``(F, R, iterations, step, stop, backtracks)`` per start: the
+    best map, its recomputed quotient, the iteration count, the last step
+    norm, a stop code indexing ``STOP_REASONS`` and the count of rejected
+    trial steps; a degenerate start has value inf."""
     F = np.asarray(F0, dtype=np.float64).transpose(0, 2, 1).copy()
     nR, d, n = F.shape
     scatter = _edge_scatter_index(eu, ev, n, nR * d)
@@ -274,11 +429,12 @@ def descend_block(F0, eu, ev, em, p, q, max_iter, tol):
         return R, pos, R
 
     R, live, _ = evaluate(F, None, None)
-    F, R, it, step, stop = _descend(F, live, R, grad, evaluate, _SHRINK, 1, max_iter, tol, True)
+    newton = gap_direction(p, q) == "quasi_newton"
+    F, R, it, step, stop, bt = _descend(F, live, R, grad, evaluate, _SHRINK, 1, max_iter, tol, True, newton)
     live = stop != STOP_DEGENERATE
     E, D = _block_ratio(F[live], eu, ev, em, p, q)
     R[live] = E / D
-    return np.ascontiguousarray(F.transpose(0, 2, 1)), R, it, step, stop
+    return np.ascontiguousarray(F.transpose(0, 2, 1)), R, it, step, stop, bt
 
 
 # ======================================================================
@@ -383,9 +539,10 @@ def kappa_descend_block(xi0, perms, p, betas, iters_per_stage, tol):
     """Annealed smoothed-max descent of the worst generator displacement
     from each of the (R, m, d) starts ``xi0``, run as one block: one stage
     of ``iters_per_stage`` iterations per entry of ``betas``.  Returns
-    ``(xi, value, iterations, stop)`` per start: the field with the lowest
-    true max residual seen at an accepted step, that residual, the total
-    iteration count and the stop code; a degenerate start has value inf.
+    ``(xi, value, iterations, stop, backtracks)`` per start: the field with
+    the lowest true max residual seen at an accepted step, that residual,
+    the total iteration count, the stop code and the count of rejected
+    trial steps; a degenerate start has value inf.
     """
     xi = np.asarray(xi0, dtype=np.float64).transpose(0, 2, 1).copy()
     m = xi.shape[2]
@@ -402,10 +559,10 @@ def kappa_descend_block(xi0, perms, p, betas, iters_per_stage, tol):
 
     def evaluate(trials, rows, stage):
         r, live = residuals(trials)
-        return _block_smoothed(r, np.repeat(betas[stage[rows]], _LEVELS))[0], live, r.max(axis=1)
+        return _block_smoothed(r, np.repeat(betas[stage[rows]], len(trials) // len(rows)))[0], live, r.max(axis=1)
 
     r, live = residuals(xi)
-    xi, value, it, _, stop = _descend(
+    xi, value, it, _, stop, bt = _descend(
         xi, live, r.max(axis=1), grad, evaluate, _KAPPA_SHRINK, betas.shape[0], iters_per_stage, tol, False
     )
-    return np.ascontiguousarray(xi.transpose(0, 2, 1)), value, it, stop
+    return np.ascontiguousarray(xi.transpose(0, 2, 1)), value, it, stop, bt

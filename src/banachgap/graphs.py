@@ -351,19 +351,34 @@ def write_edge_list(G: MultiGraph, path: str) -> None:
             fh.write(f"{u} {v} {m}\n")
 
 
-def read_edge_list(path: str) -> MultiGraph:
-    rows: list[list[int]] = []
+def file_rows(path: str) -> list[tuple[int, list[str]]]:
+    """The tokens of each line of a file that holds data once its '#'
+    comment is cut, with the line's 1-based number."""
     with open(path) as fh:
-        for line in fh:
-            line = line.split("#", 1)[0].strip()
-            if line:
-                rows.append([int(tok) for tok in line.split()])
+        rows = [(k, line.split("#", 1)[0].split()) for k, line in enumerate(fh, 1)]
+    return [(k, toks) for k, toks in rows if toks]
+
+
+def row_ints(path: str, line: int, toks: list[str], form: str) -> list[int]:
+    """The integers of one file line of the form ``form``, one per word of
+    ``form``; a ValueError that names the file and the line otherwise."""
+    count = len(form.split())
+    if len(toks) != count:
+        raise ValueError(f"{path}, line {line}: expected '{form}' ({count} values), got {len(toks)}")
+    try:
+        return [int(t) for t in toks]
+    except ValueError:
+        raise ValueError(f"{path}, line {line}: expected integers '{form}', got {' '.join(toks)!r}") from None
+
+
+def read_edge_list(path: str) -> MultiGraph:
+    rows = file_rows(path)
     if not rows:
         raise ValueError(f"empty edge-list file: {path}")
-    n, m = rows[0]
+    n, m = row_ints(path, *rows[0], "n m")
     if len(rows) - 1 != m:
-        raise ValueError(f"header declares {m} edges but file has {len(rows) - 1}")
-    return build_graph(n, [(u, v, k) for u, v, k in rows[1:]])
+        raise ValueError(f"{path}: header declares {m} edges but file has {len(rows) - 1}")
+    return build_graph(n, [tuple(row_ints(path, k, toks, "u v mult")) for k, toks in rows[1:]])
 
 
 def graph_to_json(G: MultiGraph) -> str:

@@ -32,7 +32,7 @@ from itertools import permutations as _iter_perms
 import numpy as np
 
 from . import _kernels
-from .graphs import MultiGraph, build_graph
+from .graphs import MultiGraph, build_graph, file_rows, row_ints
 from .spectral import GapEstimate
 from .spectral import gap as spectral_gap
 
@@ -373,7 +373,9 @@ def kappa_estimate(
 
     betas = np.asarray(KAPPA_BETAS, dtype=np.float64)
     iters_per_stage = max(1, max_iter // len(KAPPA_BETAS))
-    xis, values, iters, stops = _kernels.kappa_descend_block(starts, perms, float(p), betas, iters_per_stage, tol)
+    xis, values, iters, stops, backtracks = _kernels.kappa_descend_block(
+        starts, perms, float(p), betas, iters_per_stage, tol
+    )
     b = int(np.argmin(values))
     best_val, best_xi = float(values[b]), xis[b]
     est = KappaEstimate(
@@ -386,7 +388,7 @@ def kappa_estimate(
         diagnostics={
             "restarts": len(iters),
             "iterations": int(iters.sum()),
-            "per_restart": _kernels.per_restart(iters, stops),
+            "per_restart": _kernels.per_restart(iters, stops, backtracks),
             "tol": tol,
             "seed": seed,
             "gap_method": gap.method,
@@ -511,28 +513,28 @@ def write_action_file(a: PermutationAction, path: str) -> None:
 
 
 def read_action_file(path: str, allow_identity: bool = False) -> PermutationAction:
-    with open(path) as fh:
-        lines = [ln.split("#", 1)[0].strip() for ln in fh]
-    lines = [ln for ln in lines if ln]
-    if not lines:
+    rows = file_rows(path)
+    if not rows:
         raise ValueError(f"empty action file: {path}")
-    m, g = (int(t) for t in lines[0].split())
-    if len(lines) - 1 != g:
-        raise ValueError(f"header declares {g} generators but file has {len(lines) - 1}")
-    labels, invlabels, rows = [], [], []
-    for ln in lines[1:]:
-        toks = ln.split()
-        if len(toks) < 2:
-            raise ValueError(f"{path}: generator line {ln!r} lacks a label and an inverse label")
+    m, g = row_ints(path, *rows[0], "m g")
+    if len(rows) - 1 != g:
+        raise ValueError(f"{path}: header declares {g} generators but file has {len(rows) - 1}")
+    labels, invlabels, perms = [], [], []
+    for k, toks in rows[1:]:
+        if len(toks) != m + 2:
+            raise ValueError(
+                f"{path}, line {k}: expected 'label inverse-label' and {m} images, got {len(toks)} values"
+            )
+        try:
+            perms.append([int(t) for t in toks[2:]])
+        except ValueError:
+            raise ValueError(f"{path}, line {k}: expected {m} integer images, got {' '.join(toks[2:])!r}") from None
         labels.append(toks[0])
         invlabels.append(toks[1])
-        rows.append([int(t) for t in toks[2:]])
-        if len(rows[-1]) != m:
-            raise ValueError(f"permutation row for {toks[0]} has wrong length")
     for lab in invlabels:
         if lab not in labels:
             raise ValueError(f"unknown inverse label {lab!r}")
     inverse = tuple(labels.index(lab) for lab in invlabels)
-    a = PermutationAction(m=m, labels=tuple(labels), perms=np.asarray(rows, dtype=np.int64), inverse=inverse)
+    a = PermutationAction(m=m, labels=tuple(labels), perms=np.asarray(perms, dtype=np.int64), inverse=inverse)
     validate_action(a, allow_identity=allow_identity)
     return a

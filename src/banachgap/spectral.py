@@ -8,8 +8,10 @@ over nonconstant maps f: V -> R^d.  Each non-loop edge of multiplicity m
 contributes 2m oriented terms (the 1/2 then cancels one direction);
 self-loops contribute nothing.  For (p, q, d) = (2, 2, 1) this is the first
 positive eigenvalue of the combinatorial Laplacian and is computed exactly;
-otherwise a multi-start projected subgradient descent returns the best
-quotient found, which upper-bounds the infimum.
+otherwise a multi-start projected descent returns the best quotient found,
+which upper-bounds the infimum.  The descent follows the L-BFGS direction
+where the quotient is smooth (p > 1 and q > 1) and the subgradient where it
+has kinks (p = 1 or q = 1).
 """
 
 from __future__ import annotations
@@ -357,13 +359,16 @@ def gap_estimate(
     seed: int = 0,
     warm_starts: list[np.ndarray] | None = None,
 ) -> GapEstimate:
-    """Multi-start projected subgradient minimization of the quotient.
+    """Multi-start projected descent of the quotient: L-BFGS where it is
+    smooth (p > 1 and q > 1), the subgradient where it has kinks.
 
     Returns the best quotient found (an upper bound for the infimum),
     deterministic for a fixed seed.  Starts are the d=1 Laplacian
     eigenvector embedded in the first coordinate, its sign rounding, any
     user-supplied warm starts, and Gaussian draws; all of them descend
-    together in one block kernel call.
+    together in one block kernel call.  The diagnostics name the
+    ``direction`` (``"quasi_newton"`` or ``"gradient"``) and list each
+    restart's stop reason, iterations and backtracks under ``per_restart``.
     """
     if p < 1 or q < 1 or d < 1:
         raise ValueError(f"invalid exponents p={p}, q={q}, d={d}")
@@ -380,7 +385,7 @@ def gap_estimate(
     rounded[:, 0][rounded[:, 0] == 0.0] = 1.0
     starts = _kernels.stack_starts([fied, rounded], warm_starts, (G.n, d), restarts, rng)
     pf, qf = float(p), float(q)
-    Fs, values, iters, steps, stops = _kernels.descend_block(starts, eu, ev, em, pf, qf, max_iter, tol)
+    Fs, values, iters, steps, stops, backtracks = _kernels.descend_block(starts, eu, ev, em, pf, qf, max_iter, tol)
     best_idx = int(np.argmin(values))
     est = GapEstimate(
         value=float(values[best_idx]),
@@ -397,7 +402,8 @@ def gap_estimate(
             "best_iterations": int(iters[best_idx]),
             "final_step_norm": float(steps[best_idx]),
             "stop_reason": _kernels.STOP_REASONS[stops[best_idx]],
-            "per_restart": _kernels.per_restart(iters, stops),
+            "direction": _kernels.gap_direction(pf, qf),
+            "per_restart": _kernels.per_restart(iters, stops, backtracks),
             "tol": tol,
             "seed": seed,
         },

@@ -89,12 +89,30 @@ def test_gap_reads_file(tmp_path, capsys):
     assert json.loads(out)["value"] == 4.0
 
 
+@pytest.mark.parametrize(
+    "text,message",
+    [
+        ("3 3\n0 1 1\n1 2\n2 0 1\n", "line 3: expected 'u v mult' (3 values), got 2"),
+        ("3\n0 1 1\n", "line 1: expected 'n m' (2 values), got 1"),
+    ],
+)
+def test_gap_names_the_line_of_a_bad_edge_file(tmp_path, capsys, text, message):
+    path = tmp_path / "bad.edges"
+    path.write_text(text)
+    assert main(["gap", "--file", str(path), "--p", "2"]) == 1
+    assert capsys.readouterr().err == f"error: {path}, {message}\n"
+
+
 def test_gap_reproducible_bytes(tmp_path, capsys):
     a = tmp_path / "a"
     b = tmp_path / "b"
     run(capsys, "gap", "--gen", "random_regular:12,3", "--p", "1.5", "--seed", "9", "--out", str(a))
     run(capsys, "gap", "--gen", "random_regular:12,3", "--p", "1.5", "--seed", "9", "--out", str(b))
     assert (a / "gap.json").read_bytes() == (b / "gap.json").read_bytes()
+    # the L-BFGS direction; the projected gradient took 91,868 iterations here
+    diagnostics = json.loads((a / "gap.json").read_text())["diagnostics"]
+    assert diagnostics["direction"] == "quasi_newton"
+    assert diagnostics["iterations"] <= 18000
 
 
 def test_kappa_subcommand(capsys):

@@ -1,3 +1,4 @@
+import re
 from unittest import mock
 
 import numpy as np
@@ -260,4 +261,20 @@ def test_edge_list_header_mismatch(tmp_path):
     path = tmp_path / "bad.edges"
     path.write_text("2 2\n0 1 1\n")
     with pytest.raises(ValueError, match="header"):
+        read_edge_list(str(path))
+
+
+@pytest.mark.parametrize(
+    "text,line,what",
+    [
+        ("3\n0 1 1\n", 1, "expected 'n m' (2 values), got 1"),
+        ("# a triangle\n3 3\n0 1 1\n1 2\n2 0 1\n", 4, "expected 'u v mult' (3 values), got 2"),
+        ("3 2\n0 1 1\n\n1 2 1 1\n", 4, "expected 'u v mult' (3 values), got 4"),
+        ("3 2\n0 1 1\n1 x 1\n", 3, "expected integers 'u v mult', got '1 x 1'"),
+    ],
+)
+def test_edge_list_names_the_file_and_line_of_a_bad_row(tmp_path, text, line, what):
+    path = tmp_path / "bad.edges"
+    path.write_text(text)
+    with pytest.raises(ValueError, match=re.escape(f"{path}, line {line}: {what}")):
         read_edge_list(str(path))

@@ -200,7 +200,7 @@ def test_kappa_constant_start_is_degenerate_and_never_wins():
     # the certified lower bound (kappa of cyclic(6) at p = 2 is exactly 1).
     est = kappa_estimate(action_from_group("cyclic", 6), p=2.0, restarts=3, warm_starts=[np.ones((6, 1))])
     assert est.value == pytest.approx(1.0, abs=1e-9)
-    assert est.diagnostics["per_restart"][1] == {"stop_reason": "degenerate", "iterations": 0}
+    assert est.diagnostics["per_restart"][1] == {"stop_reason": "degenerate", "iterations": 0, "backtracks": 0}
 
 
 def test_kappa_minimizer_zero_sum_and_unit():
@@ -294,6 +294,20 @@ def test_action_file_refuses_extra_generator_lines(tmp_path):
 def test_action_file_refuses_malformed_files_by_path(tmp_path, text):
     path = _write(tmp_path / "a.txt", text)
     with pytest.raises(ValueError, match=re.escape(path)):
+        read_action_file(path)
+
+
+@pytest.mark.parametrize(
+    "text,line,what",
+    [
+        ("3\nr l 1 2 0\n", 1, "expected 'm g' (2 values), got 1"),
+        ("3 2\n# rotations\nr l 1 2 0\nl r 2 0\n", 4, "expected 'label inverse-label' and 3 images, got 4 values"),
+        ("3 2\nr l 1 2 0\nl r 2 0 y\n", 3, "expected 3 integer images, got '2 0 y'"),
+    ],
+)
+def test_action_file_names_the_line_of_a_bad_row(tmp_path, text, line, what):
+    path = _write(tmp_path / "a.txt", text)
+    with pytest.raises(ValueError, match=re.escape(f"{path}, line {line}: {what}")):
         read_action_file(path)
 
 

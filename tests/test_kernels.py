@@ -41,36 +41,51 @@ _DESCENT_GRAPHS = [(name, build_graph(n, edges)) for name, (n, edges) in _SMALL_
 @pytest.mark.parametrize("p", [1.0, 1.5, 3.0])
 @pytest.mark.parametrize("name,G", _DESCENT_GRAPHS, ids=[name for name, _ in _DESCENT_GRAPHS])
 def test_block_descent_best_matches_single_start_reference(name, G, p):
+    # The reference is the gradient descent.  At p = 1 the block takes the
+    # same subgradient path; at p > 1 it takes the L-BFGS direction, whose
+    # best may only be lower, since the quotient's value is an upper estimate.
     eu, ev, em = G.nonloop_arrays()
     starts = _gap_starts(G, 6, seed=1)
-    _, values, _, _, _ = _kernels.descend_block(starts, eu, ev, em, p, p, 400, 1e-10)
+    values = _kernels.descend_block(starts, eu, ev, em, p, p, 400, 1e-10)[1]
     ref = min(descend(np.ascontiguousarray(F), eu, ev, em, p, p, 400, 1e-10)[1] for F in starts)
-    assert values.min() == pytest.approx(ref, rel=1e-9)
+    if p == 1.0:
+        assert values.min() == pytest.approx(ref, rel=1e-9)
+    else:
+        assert values.min() <= ref * (1.0 + 1e-9)
 
 
 def _same_alone_and_in_a_block(descent, starts):
-    """Each start gives the same value, iterations, stop code and point alone
-    as in the block; ``descent`` returns (points, values, iterations, stops)."""
-    Fb, vb, itb, stopb = descent(starts)
+    """Each start gives the same value, iterations, stop code, backtrack
+    count and point alone as in the block; ``descent`` returns (points,
+    values, iterations, stops, backtracks)."""
+    Fb, vb, itb, stopb, btb = descent(starts)
     for k in range(len(starts)):
-        Fa, va, ita, stopa = descent(starts[k : k + 1])
+        Fa, va, ita, stopa, bta = descent(starts[k : k + 1])
         assert va[0] == pytest.approx(vb[k], rel=1e-9)
         assert stopa[0] == stopb[k]
         assert ita[0] == itb[k]
+        assert bta[0] == btb[k]
         assert np.allclose(Fa[0], Fb[k], rtol=0.0, atol=1e-12)
     return stopb
 
 
-def test_start_runs_the_same_alone_and_in_a_block():
-    G = gen_family("cycle", [6])
+def _gap_descent(G, p, q, max_iter):
     eu, ev, em = G.nonloop_arrays()
 
     def descent(starts):
-        F, values, iters, _, stops = _kernels.descend_block(starts, eu, ev, em, 2.0, 2.0, 5000, 1e-10)
-        return F, values, iters, stops
+        F, values, iters, _, stops, backtracks = _kernels.descend_block(starts, eu, ev, em, p, q, max_iter, 1e-10)
+        return F, values, iters, stops, backtracks
 
-    stops = _same_alone_and_in_a_block(descent, _gap_starts(G, 8, seed=3))
-    assert all(_kernels.STOP_REASONS[s] == "converged" for s in stops)
+    return descent
+
+
+def test_start_runs_the_same_alone_and_in_a_block():
+    # p = 1 takes the subgradient, p = 1.5 with q = 2 the L-BFGS direction
+    G = gen_family("random_regular", [10, 3], seed=4)
+    starts = np.random.Generator(np.random.PCG64(5)).standard_normal((6, G.n, 2))
+    for p, direction in [(1.0, "gradient"), (1.5, "quasi_newton")]:
+        assert _kernels.gap_direction(p, 2.0) == direction
+        _same_alone_and_in_a_block(_gap_descent(G, p, 2.0, 300), starts)
 
 
 def test_kappa_start_runs_the_same_alone_and_in_a_block():
@@ -79,17 +94,116 @@ def test_kappa_start_runs_the_same_alone_and_in_a_block():
     _same_alone_and_in_a_block(lambda xi0: _kernels.kappa_descend_block(xi0, perms, 1.5, BETAS, 100, 1e-12), starts)
 
 
+def test_quasi_newton_direction_is_the_two_loop_recursion():
+    """The compact form's H g equals the two-loop recursion's on the same
+    pairs, with the oldest pair overwritten once the memory is full."""
+    rng = np.random.Generator(np.random.PCG64(8))
+    B, N = 3, 7
+    A = rng.standard_normal((N, N))
+    A = A @ A.T + N * np.eye(N)  # y = A s keeps s.y > 0
+    qn = _kernels._QuasiNewton(B, N)
+    x, pairs, last = rng.standard_normal((B, N)), [], None
+    for _ in range(_kernels._MEMORY + 2):
+        g = x @ A + rng.standard_normal((B, N)) * 1e-3
+        if last is not None:
+            pairs.append((x - last[0], g - last[1]))
+        d, slope, newton = qn.direction(x[:, None, :], g[:, None, :], (g * g).sum(axis=1))
+        assert newton.all() == bool(pairs)
+        for b in range(B):
+            want = g[b].copy()
+            mem = [(s[b], y[b]) for s, y in pairs[-_kernels._MEMORY :]]
+            alpha = []
+            for s, y in reversed(mem):
+                alpha.append(s @ want / (s @ y))
+                want -= alpha[-1] * y
+            if mem:
+                s, y = mem[-1]
+                want *= s @ y / (y @ y)
+            for (s, y), a in zip(mem, reversed(alpha)):
+                want += s * (a - y @ want / (s @ y))
+            assert np.allclose(d[b, 0], want, rtol=1e-10, atol=1e-12)
+            assert slope[b] == pytest.approx(g[b] @ d[b, 0], rel=1e-12)
+        last, x = (x, g), x - 0.1 * d[:, 0]
+
+
+def test_quasi_newton_line_search_starts_at_step_one_with_slope_g_dot_d(monkeypatch):
+    G = gen_family("random_regular", [10, 3], seed=4)
+    eu, ev, em = G.nonloop_arrays()
+    scatter = _kernels._edge_scatter_index(eu, ev, G.n, 8)
+    real, calls = _kernels._backtrack, []
+
+    def spy(X, direction, f0, slope, eta_try, todo, levels, *rest):
+        E, D, gE, gD = _kernels._block_grads(X, eu, ev, em, 1.5, 2.0, scatter)
+        g = (gE - (E / D)[:, None, None] * gD) / D[:, None, None]
+        g -= g.mean(axis=2, keepdims=True)
+        assert np.allclose(slope, (g * direction).sum(axis=(1, 2)), rtol=1e-9, atol=0.0)
+        calls.append((np.allclose(direction, g, rtol=1e-9, atol=0.0), eta_try.copy(), levels))
+        return real(X, direction, f0, slope, eta_try, todo, levels, *rest)
+
+    monkeypatch.setattr(_kernels, "_backtrack", spy)
+    starts = np.random.Generator(np.random.PCG64(6)).standard_normal((4, G.n, 2))
+    _kernels.descend_block(starts, eu, ev, em, 1.5, 2.0, 30, 1e-10)
+    assert calls[0][0] and calls[0][2] == _kernels._LEVELS  # no curvature pair yet
+    # once every start takes the quasi-Newton direction, the first pass tries step 1 alone
+    assert all(not gradient and (eta_try == 1.0).all() and levels == 1 for gradient, eta_try, levels in calls[1:])
+
+
+def test_quasi_newton_start_without_a_descent_direction_takes_the_gradient():
+    rng = np.random.Generator(np.random.PCG64(2))
+    qn = _kernels._QuasiNewton(2, 5)
+    x, g = rng.standard_normal((2, 1, 5)), rng.standard_normal((2, 1, 5))
+    qn.direction(x, g, (g * g).sum(axis=(1, 2)))
+    qn.direction(x + 0.1 * g, 2.0 * g, 4.0 * (g * g).sum(axis=(1, 2)))  # s.y > 0: both store a pair
+    qn.gamma[0] = -1e6  # start 0's H is now far from positive definite
+    g3 = rng.standard_normal((2, 1, 5))
+    g2 = (g3 * g3).sum(axis=(1, 2))
+    d, slope, newton = qn.direction(x + 0.1 * g, g3, g2)  # s = 0: no pair is stored
+    assert newton.tolist() == [False, True] and qn.newton.tolist() == [False, True]
+    assert np.array_equal(d[0], g3[0]) and slope[0] == g2[0]
+    assert slope[1] > 0.0 and not np.allclose(d[1], g3[1])
+    assert not qn.SY[0].any() and qn.gamma[0] == 1.0
+
+
+@pytest.mark.parametrize("levels", [1, _kernels._LEVELS])
+def test_backtrack_counts_the_trials_a_one_at_a_time_search_rejects(levels):
+    # f(x) = x^2 from x = 1 along -2 (the gradient), with first trials that
+    # pass at once, after one pass, after several passes and at the last
+    # allowed trial; the start after those needs one trial more than the
+    # search allows, and the last has no admissible trial, so both fail.
+    # ``levels`` is the number of trials in the first pass.
+    cap = _kernels._BACKTRACKS
+    first = np.array([0.5, 1.0, 100.0, 0.9 / 0.6 ** (cap - 1), 0.9 / 0.6**cap, 1.0])
+    X = np.ones((first.size, 1, 1))
+
+    def evaluate(trials, rows, stage):
+        f = trials.ravel() ** 2
+        return f, np.repeat(rows != 5, len(trials) // len(rows)), f
+
+    todo = np.ones(first.size, dtype=bool)
+    _, _, _, steps, accepted, rejected = _kernels._backtrack(
+        X, 2.0 * X, np.ones(first.size), np.full(first.size, 4.0), first.copy(), todo, levels, 0.6, evaluate, None
+    )
+    for k, t in enumerate(first[:5]):
+        count = 0
+        while (1.0 - 2.0 * t) ** 2 > 1.0 - _kernels._ARMIJO * t * 4.0 and count < cap:
+            t *= 0.6
+            count += 1
+        assert rejected[k] == count and (count == cap or steps[k] == t)
+    assert rejected.tolist() == [0, 1, rejected[2], cap - 1, cap, cap] and rejected[2] > _kernels._LEVELS
+    assert accepted.tolist() == [True, True, True, True, False, False]
+
+
 def test_gap_descent_with_no_iterations_returns_the_scaled_starts():
     G = gen_family("cycle", [6])
     eu, ev, em = G.nonloop_arrays()
     starts = _gap_starts(G, 4, seed=2)
-    F, values, iters, steps, stops = _kernels.descend_block(starts, eu, ev, em, 1.5, 2.0, 0, 1e-10)
+    F, values, iters, steps, stops, backtracks = _kernels.descend_block(starts, eu, ev, em, 1.5, 2.0, 0, 1e-10)
     centred = starts - starts.mean(axis=1, keepdims=True)
     for k, S in enumerate(centred):
         E, D = _kernels.ratio_parts(S, eu, ev, em, 1.5, 2.0)
         assert np.allclose(F[k], S / D ** (1 / 1.5), rtol=0.0, atol=1e-12)
         assert values[k] == pytest.approx(E / D, rel=1e-12)
-    assert (iters == 0).all() and (steps == 0.0).all()
+    assert (iters == 0).all() and (steps == 0.0).all() and (backtracks == 0).all()
     assert all(_kernels.STOP_REASONS[s] == "max_iter" for s in stops)
 
 
@@ -97,7 +211,7 @@ def test_kappa_descent_never_stalls():
     # a tiny step tolerance and long stages, where the gap descent's stall rule would fire
     perms = np.ascontiguousarray(action_from_group("cyclic", 8).perms)
     starts = np.random.Generator(np.random.PCG64(4)).standard_normal((6, 8, 1))
-    _, _, iters, stops = _kernels.kappa_descend_block(starts, perms, 1.0, BETAS, 300, 0.0)
+    _, _, iters, stops, _ = _kernels.kappa_descend_block(starts, perms, 1.0, BETAS, 300, 0.0)
     assert iters.max() > _kernels._STALL_ITERS
     assert all(_kernels.STOP_REASONS[s] != "stalled" for s in stops)
 
@@ -106,7 +220,7 @@ def test_degenerate_start_stops_at_once():
     G = gen_family("cycle", [5])
     eu, ev, em = G.nonloop_arrays()
     starts = np.stack([np.ones((5, 1)), _gap_starts(G, 2, seed=0)[0]])
-    _, values, iters, _, stops = _kernels.descend_block(starts, eu, ev, em, 1.5, 2.0, 200, 1e-10)
+    _, values, iters, _, stops, _ = _kernels.descend_block(starts, eu, ev, em, 1.5, 2.0, 200, 1e-10)
     assert _kernels.STOP_REASONS[stops[0]] == "degenerate"
     assert values[0] == np.inf and iters[0] == 0
     assert np.isfinite(values[1])
@@ -121,7 +235,7 @@ def test_block_kappa_descent_matches_single_start_reference(group, params, d, p)
     perms = np.ascontiguousarray(a.perms.astype(np.int64))
     rng = np.random.Generator(np.random.PCG64(11))
     starts = np.stack([rng.standard_normal((a.m, d)) for _ in range(4)])
-    xis, values, _, stops = _kernels.kappa_descend_block(starts, perms, p, BETAS, 100, 1e-12)
+    xis, values, _, stops, _ = _kernels.kappa_descend_block(starts, perms, p, BETAS, 100, 1e-12)
     for k, xi0 in enumerate(starts):
         _, ref, _ = kappa_descend(np.ascontiguousarray(xi0), perms, p, BETAS, 100, 1e-12)
         assert values[k] == pytest.approx(ref, rel=1e-9)
@@ -134,7 +248,7 @@ def test_kappa_descent_cyclic_closed_form():
     perms = np.ascontiguousarray(a.perms)
     rng = np.random.Generator(np.random.PCG64(11))
     xi0 = rng.standard_normal((1, a.m, 1))
-    _, value, _, _ = _kernels.kappa_descend_block(xi0, perms, 2.0, BETAS, 400, 1e-12)
+    value = _kernels.kappa_descend_block(xi0, perms, 2.0, BETAS, 400, 1e-12)[1]
     assert value[0] == pytest.approx(1.0, abs=1e-3)  # 2 sin(pi/6)
 
 

@@ -108,6 +108,16 @@ def test_estimate_restarts_stop_on_integer_spectrum(G):
     assert est.value == pytest.approx(gap_exact_2(G).value, rel=1e-9)
 
 
+@pytest.mark.parametrize("p,q,direction", [(1.5, 2.0, "quasi_newton"), (1.0, 2.0, "gradient"), (3.0, 1.0, "gradient")])
+def test_estimate_reports_its_direction_and_backtracks(p, q, direction):
+    est = gap_estimate(C6, p=p, q=q, d=2, seed=3, restarts=4)
+    assert est.diagnostics["direction"] == direction
+    runs = est.diagnostics["per_restart"]
+    assert [sorted(r) for r in runs] == [["backtracks", "iterations", "stop_reason"]] * 4
+    assert all(0 <= r["backtracks"] <= 60 * r["iterations"] for r in runs)
+    assert sum(r["backtracks"] for r in runs) > 0
+
+
 def test_estimate_block_dimension_independent_at_p2():
     exact = gap_exact_2(K4).value
     est = gap_estimate(K4, p=2.0, q=2.0, d=3, seed=2)
