@@ -28,7 +28,11 @@ start whose direction is not a descent direction empties its memory and
 takes the gradient.  A stage ends on convergence
 (vanishing gradient or a step below ``tol``), a failed line search or its
 iteration budget (max_iter), and the reason that ended the last stage is
-the stop code; a start that is zero once centred is degenerate.
+the stop code; a start that is zero once centred is degenerate.  Given a
+``target`` (a proven lower bound on the objective), the whole block stops
+once its lowest tracked value is at most the target, every start still
+running with the reason certified; the check also runs on the starts, so a
+start already at the target costs no iteration.
 ``descend_block`` runs one stage and also stops a start whose best
 quotient has not improved by a relative ``_STALL_REL`` in ``_STALL_ITERS``
 iterations (stalled).  Its backtracking factor ``_SHRINK`` is not a power
@@ -41,6 +45,10 @@ at almost unchanged size and the quotient converges only like 1/k.
 it evaluates the quotient of scalar maps over an angular grid of the
 mean-zero unit sphere, whole grid rows at a time in chunks of at most
 ``_GRID_CHUNK`` points, so its memory does not grow with the grid.
+
+``cut_gap`` is the exact gap at p = 1 on small graphs: the least quotient
+of an indicator over every cut, from one chunked matrix product of the
+two halves' subsets (meet in the middle).
 """
 
 from __future__ import annotations
@@ -52,6 +60,7 @@ __all__ = [
     "descend_block",
     "gap_direction",
     "oracle_grid",
+    "cut_gap",
     "kappa_residuals",
     "kappa_descend_block",
     "STOP_REASONS",
@@ -66,9 +75,10 @@ _STALL_REL = 1e-9
 _STALL_ITERS = 50
 _MEMORY = 2  # (s, y) pairs per quasi-Newton start
 _GRID_CHUNK = 16384  # grid points per oracle chunk, which bounds its memory
+_CUT_CHUNK = 1 << 17  # cuts per chunk of cut_gap's product, which bounds its memory
 
-STOP_CONVERGED, STOP_STALLED, STOP_LINE_SEARCH, STOP_MAX_ITER, STOP_DEGENERATE = range(5)
-STOP_REASONS = ("converged", "stalled", "line_search", "max_iter", "degenerate")
+STOP_CONVERGED, STOP_STALLED, STOP_LINE_SEARCH, STOP_MAX_ITER, STOP_DEGENERATE, STOP_CERTIFIED = range(6)
+STOP_REASONS = ("converged", "stalled", "line_search", "max_iter", "degenerate", "certified")
 _RUNNING = -1
 
 
@@ -305,7 +315,7 @@ class _QuasiNewton:
         return d.reshape(g.shape), slope, self.newton.copy()
 
 
-def _descend(X, live, value, grad, evaluate, shrink, stages, iters, tol, stall, quasi_newton=False):
+def _descend(X, live, value, grad, evaluate, shrink, stages, iters, tol, stall, quasi_newton=False, target=-np.inf):
     """The descent loop of both adapters, as the module docstring describes.
 
     ``X`` is a projected (R, d, n) block, ``live`` flags the starts that
@@ -314,7 +324,9 @@ def _descend(X, live, value, grad, evaluate, shrink, stages, iters, tol, stall, 
     ``evaluate(trials, rows, stage)`` is the ``_backtrack`` callback, whose
     extra value is the tracked one.  With ``quasi_newton`` the direction is
     ``_QuasiNewton``'s, whose memory spans all stages (the gap descent has
-    one), else the projected gradient.  Returns per start the
+    one), else the projected gradient.  Once the lowest tracked value of
+    the block is at most ``target``, every start that has not ended its
+    last stage stops as certified.  Returns per start the
     accepted point of lowest tracked value, that value, the iteration
     count, the last step norm, the stop code and the count of rejected
     trial steps.
@@ -342,6 +354,9 @@ def _descend(X, live, value, grad, evaluate, shrink, stages, iters, tol, stall, 
     while idx.size:
         if it >= due:
             code[(code == _RUNNING) & (deadline <= it)] = STOP_MAX_ITER
+        if best.min() <= target:
+            code[(code == _RUNNING) | (stage < stages - 1)] = STOP_CERTIFIED
+            stage[:] = stages - 1
         ended = code != _RUNNING
         if ended.any():
             done = ended & (stage == stages - 1)
@@ -484,6 +499,66 @@ def oracle_grid(b1, b2, b3, eu, ev, em, p, nth, hth, nph, hph):
 
 
 # ======================================================================
+# exact p = 1 gap by cut enumeration
+# ======================================================================
+
+
+def _subsets(k):
+    """The 2^k subsets of k vertices as 0/1 rows sorted by size, stably,
+    and each row's size (int8, so a chunk's table of sizes stays small)."""
+    bits = ((np.arange(1 << k)[:, None] >> np.arange(k)) & 1).astype(np.float64)
+    size = bits.sum(axis=1).astype(np.int8)
+    order = np.argsort(size, kind="stable")
+    return bits[order], size[order]
+
+
+def cut_gap(L):
+    """The least quotient of an indicator, ``n cut(S) / (2 |S| |S^c|)``,
+    over the 2^(n-1) - 1 proper nonempty S that leave out vertex n-1, for
+    the integer n x n Laplacian ``L``.
+
+    Meet in the middle: the other vertices split into a low and a high
+    half, and each half's subsets are sorted by size.  With A = -L off the
+    diagonal and c_l, c_h each half-subset's cut x L x, the cut of x_l +
+    x_h is c_l + c_h - 2 x_l A_lh x_h, so one product ``[X_l A_lh, c_l, 1]
+    @ [-2 X_h^T; 1; c_h]`` holds every cut, exact in float64 (integer
+    sums).  The product runs ``_CUT_CHUNK`` entries at a time, and each
+    chunk keeps the least cut per size |S| (a ``minimum.reduceat`` over the
+    high half's size classes).  Returns the least quotient and a 0/1
+    indicator attaining it.
+    """
+    n = L.shape[0]
+    free = n - 1
+    a = free // 2
+    b = free - a
+    lo, hi = np.arange(a), np.arange(a, free)
+    Xl, sl = _subsets(a)
+    Xh, sh = _subsets(b)
+    left = np.column_stack([-Xl @ L[np.ix_(lo, hi)], ((Xl @ L[np.ix_(lo, lo)]) * Xl).sum(axis=1), np.ones(len(Xl))])
+    right = np.vstack([-2.0 * Xh.T, np.ones(len(Xh)), ((Xh @ L[np.ix_(hi, hi)]) * Xh).sum(axis=1)])
+    classes = np.searchsorted(sh, np.arange(b + 1))  # each high size's first column
+    rows = max(1, _CUT_CHUNK // len(Xh))
+    best = np.full(n, np.inf)  # least cut per size |S|
+    chunk_of = np.zeros(n, dtype=np.int64)  # the chunk that first reached it
+    for r0 in range(0, len(Xl), rows):
+        M = np.minimum.reduceat(left[r0 : r0 + rows] @ right, classes, axis=1)
+        got = np.full(n, np.inf)
+        np.minimum.at(got, sl[r0 : r0 + rows, None] + np.arange(b + 1), M)
+        better = got < best
+        best[better], chunk_of[better] = got[better], r0
+    k = np.arange(1, n)
+    ratios = n * best[1:] / (2.0 * k * (n - k))
+    size = 1 + int(np.argmin(ratios))
+    r0 = chunk_of[size]
+    P = left[r0 : r0 + rows] @ right
+    np.putmask(P, sl[r0 : r0 + rows, None] + sh != size, np.inf)
+    i, j = divmod(int(np.argmin(P)), len(Xh))
+    x = np.zeros(n)
+    x[lo], x[hi] = Xl[r0 + i], Xh[j]
+    return float(ratios[size - 1]), x
+
+
+# ======================================================================
 # displacement constant
 # ======================================================================
 
@@ -535,10 +610,11 @@ def _block_kappa_grad(xi, perms, inv_flat, p, beta):
     return fsm, (up - t).sum(axis=2)
 
 
-def kappa_descend_block(xi0, perms, p, betas, iters_per_stage, tol):
+def kappa_descend_block(xi0, perms, p, betas, iters_per_stage, tol, target=-np.inf):
     """Annealed smoothed-max descent of the worst generator displacement
     from each of the (R, m, d) starts ``xi0``, run as one block: one stage
-    of ``iters_per_stage`` iterations per entry of ``betas``.  Returns
+    of ``iters_per_stage`` iterations per entry of ``betas``, until a true
+    max residual is at most ``target`` (then certified).  Returns
     ``(xi, value, iterations, stop, backtracks)`` per start: the field with
     the lowest true max residual seen at an accepted step, that residual,
     the total iteration count, the stop code and the count of rejected
@@ -563,6 +639,7 @@ def kappa_descend_block(xi0, perms, p, betas, iters_per_stage, tol):
 
     r, live = residuals(xi)
     xi, value, it, _, stop, bt = _descend(
-        xi, live, r.max(axis=1), grad, evaluate, _KAPPA_SHRINK, betas.shape[0], iters_per_stage, tol, False
+        xi, live, r.max(axis=1), grad, evaluate, _KAPPA_SHRINK, betas.shape[0], iters_per_stage, tol, False,
+        target=target,
     )
     return np.ascontiguousarray(xi.transpose(0, 2, 1)), value, it, stop, bt

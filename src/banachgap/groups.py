@@ -19,8 +19,10 @@ The displacement constant for exponent p and block dimension d is
 over zero-sum maps xi: cosets -> R^d, with the flat l_p norm over all
 m*d entries.  It is estimated by annealed smoothed-max descent; a companion
 lower bound (2*gap/|S|)^(1/p) comes from the gap of the Schreier graph.  It
-is certified only at p = 2, where that gap is exact; elsewhere the gap is a
-descent estimate from above, and so is the bound.
+is certified where that gap is exact: at p = 2, and at p = 1 on at most
+``spectral.CUT_MAX_N`` cosets (cut enumeration).  Elsewhere the gap is a
+descent estimate from above, and so is the bound.  A certified bound also
+ends the descent once it is reached.
 """
 
 from __future__ import annotations
@@ -54,6 +56,7 @@ KAPPA_BETAS = (1e1, 1e2, 1e3, 1e4)
 COSET_CAP = 20000
 RIGHT_TRANSLATION_CAP = 4096
 SANDWICH_TOLERANCE = 1e-2  # relative slack of verify_sandwich's inequalities
+CERTIFIED_REL = 1e-9  # relative slack of kappa's certified stop and of its lower-bound check
 
 
 @dataclass(frozen=True, eq=False)
@@ -351,9 +354,17 @@ def kappa_estimate(
 
     Annealed smoothed-max descent (log-sum-exp with beta raised over
     stages); the reported value upper-bounds the true constant.  The
-    companion ``lower_from_gap`` is (2*gap/|S|)^(1/p).  It is a certified
-    lower bound only at p=2, where the Schreier gap is exact; otherwise it
-    is heuristic, since the gap itself is then an upper estimate.
+    companion ``lower_from_gap`` is (2*gap/|S|)^(1/p), from gap <= (|S|/2)
+    kappa^p.  It is a certified lower bound when the Schreier gap is exact:
+    at p = 2, and at p = 1 on at most ``spectral.CUT_MAX_N`` cosets.
+    Otherwise it is heuristic, since the gap itself is then an upper
+    estimate.  The diagnostics say which (``lower_certified``).
+
+    With a certified lower bound the block stops as soon as one start's
+    true max residual is at most ``lower_from_gap * (1 + 1e-9)`` (stop
+    reason ``certified``), so the value is then within 1e-9 relative of
+    the constant; a value below the certified lower by more than that
+    raises ``AssertionError``.
     """
     if p < 1 or d < 1:
         raise ValueError(f"invalid p={p} or d={d}")
@@ -363,6 +374,7 @@ def kappa_estimate(
     if gap is None:
         gap = _schreier_gap(a, p, seed + 1, restarts)
     lower = (2.0 * gap.value / a.size) ** (1.0 / p)
+    certified = gap.bound_kind == "exact"
 
     fixed = []
     if gap.minimizer.values.shape[0] == a.m:
@@ -374,7 +386,7 @@ def kappa_estimate(
     betas = np.asarray(KAPPA_BETAS, dtype=np.float64)
     iters_per_stage = max(1, max_iter // len(KAPPA_BETAS))
     xis, values, iters, stops, backtracks = _kernels.kappa_descend_block(
-        starts, perms, float(p), betas, iters_per_stage, tol
+        starts, perms, float(p), betas, iters_per_stage, tol, lower * (1.0 + CERTIFIED_REL) if certified else -np.inf
     )
     b = int(np.argmin(values))
     best_val, best_xi = float(values[b]), xis[b]
@@ -393,11 +405,14 @@ def kappa_estimate(
             "seed": seed,
             "gap_method": gap.method,
             "gap_value": gap.value,
+            "lower_certified": certified,
         },
     )
     col_sums = np.abs(best_xi.sum(axis=0)).max()
     if col_sums > 1e-12:
         raise AssertionError(f"minimizer violates zero-sum: max |column sum| = {col_sums}")
+    if certified and lower > best_val * (1.0 + CERTIFIED_REL):
+        raise AssertionError(f"kappa {best_val} below its certified lower bound {lower}")
     return est
 
 

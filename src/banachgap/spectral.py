@@ -7,11 +7,14 @@ The gap of a connected graph G for exponents (p, q, d) is the infimum of
 over nonconstant maps f: V -> R^d.  Each non-loop edge of multiplicity m
 contributes 2m oriented terms (the 1/2 then cancels one direction);
 self-loops contribute nothing.  For (p, q, d) = (2, 2, 1) this is the first
-positive eigenvalue of the combinatorial Laplacian and is computed exactly;
-otherwise a multi-start projected descent returns the best quotient found,
-which upper-bounds the infimum.  The descent follows the L-BFGS direction
-where the quotient is smooth (p > 1 and q > 1) and the subgradient where it
-has kinks (p = 1 or q = 1).
+positive eigenvalue of the combinatorial Laplacian and is computed exactly.
+At p = 1 with d = 1 or q = 1 the infimum is attained at an indicator of a
+vertex set (coarea; Hein and Buehler, NIPS 2010), so on at most
+``CUT_MAX_N`` vertices enumerating the cuts gives it exactly.  Otherwise a
+multi-start projected descent returns the best quotient found, which
+upper-bounds the infimum.  The descent follows the L-BFGS direction where
+the quotient is smooth (p > 1 and q > 1) and the subgradient where it has
+kinks (p = 1 or q = 1).
 """
 
 from __future__ import annotations
@@ -43,6 +46,10 @@ __all__ = [
 DEFAULT_RESTARTS = 32
 DEFAULT_MAX_ITER = 5000
 DEFAULT_TOL = 1e-10
+
+# Exact p = 1 gaps (d = 1 or q = 1) by enumerating the 2^(n-1) - 1 cuts, up to
+# this many vertices: 0.02-0.03 s at n = 24 on one BLAS thread.
+CUT_MAX_N = 24
 
 # Graphs of at least this many vertices get lambda_2 and the Fiedler vector
 # from a certified Lanczos run (_lanczos_head); smaller ones from one dense
@@ -77,7 +84,7 @@ class VectorMap:
 class GapEstimate:
     value: float
     minimizer: VectorMap
-    method: str  # eigen_exact | multistart_descent | grid_oracle
+    method: str  # eigen_exact | cut_enumeration | multistart_descent | grid_oracle
     bound_kind: str  # exact | upper
     p: float
     q: float
@@ -348,6 +355,46 @@ def _fiedler_start(G: MultiGraph, d: int) -> np.ndarray:
     return F
 
 
+def _gap_cuts(G: MultiGraph, q: float, d: int) -> GapEstimate:
+    """Exact gap at p = 1 (d = 1, or q = 1 at any d): the least quotient of
+    an indicator over the cuts of G (``_kernels.cut_gap``, on one BLAS
+    thread).  At p = 1 the spread is at most (1/n) sum_{u,v} |f_u - f_v|,
+    with equality on two-valued maps, and the ratio of that to the edge
+    energy is least at an indicator (coarea); with d = 1 or q = 1 a map's
+    quotient is at least its best coordinate's.
+
+    Among tied minimisers, the best threshold cut of the Fiedler vector
+    is taken when it attains the minimum, else the enumeration's first:
+    the displacement descent starts from this minimiser, and the spectral
+    cut is the one the gap descent's Fiedler start and its sign rounding
+    led to.  The minimiser is the centred indicator scaled to unit spread,
+    in column 0; the diagnostics give the number of cuts."""
+    n = G.n
+    L = G.laplacian()
+    with _one_blas_thread():
+        value, x = _kernels.cut_gap(L)
+    sweep = np.empty((n - 1, n))
+    sweep[:, np.argsort(-_laplacian_head(G)[1], kind="stable")] = np.tri(n - 1, n)  # row t: the t + 1 highest
+    k = np.arange(1, n)
+    tied = np.flatnonzero(n * ((sweep @ L) * sweep).sum(axis=1) / (2.0 * k * (n - k)) == value)
+    if tied.size:
+        x = sweep[tied[0]]
+    F = np.zeros((n, d))
+    F[:, 0] = x - x.mean()
+    F[:, 0] /= np.abs(F[:, 0]).sum()
+    est = GapEstimate(
+        value=value,
+        minimizer=VectorMap(F, q=q, p=1.0),
+        method="cut_enumeration",
+        bound_kind="exact",
+        p=1.0,
+        q=q,
+        d=d,
+        diagnostics={"cuts": 2 ** (n - 1) - 1},
+    )
+    return _check_estimate(G, est)
+
+
 def gap_estimate(
     G: MultiGraph,
     p: float,
@@ -369,6 +416,10 @@ def gap_estimate(
     together in one block kernel call.  The diagnostics name the
     ``direction`` (``"quasi_newton"`` or ``"gradient"``) and list each
     restart's stop reason, iterations and backtracks under ``per_restart``.
+
+    At p = 1 with d = 1 or q = 1, on at most ``CUT_MAX_N`` vertices, the
+    gap is exact instead: ``_gap_cuts`` enumerates the cuts, and the
+    descent options, restarts and warm starts are not used.
     """
     if p < 1 or q < 1 or d < 1:
         raise ValueError(f"invalid exponents p={p}, q={q}, d={d}")
@@ -376,6 +427,8 @@ def gap_estimate(
         raise ValueError("gap_estimate requires a connected graph")
     if G.n < 2:
         raise ValueError("gap undefined on a single vertex")
+    if p == 1 and (d == 1 or q == 1) and G.n <= CUT_MAX_N:
+        return _gap_cuts(G, float(q), d)
     eu, ev, em = G.nonloop_arrays()
     rng = np.random.Generator(np.random.PCG64(seed))
     fied = _fiedler_start(G, d)
@@ -412,8 +465,9 @@ def gap_estimate(
 
 
 def gap(G: MultiGraph, p: float, q: float = 2.0, d: int = 1, **descent_opts) -> GapEstimate:
-    """The gap at (p, q, d): exact when p = q = 2 and d = 1, otherwise the
-    multi-start descent, called with ``descent_opts`` (seed, restarts, ...)."""
+    """The gap at (p, q, d): exact when p = q = 2 and d = 1, otherwise
+    ``gap_estimate`` (exact by cut enumeration on small graphs at p = 1),
+    called with ``descent_opts`` (seed, restarts, ...)."""
     if p == 2.0 and q == 2.0 and d == 1:
         return gap_exact_2(G)
     return gap_estimate(G, p=p, q=q, d=d, **descent_opts)

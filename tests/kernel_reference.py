@@ -4,7 +4,9 @@ The descents are the serial numpy kernels that ran one start at a time
 before they were vectorised over a block of starts; the tests compare the
 block kernels of ``banachgap._kernels`` against them.  The grid oracles
 are the half-circle scan (n = 3) and the row-by-row sphere scan (n = 4)
-that ``_kernels.oracle_grid`` replaced with one chunked grid kernel.  The graph and
+that ``_kernels.oracle_grid`` replaced with one chunked grid kernel.
+``cut_quotient_min`` scores every indicator with a plain numpy quotient, the
+check of ``_kernels.cut_gap``'s meet-in-the-middle enumeration.  The graph and
 metric loops are the per-edge dense Laplacian, the per-source BFS, the
 pairwise ``Fraction`` distortion and the per-translation displacement that
 ``banachgap.graphs`` and ``banachgap.distortion`` replaced with array
@@ -263,6 +265,24 @@ def oracle_sphere(b1, b2, b3, eu, ev, em, p, nth, nph):
             maxjump = max(maxjump, float(np.abs(R - prev_row).max()))
         prev_row = R
     return best, best_th, best_ph, maxjump
+
+
+def cut_quotient_min(G, chunk=1 << 16):
+    """The least p = 1 quotient ``sum_e m |f_u - f_v| / sum_v |f_v - mean|``
+    over the indicators f of every proper nonempty vertex set, edge by edge
+    over ``G.edges`` (loops included, where they add 0), a chunk of sets at
+    a time.  A set and its complement share a quotient, so the sets leave
+    out vertex n - 1."""
+    n = G.n
+    best = np.inf
+    for start in range(1, 1 << (n - 1), chunk):
+        masks = np.arange(start, min(start + chunk, 1 << (n - 1)))
+        f = [((masks >> v) & 1).astype(np.float64) for v in range(n)]
+        mean = sum(f) / n
+        energy = sum(m * np.abs(f[u] - f[v]) for u, v, m in G.edges)
+        spread = sum(np.abs(fv - mean) for fv in f)
+        best = min(best, float((energy / spread).min()))
+    return best
 
 
 def laplacian(G):

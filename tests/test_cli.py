@@ -148,6 +148,27 @@ def test_distort_subcommand(capsys):
     assert "d" not in payload
 
 
+@pytest.mark.parametrize("q", ["2", "1"])
+def test_distort_at_p1_certifies_lower_bounds_below_the_upper(capsys, q):
+    # The p = 1 gap of H4 (16 vertices) is exact by cut enumeration, so both
+    # gap-based lower bounds are certified.
+    code, out = run(capsys, "distort", "--gen", "hamming:4", "--p", "1", "--q", q)
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["certified"]
+    assert payload["gn_lower"] <= payload["upper"] * (1 + 1e-9)
+    assert payload["jv_lower"] <= payload["upper"] * (1 + 1e-9)
+    assert payload["jv_lower"] == 1.0  # D gap / avg_degree = 4 * 1 / 4, the l_1 distortion at q = 1
+
+
+def test_gap_at_p1_enumerates_the_cuts(capsys):
+    code, out = run(capsys, "gap", "--gen", "cycle:8", "--p", "1")
+    assert code == 0
+    payload = json.loads(out)
+    assert (payload["method"], payload["bound_kind"], payload["value"]) == ("cut_enumeration", "exact", 0.5)
+    assert payload["diagnostics"] == {"cuts": 127}
+
+
 def test_distort_family_sweep(tmp_path, capsys):
     code, out = run(capsys, "distort", "--gen", "hamming", "--family", "2:4", "--p", "2", "--out", str(tmp_path))
     assert code == 0

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import re
 import resource
@@ -12,6 +13,7 @@ from kernel_reference import group_action, schreier_edges, transitive
 
 from banachgap._kernels import kappa_residuals
 from banachgap.graphs import build_graph, gen_family
+from banachgap.spectral import gap_estimate, gap_exact_2
 from banachgap.groups import (
     PermutationAction,
     action_from_group,
@@ -217,6 +219,52 @@ def test_lower_from_gap_invariant_across_actions():
     ]:
         est = kappa_estimate(a, p=p, d=1, seed=0)
         assert est.lower_from_gap <= est.value * (1 + 1e-6) + 1e-9
+
+
+@pytest.mark.parametrize(
+    "group,params,p", [("cyclic", (6,), 2.0), ("sl_mod", (2, 3), 2.0), ("cyclic", (8,), 1.0), ("symmetric", (4,), 1.0)]
+)
+def test_kappa_start_at_a_certified_lower_stops_every_start(group, params, p):
+    # The exact gap's minimiser has equal generator displacements here, so
+    # the block stops before its first iteration.  At symmetric(4), p = 1,
+    # that rests on the cut route's preference for a Fiedler threshold cut.
+    est = kappa_estimate(action_from_group(group, *params), p=p, restarts=4, seed=3)
+    assert est.diagnostics["lower_certified"]
+    assert est.diagnostics["per_restart"] == [{"stop_reason": "certified", "iterations": 0, "backtracks": 0}] * 4
+    assert est.lower_from_gap <= est.value <= est.lower_from_gap * (1 + 1e-9)
+
+
+def test_kappa_with_an_upper_gap_never_certifies():
+    a = action_from_group("cyclic", 6)
+    upper = dataclasses.replace(gap_exact_2(schreier_graph(a)), bound_kind="upper")
+    est = kappa_estimate(a, p=2.0, restarts=3, max_iter=200, gap=upper)
+    assert not est.diagnostics["lower_certified"]
+    assert all(r["stop_reason"] != "certified" and r["iterations"] > 0 for r in est.diagnostics["per_restart"])
+    assert not kappa_estimate(a, p=1.5, restarts=3, max_iter=200).diagnostics["lower_certified"]
+
+
+def test_kappa_below_a_certified_lower_raises():
+    a = action_from_group("cyclic", 6)
+    exact = gap_exact_2(schreier_graph(a))
+    too_high = dataclasses.replace(exact, value=2.0 * exact.value)
+    with pytest.raises(AssertionError, match="below its certified lower bound"):
+        kappa_estimate(a, p=2.0, restarts=2, max_iter=40, gap=too_high)
+
+
+@given(st.integers(0, 10_000), st.sampled_from([1.0, 2.0]), st.integers(1, 2))
+@settings(max_examples=40, deadline=None)
+def test_kappa_is_never_below_its_certified_lower(seed, p, d):
+    rng = np.random.Generator(np.random.PCG64(seed))
+    m = int(rng.integers(2, 10))
+    rows = [rng.permutation(m) for _ in range(int(rng.integers(1, 3)))]
+    rows = [r for row in rows for r in (row, np.argsort(row))]
+    perms = np.array(rows, dtype=np.int64)
+    if not transitive(perms):
+        return
+    a = PermutationAction(m=m, labels=tuple(f"s{i}" for i in range(len(rows))), perms=perms, inverse=tuple(i ^ 1 for i in range(len(rows))))
+    est = kappa_estimate(a, p=p, d=d, restarts=3, max_iter=200, seed=seed)
+    assert est.diagnostics["lower_certified"]
+    assert est.value >= est.lower_from_gap * (1 - 1e-9)
 
 
 def test_nu_values():

@@ -243,6 +243,47 @@ def test_block_kappa_descent_matches_single_start_reference(group, params, d, p)
     assert all(_kernels.STOP_REASONS[s] in ("converged", "line_search", "max_iter") for s in stops)
 
 
+def test_kappa_block_stops_once_it_reaches_the_target():
+    # The target is a value the free descent reaches: the block stops at the
+    # first iteration a start's true max residual is at most the target, and
+    # every start still in a stage then stops as certified.
+    perms = np.ascontiguousarray(action_from_group("sl_mod", 2, 3).perms)
+    starts = np.random.Generator(np.random.PCG64(6)).standard_normal((5, 24, 1))
+    _, free, free_it, free_stop, _ = _kernels.kappa_descend_block(starts, perms, 1.5, BETAS, 100, 1e-12)
+    assert _kernels.STOP_CERTIFIED not in free_stop
+    target = float(free.min()) * 1.01
+    _, value, it, stop, _ = _kernels.kappa_descend_block(starts, perms, 1.5, BETAS, 100, 1e-12, target)
+    certified = stop == _kernels.STOP_CERTIFIED
+    assert certified.any() and value.min() <= target
+    assert len(set(it[certified])) == 1 and (it[~certified] < it[certified][0]).all()
+    assert it[certified][0] < free_it.max()
+
+
+def test_certified_stop_overrides_a_stage_that_ends_at_the_same_iteration():
+    # With one iteration per stage every start ends stage 0 at iteration 1
+    # (max_iter); the target is the block's best after that iteration, so
+    # the stop is certified, not the end of an early stage.
+    perms = np.ascontiguousarray(action_from_group("cyclic", 7).perms)
+    starts = np.random.Generator(np.random.PCG64(9)).standard_normal((3, 7, 1))
+    first = _kernels.kappa_descend_block(starts, perms, 1.5, BETAS[:1], 1, 1e-12)[1].min()
+    _, value, it, stop, _ = _kernels.kappa_descend_block(starts, perms, 1.5, BETAS, 1, 1e-12, first)
+    assert value.min() == first
+    assert [_kernels.STOP_REASONS[s] for s in stop] == ["certified"] * 3 and (it == 1).all()
+
+
+def test_kappa_start_at_the_target_costs_no_iteration():
+    # The cos field attains kappa(cyclic(6), 2) = 1 exactly: the whole block
+    # stops before its first iteration, a degenerate start apart.
+    perms = np.ascontiguousarray(action_from_group("cyclic", 6).perms)
+    rng = np.random.Generator(np.random.PCG64(2))
+    wave = np.cos(np.pi * np.arange(6) / 3)[:, None]
+    starts = np.stack([rng.standard_normal((6, 1)), wave, np.ones((6, 1))])
+    _, value, it, stop, bt = _kernels.kappa_descend_block(starts, perms, 2.0, BETAS, 100, 1e-12, 1.0 + 1e-9)
+    assert [_kernels.STOP_REASONS[s] for s in stop] == ["certified", "certified", "degenerate"]
+    assert (it == 0).all() and (bt == 0).all()
+    assert value[1] == pytest.approx(1.0, rel=1e-12) and value[2] == np.inf
+
+
 def test_kappa_descent_cyclic_closed_form():
     a = action_from_group("cyclic", 6)
     perms = np.ascontiguousarray(a.perms)

@@ -1,12 +1,15 @@
 import math
+import time
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from kernel_reference import cut_quotient_min
 from kernel_reference import laplacian as reference_laplacian
 
 from banachgap import spectral
+from banachgap.acceptance import _SMALL_GRAPHS, _sandwich_cases
 from banachgap.graphs import build_graph, gen_family
 from banachgap.groups import action_from_group, schreier_graph
 from banachgap.spectral import (
@@ -438,3 +441,95 @@ def test_certificate_refuses_a_value_above_a_missed_eigenvalue():
     assert spectral._cholesky_lower_bound(G, float(lam[2]), 1e-14) is None
     lower = spectral._cholesky_lower_bound(G, float(lam[1]), 1e-14)
     assert lower is not None and lower <= lam[1] and lam[1] - lower <= 1e-9 * lam[1]
+
+
+# ----------------------------------------------------------------------
+# Exact p = 1 gaps by cut enumeration
+# ----------------------------------------------------------------------
+
+
+def _random_multigraph(seed):
+    """A seeded connected multigraph on 2 to 12 vertices: a random spanning
+    tree, then extra edges, with multiplicities up to 3 and loops."""
+    rng = np.random.Generator(np.random.PCG64(seed))
+    n = int(rng.integers(2, 13))
+    edges = [(int(rng.integers(0, v)), v, int(rng.integers(1, 4))) for v in range(1, n)]
+    edges += [(int(a), int(b), int(c)) for a, b, c in rng.integers(0, [n, n, 3], size=(int(rng.integers(0, 2 * n)), 3)) + [0, 0, 1]]
+    return build_graph(n, edges)
+
+
+def _assert_cut_route_exact(G, q=1.0, d=1):
+    est = gap_estimate(G, p=1.0, q=q, d=d, seed=0, restarts=3)
+    assert est.method == "cut_enumeration" and est.bound_kind == "exact"
+    assert est.value == pytest.approx(cut_quotient_min(G), rel=1e-12)
+    assert rayleigh_quotient(G, est.minimizer) == pytest.approx(est.value, rel=1e-12)
+    assert est.diagnostics == {"cuts": 2 ** (G.n - 1) - 1}
+    col = est.minimizer.values[:, 0]
+    assert len(np.unique(col)) == 2 and abs(col.sum()) <= 1e-12 and np.abs(col).sum() == pytest.approx(1.0, rel=1e-12)
+    assert not est.minimizer.values[:, 1:].any()
+    return est
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_cut_route_equals_brute_force_on_random_multigraphs(seed):
+    G = _random_multigraph(seed)
+    assert G.connected
+    _assert_cut_route_exact(G, q=(1.0, 2.0, 3.0)[seed % 3])
+
+
+@pytest.mark.parametrize("name,a,d,cube", _sandwich_cases(1), ids=[c[0] for c in _sandwich_cases(1)])
+def test_cut_route_equals_brute_force_on_sandwich_graphs(name, a, d, cube):
+    _assert_cut_route_exact(schreier_graph(a), d=d)
+
+
+@pytest.mark.parametrize("name", list(_SMALL_GRAPHS))
+def test_cut_route_is_at_most_the_grid_oracle(name):
+    n, edges = _SMALL_GRAPHS[name]
+    G = build_graph(n, edges)
+    est = gap_estimate(G, p=1.0, q=2.0, d=1)
+    assert est.method == "cut_enumeration"
+    oracle = gap_oracle_small(G, p=1.0, resolution=1e-4 if n <= 3 else 4e-3)
+    assert est.value <= oracle.value * (1.0 + 1e-12)
+
+
+def test_cut_route_up_to_24_vertices():
+    assert gap_estimate(gen_family("cycle", [24]), p=1.0).method == "cut_enumeration"
+    big = gap_estimate(gen_family("cycle", [25]), p=1.0, restarts=2, max_iter=10)
+    assert big.method == "multistart_descent" and big.bound_kind == "upper"
+
+
+def test_cut_route_at_d_above_one_only_when_q_is_one():
+    for q, d, method in [(1.0, 1, "cut_enumeration"), (2.0, 1, "cut_enumeration"), (1.0, 3, "cut_enumeration"),
+                         (2.0, 2, "multistart_descent"), (1.5, 3, "multistart_descent")]:
+        est = gap_estimate(C6, p=1.0, q=q, d=d, seed=0, restarts=2, max_iter=20)
+        assert (est.method, est.minimizer.d, est.q) == (method, d, q)
+    assert gap_estimate(C6, p=1.5, q=1.0, d=1, restarts=2, max_iter=20).method == "multistart_descent"
+
+
+def test_cut_route_on_sl_mod_2_3_is_fast():
+    G = schreier_graph(action_from_group("sl_mod", 2, 3))
+    assert G.n == 24
+    times = []
+    for _ in range(3):
+        t0 = time.perf_counter()
+        est = gap_estimate(G, p=1.0, q=1.0)
+        times.append(time.perf_counter() - t0)
+    assert est.value == 1.0
+    assert min(times) <= 0.1
+
+
+@pytest.mark.parametrize("seed", range(51))
+def test_cyclic_8_gap_at_p1_is_exactly_one_half(seed):
+    # small's p = 1 sandwich settings; a descent returned 0.5003-0.5008 here
+    S = schreier_graph(action_from_group("cyclic", 8))
+    assert gap_estimate(S, p=1.0, q=1.0, d=1, seed=seed, restarts=24, max_iter=80).value == 0.5
+
+
+def test_cut_route_prefers_a_threshold_cut_of_the_fiedler_vector():
+    # symmetric(4) has ten minimising cuts; the Fiedler vector's top half is
+    # one of them, and the one whose generators all displace equally.
+    G = schreier_graph(action_from_group("symmetric", 4))
+    est = gap_estimate(G, p=1.0)
+    top = np.argsort(-spectral._laplacian_head(G)[1], kind="stable")[:12]
+    assert est.value == 0.5
+    assert set(np.flatnonzero(est.minimizer.values[:, 0] > 0)) == set(top.tolist())
