@@ -292,51 +292,116 @@ def _random_regular(n: int, d: int, seed: int | None, max_tries: int = 2000) -> 
 
 def all_pairs_distances(G: MultiGraph) -> MetricTable:
     """BFS hop distances, built once per graph; multiplicities and loops do
-    not change them.  One search runs from every source at once over flat
-    ``s*n + v`` indices, so the work is O(n |E|) whatever the diameter."""
+    not change them.
+
+    One word-parallel search runs from 64 sources per machine word: bit
+    ``s % 64`` of word ``s // 64`` in vertex v's cell marks source s.  Each
+    level ORs every nonzero frontier cell into its neighbours' cells, keeps
+    the bits not seen before, and files them under the level's binary
+    digits in bit planes; the planes are unpacked once, at the end, into
+    the int64 table.  An expander's cells carry many sources each, so it
+    costs a fraction of n separate searches.  A long cycle or path carries
+    about one source per cell, so it gains nothing from the words and pays
+    for their bookkeeping."""
     if not G.connected:
         raise ValueError("all_pairs_distances requires a connected graph")
     return G.memo("metric", lambda: _bfs_all_sources(G))
 
 
-# Table entries held by one chunk of sources in _bfs_all_sources: a level's
-# int64 temporaries then stay near the size of the chunk's rows.
+# Neighbour cells that one level of one chunk of _bfs_all_sources may
+# gather: a chunk holds max(1, _BFS_CHUNK_ENTRIES // (2 |E|)) words of
+# sources, so a level's temporaries stay near 2^20 entries.
 _BFS_CHUNK_ENTRIES = 1 << 20
+_WORD = 64
+# Bit planes below this take each level's new cells one by one.  Plane
+# k >= _SPARSE_PLANES changes only once in 2^k levels, so it takes a whole
+# run of levels at once, as the XOR of the seen words before and after it.
+_SPARSE_PLANES = 3
 
 
 def _bfs_all_sources(G: MultiGraph) -> MetricTable:
-    """Breadth-first search from every source at once, over flat
-    (source, vertex) indices, for chunks of about 2^20 / n sources at a time."""
+    """Word-parallel breadth-first search from every source, in chunks of
+    whole 64-source words (see ``all_pairs_distances``)."""
     n = G.n
     eu, ev, _ = G.nonloop_arrays()
     tails = np.concatenate([eu, ev])
     nbr = np.concatenate([ev, eu])[np.argsort(tails, kind="stable")]
     deg = np.bincount(tails, minlength=n)
     first = np.cumsum(deg) - deg
-    dist = np.full(n * n, -1, dtype=np.int64)
-    chunk = max(1, _BFS_CHUNK_ENTRIES // n)
+    dist = np.zeros((n, n), dtype=np.int64)
+    chunk = _WORD * max(1, _BFS_CHUNK_ENTRIES // max(1, nbr.size))
     diameter = 0
     for lo in range(0, n, chunk):
-        rows = dist[lo * n : min(lo + chunk, n) * n]  # a view: chunk-local flat indices
-        front = np.arange(rows.size // n) * (n + 1) + lo
-        rows[front] = 0
-        level = 0
-        while front.size:
-            level += 1
-            v = front % n
-            c = deg[v]
-            cut = np.cumsum(c)
-            slot = np.repeat(first[v] - (cut - c), c) + np.arange(cut[-1])
-            cand = np.repeat(front - v, c) + nbr[slot]
-            cand = cand[rows[cand] < 0]
-            # De-duplicate without a sort: each unseen slot keeps one writer's mark.
-            mark = -2 - np.arange(cand.size)
-            rows[cand] = mark
-            front = cand[rows[cand] == mark]
-            rows[front] = level
-        diameter = max(diameter, level - 1)
+        diameter = max(diameter, _bfs_words(nbr, deg, first, dist, lo, min(lo + chunk, n)))
     dist.setflags(write=False)
-    return MetricTable(d=dist.reshape(n, n), diameter=diameter)
+    return MetricTable(d=dist, diameter=diameter)
+
+
+def _bfs_words(nbr, deg, first, dist, lo: int, hi: int) -> int:
+    """Fill ``dist[:, lo:hi]`` with the hop distances from sources lo..hi-1
+    (the table is symmetric) and return the last level reached.
+
+    Cell ``v*words + w`` holds the sources ``lo + 64 w + b`` that have
+    reached vertex v, one per set bit b.  The frontier keeps only its
+    nonzero cells: ``front`` their indices, ``bits`` their new sources."""
+    n = deg.size
+    words = -(-(hi - lo) // _WORD)
+    local = np.arange(hi - lo)
+    front = np.arange(lo, hi) * words + local // _WORD
+    bits = np.left_shift(np.uint64(1), (local % _WORD).astype(np.uint64))
+    seen = np.zeros(n * words, dtype=np.uint64)
+    seen[front] = bits
+    mark = np.empty(n * words, dtype=np.intp)
+    planes: list[np.ndarray] = []  # plane k: sources first reached at a level with bit k set
+    level = 0
+    v, w = np.divmod(front, words)
+    while True:
+        c = deg[v]
+        cut = np.cumsum(c)
+        slot = np.repeat(first[v] - (cut - c), c) + np.arange(cut[-1])
+        cand = nbr[slot] * words + np.repeat(w, c)
+        bits = np.repeat(bits, c) & ~seen[cand]
+        keep = np.flatnonzero(bits)
+        if not keep.size:
+            break
+        cand, bits = cand[keep], bits[keep]
+        # Combine duplicate cells without a sort: the last writer of each
+        # cell wins its mark, and the losers OR their bits into its value.
+        pos = np.arange(cand.size)
+        mark[cand] = pos
+        winner = mark[cand]
+        lose = winner != pos
+        np.bitwise_or.at(bits, winner[lose], bits[lose])
+        win = ~lose
+        front, bits = cand[win], bits[win]
+        level += 1
+        if level.bit_length() > len(planes):
+            planes.append(np.zeros(n * words, dtype=np.uint64))
+        # bits 0..ctz(level) flip from level - 1 to level: their runs start or end
+        for k in range(_SPARSE_PLANES, (level & -level).bit_length()):
+            planes[k] ^= seen
+        seen[front] |= bits
+        for k in range(min(_SPARSE_PLANES, level.bit_length())):
+            if level >> k & 1:
+                planes[k][front] |= bits
+        v, w = np.divmod(front, words)
+    for k in range(_SPARSE_PLANES, level.bit_length()):
+        if level >> k & 1:
+            planes[k] ^= seen  # the run still open at the last level
+    # Unpack the planes a few rows at a time: bit b of a row's byte j is
+    # source lo + 8 j + b once the words are read little-endian.
+    width = hi - lo
+    rows = max(1, (1 << 16) // width)
+    acc_type = np.min_scalar_type((1 << len(planes)) - 1)
+    for a in range(0, n, rows):
+        b = min(a + rows, n)
+        acc = np.zeros((b - a, width), dtype=acc_type)
+        for k, plane in enumerate(planes):
+            octets = plane[a * words : b * words].astype("<u8", copy=False).view(np.uint8)
+            hit = np.unpackbits(octets.reshape(b - a, -1), axis=1, count=width, bitorder="little")
+            acc |= np.left_shift(hit, k, dtype=acc_type)
+        dist[a:b, lo:hi] = acc
+    return level
 
 
 # ----------------------------------------------------------------------

@@ -51,6 +51,18 @@ _BLOCK = 4096
 _ROWS = 512
 
 
+# One pool per (process, worker count), reused by every _stream call; the
+# process id keeps a forked child off its parent's threads, which it lacks.
+_POOLS: dict[tuple[int, int], ThreadPoolExecutor] = {}
+
+
+def _pool(workers: int) -> ThreadPoolExecutor:
+    key = (os.getpid(), workers)
+    if key not in _POOLS:
+        _POOLS[key] = ThreadPoolExecutor(max_workers=workers)
+    return _POOLS[key]
+
+
 def _usable_cpus() -> int:
     """CPUs this process may run on (its affinity mask, so taskset counts)."""
     if hasattr(os, "sched_getaffinity"):
@@ -257,7 +269,9 @@ def _stream(n_samples: int, seed: int, draw, measure) -> tuple[np.ndarray, np.nd
     ``jumped(0)`` is ``PCG64(seed)`` itself, so a call of at most ``_BLOCK``
     pairs draws exactly what one generator would.  The calling thread and
     min(usable CPUs, blocks) - 1 pool threads take blocks from one shared
-    iterator, and a block's exception reaches the caller.
+    iterator, and a block's exception reaches the caller.  The pool of that
+    size is made once per process and kept (``_pool``), so a call starts
+    no threads after the first.
 
     Memory: glibc keeps what a pool thread frees in that thread's own arena,
     out of the calling thread's reach, so every block held at once adds to
@@ -281,11 +295,10 @@ def _stream(n_samples: int, seed: int, draw, measure) -> tuple[np.ndarray, np.nd
                 eps[a:b], delta[a:b] = measure(x[a - lo : b - lo], y[a - lo : b - lo])
 
     helpers = min(_usable_cpus(), blocks) - 1
-    with ThreadPoolExecutor(max_workers=max(1, helpers)) as pool:
-        running = [pool.submit(drain) for _ in range(helpers)]
-        drain()
-        for job in running:
-            job.result()
+    running = [_pool(helpers).submit(drain) for _ in range(helpers)]
+    drain()
+    for job in running:
+        job.result()
     return eps, delta
 
 

@@ -1,4 +1,5 @@
 import re
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -161,16 +162,23 @@ def test_margulis():
 
 
 @st.composite
-def connected_multigraphs(draw):
-    """A random spanning tree plus extra edges, with loops and multiplicities."""
-    n = draw(st.integers(1, 12))
-    edges = [(draw(st.integers(0, v - 1)), v, draw(st.integers(1, 3))) for v in range(1, n)]
+def connected_multigraphs(draw, max_n=12):
+    """A random spanning tree plus extra edges, with loops and multiplicities.
+    Vertex v hangs off one of the ``reach`` vertices before it, so a small
+    reach gives a long, path-like tree and a large one a shallow tree."""
+    n = draw(st.integers(1, max_n))
+    reach = draw(st.integers(1, n))
+    edges = [(draw(st.integers(max(0, v - reach), v - 1)), v, draw(st.integers(1, 3))) for v in range(1, n)]
     vertex = st.integers(0, n - 1)
     edges += draw(st.lists(st.tuples(vertex, vertex, st.integers(1, 3)), max_size=2 * n))
     return build_graph(n, edges)
 
 
-@given(connected_multigraphs())
+# Up to 200 vertices: a search runs one, two, three or four 64-source words.
+WORD_GRAPHS = connected_multigraphs(max_n=200)
+
+
+@given(WORD_GRAPHS)
 @settings(max_examples=150, deadline=None)
 def test_metric_equals_reference_bfs(G):
     met = all_pairs_distances(G)
@@ -180,10 +188,11 @@ def test_metric_equals_reference_bfs(G):
     assert met.diameter == int(ref.max())
 
 
-@given(connected_multigraphs(), st.integers(1, 40))
+@given(WORD_GRAPHS, st.integers(1, 3000))
 @settings(max_examples=100, deadline=None)
 def test_chunked_metric_equals_reference_bfs(G, entries):
-    # chunks of max(1, entries // n) sources: single sources, partial last chunks
+    # chunks of max(1, entries // 2|E|) words of 64 sources: single words,
+    # several words, partial last words and partial last chunks
     with mock.patch.object(graphs, "_BFS_CHUNK_ENTRIES", entries):
         met = graphs._bfs_all_sources(G)
     ref = bfs_distances(G)
@@ -225,8 +234,22 @@ def test_metric_closed_forms(make, want, diameter):
 
 
 def test_metric_margulis_equals_reference_bfs():
-    G = gen_family("margulis", [6])
-    assert np.array_equal(all_pairs_distances(G).d, bfs_distances(G))
+    for m in (6, 12):  # 36 vertices in one word, 144 in three
+        G = gen_family("margulis", [m])
+        assert np.array_equal(all_pairs_distances(G).d, bfs_distances(G))
+
+
+def test_search_peaks_within_one_and_three_quarter_tables():
+    # the words, the bit planes and a level's cells stay small beside the table
+    G = gen_family("random_regular", [2000, 3], seed=1)
+    G.nonloop_arrays()
+    tracemalloc.start()
+    try:
+        met = graphs._bfs_all_sources(G)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.75 * met.d.nbytes
 
 
 def test_metric_is_built_once_and_read_only():

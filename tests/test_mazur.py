@@ -1,4 +1,6 @@
 import math
+import multiprocessing
+import os
 import sys
 import threading
 import time
@@ -267,30 +269,33 @@ STREAM, POOL = mazur._stream, mazur.ThreadPoolExecutor
 
 
 def _run_both(monkeypatch, cpus, n):
-    """Both estimators on n pairs with ``cpus`` usable CPUs: their results,
-    the (eps, delta) of every _stream call, and the pool tasks submitted."""
-    streams, helpers = [], []
+    """Both estimators on n pairs with ``cpus`` usable CPUs, starting with
+    no pools: their results, the (eps, delta) of every _stream call, the
+    pool tasks each call submitted, and the worker counts of the pools made."""
+    streams, helpers, pools = [], [], []
 
     def spy_stream(*args):
+        helpers.append(0)
         streams.append(tuple(a.tobytes() for a in STREAM(*args)))
         return np.frombuffer(streams[-1][0]), np.frombuffer(streams[-1][1])
 
     class spy_pool(POOL):
         def __init__(self, max_workers):
             super().__init__(max_workers=max_workers)
-            helpers.append(0)
+            pools.append(max_workers)
 
         def submit(self, *args):
             helpers[-1] += 1
             return super().submit(*args)
 
+    monkeypatch.setattr(mazur, "_POOLS", {})
     monkeypatch.setattr(mazur, "_usable_cpus", lambda: cpus)
     monkeypatch.setattr(mazur, "_stream", spy_stream)
     monkeypatch.setattr(mazur, "ThreadPoolExecutor", spy_pool)
     phi = mazur.mazur_sphere_map(1.5, 2.0)
     est = mazur.estimate_modulus(phi, "near_pairs", n, seed=12, d=16, bound=phi.modulus)
     chk = mazur.check_stabilized_modulus(phi, k=3, p=2.0, n_samples=n, seed=12, d=8)
-    return (est.fitted_C, est.fitted_alpha, est.violations, chk), streams, helpers
+    return (est.fitted_C, est.fitted_alpha, est.violations, chk), streams, helpers, pools
 
 
 @pytest.mark.parametrize("n", BLOCK_EDGES)
@@ -298,11 +303,38 @@ def test_estimators_do_not_depend_on_the_worker_count(monkeypatch, n):
     blocks = len(_block_counts(n))
     runs = []
     for cpus in (1, 2, 4):
-        fits, streams, helpers = _run_both(monkeypatch, cpus, n)
+        fits, streams, helpers, pools = _run_both(monkeypatch, cpus, n)
         # the caller plus min(cpus, blocks) - 1 pool threads
         assert helpers == [min(cpus, blocks) - 1] * 2
+        # both calls share one pool, and a call with no helpers makes none
+        assert pools == ([helpers[0]] if helpers[0] else [])
         runs.append((fits, streams))
     assert runs[0] == runs[1] == runs[2]
+
+
+def _modulus_in_child(phi, n, out):
+    out.put(mazur.estimate_modulus(phi, "uniform_sphere", n, seed=3, d=4).eps.tobytes())
+
+
+def test_a_forked_child_makes_its_own_pool(monkeypatch):
+    # the parent's pool threads do not exist in a forked child: a child
+    # that submitted to them would wait for ever
+    monkeypatch.setattr(mazur, "_usable_cpus", lambda: 2)
+    phi = mazur.mazur_sphere_map(3.0, 2.0)
+    n = 3 * mazur._BLOCK
+    want = mazur.estimate_modulus(phi, "uniform_sphere", n, seed=3, d=4).eps.tobytes()
+    assert (os.getpid(), 1) in mazur._POOLS  # the parent holds a one-helper pool
+    ctx = multiprocessing.get_context("fork")
+    out = ctx.Queue()
+    child = ctx.Process(target=_modulus_in_child, args=(phi, n, out))
+    child.start()
+    try:
+        got = out.get(timeout=60)
+    finally:
+        child.join(10)
+        if child.is_alive():
+            child.kill()
+    assert got == want and child.exitcode == 0
 
 
 def test_blocks_survive_frequent_thread_switches(monkeypatch):
