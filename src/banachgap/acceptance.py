@@ -465,12 +465,14 @@ def criterion_9(seed: int = 0) -> CriterionResult:
 
 def criterion_10(seed: int = 0) -> CriterionResult:
     t0 = time.perf_counter()
-    ns = np.arange(2, 9, dtype=np.float64)
-    diams = ns.copy()
-    c_lower = np.sqrt(ns)  # certified: displacement route at p=2 is exactly sqrt(n)
+    cubes = [(H, all_pairs_distances(H)) for H in (gen_family("hamming", [n]) for n in range(2, 9))]
+    diams = [met.diameter for _, met in cubes]
+    # the displacement route at p=2 from the exact gap and D: sqrt(n) on H_n
+    bounds = [jv_bound(H, gap_exact_2(H), 2.0, max_displacement(H, met)) for H, met in cubes]
+    c_lower = [b.value for b in bounds]
     v06 = austin_exclude(diams, c_lower, lambda t: t**0.6)
     v04 = austin_exclude(diams, c_lower, lambda t: t**0.4)
-    ok = v06.verdict == "excluded" and v04.verdict in ("not_excluded", "inconclusive")
+    ok = all(b.certified for b in bounds) and v06.verdict == "excluded" and v04.verdict in ("not_excluded", "inconclusive")
     detail = f"t^0.6 -> {v06.verdict} (slope {v06.slope:.3f}); t^0.4 -> {v04.verdict} (slope {v04.slope:.3f})"
     return _result("10", "compression exponent exclusion for the cube family", ok, t0, 1.0, detail)
 

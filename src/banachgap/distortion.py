@@ -8,6 +8,8 @@ Upper bounds come from explicit embeddings whose bi-Lipschitz constants
 are evaluated exactly over all pairs.  A coarse-union builder and a
 compression-exclusion check cover the asymptotic corollaries at family
 level.
+Both lower-bound routes increase with the gap and with D(G), so they take
+the lower ends of those ``spectral.Bound``s and are certified when both are.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ import numpy as np
 
 from .graphs import MetricTable, MultiGraph, all_pairs_distances
 from .groups import PermutationAction
-from .spectral import GapEstimate
+from .spectral import Bound, GapEstimate
 
 __all__ = [
     "DistortionResult",
@@ -204,11 +206,13 @@ def r_eps_exact(G: MultiGraph, metric: MetricTable, eps: float) -> REpsBound:
 
 @dataclass(frozen=True)
 class Displacement:
-    value: int
-    permutation: np.ndarray
-    exact: bool
-    mode: str
+    bound: Bound  # on D(G); exact when the ends meet
+    permutation: np.ndarray  # attains the lower end, the value
     hall_set: np.ndarray | None = None  # exact mode: S with fewer than |S| partners at distance >= value + 1
+
+    @property
+    def value(self) -> int:
+        return self.bound.lower
 
 
 def _hopcroft_karp(indptr: list, indices: list, match_l: list, match_r: list) -> list:
@@ -261,10 +265,11 @@ def max_displacement(
     most ecc(c), so {c} is a Hall set at radius + 1.  Thresholds gallop
     down from the radius (rad, rad-1, rad-3, ...), then bisect; each
     matching grows from the one at the smallest failed threshold.
-    ``hall_set`` (None when D is the diameter) shows that D + 1 fails.
+    ``hall_set`` (None when D is the diameter) shows that D + 1 fails, so
+    both ends of the bound are D.
     cayley: for a transitive action on itself, right translations are
-    isometries; the best one gives a certified lower bound which equals D(G)
-    whenever it reaches the diameter.
+    isometries; the best one proves the lower end, and the diameter is the
+    upper end, so D(G) is known when they meet.
     """
     n = G.n
     if mode == "exact":
@@ -283,7 +288,7 @@ def max_displacement(
                 hi, match, hall = t, (ml, mr), np.array(sorted(reach), dtype=np.int64)
             else:
                 lo, perm = t, np.array(ml, dtype=np.int64)
-        return Displacement(value=lo, permutation=perm, exact=True, mode=mode, hall_set=hall)
+        return Displacement(Bound(lo, lo, "permutation", "diameter" if hall is None else "hall"), perm, hall)
     if mode == "cayley":
         if action is None or action.right_translations is None:
             raise ValueError("cayley mode needs an action on itself with right translations")
@@ -292,12 +297,7 @@ def max_displacement(
         worst = metric.d[np.arange(n), action.right_translations].min(axis=1)
         best_g = int(np.argmax(worst))
         best = int(worst[best_g])
-        return Displacement(
-            value=best,
-            permutation=action.right_translations[best_g].copy(),
-            exact=best == metric.diameter,
-            mode=mode,
-        )
+        return Displacement(Bound(best, metric.diameter, "permutation", "diameter"), action.right_translations[best_g].copy())
     raise ValueError(f"unknown displacement mode {mode!r}")
 
 
@@ -308,44 +308,40 @@ def max_displacement(
 
 @dataclass(frozen=True)
 class BoundValue:
-    value: float
-    certified: bool
-    label: str
+    value: float  # from the lower ends of the inputs
+    certified: bool  # every one of those ends is proven
     inputs: dict
+
+    @property
+    def label(self) -> str:
+        return "lower" if self.certified else "heuristic lower"
 
 
 def gn_bound(
     G: MultiGraph, gap: GapEstimate, p: float, eps: float, r_eps: float, metric: MetricTable | None = None
 ) -> BoundValue:
     """Concentration route:
-    (1-eps)^(1/p) * r_eps/2 * diam * (gap / max_degree)^(1/p).
-
-    Certified only when the gap value is exact; a descent estimate
+    (1-eps)^(1/p) * r_eps/2 * diam * (gap / max_degree)^(1/p), at the gap's
+    lower end.  Certified when that end is proven; a descent estimate
     over-reports the infimum and the result is then a heuristic."""
     metric = metric or all_pairs_distances(G)
-    value = (1 - eps) ** (1.0 / p) * (r_eps / 2.0) * metric.diameter * (gap.value / G.max_degree) ** (1.0 / p)
-    certified = gap.bound_kind == "exact"
+    lam = gap.bound.lower
+    value = (1 - eps) ** (1.0 / p) * (r_eps / 2.0) * metric.diameter * (lam / G.max_degree) ** (1.0 / p)
     return BoundValue(
-        value=float(value),
-        certified=certified,
-        label="lower" if certified else "heuristic lower",
-        inputs={"eps": eps, "r_eps": r_eps, "diam": metric.diameter, "max_degree": G.max_degree, "gap": gap.value},
+        float(value),
+        gap.bound.lower_proof is not None,
+        {"eps": eps, "r_eps": r_eps, "diam": metric.diameter, "max_degree": G.max_degree, "gap": lam},
     )
 
 
 def jv_bound(G: MultiGraph, gap: GapEstimate, p: float, D: float | Displacement) -> BoundValue:
-    """Displacement route: 2^(-(p-1)/p) * D * (gap / avg_degree)^(1/p)."""
-    d_cert = isinstance(D, Displacement)  # a permutation's worst move lower-bounds D(G); a number does not
-    d_val = D.value if d_cert else float(D)
-    k = G.average_degree
-    value = 2.0 ** (-(p - 1.0) / p) * d_val * (gap.value / k) ** (1.0 / p)
-    certified = gap.bound_kind == "exact" and d_cert
-    return BoundValue(
-        value=float(value),
-        certified=certified,
-        label="lower" if certified else "heuristic lower",
-        inputs={"D": d_val, "avg_degree": k, "gap": gap.value},
-    )
+    """Displacement route: 2^(-(p-1)/p) * D * (gap / avg_degree)^(1/p), at
+    the lower ends of D and the gap.  A bare number D carries no proof."""
+    d = D.bound if isinstance(D, Displacement) else Bound(float(D), float(D))
+    lam, k = gap.bound.lower, G.average_degree
+    value = 2.0 ** (-(p - 1.0) / p) * d.lower * (lam / k) ** (1.0 / p)
+    certified = gap.bound.lower_proof is not None and d.lower_proof is not None
+    return BoundValue(float(value), certified, {"D": d.lower, "avg_degree": k, "gap": lam})
 
 
 def jv_bound_exact_sq(D: int, gap: Fraction, avg_degree: Fraction) -> Fraction:

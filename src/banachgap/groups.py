@@ -17,12 +17,11 @@ The displacement constant for exponent p and block dimension d is
     kappa = inf max_s ||xi o s - xi||_p / ||xi||_p
 
 over zero-sum maps xi: cosets -> R^d, with the flat l_p norm over all
-m*d entries.  It is estimated by annealed smoothed-max descent; a companion
-lower bound (2*gap/|S|)^(1/p) comes from the gap of the Schreier graph.  It
-is certified where that gap is exact: at p = 2, and at p = 1 on at most
-``spectral.CUT_MAX_N`` cosets (cut enumeration).  Elsewhere the gap is a
-descent estimate from above, and so is the bound.  A certified bound also
-ends the descent once it is reached.
+m*d entries.  It is estimated by annealed smoothed-max descent, the upper
+end of a ``spectral.Bound`` whose lower end (2*gap/|S|)^(1/p) takes the
+lower end of the Schreier graph's gap and its proof: proven at p = 2, and
+at p = 1 on at most ``spectral.CUT_MAX_N`` cosets (cut enumeration).  A
+proven gap also ends the descent once it reaches the bound.
 """
 
 from __future__ import annotations
@@ -35,7 +34,7 @@ import numpy as np
 
 from . import _kernels
 from .graphs import MultiGraph, build_graph, file_rows, row_ints
-from .spectral import GapEstimate
+from .spectral import CERTIFIED_REL, Bound, Estimate, GapEstimate
 from .spectral import gap as spectral_gap
 
 __all__ = [
@@ -56,7 +55,6 @@ KAPPA_BETAS = (1e1, 1e2, 1e3, 1e4)
 COSET_CAP = 20000
 RIGHT_TRANSLATION_CAP = 4096
 SANDWICH_TOLERANCE = 1e-2  # relative slack of verify_sandwich's inequalities
-CERTIFIED_REL = 1e-9  # relative slack of kappa's certified stop and of its lower-bound check
 
 
 @dataclass(frozen=True, eq=False)
@@ -315,24 +313,12 @@ def schreier_graph(a: PermutationAction) -> MultiGraph:
 
 
 @dataclass(frozen=True)
-class KappaEstimate:
-    value: float
+class KappaEstimate(Estimate):
+    bound: Bound
     minimizer: np.ndarray  # (m, d) zero-sum, unit flat l_p
-    bound_kind: str
-    lower_from_gap: float
     p: float
     d: int
     diagnostics: dict = field(default_factory=dict)
-
-    def to_dict(self) -> dict:
-        return {
-            "value": self.value,
-            "bound_kind": self.bound_kind,
-            "lower_from_gap": self.lower_from_gap,
-            "p": self.p,
-            "d": self.d,
-            "diagnostics": self.diagnostics,
-        }
 
 
 def _schreier_gap(a: PermutationAction, p: float, seed: int, restarts: int) -> GapEstimate:
@@ -353,18 +339,16 @@ def kappa_estimate(
     """Minimize the worst generator displacement over zero-sum unit fields.
 
     Annealed smoothed-max descent (log-sum-exp with beta raised over
-    stages); the reported value upper-bounds the true constant.  The
-    companion ``lower_from_gap`` is (2*gap/|S|)^(1/p), from gap <= (|S|/2)
-    kappa^p.  It is a certified lower bound when the Schreier gap is exact:
-    at p = 2, and at p = 1 on at most ``spectral.CUT_MAX_N`` cosets.
-    Otherwise it is heuristic, since the gap itself is then an upper
-    estimate.  The diagnostics say which (``lower_certified``).
+    stages); the reported value is the bound's upper end.  Its lower end is
+    (2*lower/|S|)^(1/p) for the Schreier gap's lower end, from gap <=
+    (|S|/2) kappa^p, with that end's proof (None where the gap is a descent
+    estimate from above).
 
-    With a certified lower bound the block stops as soon as one start's
-    true max residual is at most ``lower_from_gap * (1 + 1e-9)`` (stop
-    reason ``certified``), so the value is then within 1e-9 relative of
-    the constant; a value below the certified lower by more than that
-    raises ``AssertionError``.
+    When the gap's lower end is proven, the block stops as soon as one
+    start's true max residual is at most (2*gap/|S|)^(1/p) * (1 + 1e-9) for
+    the gap's value (stop reason ``certified``): a stopping rule, not a
+    claim.  A value more than 1e-9 relative below a proven lower end raises
+    ``AssertionError``.
     """
     if p < 1 or d < 1:
         raise ValueError(f"invalid p={p} or d={d}")
@@ -373,8 +357,8 @@ def kappa_estimate(
     rng = np.random.Generator(np.random.PCG64(seed))
     if gap is None:
         gap = _schreier_gap(a, p, seed + 1, restarts)
-    lower = (2.0 * gap.value / a.size) ** (1.0 / p)
-    certified = gap.bound_kind == "exact"
+    proof = gap.bound.lower_proof
+    target = (2.0 * gap.value / a.size) ** (1.0 / p) * (1.0 + CERTIFIED_REL) if proof else -np.inf
 
     fixed = []
     if gap.minimizer.values.shape[0] == a.m:
@@ -386,15 +370,16 @@ def kappa_estimate(
     betas = np.asarray(KAPPA_BETAS, dtype=np.float64)
     iters_per_stage = max(1, max_iter // len(KAPPA_BETAS))
     xis, values, iters, stops, backtracks = _kernels.kappa_descend_block(
-        starts, perms, float(p), betas, iters_per_stage, tol, lower * (1.0 + CERTIFIED_REL) if certified else -np.inf
+        starts, perms, float(p), betas, iters_per_stage, tol, target
     )
     b = int(np.argmin(values))
-    best_val, best_xi = float(values[b]), xis[b]
-    est = KappaEstimate(
-        value=best_val,
+    best_xi = xis[b]
+    col_sums = np.abs(best_xi.sum(axis=0)).max()
+    if col_sums > 1e-12:
+        raise AssertionError(f"minimizer violates zero-sum: max |column sum| = {col_sums}")
+    return KappaEstimate(
+        bound=Bound((2.0 * gap.bound.lower / a.size) ** (1.0 / p), float(values[b]), proof, "admissible_map"),
         minimizer=best_xi,
-        bound_kind="upper",
-        lower_from_gap=float(lower),
         p=float(p),
         d=d,
         diagnostics={
@@ -405,15 +390,8 @@ def kappa_estimate(
             "seed": seed,
             "gap_method": gap.method,
             "gap_value": gap.value,
-            "lower_certified": certified,
         },
     )
-    col_sums = np.abs(best_xi.sum(axis=0)).max()
-    if col_sums > 1e-12:
-        raise AssertionError(f"minimizer violates zero-sum: max |column sum| = {col_sums}")
-    if certified and lower > best_val * (1.0 + CERTIFIED_REL):
-        raise AssertionError(f"kappa {best_val} below its certified lower bound {lower}")
-    return est
 
 
 # ----------------------------------------------------------------------

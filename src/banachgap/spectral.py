@@ -15,6 +15,10 @@ multi-start projected descent returns the best quotient found, which
 upper-bounds the infimum.  The descent follows the L-BFGS direction where
 the quotient is smooth (p > 1 and q > 1) and the subgradient where it has
 kinks (p = 1 or q = 1).
+
+Each gap carries a ``Bound`` whose upper end is its value.  The eigensolve
+and the cut enumeration prove both ends, the Lanczos path a Cholesky lower
+end; a descent or grid minimum proves only its upper end.
 """
 
 from __future__ import annotations
@@ -23,7 +27,7 @@ import contextlib
 import ctypes
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -32,6 +36,8 @@ from . import _kernels
 from .graphs import MultiGraph
 
 __all__ = [
+    "Bound",
+    "Estimate",
     "VectorMap",
     "GapEstimate",
     "rayleigh_quotient",
@@ -46,6 +52,7 @@ __all__ = [
 DEFAULT_RESTARTS = 32
 DEFAULT_MAX_ITER = 5000
 DEFAULT_TOL = 1e-10
+CERTIFIED_REL = 1e-9  # relative slack of the order check of two proven ends, and of kappa's certified stop
 
 # Exact p = 1 gaps (d = 1 or q = 1) by enumerating the 2^(n-1) - 1 cuts, up to
 # this many vertices: 0.02-0.03 s at n = 24 on one BLAS thread.
@@ -81,26 +88,46 @@ class VectorMap:
 
 
 @dataclass(frozen=True)
-class GapEstimate:
-    value: float
+class Bound:
+    """The interval [lower, upper] around a reported number.  A proof is a
+    short tag naming what proves that end ("eigh", "cholesky", "cuts",
+    "grid", "admissible_map", "permutation", "hall", "diameter"), or None
+    where the end is only an estimate.  Two proven ends more than
+    ``CERTIFIED_REL`` relative out of order raise ``AssertionError``."""
+
+    lower: float
+    upper: float
+    lower_proof: str | None = None
+    upper_proof: str | None = None
+
+    def __post_init__(self):
+        if self.lower_proof and self.upper_proof and self.lower > self.upper * (1.0 + CERTIFIED_REL):
+            raise AssertionError(f"upper end {self.upper} below its certified lower bound {self.lower}")
+
+
+class Estimate:
+    """A minimised quantity: its ``value`` is the upper end of its ``bound``,
+    the objective at its ``minimizer``."""
+
+    @property
+    def value(self) -> float:
+        return self.bound.upper
+
+    def to_dict(self) -> dict:
+        """The value, the bound's ends and proofs, and every field but the minimiser."""
+        rest = {f.name: getattr(self, f.name) for f in fields(self) if f.name not in ("bound", "minimizer")}
+        return {"value": self.value, **asdict(self.bound), **rest}
+
+
+@dataclass(frozen=True)
+class GapEstimate(Estimate):
+    bound: Bound
     minimizer: VectorMap
     method: str  # eigen_exact | cut_enumeration | multistart_descent | grid_oracle
-    bound_kind: str  # exact | upper
     p: float
     q: float
     d: int
     diagnostics: dict = field(default_factory=dict)
-
-    def to_dict(self) -> dict:
-        return {
-            "value": self.value,
-            "bound_kind": self.bound_kind,
-            "method": self.method,
-            "p": self.p,
-            "q": self.q,
-            "d": self.d,
-            "diagnostics": self.diagnostics,
-        }
 
 
 def _as_matrix(values) -> np.ndarray:
@@ -277,26 +304,26 @@ def _cholesky_lower_bound(G: MultiGraph, theta: float, r: float) -> float | None
     return s - margin
 
 
-def _lanczos_head(G: MultiGraph) -> tuple[np.ndarray, np.ndarray, dict]:
-    """``[0, theta, theta_3, theta_4]``, the Fiedler vector and the solver
-    facts from one Lanczos run and its Cholesky certificate.
+def _lanczos_head(G: MultiGraph) -> tuple[np.ndarray, np.ndarray, dict, float | None]:
+    """``[0, theta, theta_3, theta_4]``, the Fiedler vector, the solver
+    facts and the proven lower bound on lambda_2 from one Lanczos run and
+    its Cholesky certificate.
 
     theta is the Rayleigh quotient of a mean-zero vector, so theta >=
     lambda_2; theta_3 and theta_4 are Ritz values, upper bounds on lambda_3
-    and lambda_4 by interlacing.  ``certified_lower`` is the proven lower
-    bound on lambda_2, or None when the run did not converge or the
-    certificate failed.
+    and lambda_4 by interlacing.  The lower bound is None when the run did
+    not converge or the certificate failed.
     """
     ritz, y, steps, r = _lanczos(G)
     theta = float(ritz[0])
     lower = _cholesky_lower_bound(G, theta, r) if r <= _LANCZOS_RTOL * theta else None
-    facts = {"eigensolver": "lanczos", "lanczos_steps": steps, "residual": r, "certified_lower": lower}
-    return np.concatenate([[0.0], ritz]), y, facts
+    return np.concatenate([[0.0], ritz]), y, {"eigensolver": "lanczos", "lanczos_steps": steps, "residual": r}, lower
 
 
-def _laplacian_head(G: MultiGraph) -> tuple[np.ndarray, np.ndarray, dict]:
-    """The first min(4, n) Laplacian eigenvalues, the Fiedler vector and
-    the solver facts, solved once per graph object.
+def _laplacian_head(G: MultiGraph) -> tuple[np.ndarray, np.ndarray, dict, float | None]:
+    """The first min(4, n) Laplacian eigenvalues, the Fiedler vector, the
+    solver facts and the Cholesky lower bound on lambda_2 (None on the
+    dense path), solved once per graph object.
 
     At ``n >= _LANCZOS_MIN_N`` a certified Lanczos run gives them; when it
     does not converge or its certificate fails, and below that size, one
@@ -306,20 +333,17 @@ def _laplacian_head(G: MultiGraph) -> tuple[np.ndarray, np.ndarray, dict]:
     """
 
     def solve():
-        facts = {"eigensolver": "dense", "lanczos_steps": 0, "residual": None, "certified_lower": None}
+        facts, lower = {"lanczos_steps": 0, "residual": None}, None
         with _one_blas_thread():
             if G.n >= _LANCZOS_MIN_N:
-                w, fiedler, tried = _lanczos_head(G)
-                if tried["certified_lower"] is not None:
-                    facts = tried
-                else:
-                    facts.update(lanczos_steps=tried["lanczos_steps"], residual=tried["residual"])
-            if facts["eigensolver"] == "dense":
+                w, fiedler, facts, lower = _lanczos_head(G)
+            if lower is None:  # a failed run leaves its steps and residual in the facts
+                facts["eigensolver"] = "dense"
                 w, V = np.linalg.eigh(G.laplacian())
                 w, fiedler = w[: min(4, len(w))].copy(), V[:, 1].copy()
         for a in (w, fiedler):
             a.setflags(write=False)
-        return w, fiedler, facts
+        return w, fiedler, facts, lower
 
     return G.memo("laplacian_head", solve)
 
@@ -328,19 +352,20 @@ def gap_exact_2(G: MultiGraph) -> GapEstimate:
     """Exact gap at (p, q, d) = (2, 2, 1): second-smallest Laplacian eigenvalue.
 
     The diagnostics name the solver (``eigensolver``, ``lanczos_steps``,
-    ``residual``) and, on the Lanczos path, the proven lower end
-    ``certified_lower`` of an interval whose upper end is the value.
+    ``residual``).  The dense eigensolve proves both ends of the bound; on
+    the Lanczos path the value theta is the upper end and the Cholesky
+    certificate proves the lower end.
     """
     if not G.connected:
         raise ValueError("gap_exact_2 requires a connected graph")
     if G.n < 2:
         raise ValueError("gap undefined on a single vertex (no nonconstant maps)")
-    w, fiedler, facts = _laplacian_head(G)
+    w, fiedler, facts, lower = _laplacian_head(G)
+    lam = float(w[1])
     est = GapEstimate(
-        value=float(w[1]),
+        bound=Bound(lam, lam, "eigh", "eigh") if lower is None else Bound(lower, lam, "cholesky", "admissible_map"),
         minimizer=VectorMap(fiedler[:, None].copy(), q=2.0, p=2.0),
         method="eigen_exact",
-        bound_kind="exact",
         p=2.0,
         q=2.0,
         d=1,
@@ -383,10 +408,9 @@ def _gap_cuts(G: MultiGraph, q: float, d: int) -> GapEstimate:
     F[:, 0] = x - x.mean()
     F[:, 0] /= np.abs(F[:, 0]).sum()
     est = GapEstimate(
-        value=value,
+        bound=Bound(value, value, "cuts", "cuts"),
         minimizer=VectorMap(F, q=q, p=1.0),
         method="cut_enumeration",
-        bound_kind="exact",
         p=1.0,
         q=q,
         d=d,
@@ -440,11 +464,11 @@ def gap_estimate(
     pf, qf = float(p), float(q)
     Fs, values, iters, steps, stops, backtracks = _kernels.descend_block(starts, eu, ev, em, pf, qf, max_iter, tol)
     best_idx = int(np.argmin(values))
+    best = float(values[best_idx])
     est = GapEstimate(
-        value=float(values[best_idx]),
+        bound=Bound(best, best, None, "admissible_map"),
         minimizer=VectorMap(Fs[best_idx], q=qf, p=pf),
         method="multistart_descent",
-        bound_kind="upper",
         p=pf,
         q=qf,
         d=d,
@@ -488,12 +512,11 @@ def gap_oracle_small(G: MultiGraph, p: float, resolution: float = 1e-4) -> GapEs
     grid of the mean-zero unit sphere, with angle steps about ``resolution``.
     Independent of the descent path.
 
-    At n = 2 the sphere is {+-b} and the value is exact.  At n = 3 (a half
-    circle) and n = 4 (a sphere) every grid point is an admissible map, so
-    the value only bounds the gap from above (``bound_kind="upper"``).  The
-    diagnostics' ``grid_error_bound`` is twice the largest jump between
-    neighbouring grid values, a heuristic estimate of the grid error, not a
-    proven bound.
+    At n = 2 the sphere is {+-b} and both ends of the bound are the value.
+    At n = 3 (a half circle) and n = 4 (a sphere) every grid point is an
+    admissible map, so only the upper end is proven.  The diagnostics'
+    ``grid_error_bound`` is twice the largest jump between neighbouring grid
+    values, a heuristic estimate of the grid error, not a proven bound.
     """
     if G.n > 4:
         raise ValueError("gap_oracle_small supports at most 4 vertices")
@@ -524,11 +547,11 @@ def gap_oracle_small(G: MultiGraph, p: float, resolution: float = 1e-4) -> GapEs
     b1, b2, b3 = basis
     value, th, ph, maxjump = _kernels.oracle_grid(b1, b2, b3, eu, ev, em, pf, nth, hth, nph, hph)
     minimizer = (math.sin(th) * math.cos(ph) * b1 + math.sin(th) * math.sin(ph) * b2 + math.cos(th) * b3)[:, None]
+    value = float(value)
     est = GapEstimate(
-        value=float(value),
+        bound=Bound(value, value, "grid", "grid") if G.n == 2 else Bound(value, value, None, "admissible_map"),
         minimizer=VectorMap(minimizer, q=2.0, p=pf),
         method="grid_oracle",
-        bound_kind="exact" if G.n == 2 else "upper",
         p=pf,
         q=2.0,
         d=1,

@@ -23,11 +23,11 @@ def test_gap_exact_hamming(tmp_path, capsys):
     assert code == 0
     payload = json.loads(out)
     assert payload["value"] == 2.0
-    assert payload["bound_kind"] == "exact"
+    assert (payload["lower_proof"], payload["upper_proof"]) == ("eigh", "eigh")
     assert (tmp_path / "gap.json").exists()
     diag = payload["diagnostics"]
     assert diag["eigensolver"] == "dense" and diag["lanczos_steps"] == 0
-    assert diag["residual"] is None and diag["certified_lower"] is None
+    assert diag["residual"] is None and payload["lower"] == payload["upper"] == payload["value"]
 
 
 def test_gap_exact_reports_the_lanczos_certificate(capsys):
@@ -37,7 +37,8 @@ def test_gap_exact_reports_the_lanczos_certificate(capsys):
     diag = payload["diagnostics"]
     assert diag["eigensolver"] == "lanczos" and 0 < diag["lanczos_steps"] <= 400
     assert 0.0 <= diag["residual"] <= 1e-11 * payload["value"]
-    assert 0.0 < diag["certified_lower"] <= payload["value"]
+    assert 0.0 < payload["lower"] <= payload["value"] == payload["upper"]
+    assert (payload["lower_proof"], payload["upper_proof"]) == ("cholesky", "admissible_map")
 
 
 def test_gap_estimate_and_minimizer_dump(tmp_path, capsys):
@@ -45,7 +46,7 @@ def test_gap_estimate_and_minimizer_dump(tmp_path, capsys):
         capsys, "gap", "--gen", "cycle:5", "--p", "1.5", "--restarts", "6", "--out", str(tmp_path), "--dump-minimizer"
     )
     assert code == 0
-    assert json.loads(out)["bound_kind"] == "upper"
+    assert json.loads(out)["lower_proof"] is None
     lines = (tmp_path / "minimizer.csv").read_text().strip().splitlines()
     assert len(lines) == 6  # header + 5 vertices
 
@@ -55,7 +56,7 @@ def test_gap_oracle_method(capsys):
     assert code == 0
     payload = json.loads(out)
     assert abs(payload["value"] - 3.0) < 1e-2
-    assert payload["bound_kind"] == "upper"
+    assert (payload["lower_proof"], payload["upper_proof"]) == (None, "admissible_map")
 
 
 @pytest.mark.parametrize(
@@ -165,7 +166,7 @@ def test_gap_at_p1_enumerates_the_cuts(capsys):
     code, out = run(capsys, "gap", "--gen", "cycle:8", "--p", "1")
     assert code == 0
     payload = json.loads(out)
-    assert (payload["method"], payload["bound_kind"], payload["value"]) == ("cut_enumeration", "exact", 0.5)
+    assert (payload["method"], payload["lower_proof"], payload["value"]) == ("cut_enumeration", "cuts", 0.5)
     assert payload["diagnostics"] == {"cuts": 127}
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from fractions import Fraction
 
@@ -23,7 +24,7 @@ from banachgap.distortion import (
 )
 from banachgap.graphs import MetricTable, all_pairs_distances, build_graph, gen_family
 from banachgap.groups import action_from_group, schreier_graph
-from banachgap.spectral import gap_estimate, gap_exact_2, gap_oracle_small
+from banachgap.spectral import Bound, gap_estimate, gap_exact_2, gap_oracle_small
 
 
 @pytest.fixture(scope="module")
@@ -137,11 +138,11 @@ def _check_certificate(met, disp):
     """The permutation attains D; the Hall set shows D + 1 is not attained."""
     d, D = met.d, disp.value
     n = len(d)
-    assert disp.exact and disp.mode == "exact" and type(D) is int
+    assert disp.bound.lower == disp.bound.upper and type(D) is int
     assert np.array_equal(np.sort(disp.permutation), np.arange(n))
     assert d[np.arange(n), disp.permutation].min() == D
     if D == met.diameter:
-        assert disp.hall_set is None
+        assert disp.hall_set is None and disp.bound.upper_proof == "diameter"
     else:
         S = disp.hall_set
         assert S is not None and S.size > 0 and np.unique(S).size == S.size
@@ -185,7 +186,7 @@ def test_displacement_certificate(kind, params):
 def test_displacement_cayley_matches_brute(cube3):
     G, met = cube3
     d = max_displacement(G, met, "cayley", action=action_from_group("boolean_cube", 3))
-    assert d.value == 3 and d.exact
+    assert d.value == 3 and d.bound.lower == d.bound.upper
 
 
 @pytest.mark.parametrize("kind, n", [("boolean_cube", n) for n in range(2, 7)] + [("cyclic", 7), ("symmetric", 4)])
@@ -197,7 +198,7 @@ def test_displacement_cayley_equals_reference_loop(kind, n):
     best, best_g = cayley_displacement(met.d, a.right_translations)
     assert d.value == best and type(d.value) is int
     assert np.array_equal(d.permutation, a.right_translations[best_g])
-    assert d.exact == (best == met.diameter)
+    assert d.bound == Bound(best, met.diameter, "permutation", "diameter")
 
 
 def test_displacement_exact_beats_old_heuristic():
@@ -255,9 +256,7 @@ def test_gn_bound_values(cube3):
 def test_gn_bound_degenerate_gap(cube3):
     G, met = cube3
     gap = gap_exact_2(G)
-    zero = type(gap)(
-        value=0.0, minimizer=gap.minimizer, method=gap.method, bound_kind="exact", p=2.0, q=2.0, d=1
-    )
+    zero = dataclasses.replace(gap, bound=Bound(0.0, 0.0, "eigh", "eigh"))
     assert gn_bound(G, zero, p=2.0, eps=0.5, r_eps=1 / 3, metric=met).value == 0.0
 
 
@@ -269,6 +268,21 @@ def test_jv_bound_hamming_sqrt_n():
         b = jv_bound(H, gap_exact_2(H), p=2.0, D=D)
         assert b.value == pytest.approx(math.sqrt(n), rel=1e-9)
         assert jv_bound_exact_sq(D.value, Fraction(2), Fraction(n)) == Fraction(n)
+
+
+def test_bounds_take_the_proven_lower_end_of_a_lanczos_gap():
+    # H10 has 1024 vertices, so its gap comes from the Lanczos path: theta = 2
+    # is the upper end, and the Cholesky certificate proves a lower end below it.
+    H = gen_family("hamming", [10])
+    met = all_pairs_distances(H)
+    gap = gap_exact_2(H)
+    assert gap.bound.lower_proof == "cholesky" and gap.bound.lower < gap.value
+    D = max_displacement(H, met)
+    jv = jv_bound(H, gap, p=2.0, D=D)
+    assert jv.certified
+    assert jv.value <= 2.0**-0.5 * D.value * (gap.bound.lower / H.average_degree) ** 0.5 < math.sqrt(10)
+    gn = gn_bound(H, gap, p=2.0, eps=0.5, r_eps=r_eps_lower(H, met, 0.5).value, metric=met)
+    assert gn.certified and gn.inputs["gap"] == gap.bound.lower
 
 
 def test_jv_heuristic_label():

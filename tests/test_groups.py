@@ -4,6 +4,7 @@ import re
 import resource
 import time
 from itertools import permutations
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -13,7 +14,8 @@ from kernel_reference import group_action, schreier_edges, transitive
 
 from banachgap._kernels import kappa_residuals
 from banachgap.graphs import build_graph, gen_family
-from banachgap.spectral import gap_estimate, gap_exact_2
+from banachgap import spectral
+from banachgap.spectral import Bound, gap_estimate, gap_exact_2
 from banachgap.groups import (
     PermutationAction,
     action_from_group,
@@ -192,7 +194,7 @@ def test_kappa_cube_value_and_certified_lower():
     # lower bound from the gap, so the sandwich upper inequality is tight
     est = kappa_estimate(action_from_group("boolean_cube", 2), p=2.0, d=1, seed=2)
     assert est.value == pytest.approx(math.sqrt(2.0), abs=1e-3)
-    assert est.lower_from_gap <= est.value + 1e-6
+    assert est.bound.lower <= est.value + 1e-6
     est3 = kappa_estimate(action_from_group("boolean_cube", 3), p=2.0, d=1, seed=2)
     assert est3.value == pytest.approx(2.0 / math.sqrt(3.0), abs=1e-3)
 
@@ -218,7 +220,7 @@ def test_lower_from_gap_invariant_across_actions():
         (action_from_group("sl_mod", 2, 3), 3.0),
     ]:
         est = kappa_estimate(a, p=p, d=1, seed=0)
-        assert est.lower_from_gap <= est.value * (1 + 1e-6) + 1e-9
+        assert est.bound.lower <= est.value * (1 + 1e-6) + 1e-9
 
 
 @pytest.mark.parametrize(
@@ -229,31 +231,34 @@ def test_kappa_start_at_a_certified_lower_stops_every_start(group, params, p):
     # the block stops before its first iteration.  At symmetric(4), p = 1,
     # that rests on the cut route's preference for a Fiedler threshold cut.
     est = kappa_estimate(action_from_group(group, *params), p=p, restarts=4, seed=3)
-    assert est.diagnostics["lower_certified"]
+    assert est.bound.lower_proof is not None
     assert est.diagnostics["per_restart"] == [{"stop_reason": "certified", "iterations": 0, "backtracks": 0}] * 4
-    assert est.lower_from_gap <= est.value <= est.lower_from_gap * (1 + 1e-9)
+    assert est.bound.lower <= est.value <= est.bound.lower * (1 + 1e-9)
 
 
 def test_kappa_with_an_upper_gap_never_certifies():
     a = action_from_group("cyclic", 6)
-    upper = dataclasses.replace(gap_exact_2(schreier_graph(a)), bound_kind="upper")
+    exact = gap_exact_2(schreier_graph(a))
+    upper = dataclasses.replace(exact, bound=Bound(exact.value, exact.value, None, "admissible_map"))
     est = kappa_estimate(a, p=2.0, restarts=3, max_iter=200, gap=upper)
-    assert not est.diagnostics["lower_certified"]
+    assert est.bound.lower_proof is None
     assert all(r["stop_reason"] != "certified" and r["iterations"] > 0 for r in est.diagnostics["per_restart"])
-    assert not kappa_estimate(a, p=1.5, restarts=3, max_iter=200).diagnostics["lower_certified"]
+    assert kappa_estimate(a, p=1.5, restarts=3, max_iter=200).bound.lower_proof is None
 
 
 def test_kappa_below_a_certified_lower_raises():
     a = action_from_group("cyclic", 6)
     exact = gap_exact_2(schreier_graph(a))
-    too_high = dataclasses.replace(exact, value=2.0 * exact.value)
+    too_high = dataclasses.replace(exact, bound=Bound(2.0 * exact.value, 2.0 * exact.value, "eigh", "eigh"))
     with pytest.raises(AssertionError, match="below its certified lower bound"):
         kappa_estimate(a, p=2.0, restarts=2, max_iter=40, gap=too_high)
 
 
-@given(st.integers(0, 10_000), st.sampled_from([1.0, 2.0]), st.integers(1, 2))
+@given(st.integers(0, 10_000), st.sampled_from([1.0, 2.0]), st.integers(1, 2), st.booleans())
 @settings(max_examples=40, deadline=None)
-def test_kappa_is_never_below_its_certified_lower(seed, p, d):
+def test_kappa_is_never_below_its_certified_lower(seed, p, d, lanczos):
+    # With ``lanczos`` the p = 2 gap takes the Lanczos path, whose proven
+    # lower end lies strictly below its value; kappa's lower end follows it.
     rng = np.random.Generator(np.random.PCG64(seed))
     m = int(rng.integers(2, 10))
     rows = [rng.permutation(m) for _ in range(int(rng.integers(1, 3)))]
@@ -262,9 +267,12 @@ def test_kappa_is_never_below_its_certified_lower(seed, p, d):
     if not transitive(perms):
         return
     a = PermutationAction(m=m, labels=tuple(f"s{i}" for i in range(len(rows))), perms=perms, inverse=tuple(i ^ 1 for i in range(len(rows))))
-    est = kappa_estimate(a, p=p, d=d, restarts=3, max_iter=200, seed=seed)
-    assert est.diagnostics["lower_certified"]
-    assert est.value >= est.lower_from_gap * (1 - 1e-9)
+    with mock.patch.object(spectral, "_LANCZOS_MIN_N", 2 if lanczos else spectral._LANCZOS_MIN_N):
+        gap = spectral.gap(schreier_graph(a), p=p, q=p, seed=seed + 1, restarts=3)
+    est = kappa_estimate(a, p=p, d=d, restarts=3, max_iter=200, seed=seed, gap=gap)
+    assert est.bound.lower_proof == gap.bound.lower_proof is not None
+    assert est.bound.lower == (2.0 * gap.bound.lower / a.size) ** (1.0 / p)
+    assert est.value >= est.bound.lower * (1 - 1e-9)
 
 
 def test_nu_values():

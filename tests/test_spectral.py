@@ -13,6 +13,7 @@ from banachgap.acceptance import _SMALL_GRAPHS, _sandwich_cases
 from banachgap.graphs import build_graph, gen_family
 from banachgap.groups import action_from_group, schreier_graph
 from banachgap.spectral import (
+    Bound,
     extrapolation_report,
     gap,
     gap_estimate,
@@ -95,7 +96,7 @@ def test_estimate_matches_exact_at_p2(kind, params):
     G = gen_family(kind, params, seed=5)
     exact = gap_exact_2(G).value
     est = gap_estimate(G, p=2.0, q=2.0, d=1, seed=2, restarts=8)
-    assert est.bound_kind == "upper"
+    assert est.bound.lower_proof is None
     assert est.value == pytest.approx(exact, rel=1e-6)
 
 
@@ -163,7 +164,7 @@ def test_oracle_two_vertices():
     est = gap_oracle_small(K2, p=2.0)
     assert est.value == pytest.approx(2.0)
     # the mean-zero unit sphere of R^2 is {+-b}, so its one point is exact
-    assert est.bound_kind == "exact"
+    assert (est.bound.lower_proof, est.bound.upper_proof) == ("grid", "grid")
     assert est.diagnostics["grid_points"] == 1 and est.diagnostics["grid_error_bound"] == 0.0
 
 
@@ -171,12 +172,12 @@ def test_oracle_triangle():
     est = gap_oracle_small(gen_family("complete", [3]), p=2.0, resolution=1e-4)
     assert est.value == pytest.approx(3.0, abs=1e-3)
     assert est.method == "grid_oracle"
-    assert est.bound_kind == "upper"
+    assert (est.bound.lower_proof, est.bound.upper_proof) == (None, "admissible_map")
 
 
 def test_oracle_grid_minimum_is_an_upper_bound():
     est = gap_oracle_small(gen_family("cycle", [4]), p=1.5, resolution=0.05)
-    assert est.bound_kind == "upper"
+    assert (est.bound.lower_proof, est.bound.upper_proof) == (None, "admissible_map")
     assert est.value >= 2.0 ** 0.5 - 1e-12  # C4's gap at p=1.5 is sqrt(2)
 
 
@@ -345,10 +346,9 @@ def _lanczos_cases():
 def _assert_certified_head(G):
     # Also inside a degenerate eigenspace (H9, H10), where the vector is
     # another one of the eigenspace than eigh's.
-    w, y, facts = spectral._lanczos_head(G)
+    w, y, facts, lower = spectral._lanczos_head(G)
     L = reference_laplacian(G)
     lam = np.linalg.eigvalsh(L)
-    lower = facts["certified_lower"]
     assert facts["eigensolver"] == "lanczos" and lower is not None
     assert abs(w[1] - lam[1]) <= 1e-9 * lam[1]
     assert lower <= lam[1] <= w[1] * (1 + 1e-12)
@@ -383,19 +383,20 @@ def test_lanczos_head_is_certified_on_multigraphs(G):
 def test_large_head_takes_the_lanczos_path():
     G = gen_family("margulis", [32])
     est = gap_exact_2(G)
-    w, y, facts = spectral._lanczos_head(gen_family("margulis", [32]))
+    w, y, facts, lower = spectral._lanczos_head(gen_family("margulis", [32]))
     assert est.diagnostics["eigensolver"] == "lanczos"
     assert est.value == w[1] and est.minimizer.values[:, 0].tobytes() == y.tobytes()
+    assert est.bound == Bound(lower, w[1], "cholesky", "admissible_map")
     assert {k: est.diagnostics[k] for k in facts} == facts
 
 
 def test_head_below_the_threshold_is_the_dense_eigh():
     G = gen_family("hamming", [9])
-    w, fiedler, facts = spectral._laplacian_head(G)
+    w, fiedler, facts, lower = spectral._laplacian_head(G)
     with spectral._one_blas_thread():
         lam, V = np.linalg.eigh(reference_laplacian(G))
     assert w.tobytes() == lam[:4].tobytes() and fiedler.tobytes() == V[:, 1].tobytes()
-    assert facts == {"eigensolver": "dense", "lanczos_steps": 0, "residual": None, "certified_lower": None}
+    assert facts == {"eigensolver": "dense", "lanczos_steps": 0, "residual": None} and lower is None
 
 
 @pytest.mark.parametrize(
@@ -406,7 +407,7 @@ def test_head_below_the_threshold_is_the_dense_eigh():
 def test_unconverged_lanczos_falls_back_to_eigh(kind, params, want):
     est = gap_exact_2(gen_family(kind, params))
     diag = est.diagnostics
-    assert diag["eigensolver"] == "dense" and diag["certified_lower"] is None
+    assert diag["eigensolver"] == "dense" and est.bound.lower_proof == "eigh"
     assert diag["lanczos_steps"] == spectral._LANCZOS_MAX_STEPS and diag["residual"] > 1e-11 * est.value
     assert est.value == pytest.approx(want, rel=1e-9)
 
@@ -425,7 +426,7 @@ def test_lanczos_failure_falls_back_to_eigh(monkeypatch, failure):
         monkeypatch.setattr(spectral, "_LANCZOS_MAX_STEPS", 20)
     est = gap_exact_2(gen_family("random_regular", [200, 3], seed=4))
     diag = est.diagnostics
-    assert diag["eigensolver"] == "dense" and diag["certified_lower"] is None
+    assert diag["eigensolver"] == "dense" and est.bound.lower_proof == "eigh"
     if failure == "cholesky":  # the run converged; its certificate failed
         assert 0 < diag["lanczos_steps"] < 199 and diag["residual"] <= 1e-11 * est.value
     else:
@@ -460,7 +461,7 @@ def _random_multigraph(seed):
 
 def _assert_cut_route_exact(G, q=1.0, d=1):
     est = gap_estimate(G, p=1.0, q=q, d=d, seed=0, restarts=3)
-    assert est.method == "cut_enumeration" and est.bound_kind == "exact"
+    assert est.method == "cut_enumeration" and est.bound == Bound(est.value, est.value, "cuts", "cuts")
     assert est.value == pytest.approx(cut_quotient_min(G), rel=1e-12)
     assert rayleigh_quotient(G, est.minimizer) == pytest.approx(est.value, rel=1e-12)
     assert est.diagnostics == {"cuts": 2 ** (G.n - 1) - 1}
@@ -495,7 +496,7 @@ def test_cut_route_is_at_most_the_grid_oracle(name):
 def test_cut_route_up_to_24_vertices():
     assert gap_estimate(gen_family("cycle", [24]), p=1.0).method == "cut_enumeration"
     big = gap_estimate(gen_family("cycle", [25]), p=1.0, restarts=2, max_iter=10)
-    assert big.method == "multistart_descent" and big.bound_kind == "upper"
+    assert big.method == "multistart_descent" and big.bound.lower_proof is None
 
 
 def test_cut_route_at_d_above_one_only_when_q_is_one():
