@@ -21,11 +21,12 @@ count of rejected trial steps; a start leaves the block when it stops.
 Its direction is the projected (sub)gradient, or, where ``descend_block``'s
 quotient is smooth (p > 1 and q > 1, ``gap_direction``), the L-BFGS
 direction of ``_QuasiNewton``: each start keeps its own last ``_MEMORY``
-curvature pairs, tries the full step 1 first and backtracks on the Armijo
-test with slope g.d.  When every searching start takes that direction, the
-first backtracking pass tries step 1 alone, since it mostly passes.  A
-start whose direction is not a descent direction empties its memory and
-takes the gradient.  A stage ends on convergence
+curvature pairs, newest first, and takes H g by the two-loop recursion; it
+tries the full step 1 first and backtracks on the Armijo test with slope
+g.d.  When every searching start takes that direction, the first
+backtracking pass tries step 1 alone, since it mostly passes.  A start
+whose direction is not a descent direction empties its memory and takes
+the gradient.  A stage ends on convergence
 (vanishing gradient or a step below ``tol``), a failed line search or its
 iteration budget (max_iter), and the reason that ended the last stage is
 the stop code; a start that is zero once centred is degenerate.  Given a
@@ -209,110 +210,74 @@ def _backtrack(X, direction, f0, slope, eta_try, todo, levels, shrink, evaluate,
     return X2, f2, extra, eta_try, accepted, rejected
 
 
-def _age_masks(m):
-    """For each ring-buffer head h, the mask of [S Y]^T [S Y] that keeps
-    R (s_i no newer than y_j, in slot order) and its transpose, and Y^T Y."""
-    masks = np.zeros((m, 2 * m, 2 * m))
-    for h in range(m):
-        age = (np.arange(m) - h) % m  # 0 for the oldest slot
-        R = age[:, None] <= age[None, :]
-        masks[h, :m, m:], masks[h, m:, :m], masks[h, m:, m:] = R, R.T, 1.0
-    return masks
-
-
-_AGE_MASKS = _age_masks(_MEMORY)
-_EYE = np.eye(2 * _MEMORY)
-
-
 class _QuasiNewton:
     """The L-BFGS memory of each start of a block, and its direction.
 
-    Each start keeps up to ``_MEMORY`` pairs (s, y): s is the difference of
-    two accepted points and y that of their projected gradients.  A pair
-    is stored only when s.y > 0, in the slot after the start's newest pair
-    (a ring buffer, so a full memory overwrites its oldest pair).  The
-    direction is H g in the compact inverse-Hessian form of Byrd, Nocedal
-    and Schnabel (Math. Programming 63, 1994),
-
-        H = gamma I + [S Y] C M C [S Y]^T,  C = diag(I, gamma I),
-        (C M C)^-1 = -[[0, R / gamma], [R^T / gamma, Y^T Y / gamma + D / gamma^2]],
-
-    where R is the part of S^T Y with s_i no newer than y_j, D its diagonal
-    and gamma = s.y / y.y of the newest pair.  ``K`` holds the bracket, in
-    slot order; it is formed from [S Y]^T [S Y] whenever a start stores a
-    pair, so a direction is three batched products and one small solve,
-    whatever the memory.  An empty slot holds zero vectors, and K holds
-    1 / gamma on the diagonal at its s and y so that K stays invertible; a
-    start with no pairs gets H g = g.
+    Each start keeps up to ``_MEMORY`` pairs (s, y), newest first: s is the
+    difference of two accepted points and y that of their projected
+    gradients.  A pair is stored only when s.y > 0, and storing one shifts
+    the memory by a slot, so a full memory drops its oldest pair.  The
+    direction is H g by the two-loop recursion of Nocedal (Math. Comp. 35,
+    1980) from H0 = gamma I, with gamma = s.y / y.y of the newest pair:
+    two batched dot products per pair.  An empty slot holds zero vectors and
+    rho = 1 / s.y = 0, so it drops out of both loops, and a start with no
+    pairs (gamma = 1) gets H g = g.
     """
 
     def __init__(self, B, N):
-        self.SY = np.zeros((B, 2 * _MEMORY, N))  # s slots, then y slots
-        self.K = np.empty((B, 2 * _MEMORY, 2 * _MEMORY))
-        self.head = np.empty(B, dtype=np.int64)  # the slot the next pair goes to
-        self.gamma = np.empty(B)
-        self.newton = np.empty(B, dtype=bool)  # holds a pair
+        self.S = np.zeros((B, _MEMORY, N))
+        self.Y = np.zeros((B, _MEMORY, N))
+        self.rho = np.zeros((B, _MEMORY))
+        self.gamma = np.ones(B)
         self.prev = None  # the last point and gradient, (B, 2, N)
-        self.reset(slice(None))
 
     def keep(self, rows):
         """Keep the memories of ``rows`` (a mask) alone."""
-        self.SY, self.K, self.head, self.gamma, self.newton = (
-            a[rows] for a in (self.SY, self.K, self.head, self.gamma, self.newton)
-        )
+        self.S, self.Y, self.rho, self.gamma = (a[rows] for a in (self.S, self.Y, self.rho, self.gamma))
         if self.prev is not None:
             self.prev = self.prev[rows]
 
     def reset(self, rows):
         """Empty the memories of ``rows``."""
-        self.SY[rows] = 0.0
-        self.head[rows] = 0
+        self.S[rows] = self.Y[rows] = self.rho[rows] = 0.0
         self.gamma[rows] = 1.0
-        self.newton[rows] = False
-        self._form_K(rows)
-
-    def _form_K(self, rows):
-        """Form K for ``rows`` from their pairs, heads and gammas."""
-        m = _MEMORY
-        SY = self.SY[rows]
-        G = SY @ SY.transpose(0, 2, 1)  # [S Y]^T [S Y]
-        iota = 1.0 / self.gamma[rows]
-        diag = (np.diagonal(G, axis1=1, axis2=2) == 0.0).astype(np.float64)  # 1 at an empty slot's s and y
-        diag[:, m:] += iota[:, None] * np.diagonal(G, m, axis1=1, axis2=2)  # D / gamma
-        self.K[rows] = iota[:, None, None] * (G * _AGE_MASKS[self.head[rows]] + _EYE * diag[:, None, :])
 
     def direction(self, X, g, g2):
         """Store the pairs the last step made, then return each start's
         direction, its slope g.d and the mask of starts that take the
-        quasi-Newton direction; the others take g, with their memory
-        emptied when H g was not a descent direction."""
+        quasi-Newton direction, those that hold a pair; the others take g,
+        with their memory emptied when H g was not a descent direction."""
         B = X.shape[0]
         cur = np.empty((B, 2, X[0].size))
         cur[:, 0] = X.reshape(B, -1)
         cur[:, 1] = g.reshape(B, -1)
         prev, self.prev = self.prev, cur
         if prev is None:
-            return g, g2, self.newton.copy()
+            return g, g2, self.rho[:, 0] > 0.0
         P = cur - prev
         yP = (P[:, 1:] @ P.transpose(0, 2, 1)).reshape(B, 2)  # y.s, y.y
         rows = np.flatnonzero(yP[:, 0] > 0.0)
         if rows.size:
-            slot = self.head[rows]
-            self.SY[rows, slot] = P[rows, 0]
-            self.SY[rows, _MEMORY + slot] = P[rows, 1]
-            self.head[rows] = (slot + 1) % _MEMORY
+            for M, new in ((self.S, P[rows, 0]), (self.Y, P[rows, 1]), (self.rho, 1.0 / yP[rows, 0])):
+                M[rows, 1:] = M[rows, :-1]
+                M[rows, 0] = new
             self.gamma[rows] = yP[rows, 0] / yP[rows, 1]
-            self.newton[rows] = True
-            self._form_K(rows)
         gf = cur[:, 1]
-        z = np.linalg.solve(self.K, self.SY @ gf[:, :, None])
-        d = self.gamma[:, None] * gf - (z.transpose(0, 2, 1) @ self.SY).reshape(B, -1)
+        d, alpha = gf.copy(), np.empty((B, _MEMORY))
+        for i in range(_MEMORY):  # newest to oldest
+            alpha[:, i] = self.rho[:, i] * (self.S[:, i, None, :] @ d[:, :, None]).reshape(B)
+            d -= alpha[:, i, None] * self.Y[:, i]
+        d *= self.gamma[:, None]
+        for i in reversed(range(_MEMORY)):
+            beta = self.rho[:, i] * (self.Y[:, i, None, :] @ d[:, :, None]).reshape(B)
+            d += (alpha[:, i] - beta)[:, None] * self.S[:, i]
         slope = (gf[:, None, :] @ d[:, :, None]).reshape(B)
-        bad = self.newton & ~(slope > 0.0)
+        newton = self.rho[:, 0] > 0.0
+        bad = newton & ~(slope > 0.0)
         if bad.any():  # rare; a start without pairs has slope g.g
             self.reset(bad)
-            d[bad], slope[bad] = gf[bad], g2[bad]
-        return d.reshape(g.shape), slope, self.newton.copy()
+            d[bad], slope[bad], newton[bad] = gf[bad], g2[bad], False
+        return d.reshape(g.shape), slope, newton
 
 
 def _descend(X, live, value, grad, evaluate, shrink, stages, iters, tol, stall, quasi_newton=False, target=-np.inf):

@@ -145,7 +145,6 @@ class REpsBound:
     radius: int
     center: int
     diameter: int
-    exact: bool
     subset: tuple[int, ...] | None = None
 
 
@@ -164,7 +163,6 @@ def r_eps_lower(G: MultiGraph, metric: MetricTable, eps: float) -> REpsBound:
         radius=best_r,
         center=best_v,
         diameter=metric.diameter,
-        exact=False,
     )
 
 
@@ -194,7 +192,6 @@ def r_eps_exact(G: MultiGraph, metric: MetricTable, eps: float) -> REpsBound:
         radius=int(best),
         center=best_subset[0],
         diameter=metric.diameter,
-        exact=True,
         subset=best_subset,
     )
 

@@ -146,15 +146,11 @@ def identity_sphere_map(p: float) -> SphereMap:
 
 def canonical_extension(phi: SphereMap, x: np.ndarray) -> np.ndarray:
     """Degree-1 homogeneous extension: ||x|| phi(x/||x||), and 0 at 0."""
-    x = np.asarray(x, dtype=np.float64)
-    nrm = float(_lp_norm(x, phi.source_p))
-    if nrm == 0.0:
-        return np.zeros_like(x)
-    return nrm * phi.fn(x[None, :] / nrm)[0]
+    return _extension_batch(phi, np.asarray(x, dtype=np.float64)[None, :])[0]
 
 
 def _extension_batch(phi: SphereMap, rows: np.ndarray) -> np.ndarray:
-    """canonical_extension applied to each row of (k, d)."""
+    """The degree-1 homogeneous extension of each row of (k, d), 0 at a zero row."""
     nrm = _lp_norm(rows, phi.source_p, axis=1)
     if nrm.all():
         return nrm[:, None] * phi.fn(rows / nrm[:, None])

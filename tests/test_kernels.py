@@ -95,8 +95,8 @@ def test_kappa_start_runs_the_same_alone_and_in_a_block():
 
 
 def test_quasi_newton_direction_is_the_two_loop_recursion():
-    """The compact form's H g equals the two-loop recursion's on the same
-    pairs, with the oldest pair overwritten once the memory is full."""
+    """H g equals a plain loop-by-loop two-loop recursion on the same pairs,
+    with the oldest pair dropped once the memory is full."""
     rng = np.random.Generator(np.random.PCG64(8))
     B, N = 3, 7
     A = rng.standard_normal((N, N))
@@ -124,6 +124,49 @@ def test_quasi_newton_direction_is_the_two_loop_recursion():
             assert np.allclose(d[b, 0], want, rtol=1e-10, atol=1e-12)
             assert slope[b] == pytest.approx(g[b] @ d[b, 0], rel=1e-12)
         last, x = (x, g), x - 0.1 * d[:, 0]
+
+
+def test_quasi_newton_direction_is_the_dense_bfgs_inverse_hessian():
+    """H g equals the dense BFGS update H <- (I - rho s y^T) H (I - rho y s^T)
+    + rho s s^T from H0 = gamma I over the newest ``_MEMORY`` stored pairs,
+    through more stores than the memory holds, a step that stores no pair
+    (s = 0) and a ``keep`` that drops a start."""
+    rng = np.random.Generator(np.random.PCG64(11))
+    B, N = 4, 6
+    A = rng.standard_normal((N, N))
+    A = A @ A.T + N * np.eye(N)  # y = A s keeps s.y > 0
+    qn = _kernels._QuasiNewton(B, N)
+    alive, stored = list(range(B)), {b: [] for b in range(B)}
+    x, last = rng.standard_normal((B, N)), None
+    for it in range(_kernels._MEMORY + 4):
+        if it == 3:  # start 1 leaves the block
+            mask = np.array([b != 1 for b in alive])
+            qn.keep(mask)
+            alive, x, last = [b for b in alive if b != 1], x[mask], (last[0][mask], last[1][mask])
+        g = x @ A + rng.standard_normal(x.shape) * 1e-3
+        if last is not None:
+            for k, b in enumerate(alive):
+                s, y = x[k] - last[0][k], g[k] - last[1][k]
+                if s @ y > 0.0:
+                    stored[b].append((s, y))
+        d, slope, newton = qn.direction(x[:, None, :], g[:, None, :], (g * g).sum(axis=1))
+        for k, b in enumerate(alive):
+            mem = stored[b][-_kernels._MEMORY :]
+            H = np.eye(N)
+            if mem:
+                s, y = mem[-1]
+                H *= s @ y / (y @ y)
+            for s, y in mem:
+                rho = 1.0 / (s @ y)
+                V = np.eye(N) - rho * np.outer(y, s)
+                H = V.T @ H @ V + rho * np.outer(s, s)
+            want = H @ g[k]
+            assert np.linalg.norm(d[k, 0] - want) <= 1e-10 * np.linalg.norm(want)
+            assert newton[k] == bool(mem) and slope[k] == pytest.approx(g[k] @ d[k, 0], rel=1e-12)
+        last, x = (x, g), x - 0.1 * d[:, 0]
+        if it == 2:  # start 0 stays put once: s = 0 stores no pair
+            x[0] = last[0][0]
+    assert len(stored[0]) == _kernels._MEMORY + 2 and len(stored[2]) == _kernels._MEMORY + 3
 
 
 def test_quasi_newton_line_search_starts_at_step_one_with_slope_g_dot_d(monkeypatch):
@@ -158,10 +201,10 @@ def test_quasi_newton_start_without_a_descent_direction_takes_the_gradient():
     g3 = rng.standard_normal((2, 1, 5))
     g2 = (g3 * g3).sum(axis=(1, 2))
     d, slope, newton = qn.direction(x + 0.1 * g, g3, g2)  # s = 0: no pair is stored
-    assert newton.tolist() == [False, True] and qn.newton.tolist() == [False, True]
+    assert newton.tolist() == [False, True] and (qn.rho[:, 0] > 0.0).tolist() == [False, True]
     assert np.array_equal(d[0], g3[0]) and slope[0] == g2[0]
     assert slope[1] > 0.0 and not np.allclose(d[1], g3[1])
-    assert not qn.SY[0].any() and qn.gamma[0] == 1.0
+    assert not (qn.S[0].any() or qn.Y[0].any() or qn.rho[0].any()) and qn.gamma[0] == 1.0
 
 
 @pytest.mark.parametrize("levels", [1, _kernels._LEVELS])
