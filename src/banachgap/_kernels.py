@@ -23,10 +23,18 @@ quotient is smooth (p > 1 and q > 1, ``gap_direction``), the L-BFGS
 direction of ``_QuasiNewton``: each start keeps its own last ``_MEMORY``
 curvature pairs, newest first, and takes H g by the two-loop recursion; it
 tries the full step 1 first and backtracks on the Armijo test with slope
-g.d.  When every searching start takes that direction, the first
-backtracking pass tries step 1 alone, since it mostly passes.  A start
-whose direction is not a descent direction empties its memory and takes
-the gradient.  A stage ends on convergence
+g.d.  A start whose direction is not a descent direction empties its
+memory and takes the gradient.
+
+The line search evaluates trial steps in passes over the block.  A small
+block's first pass tries as many steps as fit ``_PASS_ENTRIES`` block
+entries, at most ``_PASS_LEVELS``: on a few dozen vertices a pass costs
+some 45 numpy calls whatever its size, so a second pass costs more than
+extra trials in the first.  A larger block's first pass tries ``_LEVELS``
+steps, or step 1 alone when every searching start takes the quasi-Newton
+direction, since it mostly passes.  Each pass accepts a start's first
+passing step, so the pass sizes change no iterate.  The driver updates its
+per-start state by whole-block masked copies.  A stage ends on convergence
 (vanishing gradient or a step below ``tol``), a failed line search or its
 iteration budget (max_iter), and the reason that ended the last stage is
 the stop code; a start that is zero once centred is degenerate.  Given a
@@ -71,6 +79,8 @@ _ARMIJO = 1e-4
 _BACKTRACKS = 60
 _SHRINK = 0.6
 _LEVELS = 4
+_PASS_ENTRIES = 768  # a small block's first pass tries as many steps as fit this many entries
+_PASS_LEVELS = 16  # but no more than this many
 _KAPPA_SHRINK = 0.5
 _STALL_REL = 1e-9
 _STALL_ITERS = 50
@@ -80,7 +90,7 @@ _CUT_CHUNK = 1 << 17  # cuts per chunk of cut_gap's product, which bounds its me
 
 STOP_CONVERGED, STOP_STALLED, STOP_LINE_SEARCH, STOP_MAX_ITER, STOP_DEGENERATE, STOP_CERTIFIED = range(6)
 STOP_REASONS = ("converged", "stalled", "line_search", "max_iter", "degenerate", "certified")
-_RUNNING = -1
+_RUNNING = -1  # below every stop code
 
 
 def stack_starts(fixed, warm, shape, restarts, rng):
@@ -115,9 +125,9 @@ def per_restart(iterations, stops, backtracks) -> list[dict]:
 
 def _block_ratio(F, eu, ev, em, p, q):
     """Edge energy E and spread D of each start of an (R, d, n) block."""
-    nrm = (np.abs(np.take(F, eu, axis=2) - np.take(F, ev, axis=2)) ** q).sum(axis=1) ** (1.0 / q)
-    vn = (np.abs(F) ** q).sum(axis=1) ** (1.0 / q)
-    return (em * nrm**p).sum(axis=1), (vn**p).sum(axis=1)
+    nrm = np.add.reduce(np.abs(F.take(eu, axis=2) - F.take(ev, axis=2)) ** q, axis=1) ** (1.0 / q)
+    vn = np.add.reduce(np.abs(F) ** q, axis=1) ** (1.0 / q)
+    return np.add.reduce(em * nrm**p, axis=1), np.add.reduce(vn**p, axis=1)
 
 
 def ratio_parts(F, eu, ev, em, p, q):
@@ -135,79 +145,93 @@ def _edge_scatter_index(eu, ev, n, rows):
 def _block_grads(F, eu, ev, em, p, q, scatter):
     """E, D and their gradients gE, gD for an (R, d, n) block.
 
-    ``scatter`` is ``_edge_scatter_index`` for at least R*d rows.
+    ``scatter`` is ``_edge_scatter_index`` for at least R*d rows.  A zero
+    norm is kept out of the power p - q, which is negative when p < q; its
+    differences are all 0, so their sign makes its term 0.
     """
     B, d, n = F.shape
-    diff = np.take(F, eu, axis=2) - np.take(F, ev, axis=2)
+    diff = F.take(eu, axis=2) - F.take(ev, axis=2)
     adiff = np.abs(diff)
-    nq = (adiff**q).sum(axis=1)
-    pos = nq > 0.0
-    nrm = np.where(pos, nq, 1.0) ** (1.0 / q)
-    E = (np.where(pos, em * nrm**p, 0.0)).sum(axis=1)
-    c = np.where(pos, em * p * nrm ** (p - q), 0.0)
+    nrm = np.add.reduce(adiff**q, axis=1) ** (1.0 / q)
+    E = np.add.reduce(em * nrm**p, axis=1)
+    c = em * p * np.where(nrm > 0.0, nrm, 1.0) ** (p - q)
     t = c[:, None, :] * adiff ** (q - 1.0) * np.sign(diff)
     w = np.concatenate([t, -t], axis=2).ravel()
     gE = np.bincount(scatter[: B * d].ravel(), w, minlength=B * d * n).reshape(B, d, n)
     aF = np.abs(F)
-    nq = (aF**q).sum(axis=1)
-    pos = nq > 0.0
-    nrm = np.where(pos, nq, 1.0) ** (1.0 / q)
-    D = (np.where(pos, nrm**p, 0.0)).sum(axis=1)
-    c = np.where(pos, p * nrm ** (p - q), 0.0)
+    nrm = np.add.reduce(aF**q, axis=1) ** (1.0 / q)
+    D = np.add.reduce(nrm**p, axis=1)
+    c = p * np.where(nrm > 0.0, nrm, 1.0) ** (p - q)
     gD = c[:, None, :] * aF ** (q - 1.0) * np.sign(F)
     return E, D, gE, gD
 
 
+def _trial_pass(X, direction, f0, slope, eta, rows, levels, shrink, evaluate, stage):
+    """One backtracking pass: ``levels`` trial steps from ``eta`` (one per
+    start in ``rows``, an index or a slice of the block), formed by
+    repeated multiplication by ``shrink``.  Returns the trial stack, one
+    row of ``levels`` per start, the trials' extras, the steps and the mask
+    of admissible trials that pass the Armijo test."""
+    steps = np.empty((len(eta), levels))
+    steps[:, 0] = eta
+    steps[:, 1:] = shrink
+    steps = np.multiply.accumulate(steps, axis=1)
+    trials = (X[rows, None] - steps[:, :, None, None] * direction[rows, None]).reshape(-1, *X.shape[1:])
+    f, ok, aux = evaluate(trials, rows, stage)
+    ok = ok.reshape(steps.shape) & (f.reshape(steps.shape) <= f0[rows, None] - _ARMIJO * steps * slope[rows, None])
+    return trials, aux, steps, ok
+
+
 def _backtrack(X, direction, f0, slope, eta_try, todo, levels, shrink, evaluate, stage):
     """Armijo backtracking along ``-direction`` from the trial steps
-    ``eta_try`` (overwritten), for the starts of the block ``X`` flagged in
-    ``todo``; ``slope`` is each start's gradient dotted with its direction.
+    ``eta_try``, for the starts of the block ``X`` flagged in ``todo``;
+    ``slope`` is each start's gradient dotted with its direction.
 
     ``evaluate(trials, rows, stage)`` takes a stack of trial points, the
-    same number in a row per searching start in ``rows``, and the block's
-    stages; it may project the trials in place, and returns their objective
-    values, a mask of admissible trials and one extra value per trial.  The
-    first pass tries ``levels`` steps of every searching start at once, and
-    each later pass the next ``_LEVELS``; a pass accepts a start's first
-    step that passes, which is the step a one-at-a-time search accepts: the
-    steps are formed by the same repeated multiplication.  Most gradient
-    iterations need 3 or 4 trials, so most line searches take one pass of
-    ``_LEVELS``; a quasi-Newton start mostly accepts its first trial.
+    same number in a row per start of ``rows`` (an index or a slice of the
+    block), and the block's stages; it may project the trials in place, and
+    returns their objective values, a mask of admissible trials and one
+    extra value per trial.  The first pass tries ``levels`` steps of every
+    start of the block at once (a start outside ``todo`` accepts none), and
+    each later pass the next ``max(levels, _LEVELS)`` of the starts still
+    searching; a pass accepts a start's first step that passes, which is
+    the step a one-at-a-time search accepts: the steps are formed by the
+    same repeated multiplication.  A first pass that every start passes
+    returns at once, with no bookkeeping for later passes.
 
-    Returns the accepted points, their values and extras, the accepted
-    steps, the mask of accepted starts and each start's count of rejected
-    trials; other rows hold no meaning.
+    Returns the accepted points, their extras, the accepted steps, the mask
+    of accepted starts, each start's count of rejected trials and the
+    number of passes; other rows hold no meaning.
     """
-    B, d, n = X.shape
-    X2 = np.empty_like(X)
-    f2 = np.zeros(B)
-    extra = np.zeros(B)
-    accepted = np.zeros(B, dtype=bool)
-    rejected = np.zeros(B, dtype=np.int64)
-    rows = np.flatnonzero(todo)
-    tried = 0
+    B = X.shape[0]
+    levels = min(levels, _BACKTRACKS)
+    trials, aux, steps, ok = _trial_pass(X, direction, f0, slope, eta_try, slice(None), levels, shrink, evaluate, stage)
+    ok &= todo[:, None]
+    accepted = np.logical_or.reduce(ok, axis=1)
+    rejected = ok.argmax(axis=1)
+    pick = np.arange(0, B * levels, levels) + rejected
+    X2, extra, eta2 = trials[pick], aux[pick], steps.ravel()[pick]
+    if accepted.all():
+        return X2, extra, eta2, accepted, rejected, 1
+    rows = np.flatnonzero(todo & ~accepted)
+    eta = steps[rows, -1] * shrink
+    tried, passes, levels = levels, 1, max(levels, _LEVELS)
     while rows.size and tried < _BACKTRACKS:
         levels = min(levels, _BACKTRACKS - tried)
-        steps = np.full((rows.size, levels), shrink)
-        steps[:, 0] = eta_try[rows]
-        steps = np.multiply.accumulate(steps, axis=1)
-        trials = (X[rows, None] - steps[:, :, None, None] * direction[rows, None]).reshape(-1, d, n)
-        f, ok, aux = evaluate(trials, rows, stage)
-        f = f.reshape(steps.shape)
-        ok = ok.reshape(steps.shape) & (f <= f0[rows, None] - _ARMIJO * steps * slope[rows, None])
-        found = ok.any(axis=1)
+        trials, aux, steps, ok = _trial_pass(X, direction, f0, slope, eta, rows, levels, shrink, evaluate, stage)
+        found = np.logical_or.reduce(ok, axis=1)
         first = ok.argmax(axis=1)[found]
         hit = rows[found]
         pick = np.flatnonzero(found) * levels + first
-        X2[hit], f2[hit], extra[hit], eta_try[hit] = trials[pick], f[found, first], aux[pick], steps[found, first]
+        X2[hit], extra[hit], eta2[hit] = trials[pick], aux[pick], steps[found, first]
         accepted[hit] = True
         rejected[hit] = tried + first
-        eta_try[rows[~found]] = steps[~found, -1] * shrink
+        eta = steps[~found, -1] * shrink
         rows = rows[~found]
         tried += levels
-        levels = _LEVELS
+        passes += 1
     rejected[rows] = _BACKTRACKS
-    return X2, f2, extra, eta_try, accepted, rejected
+    return X2, extra, eta2, accepted, rejected, passes
 
 
 class _QuasiNewton:
@@ -225,21 +249,28 @@ class _QuasiNewton:
     """
 
     def __init__(self, B, N):
-        self.S = np.zeros((B, _MEMORY, N))
-        self.Y = np.zeros((B, _MEMORY, N))
+        self.SY = np.zeros((B, _MEMORY, 2, N))  # slot i holds (s_i, y_i)
         self.rho = np.zeros((B, _MEMORY))
         self.gamma = np.ones(B)
         self.prev = None  # the last point and gradient, (B, 2, N)
 
+    @property
+    def S(self):
+        return self.SY[:, :, 0]
+
+    @property
+    def Y(self):
+        return self.SY[:, :, 1]
+
     def keep(self, rows):
         """Keep the memories of ``rows`` (a mask) alone."""
-        self.S, self.Y, self.rho, self.gamma = (a[rows] for a in (self.S, self.Y, self.rho, self.gamma))
+        self.SY, self.rho, self.gamma = self.SY[rows], self.rho[rows], self.gamma[rows]
         if self.prev is not None:
             self.prev = self.prev[rows]
 
     def reset(self, rows):
         """Empty the memories of ``rows``."""
-        self.S[rows] = self.Y[rows] = self.rho[rows] = 0.0
+        self.SY[rows] = self.rho[rows] = 0.0
         self.gamma[rows] = 1.0
 
     def direction(self, X, g, g2):
@@ -248,32 +279,32 @@ class _QuasiNewton:
         quasi-Newton direction, those that hold a pair; the others take g,
         with their memory emptied when H g was not a descent direction."""
         B = X.shape[0]
-        cur = np.empty((B, 2, X[0].size))
-        cur[:, 0] = X.reshape(B, -1)
-        cur[:, 1] = g.reshape(B, -1)
+        cur = np.concatenate((X, g), axis=1).reshape(B, 2, -1)
         prev, self.prev = self.prev, cur
         if prev is None:
             return g, g2, self.rho[:, 0] > 0.0
-        P = cur - prev
+        P = cur - prev  # (s, y) of each start
         yP = (P[:, 1:] @ P.transpose(0, 2, 1)).reshape(B, 2)  # y.s, y.y
-        rows = np.flatnonzero(yP[:, 0] > 0.0)
-        if rows.size:
-            for M, new in ((self.S, P[rows, 0]), (self.Y, P[rows, 1]), (self.rho, 1.0 / yP[rows, 0])):
-                M[rows, 1:] = M[rows, :-1]
-                M[rows, 0] = new
-            self.gamma[rows] = yP[rows, 0] / yP[rows, 1]
+        ys = yP[:, 0]
+        store = ys > 0.0
+        np.copyto(self.SY[:, 1:], self.SY[:, :-1], where=store[:, None, None, None])
+        np.copyto(self.SY[:, 0], P, where=store[:, None, None])
+        np.copyto(self.rho[:, 1:], self.rho[:, :-1], where=store[:, None])
+        np.divide(1.0, ys, out=self.rho[:, 0], where=store)
+        np.divide(ys, yP[:, 1], out=self.gamma, where=store)
+        S, Y, rho = self.S, self.Y, self.rho.T
         gf = cur[:, 1]
-        d, alpha = gf.copy(), np.empty((B, _MEMORY))
+        d, alpha = gf.copy(), []
         for i in range(_MEMORY):  # newest to oldest
-            alpha[:, i] = self.rho[:, i] * (self.S[:, i, None, :] @ d[:, :, None]).reshape(B)
-            d -= alpha[:, i, None] * self.Y[:, i]
+            alpha.append(rho[i] * np.vecdot(S[:, i], d))
+            d -= alpha[i][:, None] * Y[:, i]
         d *= self.gamma[:, None]
         for i in reversed(range(_MEMORY)):
-            beta = self.rho[:, i] * (self.Y[:, i, None, :] @ d[:, :, None]).reshape(B)
-            d += (alpha[:, i] - beta)[:, None] * self.S[:, i]
-        slope = (gf[:, None, :] @ d[:, :, None]).reshape(B)
-        newton = self.rho[:, 0] > 0.0
-        bad = newton & ~(slope > 0.0)
+            beta = rho[i] * np.vecdot(Y[:, i], d)
+            d += (alpha[i] - beta)[:, None] * S[:, i]
+        slope = np.vecdot(gf, d)
+        newton = rho[0] > 0.0
+        bad = newton > (slope > 0.0)  # a pair, but no descent direction (or NaN)
         if bad.any():  # rare; a start without pairs has slope g.g
             self.reset(bad)
             d[bad], slope[bad], newton[bad] = gf[bad], g2[bad], False
@@ -294,7 +325,7 @@ def _descend(X, live, value, grad, evaluate, shrink, stages, iters, tol, stall, 
     last stage stops as certified.  Returns per start the
     accepted point of lowest tracked value, that value, the iteration
     count, the last step norm, the stop code and the count of rejected
-    trial steps.
+    trial steps, then the block's count of backtracking passes.
     """
     nR, d, n = X.shape
     out_X, out_value = X.copy(), np.full(nR, np.inf)
@@ -314,17 +345,17 @@ def _descend(X, live, value, grad, evaluate, shrink, stages, iters, tol, stall, 
     bt = np.zeros(idx.size, dtype=np.int64)
     qn = _QuasiNewton(idx.size, d * n) if quasi_newton else None
     due = iters  # the earliest deadline
+    passes = 0
 
     it = 0
     while idx.size:
         if it >= due:
             code[(code == _RUNNING) & (deadline <= it)] = STOP_MAX_ITER
-        if best.min() <= target:
+        if target > -np.inf and best.min() <= target:
             code[(code == _RUNNING) | (stage < stages - 1)] = STOP_CERTIFIED
             stage[:] = stages - 1
-        ended = code != _RUNNING
-        if ended.any():
-            done = ended & (stage == stages - 1)
+        if code.max() != _RUNNING:  # some start ended its stage
+            done = (code != _RUNNING) & (stage == stages - 1)
             j = idx[done]
             out_X[j], out_value[j], out_it[j] = best_X[done], best[done], it
             out_step[j], out_stop[j], out_bt[j] = step[done], code[done], bt[done]
@@ -342,37 +373,39 @@ def _descend(X, live, value, grad, evaluate, shrink, stages, iters, tol, stall, 
                 qn.keep(keep)
         it += 1
         f, g = grad(X, stage)
-        g -= g.sum(axis=2, keepdims=True) / n
-        g2 = (g * g).sum(axis=(1, 2))
-        code[g2 < 1e-30] = STOP_CONVERGED
+        g -= np.add.reduce(g, axis=2, keepdims=True) / n
+        g2 = np.add.reduce(g * g, axis=(1, 2))
+        converged = g2 < 1e-30  # every start is running here
+        np.copyto(code, STOP_CONVERGED, where=converged)
+        search = ~converged
         direction, slope, first = g, g2, eta * 4.0
-        search, levels = code == _RUNNING, _LEVELS
+        levels = min(_PASS_LEVELS, _PASS_ENTRIES // X.size)
         if qn is not None:
             direction, slope, newton = qn.direction(X, g, g2)
-            first[newton] = 1.0
-            if newton[search].all():  # the first trial, step 1, alone
-                levels = 1
-        X2, _, val, eta_try, accepted, rejected = _backtrack(
+            np.copyto(first, 1.0, where=newton)
+        if levels < _LEVELS:  # the first trial, step 1, alone when every searching start takes it
+            levels = max(levels, 1 if qn is not None and newton[search].all() else _LEVELS)
+        X2, val, eta_try, accepted, rejected, k = _backtrack(
             X, direction, f, slope, first, search, levels, shrink, evaluate, stage
         )
+        passes += k
         bt += rejected
-        code[(code == _RUNNING) & ~accepted] = STOP_LINE_SEARCH
-        acc = np.flatnonzero(accepted)
-        eta[acc] = eta_try[acc]
-        X2 = X2[acc]
-        step[acc] = np.sqrt(((X2 - X[acc]) ** 2).sum(axis=(1, 2)))
-        X[acc] = X2
-        better = acc[val[acc] < best[acc]]
-        best[better] = val[better]
-        best_X[better] = X[better]
-        code[acc[step[acc] < tol]] = STOP_CONVERGED
+        np.copyto(code, STOP_LINE_SEARCH, where=search & ~accepted)
+        np.copyto(eta, eta_try, where=accepted)
+        dX = X2 - X
+        np.copyto(step, np.sqrt(np.add.reduce(dX * dX, axis=(1, 2))), where=accepted)
+        np.copyto(X, X2, where=accepted[:, None, None])
+        better = accepted & (val < best)
+        np.copyto(best, val, where=better)
+        np.copyto(best_X, X, where=better[:, None, None])
+        np.copyto(code, STOP_CONVERGED, where=accepted & (step < tol))
         if stall:
-            live = acc[code[acc] == _RUNNING]
-            gained = best[live] < ref[live] - _STALL_REL * np.abs(ref[live])
-            ref[live[gained]] = best[live[gained]]
-            ref_it[live[gained]] = it
-            code[live[~gained & (it - ref_it[live] >= _STALL_ITERS)]] = STOP_STALLED
-    return out_X, out_value, out_it, out_step, out_stop, out_bt
+            live = accepted & (code == _RUNNING)
+            gained = live & (best < ref - _STALL_REL * np.abs(ref))
+            np.copyto(ref, best, where=gained)
+            np.copyto(ref_it, it, where=gained)
+            np.copyto(code, STOP_STALLED, where=live & (ref_it <= it - _STALL_ITERS))  # a start that gained has ref_it = it
+    return out_X, out_value, out_it, out_step, out_stop, out_bt, passes
 
 
 def gap_direction(p, q):
@@ -389,7 +422,8 @@ def descend_block(F0, eu, ev, em, p, q, max_iter, tol):
     Returns ``(F, R, iterations, step, stop, backtracks)`` per start: the
     best map, its recomputed quotient, the iteration count, the last step
     norm, a stop code indexing ``STOP_REASONS`` and the count of rejected
-    trial steps; a degenerate start has value inf."""
+    trial steps; a degenerate start has value inf.  A seventh item is the
+    block's count of backtracking passes."""
     F = np.asarray(F0, dtype=np.float64).transpose(0, 2, 1).copy()
     nR, d, n = F.shape
     scatter = _edge_scatter_index(eu, ev, n, nR * d)
@@ -401,20 +435,21 @@ def descend_block(F0, eu, ev, em, p, q, max_iter, tol):
 
     def evaluate(trials, rows, stage):
         # centre, take the quotient, then scale to unit spread in place
-        trials -= trials.sum(axis=2, keepdims=True) / n
+        trials -= np.add.reduce(trials, axis=2, keepdims=True) / n
         Et, Dt = _block_ratio(trials, eu, ev, em, p, q)
         pos = Dt > 0.0
-        R = np.divide(Et, Dt, out=np.full_like(Et, np.inf), where=pos)
-        trials /= (np.where(pos, Dt, 1.0) ** (1.0 / p))[:, None, None]
+        Dt = np.where(pos, Dt, 1.0)
+        R = np.where(pos, Et / Dt, np.inf)
+        trials /= (Dt ** (1.0 / p))[:, None, None]
         return R, pos, R
 
     R, live, _ = evaluate(F, None, None)
     newton = gap_direction(p, q) == "quasi_newton"
-    F, R, it, step, stop, bt = _descend(F, live, R, grad, evaluate, _SHRINK, 1, max_iter, tol, True, newton)
+    F, R, it, step, stop, bt, passes = _descend(F, live, R, grad, evaluate, _SHRINK, 1, max_iter, tol, True, newton)
     live = stop != STOP_DEGENERATE
     E, D = _block_ratio(F[live], eu, ev, em, p, q)
     R[live] = E / D
-    return np.ascontiguousarray(F.transpose(0, 2, 1)), R, it, step, stop, bt
+    return np.ascontiguousarray(F.transpose(0, 2, 1)), R, it, step, stop, bt, passes
 
 
 # ======================================================================
@@ -534,7 +569,7 @@ def _block_kappa_diffs(xi, perms):
 
 
 def _block_kappa_residuals(diff, p):
-    return (np.abs(diff) ** p).sum(axis=(1, 3)) ** (1.0 / p)
+    return np.add.reduce(np.abs(diff) ** p, axis=(1, 3)) ** (1.0 / p)
 
 
 def kappa_residuals(xi, perms, p):
@@ -546,33 +581,34 @@ def _block_kappa_normalize(xi, p):
     """Centre each start of an (R, d, m) block in place and scale it to unit
     flat l_p norm where that norm is positive; returns sum |xi|^p before
     scaling."""
-    xi -= xi.sum(axis=2, keepdims=True) / xi.shape[2]
-    S = (np.abs(xi) ** p).sum(axis=(1, 2))
-    pos = S > 0.0
-    xi[pos] /= (S[pos] ** (1.0 / p))[:, None, None]
+    xi -= np.add.reduce(xi, axis=2, keepdims=True) / xi.shape[2]
+    S = np.add.reduce(np.abs(xi) ** p, axis=(1, 2))
+    xi /= (np.where(S > 0.0, S, 1.0) ** (1.0 / p))[:, None, None]
     return S
 
 
 def _block_smoothed(r, beta):
-    """Log-sum-exp smoothed max of each row of r, and the softmax weights."""
+    """Log-sum-exp smoothed max of each row of r, the row's max, and the
+    softmax weights unscaled and their sum."""
     rmax = r.max(axis=1)
     w = np.exp(beta[:, None] * (r - rmax[:, None]))
-    wsum = w.sum(axis=1)
-    return rmax + np.log(wsum) / beta, w / wsum[:, None]
+    wsum = np.add.reduce(w, axis=1)
+    return rmax + np.log(wsum) / beta, rmax, w, wsum
 
 
 def _block_kappa_grad(xi, perms, inv_flat, p, beta):
-    """Smoothed max residual of each start and its gradient."""
+    """Smoothed max residual of each start and its gradient.  A zero
+    residual is kept out of the power 1 - p; its differences are all 0, so
+    their sign makes its term 0."""
     B, d, m = xi.shape
     diff = _block_kappa_diffs(xi, perms)
     r = _block_kappa_residuals(diff, p)
-    fsm, w = _block_smoothed(r, beta)
-    pos = r > 0.0
-    scale = np.where(pos & (w != 0.0), w * np.where(pos, r, 1.0) ** (1.0 - p), 0.0)
+    fsm, _, w, wsum = _block_smoothed(r, beta)
+    scale = w / wsum[:, None] * np.where(r > 0.0, r, 1.0) ** (1.0 - p)
     t = scale[:, None, :, None] * np.abs(diff) ** (p - 1.0) * np.sign(diff)
     # t[..., s, v] moves xi[perms[s, v]] up and xi[v] down.
-    up = t.reshape(B, d, -1)[:, :, inv_flat].reshape(t.shape)
-    return fsm, (up - t).sum(axis=2)
+    up = t.reshape(B, d, -1).take(inv_flat, axis=2).reshape(t.shape)
+    return fsm, np.add.reduce(up - t, axis=2)
 
 
 def kappa_descend_block(xi0, perms, p, betas, iters_per_stage, tol, target=-np.inf):
@@ -583,7 +619,8 @@ def kappa_descend_block(xi0, perms, p, betas, iters_per_stage, tol, target=-np.i
     ``(xi, value, iterations, stop, backtracks)`` per start: the field with
     the lowest true max residual seen at an accepted step, that residual,
     the total iteration count, the stop code and the count of rejected
-    trial steps; a degenerate start has value inf.
+    trial steps; a degenerate start has value inf.  A sixth item is the
+    block's count of backtracking passes.
     """
     xi = np.asarray(xi0, dtype=np.float64).transpose(0, 2, 1).copy()
     m = xi.shape[2]
@@ -600,11 +637,13 @@ def kappa_descend_block(xi0, perms, p, betas, iters_per_stage, tol, target=-np.i
 
     def evaluate(trials, rows, stage):
         r, live = residuals(trials)
-        return _block_smoothed(r, np.repeat(betas[stage[rows]], len(trials) // len(rows)))[0], live, r.max(axis=1)
+        beta = betas[stage[rows]]
+        fsm, rmax, _, _ = _block_smoothed(r, np.repeat(beta, len(trials) // len(beta)))
+        return fsm, live, rmax
 
     r, live = residuals(xi)
-    xi, value, it, _, stop, bt = _descend(
+    xi, value, it, _, stop, bt, passes = _descend(
         xi, live, r.max(axis=1), grad, evaluate, _KAPPA_SHRINK, betas.shape[0], iters_per_stage, tol, False,
         target=target,
     )
-    return np.ascontiguousarray(xi.transpose(0, 2, 1)), value, it, stop, bt
+    return np.ascontiguousarray(xi.transpose(0, 2, 1)), value, it, stop, bt, passes

@@ -369,7 +369,7 @@ def kappa_estimate(
 
     betas = np.asarray(KAPPA_BETAS, dtype=np.float64)
     iters_per_stage = max(1, max_iter // len(KAPPA_BETAS))
-    xis, values, iters, stops, backtracks = _kernels.kappa_descend_block(
+    xis, values, iters, stops, backtracks, passes = _kernels.kappa_descend_block(
         starts, perms, float(p), betas, iters_per_stage, tol, target
     )
     b = int(np.argmin(values))
@@ -386,6 +386,7 @@ def kappa_estimate(
             "restarts": len(iters),
             "iterations": int(iters.sum()),
             "per_restart": _kernels.per_restart(iters, stops, backtracks),
+            "passes": passes,
             "tol": tol,
             "seed": seed,
             "gap_method": gap.method,

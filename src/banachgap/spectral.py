@@ -224,12 +224,22 @@ def _lanczos(G: MultiGraph) -> tuple[np.ndarray, np.ndarray, int, float]:
     once the residual is at most ``_LANCZOS_RTOL`` times the value, or at
     ``min(_LANCZOS_MAX_STEPS, n - 1)`` steps, or when the Krylov space
     stops growing; the caller reads convergence off the residual.
+
+    It also gives up at a check where ``r / theta`` has not fallen since
+    the last check and is still at least 1: at that rate it cannot reach
+    the tolerance, and theta is not yet located.  A clustered low spectrum
+    (``cycle(2000)``, ``path(1000)``) keeps ``r / theta`` at 4-20 for all
+    400 steps, while every converging run measured (random regular graphs
+    of 1000-2000 vertices, Margulis, Hamming and Schreier graphs) is below
+    0.3 at its first check.  A converging run can rise for one check (up
+    to 6-fold), but below 1, so that alone does not stop it.
     """
     n = G.n
     mul = _laplacian_matvec(G)
     kmax = min(_LANCZOS_MAX_STEPS, n - 1)
     Q = np.empty((kmax, n))
     alpha, beta = np.empty(kmax), np.empty(kmax)
+    rel_last = np.inf  # r / theta at the last check
     q = np.random.Generator(np.random.PCG64(_LANCZOS_SEED)).standard_normal(n)
     q -= q.mean()
     q /= np.linalg.norm(q)
@@ -261,10 +271,12 @@ def _lanczos(G: MultiGraph) -> tuple[np.ndarray, np.ndarray, int, float]:
             Ly = mul(y)
             theta = float(y @ Ly)
             r = float(np.linalg.norm(Ly - theta * y))
-            if last or r <= _LANCZOS_RTOL * theta:
+            rel = r / theta
+            if last or rel <= _LANCZOS_RTOL or rel >= max(rel_last, 1.0):
                 ritz = ritz[:3].copy()
                 ritz[0] = theta
                 return ritz, y, steps, r
+            rel_last = rel
         q = w / beta[k]
     raise AssertionError("unreachable: the last step always returns")
 
@@ -438,8 +450,9 @@ def gap_estimate(
     eigenvector embedded in the first coordinate, its sign rounding, any
     user-supplied warm starts, and Gaussian draws; all of them descend
     together in one block kernel call.  The diagnostics name the
-    ``direction`` (``"quasi_newton"`` or ``"gradient"``) and list each
-    restart's stop reason, iterations and backtracks under ``per_restart``.
+    ``direction`` (``"quasi_newton"`` or ``"gradient"``), list each
+    restart's stop reason, iterations and backtracks under ``per_restart``,
+    and count the block's backtracking passes under ``passes``.
 
     At p = 1 with d = 1 or q = 1, on at most ``CUT_MAX_N`` vertices, the
     gap is exact instead: ``_gap_cuts`` enumerates the cuts, and the
@@ -462,7 +475,7 @@ def gap_estimate(
     rounded[:, 0][rounded[:, 0] == 0.0] = 1.0
     starts = _kernels.stack_starts([fied, rounded], warm_starts, (G.n, d), restarts, rng)
     pf, qf = float(p), float(q)
-    Fs, values, iters, steps, stops, backtracks = _kernels.descend_block(starts, eu, ev, em, pf, qf, max_iter, tol)
+    Fs, values, iters, steps, stops, backtracks, passes = _kernels.descend_block(starts, eu, ev, em, pf, qf, max_iter, tol)
     best_idx = int(np.argmin(values))
     best = float(values[best_idx])
     est = GapEstimate(
@@ -481,6 +494,7 @@ def gap_estimate(
             "stop_reason": _kernels.STOP_REASONS[stops[best_idx]],
             "direction": _kernels.gap_direction(pf, qf),
             "per_restart": _kernels.per_restart(iters, stops, backtracks),
+            "passes": passes,
             "tol": tol,
             "seed": seed,
         },

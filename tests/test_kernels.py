@@ -5,13 +5,23 @@ import math
 
 import numpy as np
 import pytest
-from kernel_reference import descend, kappa_descend, oracle_circle, oracle_sphere
+from kernel_reference import (
+    _kappa_grad,
+    _kappa_normalize,
+    _kappa_residuals,
+    descend,
+    grads,
+    kappa_descend,
+    oracle_circle,
+    oracle_sphere,
+    ratio_parts,
+)
 
 from banachgap import _kernels
 from banachgap.acceptance import _SMALL_GRAPHS
 from banachgap.graphs import build_graph, gen_family
-from banachgap.groups import action_from_group, schreier_graph
-from banachgap.spectral import _fiedler_start, mean_zero_basis, rayleigh_quotient
+from banachgap.groups import action_from_group, kappa_estimate, schreier_graph
+from banachgap.spectral import _fiedler_start, gap_estimate, mean_zero_basis, rayleigh_quotient
 
 BETAS = np.array([1e1, 1e2, 1e3, 1e4])
 
@@ -73,7 +83,7 @@ def _gap_descent(G, p, q, max_iter):
     eu, ev, em = G.nonloop_arrays()
 
     def descent(starts):
-        F, values, iters, _, stops, backtracks = _kernels.descend_block(starts, eu, ev, em, p, q, max_iter, 1e-10)
+        F, values, iters, _, stops, backtracks, _ = _kernels.descend_block(starts, eu, ev, em, p, q, max_iter, 1e-10)
         return F, values, iters, stops, backtracks
 
     return descent
@@ -91,7 +101,7 @@ def test_start_runs_the_same_alone_and_in_a_block():
 def test_kappa_start_runs_the_same_alone_and_in_a_block():
     perms = np.ascontiguousarray(action_from_group("sl_mod", 2, 3).perms)
     starts = np.random.Generator(np.random.PCG64(3)).standard_normal((5, 24, 2))
-    _same_alone_and_in_a_block(lambda xi0: _kernels.kappa_descend_block(xi0, perms, 1.5, BETAS, 100, 1e-12), starts)
+    _same_alone_and_in_a_block(lambda xi0: _kernels.kappa_descend_block(xi0, perms, 1.5, BETAS, 100, 1e-12)[:5], starts)
 
 
 def test_quasi_newton_direction_is_the_two_loop_recursion():
@@ -170,25 +180,91 @@ def test_quasi_newton_direction_is_the_dense_bfgs_inverse_hessian():
 
 
 def test_quasi_newton_line_search_starts_at_step_one_with_slope_g_dot_d(monkeypatch):
+    # For 4 starts at d = 2 (8n block entries): a block of at most
+    # _PASS_ENTRIES = 768 entries tries as many steps as fit, up to
+    # _PASS_LEVELS = 16 (9 at n = 10); a larger one tries _LEVELS, or step 1
+    # alone once every start takes the quasi-Newton direction, and never
+    # fewer than fit (2 at n = 40, 1 at n = 100).
+    real = _kernels._backtrack
+    for n, gradient_levels, newton_levels in [(10, 9, 9), (40, 4, 2), (100, 4, 1)]:
+        G = gen_family("random_regular", [n, 3], seed=4)
+        eu, ev, em = G.nonloop_arrays()
+        scatter = _kernels._edge_scatter_index(eu, ev, G.n, 8)
+        calls = []
+
+        def spy(X, direction, f0, slope, eta_try, todo, levels, *rest):
+            E, D, gE, gD = _kernels._block_grads(X, eu, ev, em, 1.5, 2.0, scatter)
+            g = (gE - (E / D)[:, None, None] * gD) / D[:, None, None]
+            g -= g.mean(axis=2, keepdims=True)
+            assert np.allclose(slope, (g * direction).sum(axis=(1, 2)), rtol=1e-9, atol=0.0)
+            calls.append((np.allclose(direction, g, rtol=1e-9, atol=0.0), eta_try.copy(), levels))
+            return real(X, direction, f0, slope, eta_try, todo, levels, *rest)
+
+        monkeypatch.setattr(_kernels, "_backtrack", spy)
+        starts = np.random.Generator(np.random.PCG64(6)).standard_normal((4, G.n, 2))
+        _kernels.descend_block(starts, eu, ev, em, 1.5, 2.0, 30, 1e-10)
+        assert calls[0][0] and calls[0][2] == gradient_levels  # no curvature pair yet
+        # then every start takes the quasi-Newton direction, from step 1
+        assert all(not gradient and (eta_try == 1.0).all() for gradient, eta_try, _ in calls[1:])
+        assert [levels for _, _, levels in calls[1:]] == [newton_levels] * (len(calls) - 1)
+
+
+@pytest.mark.parametrize("forced", [1, _kernels._LEVELS])
+def test_the_pass_rule_changes_no_output(monkeypatch, forced):
+    """How many trials the first backtracking pass tries is a speed choice
+    only: with a forced first pass of ``forced`` trials both adapters give
+    byte-identical points, values, iterations, stops, steps and backtracks,
+    on smooth (quasi-Newton) and kinked (gradient) gap quotients and on the
+    kappa descent, and take at least as many passes as with the rule."""
     G = gen_family("random_regular", [10, 3], seed=4)
     eu, ev, em = G.nonloop_arrays()
-    scatter = _kernels._edge_scatter_index(eu, ev, G.n, 8)
-    real, calls = _kernels._backtrack, []
+    perms = np.ascontiguousarray(action_from_group("sl_mod", 2, 3).perms)
+    rng = np.random.Generator(np.random.PCG64(7))
+    gap_starts, kappa_starts = rng.standard_normal((5, G.n, 2)), rng.standard_normal((3, 24, 2))
 
-    def spy(X, direction, f0, slope, eta_try, todo, levels, *rest):
-        E, D, gE, gD = _kernels._block_grads(X, eu, ev, em, 1.5, 2.0, scatter)
-        g = (gE - (E / D)[:, None, None] * gD) / D[:, None, None]
-        g -= g.mean(axis=2, keepdims=True)
-        assert np.allclose(slope, (g * direction).sum(axis=(1, 2)), rtol=1e-9, atol=0.0)
-        calls.append((np.allclose(direction, g, rtol=1e-9, atol=0.0), eta_try.copy(), levels))
-        return real(X, direction, f0, slope, eta_try, todo, levels, *rest)
+    def runs():
+        return [
+            _kernels.descend_block(gap_starts, eu, ev, em, 1.5, 2.0, 150, 1e-10),
+            _kernels.descend_block(gap_starts[:, :, :1], eu, ev, em, 1.0, 1.0, 150, 1e-10),
+            _kernels.kappa_descend_block(kappa_starts, perms, 1.5, BETAS, 60, 1e-12),
+            _kernels.kappa_descend_block(kappa_starts[:, :, :1], perms, 3.0, BETAS, 60, 1e-12),
+        ]
+
+    rule = runs()
+    real = _kernels._backtrack
+
+    def force(X, direction, f0, slope, eta_try, todo, levels, *rest):
+        return real(X, direction, f0, slope, eta_try, todo, forced, *rest)
+
+    monkeypatch.setattr(_kernels, "_backtrack", force)
+    for ours, theirs in zip(rule, runs()):
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(ours[:-1], theirs[:-1]))
+        assert ours[-1] <= theirs[-1]
+
+
+def test_diagnostics_count_the_backtracking_passes(monkeypatch):
+    """``diagnostics["passes"]`` of gap_estimate and kappa_estimate is the
+    block's number of backtracking passes: the sum of what ``_backtrack``
+    reports, at least one per block iteration, and the same on a rerun."""
+    real, counted = _kernels._backtrack, []
+
+    def spy(*args):
+        out = real(*args)
+        counted.append(out[-1])
+        return out
 
     monkeypatch.setattr(_kernels, "_backtrack", spy)
-    starts = np.random.Generator(np.random.PCG64(6)).standard_normal((4, G.n, 2))
-    _kernels.descend_block(starts, eu, ev, em, 1.5, 2.0, 30, 1e-10)
-    assert calls[0][0] and calls[0][2] == _kernels._LEVELS  # no curvature pair yet
-    # once every start takes the quasi-Newton direction, the first pass tries step 1 alone
-    assert all(not gradient and (eta_try == 1.0).all() and levels == 1 for gradient, eta_try, levels in calls[1:])
+    a = action_from_group("sl_mod", 2, 3)
+    gap = gap_estimate(schreier_graph(a), p=1.5, q=1.5, restarts=4, max_iter=60, seed=3)
+    for estimate in (
+        lambda: gap_estimate(schreier_graph(a), p=1.5, q=1.5, restarts=4, max_iter=60, seed=3),
+        lambda: kappa_estimate(a, p=1.5, restarts=2, max_iter=200, seed=3, gap=gap),
+    ):
+        counted.clear()
+        diag = estimate().diagnostics
+        iterations = max(r["iterations"] for r in diag["per_restart"])
+        assert diag["passes"] == sum(counted) >= iterations > 0
+        assert estimate().diagnostics["passes"] == diag["passes"]
 
 
 def test_quasi_newton_start_without_a_descent_direction_takes_the_gradient():
@@ -207,23 +283,26 @@ def test_quasi_newton_start_without_a_descent_direction_takes_the_gradient():
     assert not (qn.S[0].any() or qn.Y[0].any() or qn.rho[0].any()) and qn.gamma[0] == 1.0
 
 
-@pytest.mark.parametrize("levels", [1, _kernels._LEVELS])
+@pytest.mark.parametrize("levels", [1, _kernels._LEVELS, _kernels._PASS_LEVELS])
 def test_backtrack_counts_the_trials_a_one_at_a_time_search_rejects(levels):
     # f(x) = x^2 from x = 1 along -2 (the gradient), with first trials that
     # pass at once, after one pass, after several passes and at the last
     # allowed trial; the start after those needs one trial more than the
     # search allows, and the last has no admissible trial, so both fail.
-    # ``levels`` is the number of trials in the first pass.
+    # ``levels`` is the number of trials in the first pass, and each later
+    # pass tries max(levels, _LEVELS), so the two failing starts take
+    # 1 + ceil((cap - levels) / max(levels, _LEVELS)) passes.
     cap = _kernels._BACKTRACKS
     first = np.array([0.5, 1.0, 100.0, 0.9 / 0.6 ** (cap - 1), 0.9 / 0.6**cap, 1.0])
     X = np.ones((first.size, 1, 1))
 
     def evaluate(trials, rows, stage):
         f = trials.ravel() ** 2
-        return f, np.repeat(rows != 5, len(trials) // len(rows)), f
+        starts = np.arange(first.size)[rows]
+        return f, np.repeat(starts != 5, len(trials) // len(starts)), f
 
     todo = np.ones(first.size, dtype=bool)
-    _, _, _, steps, accepted, rejected = _kernels._backtrack(
+    _, _, steps, accepted, rejected, passes = _kernels._backtrack(
         X, 2.0 * X, np.ones(first.size), np.full(first.size, 4.0), first.copy(), todo, levels, 0.6, evaluate, None
     )
     for k, t in enumerate(first[:5]):
@@ -234,19 +313,26 @@ def test_backtrack_counts_the_trials_a_one_at_a_time_search_rejects(levels):
         assert rejected[k] == count and (count == cap or steps[k] == t)
     assert rejected.tolist() == [0, 1, rejected[2], cap - 1, cap, cap] and rejected[2] > _kernels._LEVELS
     assert accepted.tolist() == [True, True, True, True, False, False]
+    assert passes == 1 + math.ceil((cap - levels) / max(levels, _kernels._LEVELS))
+    # a start outside todo is evaluated in the first pass but accepts nothing
+    todo[0] = False
+    _, _, _, accepted, rejected, _ = _kernels._backtrack(
+        X, 2.0 * X, np.ones(first.size), np.full(first.size, 4.0), first.copy(), todo, levels, 0.6, evaluate, None
+    )
+    assert not accepted[0] and rejected[0] == 0 and accepted[1:4].all()
 
 
 def test_gap_descent_with_no_iterations_returns_the_scaled_starts():
     G = gen_family("cycle", [6])
     eu, ev, em = G.nonloop_arrays()
     starts = _gap_starts(G, 4, seed=2)
-    F, values, iters, steps, stops, backtracks = _kernels.descend_block(starts, eu, ev, em, 1.5, 2.0, 0, 1e-10)
+    F, values, iters, steps, stops, backtracks, passes = _kernels.descend_block(starts, eu, ev, em, 1.5, 2.0, 0, 1e-10)
     centred = starts - starts.mean(axis=1, keepdims=True)
     for k, S in enumerate(centred):
         E, D = _kernels.ratio_parts(S, eu, ev, em, 1.5, 2.0)
         assert np.allclose(F[k], S / D ** (1 / 1.5), rtol=0.0, atol=1e-12)
         assert values[k] == pytest.approx(E / D, rel=1e-12)
-    assert (iters == 0).all() and (steps == 0.0).all() and (backtracks == 0).all()
+    assert (iters == 0).all() and (steps == 0.0).all() and (backtracks == 0).all() and passes == 0
     assert all(_kernels.STOP_REASONS[s] == "max_iter" for s in stops)
 
 
@@ -254,7 +340,7 @@ def test_kappa_descent_never_stalls():
     # a tiny step tolerance and long stages, where the gap descent's stall rule would fire
     perms = np.ascontiguousarray(action_from_group("cyclic", 8).perms)
     starts = np.random.Generator(np.random.PCG64(4)).standard_normal((6, 8, 1))
-    _, _, iters, stops, _ = _kernels.kappa_descend_block(starts, perms, 1.0, BETAS, 300, 0.0)
+    _, _, iters, stops, _, _ = _kernels.kappa_descend_block(starts, perms, 1.0, BETAS, 300, 0.0)
     assert iters.max() > _kernels._STALL_ITERS
     assert all(_kernels.STOP_REASONS[s] != "stalled" for s in stops)
 
@@ -263,7 +349,7 @@ def test_degenerate_start_stops_at_once():
     G = gen_family("cycle", [5])
     eu, ev, em = G.nonloop_arrays()
     starts = np.stack([np.ones((5, 1)), _gap_starts(G, 2, seed=0)[0]])
-    _, values, iters, _, stops, _ = _kernels.descend_block(starts, eu, ev, em, 1.5, 2.0, 200, 1e-10)
+    _, values, iters, _, stops, _, _ = _kernels.descend_block(starts, eu, ev, em, 1.5, 2.0, 200, 1e-10)
     assert _kernels.STOP_REASONS[stops[0]] == "degenerate"
     assert values[0] == np.inf and iters[0] == 0
     assert np.isfinite(values[1])
@@ -278,7 +364,7 @@ def test_block_kappa_descent_matches_single_start_reference(group, params, d, p)
     perms = np.ascontiguousarray(a.perms.astype(np.int64))
     rng = np.random.Generator(np.random.PCG64(11))
     starts = np.stack([rng.standard_normal((a.m, d)) for _ in range(4)])
-    xis, values, _, stops, _ = _kernels.kappa_descend_block(starts, perms, p, BETAS, 100, 1e-12)
+    xis, values, _, stops, _, _ = _kernels.kappa_descend_block(starts, perms, p, BETAS, 100, 1e-12)
     for k, xi0 in enumerate(starts):
         _, ref, _ = kappa_descend(np.ascontiguousarray(xi0), perms, p, BETAS, 100, 1e-12)
         assert values[k] == pytest.approx(ref, rel=1e-9)
@@ -292,10 +378,10 @@ def test_kappa_block_stops_once_it_reaches_the_target():
     # every start still in a stage then stops as certified.
     perms = np.ascontiguousarray(action_from_group("sl_mod", 2, 3).perms)
     starts = np.random.Generator(np.random.PCG64(6)).standard_normal((5, 24, 1))
-    _, free, free_it, free_stop, _ = _kernels.kappa_descend_block(starts, perms, 1.5, BETAS, 100, 1e-12)
+    _, free, free_it, free_stop, _, _ = _kernels.kappa_descend_block(starts, perms, 1.5, BETAS, 100, 1e-12)
     assert _kernels.STOP_CERTIFIED not in free_stop
     target = float(free.min()) * 1.01
-    _, value, it, stop, _ = _kernels.kappa_descend_block(starts, perms, 1.5, BETAS, 100, 1e-12, target)
+    _, value, it, stop, _, _ = _kernels.kappa_descend_block(starts, perms, 1.5, BETAS, 100, 1e-12, target)
     certified = stop == _kernels.STOP_CERTIFIED
     assert certified.any() and value.min() <= target
     assert len(set(it[certified])) == 1 and (it[~certified] < it[certified][0]).all()
@@ -309,7 +395,7 @@ def test_certified_stop_overrides_a_stage_that_ends_at_the_same_iteration():
     perms = np.ascontiguousarray(action_from_group("cyclic", 7).perms)
     starts = np.random.Generator(np.random.PCG64(9)).standard_normal((3, 7, 1))
     first = _kernels.kappa_descend_block(starts, perms, 1.5, BETAS[:1], 1, 1e-12)[1].min()
-    _, value, it, stop, _ = _kernels.kappa_descend_block(starts, perms, 1.5, BETAS, 1, 1e-12, first)
+    _, value, it, stop, _, _ = _kernels.kappa_descend_block(starts, perms, 1.5, BETAS, 1, 1e-12, first)
     assert value.min() == first
     assert [_kernels.STOP_REASONS[s] for s in stop] == ["certified"] * 3 and (it == 1).all()
 
@@ -321,9 +407,9 @@ def test_kappa_start_at_the_target_costs_no_iteration():
     rng = np.random.Generator(np.random.PCG64(2))
     wave = np.cos(np.pi * np.arange(6) / 3)[:, None]
     starts = np.stack([rng.standard_normal((6, 1)), wave, np.ones((6, 1))])
-    _, value, it, stop, bt = _kernels.kappa_descend_block(starts, perms, 2.0, BETAS, 100, 1e-12, 1.0 + 1e-9)
+    _, value, it, stop, bt, passes = _kernels.kappa_descend_block(starts, perms, 2.0, BETAS, 100, 1e-12, 1.0 + 1e-9)
     assert [_kernels.STOP_REASONS[s] for s in stop] == ["certified", "certified", "degenerate"]
-    assert (it == 0).all() and (bt == 0).all()
+    assert (it == 0).all() and (bt == 0).all() and passes == 0
     assert value[1] == pytest.approx(1.0, rel=1e-12) and value[2] == np.inf
 
 
@@ -369,6 +455,59 @@ def test_edge_and_spread_gradients_match_finite_differences(graph_arrays, p, q, 
         Em, Dm = _kernels.ratio_parts(Fm, eu, ev, em, p, q)
         assert (Ep - Em) / (2 * h) == pytest.approx(gE[0, j, i], rel=2e-4, abs=2e-5)
         assert (Dp - Dm) / (2 * h) == pytest.approx(gD[0, j, i], rel=2e-4, abs=2e-5)
+
+
+# (p, q, d) for the kernels against the reference loops: d = 1 with q != 2,
+# q = p, q = 2, p in {1, 3}, and p < q, where the zero-norm guard matters.
+_POWER_CASES = [(1.5, 3.0, 1), (1.0, 1.5, 1), (3.0, 3.0, 1), (1.5, 1.5, 2), (3.0, 2.0, 2), (1.0, 2.0, 3), (1.0, 1.0, 2)]
+
+
+@pytest.mark.parametrize("p,q,d", _POWER_CASES)
+def test_gap_kernels_match_the_reference_with_zero_edge_differences(graph_arrays, p, q, d):
+    """``_block_grads`` and ``_block_ratio`` match the reference loops to
+    1e-12, also on an edge whose difference is zero, where the power p - q
+    of its norm is kept out (it is negative when p < q), and on an edge
+    whose difference is zero in one coordinate only."""
+    eu, ev, em = graph_arrays
+    F = np.random.Generator(np.random.PCG64(12)).standard_normal((16, d))
+    F[eu[0]] = F[ev[0]]
+    k = next(k for k in range(len(eu)) if not {eu[k], ev[k]} & {eu[0], ev[0]})
+    F[eu[k], 0] = F[ev[k], 0]
+    F -= F.mean(axis=0)
+    assert (F[eu] == F[ev]).all(axis=1).any()
+    E, D, gE, gD = _kernels._block_grads(F.T[None].copy(), eu, ev, em, p, q, _kernels._edge_scatter_index(eu, ev, 16, d))
+    E_ref, D_ref, gE_ref, gD_ref = grads(F, eu, ev, em, p, q)
+    assert E[0] == pytest.approx(E_ref, rel=1e-12) and D[0] == pytest.approx(D_ref, rel=1e-12)
+    for g, ref in ((gE[0].T, gE_ref), (gD[0].T, gD_ref)):
+        assert np.allclose(g, ref, rtol=1e-12, atol=1e-12 * np.abs(ref).max())
+    E, D = _kernels._block_ratio(F.T[None].copy(), eu, ev, em, p, q)
+    assert (E[0], D[0]) == pytest.approx(ratio_parts(F, eu, ev, em, p, q), rel=1e-12)
+
+
+@pytest.mark.parametrize("p,d", [(1.0, 1), (1.5, 2), (3.0, 1), (3.0, 3)])
+def test_kappa_kernels_match_the_reference_with_a_fixed_generator(p, d):
+    """The kappa kernels (residuals, normalisation, and the smoothed max
+    with its gradient) match the reference loops to 1e-12, with a field
+    that generator 0 fixes, so its residual and differences are all zero
+    and the power 1 - p of its residual is kept out."""
+    perms = np.ascontiguousarray(action_from_group("boolean_cube", 3).perms)
+    g, m = perms.shape
+    assert (perms[0][perms[0]] == np.arange(m)).all()  # an involution
+    xi = np.random.Generator(np.random.PCG64(4)).standard_normal((m, d))
+    xi = xi + xi[perms[0]]  # fixed by generator 0
+    ref = xi.copy()
+    S_ref = _kappa_normalize(ref, p)
+    block = xi.T[None].copy()
+    assert _kernels._block_kappa_normalize(block, p)[0] == pytest.approx(S_ref, rel=1e-12)
+    assert np.allclose(block[0].T, ref, rtol=1e-12, atol=1e-15)
+    r_ref = _kappa_residuals(ref, perms, p)
+    assert r_ref[0] == 0.0
+    assert np.allclose(_kernels.kappa_residuals(ref, perms, p), r_ref, rtol=1e-12, atol=0.0)
+    inv_flat = (np.arange(g)[:, None] * m + np.argsort(perms, axis=1)).ravel()
+    fsm, grad = _kernels._block_kappa_grad(ref.T[None].copy(), perms, inv_flat, p, np.array([30.0]))
+    fsm_ref, _, grad_ref = _kappa_grad(ref, perms, p, 30.0)
+    assert fsm[0] == pytest.approx(fsm_ref, rel=1e-12)
+    assert np.allclose(grad[0].T, grad_ref, rtol=1e-12, atol=1e-12 * np.abs(grad_ref).max())
 
 
 def test_oracle_circle_triangle_closed_form():
