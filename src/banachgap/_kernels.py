@@ -51,9 +51,12 @@ at almost unchanged size and the quotient converges only like 1/k.
 ``kappa_descend_block`` runs one stage per smoothing parameter.
 
 ``oracle_grid`` is the brute-force check on graphs of at most 4 vertices:
-it evaluates the quotient of scalar maps over an angular grid of the
-mean-zero unit sphere, whole grid rows at a time in chunks of at most
-``_GRID_CHUNK`` points, so its memory does not grow with the grid.
+it evaluates the quotient of scalar maps over the rows of an angular grid
+of the mean-zero unit sphere that it is given (``gap_oracle_small`` passes
+one hemisphere, since the quotient is even), whole grid rows at a time in
+chunks of at most ``_GRID_CHUNK`` points, built and summed in preallocated
+buffers, so its memory does not grow with the grid.  A row's jumps wrap
+around from its last column to its first.
 
 ``cut_gap`` is the exact gap at p = 1 on small graphs: the least quotient
 of an indicator over every cut, from one chunked matrix product of the
@@ -457,11 +460,9 @@ def descend_block(F0, eu, ev, em, p, q, max_iter, tol):
 # ======================================================================
 
 
-def _batch_ratio(Fs, eu, ev, em, p):
-    """Fs: (n, batch) scalar maps evaluated columnwise."""
-    E = (em[:, None] * np.abs(Fs[eu] - Fs[ev]) ** p).sum(axis=0)
-    D = (np.abs(Fs - Fs.mean(axis=0)) ** p).sum(axis=0)
-    return E / D
+def _abs_max(x):
+    """max |x| in two passes, without a temporary."""
+    return max(float(x.max()), -float(x.min()))
 
 
 def oracle_grid(b1, b2, b3, eu, ev, em, p, nth, hth, nph, hph):
@@ -472,29 +473,70 @@ def oracle_grid(b1, b2, b3, eu, ev, em, p, nth, hth, nph, hph):
     taken row by row (t fixed), whole rows at a time, ``_GRID_CHUNK``
     points per chunk at most unless one row is longer.  Returns ``(value,
     t, f, maxjump)``: the first minimum in row order, its angles, and the
-    largest jump between grid neighbours in a row or a column.
+    largest jump between grid neighbours in a column or in a row, where a
+    row's last point neighbours its first (f wraps around).
+
+    A chunk's maps are built vertex by vertex into preallocated (rows,
+    nph) buffers, and the edge terms (in edge order) and the spread terms
+    about the mean (sum / n) are summed row by row in place, so a grid
+    point costs a few array passes per vertex and per edge and no
+    temporaries.  Each value is computed in the order of a plain
+    evaluation, b1 (sin t cos f) + b2 (sin t sin f) + b3 cos t, so it is
+    the same to the last bit.
     """
     phs = np.arange(nph) * hph
     cph, sph = np.cos(phs), np.sin(phs)
+    n = b1.size
     best, best_th, best_ph, maxjump = np.inf, 0.0, 0.0, 0.0
     prev_row = None
-    rows = max(1, _GRID_CHUNK // nph)
+    rows = min(nth, max(1, _GRID_CHUNK // nph))
+    F_buf = np.empty((n, rows, nph))
+    x_buf, y_buf, t_buf, E_buf, D_buf = (np.empty((rows, nph)) for _ in range(5))
     for start in range(0, nth, rows):
         ths = np.arange(start, min(start + rows, nth)) * hth
-        st = np.sin(ths)[:, None]
-        Fs = b1[:, None, None] * (st * cph) + b2[:, None, None] * (st * sph) + b3[:, None, None] * np.cos(ths)[:, None]
-        R = _batch_ratio(Fs.reshape(b1.size, -1), eu, ev, em, p).reshape(ths.size, nph)
+        r = ths.size
+        F, x, y, t, E, D = F_buf[:, :r], x_buf[:r], y_buf[:r], t_buf[:r], E_buf[:r], D_buf[:r]
+        st, ct = np.sin(ths)[:, None], np.cos(ths)[:, None]
+        np.multiply(st, cph, out=x)
+        np.multiply(st, sph, out=y)
+        for v in range(n):
+            np.multiply(b1[v], x, out=F[v])
+            np.multiply(b2[v], y, out=t)
+            F[v] += t
+            F[v] += b3[v] * ct
+        for e in range(eu.size):
+            s = t if e else E
+            np.subtract(F[eu[e]], F[ev[e]], out=s)
+            np.abs(s, out=s)
+            s **= p
+            if em[e] != 1:
+                s *= em[e]
+            if e:
+                E += s
+        np.add(F[0], F[1], out=x)  # the mean, into the spent x
+        for v in range(2, n):
+            x += F[v]
+        x /= n
+        for v in range(n):
+            s = t if v else D
+            np.subtract(F[v], x, out=s)
+            np.abs(s, out=s)
+            s **= p
+            if v:
+                D += s
+        R = np.divide(E, D, out=E)
         k = int(np.argmin(R))
         a, j = divmod(k, nph)
         if R[a, j] < best:
             best, best_th, best_ph = float(R[a, j]), float(ths[a]), float(phs[j])
-        if nph > 1:
-            maxjump = max(maxjump, float(np.abs(np.diff(R, axis=1)).max()))
-        if ths.size > 1:
-            maxjump = max(maxjump, float(np.abs(np.diff(R, axis=0)).max()))
+        np.subtract(R[:, 1:], R[:, :-1], out=t[:, :-1])
+        np.subtract(R[:, 0], R[:, -1], out=t[:, -1])
+        maxjump = max(maxjump, _abs_max(t))
+        if r > 1:
+            maxjump = max(maxjump, _abs_max(np.subtract(R[1:], R[:-1], out=t[:-1])))
         if prev_row is not None:
-            maxjump = max(maxjump, float(np.abs(R[0] - prev_row).max()))
-        prev_row = R[-1]
+            maxjump = max(maxjump, _abs_max(np.subtract(R[0], prev_row, out=t[0])))
+        prev_row = R[-1].copy()
     return best, best_th, best_ph, maxjump
 
 

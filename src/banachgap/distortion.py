@@ -21,7 +21,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .graphs import MetricTable, MultiGraph, all_pairs_distances
+from .graphs import MetricTable, MultiGraph, all_pairs_distances, require_at_least_one
 from .groups import PermutationAction
 from .spectral import Bound, GapEstimate
 
@@ -67,6 +67,7 @@ def map_distortion(
 ) -> DistortionResult:
     """Exact over all vertex pairs: ||f||_Lip * ||f^-1||_Lip for an
     injective embedding F (n rows) into l_q^d."""
+    require_at_least_one(("q", q))
     F = np.asarray(F, dtype=np.float64)
     if F.ndim == 1:
         F = F[:, None]
@@ -321,6 +322,7 @@ def gn_bound(
     (1-eps)^(1/p) * r_eps/2 * diam * (gap / max_degree)^(1/p), at the gap's
     lower end.  Certified when that end is proven; a descent estimate
     over-reports the infimum and the result is then a heuristic."""
+    require_at_least_one(("p", p))
     metric = metric or all_pairs_distances(G)
     lam = gap.bound.lower
     value = (1 - eps) ** (1.0 / p) * (r_eps / 2.0) * metric.diameter * (lam / G.max_degree) ** (1.0 / p)
@@ -334,6 +336,7 @@ def gn_bound(
 def jv_bound(G: MultiGraph, gap: GapEstimate, p: float, D: float | Displacement) -> BoundValue:
     """Displacement route: 2^(-(p-1)/p) * D * (gap / avg_degree)^(1/p), at
     the lower ends of D and the gap.  A bare number D carries no proof."""
+    require_at_least_one(("p", p))
     d = D.bound if isinstance(D, Displacement) else Bound(float(D), float(D))
     lam, k = gap.bound.lower, G.average_degree
     value = 2.0 ** (-(p - 1.0) / p) * d.lower * (lam / k) ** (1.0 / p)

@@ -11,6 +11,7 @@ multiplicity m, 2m copies ``(v, v)``.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Sequence, TypeVar
 
@@ -434,6 +435,14 @@ def row_ints(path: str, line: int, toks: list[str], form: str) -> list[int]:
         return [int(t) for t in toks]
     except ValueError:
         raise ValueError(f"{path}, line {line}: expected integers '{form}', got {' '.join(toks)!r}") from None
+
+
+def require_at_least_one(*named: tuple[str, float]) -> None:
+    """Refuse each ``(name, value)`` whose value is not a finite number >= 1
+    (NaN fails the comparison, so it is refused too)."""
+    for name, value in named:
+        if not (value >= 1 and math.isfinite(value)):
+            raise ValueError(f"{name} must be >= 1 and finite, got {value}")
 
 
 def read_edge_list(path: str) -> MultiGraph:

@@ -33,7 +33,7 @@ from itertools import permutations as _iter_perms
 import numpy as np
 
 from . import _kernels
-from .graphs import MultiGraph, build_graph, file_rows, row_ints
+from .graphs import MultiGraph, build_graph, file_rows, require_at_least_one, row_ints
 from .spectral import CERTIFIED_REL, Bound, Estimate, GapEstimate
 from .spectral import gap as spectral_gap
 
@@ -350,8 +350,7 @@ def kappa_estimate(
     claim.  A value more than 1e-9 relative below a proven lower end raises
     ``AssertionError``.
     """
-    if p < 1 or d < 1:
-        raise ValueError(f"invalid p={p} or d={d}")
+    require_at_least_one(("p", p), ("d", d))
     validate_action(a, allow_identity=True)
     perms = np.ascontiguousarray(a.perms.astype(np.int64))
     rng = np.random.Generator(np.random.PCG64(seed))

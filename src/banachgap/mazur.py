@@ -26,6 +26,8 @@ from typing import Callable
 
 import numpy as np
 
+from .graphs import require_at_least_one
+
 __all__ = [
     "SphereVector",
     "SphereMap",
@@ -123,13 +125,13 @@ def _signed_power(a: np.ndarray, e: float) -> np.ndarray:
 def mazur_map(x: SphereVector, q: float) -> SphereVector:
     """Send a unit vector of l_p to the unit vector of l_q with the same
     coordinate mass distribution."""
+    require_at_least_one(("q", q))
     p = x.exponent
     return SphereVector(_signed_power(x.coords, p / q), q)
 
 
 def mazur_sphere_map(p: float, q: float) -> SphereMap:
-    if p < 1 or q < 1:
-        raise ValueError("exponents must be >= 1")
+    require_at_least_one(("p", p), ("q", q))
     mod = None
     if q == 2.0:
         mod = (p / 2.0, 1.0) if p >= 2.0 else (4.0, p / 2.0)
@@ -141,6 +143,7 @@ def mazur_sphere_map(p: float, q: float) -> SphereMap:
 
 
 def identity_sphere_map(p: float) -> SphereMap:
+    require_at_least_one(("p", p))
     return SphereMap(source_p=float(p), target_p=float(p), fn=lambda b: b.copy(), name="id", modulus=(1.0, 1.0))
 
 
@@ -168,6 +171,7 @@ def stabilized_map(phi: SphereMap, xi: np.ndarray, p: float) -> np.ndarray:
     The output has block-l_p norm 1 and commutes with block permutations by
     construction.
     """
+    require_at_least_one(("block exponent p", p))
     xi = np.asarray(xi, dtype=np.float64)
     if xi.ndim != 2:
         raise ValueError("xi must be a (blocks, dim) array")
@@ -200,6 +204,7 @@ def sphere_sample(rng: np.random.Generator, count: int, d: int, p: float) -> np.
     the uniform draw carries the sign, and numpy's Gamma sampler is faster
     at shape > 1 than at the shape 1/p of the textbook Gamma(1/p)^(1/p).
     """
+    require_at_least_one(("p", p))
     g = rng.standard_gamma(1.0 + 1.0 / p, size=(count, d))
     g **= 1.0 / p
     g *= rng.uniform(-1.0, 1.0, size=(count, d))
@@ -298,12 +303,6 @@ def _stream(n_samples: int, seed: int, draw, measure) -> tuple[np.ndarray, np.nd
     return eps, delta
 
 
-def _require_at_least_one(*named: tuple[str, float]) -> None:
-    for name, value in named:
-        if not value >= 1:  # also refuses NaN
-            raise ValueError(f"{name} must be >= 1, got {value}")
-
-
 def _fit_envelope(eps: np.ndarray, delta: np.ndarray, bins: int = 64) -> tuple[float, float]:
     """log-log regression through per-bin maxima of delta over log-spaced
     eps bins; robust upper-envelope estimate."""
@@ -347,7 +346,7 @@ def estimate_modulus(
     slack).  Pairs are drawn and measured ``_BLOCK`` at a time, one stream
     per block, on every usable CPU (see ``_stream``), so memory beyond the
     returned arrays does not grow with ``n_samples``."""
-    _require_at_least_one(("n_samples", n_samples), ("dimension d", d))
+    require_at_least_one(("n_samples", n_samples), ("dimension d", d))
     if sampler not in SAMPLERS:
         raise ValueError(f"unknown sampler {sampler!r}")
     sample = SAMPLERS[sampler]
@@ -404,7 +403,7 @@ def check_stabilized_modulus(
     """Count violations of the stabilized bound (2C+2) t^alpha over sampled
     block-vector pairs; the expected count is 0.  The bound is proven for a
     block exponent p >= 1 only.  Pairs are drawn as in ``estimate_modulus``."""
-    _require_at_least_one(("n_samples", n_samples), ("block count k", k), ("block exponent p", p), ("dimension d", d))
+    require_at_least_one(("n_samples", n_samples), ("block count k", k), ("block exponent p", p), ("dimension d", d))
     bound_C, alpha = stabilized_modulus(phi)
 
     def draw(rng, count):

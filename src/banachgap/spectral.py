@@ -33,7 +33,7 @@ from pathlib import Path
 import numpy as np
 
 from . import _kernels
-from .graphs import MultiGraph
+from .graphs import MultiGraph, require_at_least_one
 
 __all__ = [
     "Bound",
@@ -147,6 +147,7 @@ def rayleigh_quotient(G: MultiGraph, f: VectorMap | np.ndarray, p: float | None 
         if p is None or q is None:
             raise ValueError("p and q required when passing a bare array")
         F = _as_matrix(f)
+    require_at_least_one(("p", p), ("q", q))
     if F.shape[0] != G.n:
         raise ValueError(f"map has {F.shape[0]} rows, graph has {G.n} vertices")
     F = F - F.mean(axis=0)
@@ -458,8 +459,7 @@ def gap_estimate(
     gap is exact instead: ``_gap_cuts`` enumerates the cuts, and the
     descent options, restarts and warm starts are not used.
     """
-    if p < 1 or q < 1 or d < 1:
-        raise ValueError(f"invalid exponents p={p}, q={q}, d={d}")
+    require_at_least_one(("p", p), ("q", q), ("d", d))
     if not G.connected:
         raise ValueError("gap_estimate requires a connected graph")
     if G.n < 2:
@@ -527,10 +527,16 @@ def gap_oracle_small(G: MultiGraph, p: float, resolution: float = 1e-4) -> GapEs
     Independent of the descent path.
 
     At n = 2 the sphere is {+-b} and both ends of the bound are the value.
-    At n = 3 (a half circle) and n = 4 (a sphere) every grid point is an
-    admissible map, so only the upper end is proven.  The diagnostics'
-    ``grid_error_bound`` is twice the largest jump between neighbouring grid
-    values, a heuristic estimate of the grid error, not a proven bound.
+    At n = 3 the grid is a half circle.  At n = 4 it is a latitude-longitude
+    grid of 2k + 1 rows, k = max(4, ceil(pi / (2 resolution))), and
+    2 max(4, ceil(pi / resolution)) columns; the quotient is even and each
+    grid point's antipode is a grid point, so only the k + 1 rows of one
+    hemisphere are scanned, each row's jumps wrapping around from its last
+    column to its first.  Every grid point is an admissible map, so only the
+    upper end is proven.  The diagnostics' ``grid_points`` counts the
+    scanned points, and ``grid_error_bound`` is twice the largest jump
+    between neighbouring grid values, a heuristic estimate of the grid
+    error, not a proven bound.
     """
     if G.n > 4:
         raise ValueError("gap_oracle_small supports at most 4 vertices")
@@ -538,8 +544,7 @@ def gap_oracle_small(G: MultiGraph, p: float, resolution: float = 1e-4) -> GapEs
         raise ValueError("gap undefined on a single vertex")
     if not G.connected:
         raise ValueError("gap_oracle_small requires a connected graph")
-    if p < 1:
-        raise ValueError("p must be >= 1")
+    require_at_least_one(("p", p))
     if not (math.isfinite(resolution) and resolution > 0):
         raise ValueError(f"resolution must be a positive finite number, got {resolution}")
     eu, ev, em = G.nonloop_arrays()
@@ -555,9 +560,12 @@ def gap_oracle_small(G: MultiGraph, p: float, resolution: float = 1e-4) -> GapEs
         nth = max(8, int(math.ceil(math.pi / resolution)))
         basis, hth, nph, hph = (B[:, 1], zero, B[:, 0]), math.pi / nth, 1, 0.0
     else:
-        nth = max(8, int(math.ceil(math.pi / resolution)) + 1)
-        nph = max(8, int(math.ceil(2.0 * math.pi / resolution)))
-        basis, hth, hph = (B[:, 0], B[:, 1], B[:, 2]), math.pi / (nth - 1), 2.0 * math.pi / nph
+        # The full grid has rows t = 0..pi (2k + 1 of them) and an even count
+        # of columns, so the antipode (pi - t, f + pi) of a grid point is one
+        # too.  R is even, so rows 0..k hold every value of the grid.
+        k = max(4, int(math.ceil(math.pi / (2.0 * resolution))))
+        nth, nph = k + 1, 2 * max(4, int(math.ceil(math.pi / resolution)))
+        basis, hth, hph = (B[:, 0], B[:, 1], B[:, 2]), math.pi / (2 * k), 2.0 * math.pi / nph
     b1, b2, b3 = basis
     value, th, ph, maxjump = _kernels.oracle_grid(b1, b2, b3, eu, ev, em, pf, nth, hth, nph, hph)
     minimizer = (math.sin(th) * math.cos(ph) * b1 + math.sin(th) * math.sin(ph) * b2 + math.cos(th) * b3)[:, None]

@@ -4,7 +4,8 @@ The descents are the serial numpy kernels that ran one start at a time
 before they were vectorised over a block of starts; the tests compare the
 block kernels of ``banachgap._kernels`` against them.  The grid oracles
 are the half-circle scan (n = 3) and the row-by-row sphere scan (n = 4)
-that ``_kernels.oracle_grid`` replaced with one chunked grid kernel.
+that ``_kernels.oracle_grid`` replaced with one chunked grid kernel, each
+with its own plain quotient of a batch of maps.
 ``cut_quotient_min`` scores every indicator with a plain numpy quotient, the
 check of ``_kernels.cut_gap``'s meet-in-the-middle enumeration.  The graph and
 metric loops are the per-edge dense Laplacian, the per-source BFS, the
@@ -39,7 +40,6 @@ from banachgap._kernels import (
     STOP_LINE_SEARCH,
     STOP_MAX_ITER,
     STOP_STALLED,
-    _batch_ratio,
 )
 
 
@@ -216,6 +216,13 @@ def kappa_descend(xi0, perms, p, betas, iters_per_stage, tol):
     return best_xi, best, total_it
 
 
+def grid_quotient(Fs, eu, ev, em, p):
+    """The quotient of each column of an (n, batch) array of scalar maps."""
+    E = (em[:, None] * np.abs(Fs[eu] - Fs[ev]) ** p).sum(axis=0)
+    D = (np.abs(Fs - Fs.mean(axis=0)) ** p).sum(axis=0)
+    return E / D
+
+
 def oracle_circle(b1, b2, eu, ev, em, p, npts, chunk=65536):
     h = math.pi / npts
     best = np.inf
@@ -226,7 +233,7 @@ def oracle_circle(b1, b2, eu, ev, em, p, npts, chunk=65536):
         ts = (np.arange(start, min(start + chunk, npts))) * h
         # grid evaluations: (n, chunk) map values
         Fs = np.outer(b1, np.cos(ts)) + np.outer(b2, np.sin(ts))
-        R = _batch_ratio(Fs, eu, ev, em, p)
+        R = grid_quotient(Fs, eu, ev, em, p)
         k = int(np.argmin(R))
         if R[k] < best:
             best = float(R[k])
@@ -239,7 +246,18 @@ def oracle_circle(b1, b2, eu, ev, em, p, npts, chunk=65536):
     return best, best_t, maxjump
 
 
-def oracle_sphere(b1, b2, b3, eu, ev, em, p, nth, nph):
+def sphere_row(b1, b2, b3, eu, ev, em, p, th, phs):
+    """The quotient along one row (latitude ``th``) of the sphere grid."""
+    x = math.sin(th) * np.cos(phs)
+    y = math.sin(th) * np.sin(phs)
+    Fs = np.outer(b1, x) + np.outer(b2, y) + math.cos(th) * b3[:, None]
+    return grid_quotient(Fs, eu, ev, em, p)
+
+
+def oracle_sphere(b1, b2, b3, eu, ev, em, p, nth, nph, rows=None):
+    """The first ``rows`` rows (all ``nth`` by default) of the grid of nth
+    rows from t = 0 to pi and nph columns; a row's jumps include the one
+    from its last column back to its first."""
     hth = math.pi / (nth - 1)
     hph = 2.0 * math.pi / nph
     phs = np.arange(nph) * hph
@@ -248,19 +266,15 @@ def oracle_sphere(b1, b2, b3, eu, ev, em, p, nth, nph):
     best_ph = 0.0
     maxjump = 0.0
     prev_row = None
-    for a in range(nth):
+    for a in range(nth if rows is None else rows):
         th = a * hth
-        x = math.sin(th) * np.cos(phs)
-        y = math.sin(th) * np.sin(phs)
-        Fs = np.outer(b1, x) + np.outer(b2, y) + math.cos(th) * b3[:, None]
-        R = _batch_ratio(Fs, eu, ev, em, p)
+        R = sphere_row(b1, b2, b3, eu, ev, em, p, th, phs)
         k = int(np.argmin(R))
         if R[k] < best:
             best = float(R[k])
             best_th = th
             best_ph = float(phs[k])
-        if nph > 1:
-            maxjump = max(maxjump, float(np.abs(np.diff(R)).max()))
+        maxjump = max(maxjump, float(np.abs(np.diff(R, append=R[0])).max()))
         if prev_row is not None:
             maxjump = max(maxjump, float(np.abs(R - prev_row).max()))
         prev_row = R

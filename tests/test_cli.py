@@ -83,6 +83,24 @@ def test_gap_oracle_refuses_bad_resolution(capsys, resolution):
     assert captured.err.startswith("error: resolution must be a positive finite number") and captured.out == ""
 
 
+@pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["gap", "--gen", "cycle:6", "--p"],
+        ["gap", "--gen", "cycle:6", "--p", "1.5", "--q"],
+        ["gap", "--gen", "cycle:4", "--method", "oracle", "--p"],
+        ["kappa", "--group", "cyclic:4", "--p"],
+        ["distort", "--gen", "hamming:3", "--p"],
+        ["mazur", "--pairs", "10", "--p"],
+    ],
+)
+def test_non_finite_exponents_exit_1(capsys, argv, bad):
+    assert main([*argv[:-1], f"{argv[-1]}={bad}"]) == 1  # "--p=-inf": argparse reads a bare "-inf" as a flag
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and "must be >= 1 and finite" in captured.err and captured.out == ""
+
+
 def test_gap_reads_file(tmp_path, capsys):
     run(capsys, "gen", "--gen", "complete:4", "--out", str(tmp_path))
     code, out = run(capsys, "gap", "--file", str(tmp_path / "graph.edges"), "--p", "2")

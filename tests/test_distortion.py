@@ -27,6 +27,19 @@ from banachgap.groups import action_from_group, schreier_graph
 from banachgap.spectral import Bound, gap_estimate, gap_exact_2, gap_oracle_small
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+def test_bound_exponents_must_be_finite(bad):
+    C6 = gen_family("cycle", [6])
+    met = all_pairs_distances(C6)
+    gap = gap_exact_2(C6)
+    with pytest.raises(ValueError, match="^p must be >= 1 and finite"):
+        gn_bound(C6, gap, p=bad, eps=0.5, r_eps=0.5, metric=met)
+    with pytest.raises(ValueError, match="^p must be >= 1 and finite"):
+        jv_bound(C6, gap, p=bad, D=3.0)
+    with pytest.raises(ValueError, match="^q must be >= 1 and finite"):
+        map_distortion(C6, frechet_embedding(C6, met), q=bad, metric=met)
+
+
 @pytest.fixture(scope="module")
 def cube3():
     G = gen_family("hamming", [3])

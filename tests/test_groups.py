@@ -29,6 +29,15 @@ from banachgap.groups import (
 )
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+def test_kappa_exponent_must_be_finite(bad):
+    a = action_from_group("cyclic", 4)
+    with pytest.raises(ValueError, match="^p must be >= 1 and finite"):
+        kappa_estimate(a, p=bad, gap=gap_exact_2(schreier_graph(a)))
+    with pytest.raises(ValueError, match="^p must be >= 1 and finite"):
+        verify_sandwich(a, p=bad)
+
+
 def test_cyclic_action_gives_cycle_graph():
     a = action_from_group("cyclic", 6)
     assert a.m == 6 and a.size == 2

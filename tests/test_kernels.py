@@ -15,13 +15,14 @@ from kernel_reference import (
     oracle_circle,
     oracle_sphere,
     ratio_parts,
+    sphere_row,
 )
 
 from banachgap import _kernels
 from banachgap.acceptance import _SMALL_GRAPHS
 from banachgap.graphs import build_graph, gen_family
 from banachgap.groups import action_from_group, kappa_estimate, schreier_graph
-from banachgap.spectral import _fiedler_start, gap_estimate, mean_zero_basis, rayleigh_quotient
+from banachgap.spectral import _fiedler_start, gap_estimate, gap_oracle_small, mean_zero_basis, rayleigh_quotient
 
 BETAS = np.array([1e1, 1e2, 1e3, 1e4])
 
@@ -533,6 +534,23 @@ def test_oracle_sphere_c4_closed_form():
     assert value - 2.0 <= max(1e-3, 2.0 * maxjump)
 
 
+def _oracle_calls(monkeypatch, G, p, res):
+    """``gap_oracle_small``'s estimate, with the arguments and the result
+    of its one ``oracle_grid`` call."""
+    calls = []
+    kernel = _kernels.oracle_grid
+
+    def spy(*args):
+        calls.append((args, kernel(*args)))
+        return calls[-1][1]
+
+    with monkeypatch.context() as m:
+        m.setattr(_kernels, "oracle_grid", spy)
+        est = gap_oracle_small(G, p=p, resolution=res)
+    [(args, out)] = calls
+    return est, args, out
+
+
 # Every criterion-2 graph at every exponent, at the resolutions of the
 # acceptance suite (1e-4 / 4e-3) and of the benchmark (1e-4 / 8e-3).
 _ORACLE_CASES = [
@@ -545,29 +563,70 @@ _ORACLE_CASES = [
 
 @pytest.mark.parametrize("name,p,res", _ORACLE_CASES)
 def test_oracle_grid_matches_the_circle_and_sphere_scans(monkeypatch, name, p, res):
-    """The grid kernel returns exactly the value, argmin angles and largest
-    jump of the scans it replaced, with its own chunks and with chunks of
-    one row (a 4-vertex row is then longer than a chunk)."""
+    """On ``gap_oracle_small``'s grid, the grid kernel returns exactly the
+    value, argmin angles and largest jump of the scans it replaced over the
+    same rows, with its own chunks and with chunks of one row (a 4-vertex
+    row is then longer than a chunk)."""
     n, edges = _SMALL_GRAPHS[name]
     G = build_graph(n, edges)
     eu, ev, em = G.nonloop_arrays()
     B = [np.ascontiguousarray(b) for b in mean_zero_basis(n).T]
-    zero = np.zeros(n)
+    _, args, _ = _oracle_calls(monkeypatch, G, p, res)
+    nth, nph = args[7], args[9]
     if n == 2:
-        args = (zero, zero, B[0], eu, ev, em, p, 1, 0.0, 1, 0.0)
         want = (rayleigh_quotient(G, B[0][:, None], p=p, q=2.0), 0.0, 0.0, 0.0)
     elif n == 3:
-        npts = max(8, math.ceil(math.pi / res))
-        args = (B[1], zero, B[0], eu, ev, em, p, npts, math.pi / npts, 1, 0.0)
-        value, t, maxjump = oracle_circle(B[0], B[1], eu, ev, em, p, npts)
+        value, t, maxjump = oracle_circle(B[0], B[1], eu, ev, em, p, nth)
         want = (value, t, 0.0, maxjump)
     else:
-        nth, nph = max(8, math.ceil(math.pi / res) + 1), max(8, math.ceil(2.0 * math.pi / res))
-        args = (*B, eu, ev, em, p, nth, math.pi / (nth - 1), nph, 2.0 * math.pi / nph)
-        want = oracle_sphere(*B, eu, ev, em, p, nth, nph)
+        want = oracle_sphere(*B, eu, ev, em, p, 2 * nth - 1, nph, rows=nth)
     for chunk in (_kernels._GRID_CHUNK, 1000):
         monkeypatch.setattr(_kernels, "_GRID_CHUNK", chunk)
         assert _kernels.oracle_grid(*args) == want
+
+
+def test_oracle_grid_row_jumps_wrap_around():
+    """A row's last column neighbours its first.  On a coarse grid in
+    twenty random orthonormal bases the kernel agrees with the reference
+    scan; in one of them the wrap pair holds the largest jump, so a kernel
+    that skipped it would not."""
+    G = gen_family("path", [4])
+    eu, ev, em = G.nonloop_arrays()
+    rng = np.random.Generator(np.random.PCG64(5))
+    for _ in range(20):
+        Q = np.linalg.qr(rng.standard_normal((3, 3)))[0]
+        B = [np.ascontiguousarray(b) for b in (mean_zero_basis(4) @ Q).T]
+        want = oracle_sphere(*B, eu, ev, em, 1.5, 5, 5, rows=3)
+        assert _kernels.oracle_grid(*B, eu, ev, em, 1.5, 3, math.pi / 4, 5, 2.0 * math.pi / 5) == want
+
+
+@pytest.mark.parametrize("res", [0.05, 8e-3, 4e-3])
+@pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0])
+@pytest.mark.parametrize("name", [name for name, (n, _) in _SMALL_GRAPHS.items() if n == 4])
+def test_oracle_hemisphere_matches_the_full_sphere(monkeypatch, name, p, res):
+    """The quotient is even and the grid holds each point's antipode, so
+    scanning one hemisphere finds the full sphere's minimum and largest
+    jump, up to rounding."""
+    n, edges = _SMALL_GRAPHS[name]
+    G = build_graph(n, edges)
+    eu, ev, em = G.nonloop_arrays()
+    B = [np.ascontiguousarray(b) for b in mean_zero_basis(n).T]
+    est, (*_, nth, hth, nph, hph), (value, t, f, maxjump) = _oracle_calls(monkeypatch, G, p, res)
+    # 2 (nth - 1) + 1 rows from pole to pole, an even count of columns
+    assert round(math.pi / hth) == 2 * (nth - 1) and math.isclose((nth - 1) * hth, math.pi / 2)
+    assert nph % 2 == 0 and math.isclose(nph * hph, 2.0 * math.pi)
+    assert est.diagnostics["grid_points"] == nth * nph
+    assert (est.value, est.diagnostics["grid_error_bound"]) == (value, 2.0 * maxjump)
+    full_value, _, _, full_jump = oracle_sphere(*B, eu, ev, em, p, 2 * nth - 1, nph)
+    assert abs(value - full_value) <= 1e-15 * full_value
+    assert abs(maxjump - full_jump) <= 1e-14
+    a, j = round(t / hth), round(f / hph)
+    assert (t, f) == (a * hth, j * hph) and 0 <= a < nth and 0 <= j < nph
+    phs = np.arange(nph) * hph
+    here = sphere_row(*B, eu, ev, em, p, a * hth, phs)[j]
+    there = sphere_row(*B, eu, ev, em, p, (2 * nth - 2 - a) * hth, phs)[(j + nph // 2) % nph]
+    assert here == value
+    assert min(abs(here - full_value), abs(there - full_value)) <= 1e-15 * full_value
 
 
 def test_kappa_residuals_match_direct_sum():

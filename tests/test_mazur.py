@@ -403,6 +403,23 @@ def test_pool_thread_error_reaches_the_caller(monkeypatch):
         mazur._stream(3 * mazur._BLOCK, 0, draw, lambda x, y: (x[:, 0], y[:, 0]))
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+@pytest.mark.parametrize(
+    "call,name",
+    [
+        (lambda x: mazur.mazur_sphere_map(x, 2.0), "p"),
+        (lambda x: mazur.mazur_sphere_map(2.0, x), "q"),
+        (lambda x: mazur.identity_sphere_map(x), "p"),
+        (lambda x: mazur.mazur_map(mazur.SphereVector(np.array([1.0, 0.0]), 2.0), x), "q"),
+        (lambda x: mazur.sphere_sample(np.random.default_rng(0), 4, 3, x), "p"),
+        (lambda x: mazur.stabilized_map(mazur.identity_sphere_map(2.0), np.eye(2), x), "block exponent p"),
+    ],
+)
+def test_exponents_must_be_finite(call, name, bad):
+    with pytest.raises(ValueError, match=f"^{name} must be >= 1 and finite"):
+        call(bad)
+
+
 @pytest.mark.parametrize(
     "kwargs,name",
     [
@@ -422,6 +439,8 @@ def test_estimate_modulus_refuses_degenerate_inputs(kwargs, name):
         ({"k": -1, "p": 2.0, "n_samples": 10}, "block count k"),
         ({"k": 2, "p": 0.5, "n_samples": 10}, "block exponent p"),
         ({"k": 2, "p": float("nan"), "n_samples": 10}, "block exponent p"),
+        ({"k": 2, "p": float("inf"), "n_samples": 10}, "block exponent p"),
+        ({"k": 2, "p": float("-inf"), "n_samples": 10}, "block exponent p"),
         ({"k": 2, "p": 2.0, "n_samples": 10, "d": 0}, "dimension d"),
         ({"k": 2, "p": 2.0, "n_samples": 0}, "n_samples"),
     ],

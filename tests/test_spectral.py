@@ -153,6 +153,23 @@ def test_estimate_rejects_bad_exponents():
         gap_estimate(C6, p=2.0, q=0.9)
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+@pytest.mark.parametrize(
+    "call,name",
+    [
+        (lambda x: gap_estimate(C6, p=x), "p"),
+        (lambda x: gap_estimate(C6, p=1.5, q=x), "q"),
+        (lambda x: gap(C6, p=x), "p"),
+        (lambda x: gap_oracle_small(gen_family("cycle", [4]), p=x), "p"),
+        (lambda x: rayleigh_quotient(C6, np.arange(6.0), p=x, q=2.0), "p"),
+        (lambda x: rayleigh_quotient(C6, np.arange(6.0), p=2.0, q=x), "q"),
+    ],
+)
+def test_exponents_must_be_finite(call, name, bad):
+    with pytest.raises(ValueError, match=f"^{name} must be >= 1 and finite"):
+        call(bad)
+
+
 def test_mean_zero_basis_orthonormal():
     B = mean_zero_basis(5)
     assert np.allclose(B.sum(axis=0), 0.0, atol=1e-14)
