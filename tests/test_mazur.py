@@ -439,10 +439,10 @@ def test_estimate_modulus_refuses_degenerate_inputs(kwargs, name):
         ({"k": -1, "p": 2.0, "n_samples": 10}, "block count k"),
         ({"k": 2, "p": 0.5, "n_samples": 10}, "block exponent p"),
         ({"k": 2, "p": float("nan"), "n_samples": 10}, "block exponent p"),
-        ({"k": 2, "p": float("inf"), "n_samples": 10}, "block exponent p"),
-        ({"k": 2, "p": float("-inf"), "n_samples": 10}, "block exponent p"),
         ({"k": 2, "p": 2.0, "n_samples": 10, "d": 0}, "dimension d"),
         ({"k": 2, "p": 2.0, "n_samples": 0}, "n_samples"),
+        ({"k": 2, "p": float("inf"), "n_samples": 10}, "block exponent p"),
+        ({"k": 2, "p": float("-inf"), "n_samples": 10}, "block exponent p"),
     ],
 )
 def test_check_stabilized_refuses_degenerate_inputs(kwargs, name):
