@@ -261,7 +261,7 @@ def _random_regular(n: int, d: int, seed: int | None, max_tries: int = 2000) -> 
         return gen_family("complete", [n])
     rng = np.random.Generator(np.random.PCG64(0 if seed is None else seed))
     for _ in range(max_tries):
-        stubs = list(np.repeat(np.arange(n), d))
+        stubs = np.repeat(np.arange(n), d).tolist()
         rng.shuffle(stubs)
         taken: set[tuple[int, int]] = set()
         stuck = False

@@ -9,6 +9,13 @@ bipartite multigraph with k colours (König), and read each colour class as
 a permutation of the vertex set.  The permutations with their formal
 inverses generate a free action whose Schreier graph reproduces G'
 edge-for-edge.
+
+The Hierholzer traversal and the König colouring are sequential loops over
+Python ints; no graph is rebuilt around them.  The regularization is read
+off G's own canonical edge list, and the round-trip check encodes each
+edge {v, sigma(v)} of every permutation as the integer key
+min(v, sigma(v))*n + max(v, sigma(v)), counted in one ``np.unique`` and
+compared with the base's keys and multiplicities.
 """
 
 from __future__ import annotations
@@ -43,16 +50,20 @@ class SchreierSpec:
 
 
 def even_regularize(G: MultiGraph) -> MultiGraph:
-    """Double every edge, then pad each vertex with loops to degree 2*max."""
+    """Double every edge, then pad each vertex with loops to degree 2*max.
+
+    Built straight from G's canonical edge list: a vertex's pad loops merge
+    into its existing loop, every degree is 2*max_degree(G), and the
+    result is connected because G is.
+    """
     if not G.connected:
         raise ValueError("even_regularize requires a connected graph")
     delta = G.max_degree
-    edges = [(u, v, 2 * m) for u, v, m in G.edges]
-    for v in range(G.n):
-        pad = delta - G.degrees[v]  # each loop adds 2 to the doubled degree
-        if pad > 0:
-            edges.append((v, v, pad))
-    return build_graph(G.n, edges)
+    pad = [delta - d for d in G.degrees]  # each loop adds 2 to the doubled degree
+    looped = {u for u, v, _ in G.edges if u == v}
+    edges = [(u, v, 2 * m + pad[u]) if u == v else (u, v, 2 * m) for u, v, m in G.edges]
+    edges += [(v, v, k) for v, k in enumerate(pad) if k > 0 and v not in looped]
+    return MultiGraph(n=G.n, edges=tuple(sorted(edges)), degrees=(2 * delta,) * G.n, connected=True)
 
 
 def _euler_circuit(G: MultiGraph, seed: int) -> list[tuple[int, int]]:
@@ -160,15 +171,21 @@ def two_factorize(Gp: MultiGraph, seed: int = 0) -> list[np.ndarray]:
     return _colour_edges(Gp.n, _euler_circuit(Gp, seed), deg // 2)
 
 
+def _functional_keys(n: int, perms) -> np.ndarray:
+    """Key min(v, w)*n + max(v, w) of the edge {v, w = sigma(v)} for every
+    vertex v of every permutation sigma, in permutation-major order."""
+    P = np.asarray(perms, dtype=np.int64).reshape(len(perms), n)
+    if P.size and not (0 <= P.min() and P.max() < n):
+        raise ValueError(f"permutation entry out of range 0..{n - 1}")
+    v = np.arange(n)
+    return (np.minimum(v, P) * n + np.maximum(v, P)).ravel()
+
+
 def reassemble(n: int, perms: list[np.ndarray]) -> MultiGraph:
     """Union of functional graphs: one undirected edge {v, sigma(v)} per
     vertex per permutation; fixed points become loops."""
-    edges = []
-    for sigma in perms:
-        for v in range(n):
-            w = int(sigma[v])
-            edges.append((min(v, w), max(v, w), 1))
-    return build_graph(n, edges)
+    keys, counts = np.unique(_functional_keys(n, perms), return_counts=True)
+    return build_graph(n, zip((keys // n).tolist(), (keys % n).tolist(), counts.tolist()))
 
 
 def schreier_realize(G: MultiGraph, seed: int = 0) -> SchreierSpec:
@@ -181,19 +198,31 @@ def schreier_realize(G: MultiGraph, seed: int = 0) -> SchreierSpec:
 
 
 def verify_realization(spec: SchreierSpec) -> tuple[bool, dict]:
-    """Rebuild the multigraph from the permutations and compare edge
-    multisets exactly; on mismatch return the symmetric difference."""
-    rebuilt = reassemble(spec.base.n, list(spec.perms))
-    want = spec.base.edge_multiset()
-    got = rebuilt.edge_multiset()
-    if want == got:
+    """Compare the edge multiset of the permutations' functional graphs
+    with the base's exactly; on mismatch return the symmetric difference.
+
+    Both sides are integer edge keys min(v, w)*n + max(v, w) with their
+    multiplicities.  The mismatch dict maps each pair (v, w) whose counts
+    differ to {"expected": base count, "rebuilt": permutation count}.
+    """
+    n = spec.base.n
+    got, got_mult = np.unique(_functional_keys(n, spec.perms), return_counts=True)
+    edges = spec.base.edges
+    base = np.fromiter(itertools.chain.from_iterable(edges), dtype=np.int64, count=3 * len(edges)).reshape(-1, 3)
+    want, want_mult = base[:, 0] * n + base[:, 1], base[:, 2]
+    if np.array_equal(want, got) and np.array_equal(want_mult, got_mult):
         return True, {}
-    diff = {}
-    for key in set(want) | set(got):
-        a, b = want.get(key, 0), got.get(key, 0)
-        if a != b:
-            diff[key] = {"expected": a, "rebuilt": b}
-    return False, diff
+    keys = np.union1d(want, got)
+    expected = np.zeros(keys.shape[0], dtype=np.int64)
+    rebuilt = np.zeros(keys.shape[0], dtype=np.int64)
+    expected[np.searchsorted(keys, want)] = want_mult
+    rebuilt[np.searchsorted(keys, got)] = got_mult
+    bad = np.flatnonzero(expected != rebuilt)
+    diff = {
+        (k // n, k % n): {"expected": a, "rebuilt": b}
+        for k, a, b in zip(keys[bad].tolist(), expected[bad].tolist(), rebuilt[bad].tolist())
+    }
+    return not diff, diff
 
 
 def spec_to_action(spec: SchreierSpec) -> PermutationAction:

@@ -18,7 +18,10 @@ sampler and the per-bin envelope loop that ``banachgap.mazur`` replaced.
 The group references build actions and Schreier graphs element by element
 and vertex by vertex, with m^2 products for the right translations, as
 ``banachgap.groups`` did before it read them off one closure table and one
-search tree.
+search tree.  The realization references are the ``build_graph``-based
+even regularization and the per-entry, dict-based reassembly and
+round-trip check that ``banachgap.realization`` replaced with integer edge
+keys.
 """
 
 import itertools
@@ -29,6 +32,7 @@ from fractions import Fraction
 import numpy as np
 
 from banachgap import groups
+from banachgap.graphs import build_graph
 from banachgap._kernels import (
     _ARMIJO,
     _BACKTRACKS,
@@ -510,3 +514,39 @@ def schreier_edges(a):
                 w = int(perm[v])
                 edges.append((min(v, w), max(v, w), 1))
     return edges
+
+
+def even_regularize(G):
+    """Doubled edges plus pad loops, merged, sorted and searched by build_graph."""
+    delta = G.max_degree
+    edges = [(u, v, 2 * m) for u, v, m in G.edges]
+    for v in range(G.n):
+        pad = delta - G.degrees[v]
+        if pad > 0:
+            edges.append((v, v, pad))
+    return build_graph(G.n, edges)
+
+
+def reassemble(n, perms):
+    """One edge {v, sigma(v)} per vertex per permutation, entry by entry."""
+    edges = []
+    for sigma in perms:
+        for v in range(n):
+            w = int(sigma[v])
+            edges.append((min(v, w), max(v, w), 1))
+    return build_graph(n, edges)
+
+
+def verify_realization(spec):
+    """Edge multiset dicts of the base and the reassembly, and their
+    symmetric difference."""
+    want = spec.base.edge_multiset()
+    got = reassemble(spec.base.n, list(spec.perms)).edge_multiset()
+    if want == got:
+        return True, {}
+    diff = {}
+    for key in set(want) | set(got):
+        a, b = want.get(key, 0), got.get(key, 0)
+        if a != b:
+            diff[key] = {"expected": a, "rebuilt": b}
+    return False, diff

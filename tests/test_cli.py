@@ -18,6 +18,14 @@ def test_gen_writes_graph(tmp_path, capsys):
     assert json.loads(out)["n"] == 6
 
 
+def test_gen_random_regular_prints_int_edges(capsys):
+    code, out = run(capsys, "gen", "--gen", "random_regular:10,3", "--seed", "1")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["n"] == 10 and len(payload["edges"]) == 15
+    assert all(type(x) is int for e in payload["edges"] for x in e)
+
+
 def test_gap_exact_hamming(tmp_path, capsys):
     code, out = run(capsys, "gap", "--gen", "hamming:3", "--p", "2", "--out", str(tmp_path))
     assert code == 0

@@ -1,3 +1,4 @@
+import hashlib
 import re
 import tracemalloc
 from unittest import mock
@@ -152,6 +153,28 @@ def test_random_regular_dense_case():
 def test_random_regular_parity_error():
     with pytest.raises(ValueError, match="even"):
         gen_family("random_regular", [7, 3])
+
+
+# SHA-256 over repr((n, d, seed, edges as int triples)) for n = 6..50, 1000 and
+# 2000 (n*d even) and seeds 0-4: the stub pairing's edge lists stay fixed.
+RANDOM_REGULAR_DIGESTS = {
+    3: "773d0cbe23224832dfea498191c845a77374bf022cbeb57efb7e083683912c38",
+    4: "d5889bb0a18a2db6c3404fe93e3dc414af555cd646099e1b76728977ea7c5448",
+    5: "c2f43e6a8f86171ada74523d48c2efd69ffa15328352daa58395db758caba112",
+}
+
+
+@pytest.mark.parametrize("d", sorted(RANDOM_REGULAR_DIGESTS))
+def test_random_regular_edge_lists_are_fixed_python_ints(d):
+    digest = hashlib.sha256()
+    for n in [*range(6, 51), 1000, 2000]:
+        if n * d % 2:
+            continue
+        for seed in range(5):
+            edges = list(gen_family("random_regular", [n, d], seed=seed).edges)
+            assert all(type(x) is int for e in edges for x in e)
+            digest.update(repr((n, d, seed, edges)).encode())
+    assert digest.hexdigest() == RANDOM_REGULAR_DIGESTS[d]
 
 
 def test_margulis():

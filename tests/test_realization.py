@@ -1,6 +1,13 @@
+import hashlib
+
+import kernel_reference as ref
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from test_graphs import connected_multigraphs
 
+from banachgap.acceptance import _realization_corpus
 from banachgap.graphs import build_graph, gen_family
 from banachgap.groups import schreier_graph
 from banachgap.realization import (
@@ -143,3 +150,115 @@ def test_realize_large_roundtrip(gen):
     spec = schreier_realize(G, seed=3)
     assert verify_realization(spec)[0]
     assert all(np.array_equal(np.sort(sigma), np.arange(G.n)) for sigma in spec.perms)
+
+
+def _golden_graph(name):
+    if name == "loops":  # pad loops of 4 at vertex 0 merge into its loop; 1 and 3 gain new ones
+        return build_graph(4, [(0, 0, 1), (0, 1, 2), (1, 2, 1), (2, 2, 2), (2, 3, 3)])
+    if name == "loop3":
+        return build_graph(1, [(0, 0, 3)])
+    kind, params = name.split(":")
+    return gen_family(kind, [int(x) for x in params.split(",")], seed=1)
+
+
+# SHA-256 of np.asarray(schreier_realize(G, seed).perms, dtype=np.int64).tobytes():
+# every generator family, merged pad loops, one vertex with loops (cycle:1,
+# loop3) and the benchmark's large realizations.
+GOLDEN_PERMS = [
+    ("cycle:1", 0, "374708fff7719dd5979ec875d56cd2286f6d3cf7ec317a3b25632aab28ec37bb"),
+    ("cycle:2", 1, "af8a44699e0fe2cbe8fcb03e513ef95500dcd533abce01646342d7d2d5dbc5d4"),
+    ("cycle:7", 2, "d520ded8cdd9c8dcd6fa725689d84d0b567674f10237823c55a53aa72e6f9a7c"),
+    ("complete:2", 0, "4cbbd8ca5215b8d161aec181a74b694f4e24b001d5b081dc0030ed797a8973e0"),
+    ("complete:5", 3, "eaf16d95a05b016fa43b037d682d1366a1dd965e38f00b2241d3606617def71f"),
+    ("complete:6", 4, "c5317fa8fb678c8b8004f1e7ced2fef396b8739074dbc8161c9870e40d4b037c"),
+    ("hamming:1", 0, "4cbbd8ca5215b8d161aec181a74b694f4e24b001d5b081dc0030ed797a8973e0"),
+    ("hamming:4", 5, "3a20b69b5766661f5d247e54d3467694f9db853faf62d75bac0bf082d03b3b5f"),
+    ("path:1", 0, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ("path:2", 0, "4cbbd8ca5215b8d161aec181a74b694f4e24b001d5b081dc0030ed797a8973e0"),
+    ("path:9", 6, "6852aa50eb4be5a95785a5482633dc2aec465e70b9928b2d0439ad3e9bb5797b"),
+    ("margulis:1", 0, "f5a5fd42d16a20302798ef6ed309979b43003d2320d9f0e8ea9831a92759fb4b"),
+    ("margulis:3", 7, "2b6f985b3fb05299d33499dd52b3f9d2db032aaf630124f4e355c75e1c5ffc96"),
+    ("margulis:6", 8, "aa7701c5ba2c08523961b6cd22f56a5a6b96a399ad98a6c8c35ec39aa8efdb72"),
+    ("random_regular:12,3", 9, "9f666570a3658e52435f3201d31e2f0ad0db574ba3e5a9bc0c6667dfed9ca15c"),
+    ("random_regular:30,4", 1, "e00fdd7149e83347be5feacfdf024091ab8b27381c12d27d1eaf1c03cdae8ad8"),
+    ("random_regular:24,5", 3, "9a2e6b1f57fd81cd59fa5045e3037056f0cabd941e375bd7115c44b93047ce3b"),
+    ("loops", 0, "e2aec931f2cde3f230381349b11b43538a0d4531947a84139f8c7b5249a7661b"),
+    ("loops", 5, "8f73bf4eea7dcd51eee7f2c0de75f271a6b94fa117a5812d533df2c3def0b747"),
+    ("loop3", 2, "17b0761f87b081d5cf10757ccc89f12be355c70e2e29df288b65b30710dcbcd1"),
+    ("hamming:10", 11, "4aef9b252d0976c616fab56775ab6034579ea44b672375734c183a82635e2f52"),
+    ("margulis:32", 12, "1da583a4f4cce84aad76d0c5a2d56af2baacaac553852defc1fc89e8826db709"),
+    ("random_regular:2000,3", 13, "aa374ee9d543a7e1aab003458c966bdbd8c48623323fdc65341dcdec669a4885"),
+    ("cycle:2000", 14, "d7ad611ba7db71a8e14f88925ce9cd67d76855eaf2c383ed04fa581a08a15265"),
+    ("path:1000", 15, "70ac44f9625e4a7efc00fa4090d13090cd92347cd54468ebdc2ae190f7c015a1"),
+]
+
+
+@pytest.mark.parametrize("name, seed, digest", GOLDEN_PERMS)
+def test_realization_permutations_are_byte_identical(name, seed, digest):
+    perms = schreier_realize(_golden_graph(name), seed=seed).perms
+    assert hashlib.sha256(np.asarray(perms, dtype=np.int64).tobytes()).hexdigest() == digest
+
+
+@pytest.fixture(scope="module")
+def corpus():
+    """Criterion 6's graphs at seeds 0-2."""
+    return [G for seed in range(3) for _, G in _realization_corpus(seed)]
+
+
+def _assert_regularization_matches_reference(G):
+    Gp, want = even_regularize(G), ref.even_regularize(G)
+    assert (Gp.edges, Gp.degrees, Gp.connected) == (want.edges, want.degrees, want.connected)
+    assert all(type(x) is int for e in Gp.edges for x in e)
+
+
+def test_regularization_matches_the_reference_on_the_corpus(corpus):
+    for G in corpus:
+        _assert_regularization_matches_reference(G)
+
+
+@given(connected_multigraphs())
+@settings(max_examples=150, deadline=None)
+def test_regularization_matches_the_reference_on_random_multigraphs(G):
+    _assert_regularization_matches_reference(G)
+
+
+def _corruptions(perms):
+    """A rolled first permutation, two of its entries swapped, an identity
+    factor in its place, and a non-bijective array."""
+    sigma, rest = perms[0], tuple(perms[1:])
+    swapped, squashed = sigma.copy(), sigma.copy()
+    swapped[[0, -1]] = swapped[[-1, 0]]
+    squashed[0] = squashed[-1]
+    return [(np.roll(sigma, 1), *rest), (swapped, *rest), (np.arange(sigma.shape[0]), *rest), (squashed, *rest)]
+
+
+def _assert_round_trip_matches_reference(spec):
+    n = spec.base.n
+    for perms in [spec.perms, *(_corruptions(spec.perms) if spec.perms else [])]:
+        check = SchreierSpec(base=spec.base, perms=perms, provenance=spec.provenance)
+        ok, diff = verify_realization(check)
+        assert (ok, diff) == ref.verify_realization(check)
+        assert all(type(x) is int for key, counts in diff.items() for x in (*key, *counts.values()))
+        assert reassemble(n, list(perms)) == ref.reassemble(n, perms)
+
+
+def test_round_trip_matches_the_reference_on_the_corpus(corpus):
+    for i, G in enumerate(corpus):
+        _assert_round_trip_matches_reference(schreier_realize(G, seed=i))
+
+
+@given(connected_multigraphs(), st.integers(0, 1 << 30))
+@settings(max_examples=150, deadline=None)
+def test_round_trip_matches_the_reference_on_random_multigraphs(G, seed):
+    _assert_round_trip_matches_reference(schreier_realize(G, seed=seed))
+
+
+@pytest.mark.parametrize("entry", [-1, 6, 1 << 40])
+def test_permutation_entry_out_of_range_raises(entry):
+    spec = schreier_realize(gen_family("cycle", [6]), seed=0)
+    sigma = spec.perms[0].copy()
+    sigma[2] = entry
+    with pytest.raises(ValueError, match="out of range"):
+        verify_realization(SchreierSpec(base=spec.base, perms=(sigma,), provenance=spec.provenance))
+    with pytest.raises(ValueError, match="out of range"):
+        reassemble(6, [sigma])
