@@ -167,7 +167,7 @@ def _cube_symmetrized_start(n: int, zeta: np.ndarray) -> np.ndarray:
     return W
 
 
-def _sandwich_cases(seed: int):
+def _sandwich_cases():
     cases = []
     for n in range(5, 9):
         cases.append((f"cyclic({n})", action_from_group("cyclic", n), 1, None))
@@ -181,7 +181,7 @@ def _run_sandwiches(seed: int):
     """Shared by 4a/4b: sandwich reports per (action, p) plus cube records."""
     reports = []
     cube_records = []
-    for name, action, d, cube_n in _sandwich_cases(seed):
+    for name, action, d, cube_n in _sandwich_cases():
         G = schreier_graph(action)
         for p in (1.0, 2.0, 3.0):
             gap = spectral_gap(G, p=p, q=p, seed=seed, restarts=24)

@@ -38,10 +38,10 @@ from .graphs import (
     read_edge_list,
     write_edge_list,
 )
-from .groups import GROUP_FORMS, action_from_group, verify_sandwich, write_action_file
+from .groups import GROUP_FORMS, KAPPA_RESTARTS, action_from_group, verify_sandwich, write_action_file
 from .realization import schreier_realize, spec_to_action, verify_realization
 from .spectral import gap as spectral_gap
-from .spectral import gap_estimate, gap_exact_2, gap_oracle_small
+from .spectral import DEFAULT_MAX_ITER, DEFAULT_RESTARTS, DEFAULT_TOL, gap_estimate, gap_exact_2, gap_oracle_small
 
 __all__ = ["main"]
 
@@ -350,9 +350,9 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--q", type=float, default=2.0)
     g.add_argument("--d", type=int, default=1)
     g.add_argument("--method", choices=("auto", "exact", "estimate", "oracle"), default="auto")
-    g.add_argument("--restarts", type=int, default=32)
-    g.add_argument("--max-iter", type=int, default=5000)
-    g.add_argument("--tol", type=float, default=1e-10)
+    g.add_argument("--restarts", type=int, default=DEFAULT_RESTARTS)
+    g.add_argument("--max-iter", type=int, default=DEFAULT_MAX_ITER)
+    g.add_argument("--tol", type=float, default=DEFAULT_TOL)
     g.add_argument("--resolution", type=float, default=1e-3, help="grid oracle resolution")
     g.add_argument("--dump-minimizer", action="store_true")
     g.set_defaults(fn=cmd_gap)
@@ -363,7 +363,7 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--p", type=float, default=2.0)
     g.add_argument("--d", type=int, default=1)
     g.add_argument("--nu", type=int, help="generator-orbit symmetry factor for the sharpened lower bound")
-    g.add_argument("--restarts", type=int, default=16)
+    g.add_argument("--restarts", type=int, default=KAPPA_RESTARTS)
     g.set_defaults(fn=cmd_kappa)
 
     g = sub.add_parser("gross", help="even regularization + 2-factorization realization")

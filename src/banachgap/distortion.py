@@ -448,13 +448,11 @@ class ExclusionVerdict:
     details: dict
 
 
-def austin_exclude(
-    diams,
-    c_lower,
-    rho,
-    slope_tol: float = 0.02,
-    validation_points: int = 64,
-) -> ExclusionVerdict:
+_SLOPE_TOL = 0.02  # log-log growth slope above which austin_exclude excludes rho
+_RHO_POINTS = 64  # points of the range on which rho's hypotheses are checked
+
+
+def austin_exclude(diams, c_lower, rho) -> ExclusionVerdict:
     """Exclude rho as a compression function for coarse embeddings of the
     family union.
 
@@ -462,13 +460,13 @@ def austin_exclude(
     range (else "inconclusive").  With valid certified lower bounds
     c_lower_n on the component distortions, a strictly growing trend of
     c_lower_n * rho(diam_n) / diam_n across the family (log-log slope above
-    ``slope_tol``) yields "excluded"; otherwise "not_excluded".
+    ``_SLOPE_TOL``) yields "excluded"; otherwise "not_excluded".
     """
     diams = np.asarray(diams, dtype=np.float64)
     c_lower = np.asarray(c_lower, dtype=np.float64)
     if diams.shape != c_lower.shape or diams.size < 2:
         raise ValueError("need matching diam and lower-bound sequences of length >= 2")
-    ts = np.geomspace(max(diams.min() * 0.5, 1e-9), diams.max() * 2.0, validation_points)
+    ts = np.geomspace(max(diams.min() * 0.5, 1e-9), diams.max() * 2.0, _RHO_POINTS)
     vals = np.array([rho(t) for t in ts], dtype=np.float64)
     ok = bool(np.all(vals > 0)) and bool(np.all(np.diff(vals) >= -1e-12))
     ratio = vals / ts
@@ -482,10 +480,10 @@ def austin_exclude(
         )
     growth = c_lower * np.array([rho(t) for t in diams]) / diams
     slope = float(np.polyfit(np.log(diams), np.log(growth), 1)[0])
-    verdict = "excluded" if slope > slope_tol else "not_excluded"
+    verdict = "excluded" if slope > _SLOPE_TOL else "not_excluded"
     return ExclusionVerdict(
         verdict=verdict,
         slope=slope,
         hypothesis_ok=True,
-        details={"growth_first": float(growth[0]), "growth_last": float(growth[-1]), "slope_tol": slope_tol},
+        details={"growth_first": float(growth[0]), "growth_last": float(growth[-1]), "slope_tol": _SLOPE_TOL},
     )

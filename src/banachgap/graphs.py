@@ -247,7 +247,10 @@ def _margulis(n: int) -> MultiGraph:
     return build_graph(n * n, edges)
 
 
-def _random_regular(n: int, d: int, seed: int | None, max_tries: int = 2000) -> MultiGraph:
+_REGULAR_TRIES = 2000  # stub pairings _random_regular draws before it gives up
+
+
+def _random_regular(n: int, d: int, seed: int | None) -> MultiGraph:
     """Random simple d-regular graph by incremental stub pairing: draw stub
     pairs, skip loops/repeats, restart when stuck.  Handles dense cases the
     one-shot pairing model almost never survives."""
@@ -260,7 +263,7 @@ def _random_regular(n: int, d: int, seed: int | None, max_tries: int = 2000) -> 
     if d == n - 1:
         return gen_family("complete", [n])
     rng = np.random.Generator(np.random.PCG64(0 if seed is None else seed))
-    for _ in range(max_tries):
+    for _ in range(_REGULAR_TRIES):
         stubs = np.repeat(np.arange(n), d).tolist()
         rng.shuffle(stubs)
         taken: set[tuple[int, int]] = set()
@@ -283,7 +286,7 @@ def _random_regular(n: int, d: int, seed: int | None, max_tries: int = 2000) -> 
         G = build_graph(n, [(u, v, 1) for u, v in sorted(taken)])
         if G.connected:
             return G
-    raise RuntimeError(f"no connected simple {d}-regular graph on {n} vertices found in {max_tries} tries")
+    raise RuntimeError(f"no connected simple {d}-regular graph on {n} vertices found in {_REGULAR_TRIES} tries")
 
 
 # ----------------------------------------------------------------------

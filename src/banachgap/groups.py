@@ -27,6 +27,7 @@ proven gap also ends the descent once it reaches the bound.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import islice, repeat
 from itertools import permutations as _iter_perms
 
@@ -52,8 +53,9 @@ __all__ = [
 ]
 
 KAPPA_BETAS = (1e1, 1e2, 1e3, 1e4)
+KAPPA_RESTARTS = 16  # default starts of kappa_estimate, verify_sandwich and the CLI's kappa
+_KAPPA_TOL = 1e-12  # the kappa descent's stopping tolerance
 COSET_CAP = 20000
-RIGHT_TRANSLATION_CAP = 4096
 SANDWICH_TOLERANCE = 1e-2  # relative slack of verify_sandwich's inequalities
 
 
@@ -64,11 +66,21 @@ class PermutationAction:
     perms: np.ndarray  # (g, m) int64
     inverse: tuple[int, ...]  # slot index of each generator's inverse
     elements: tuple | None = None  # concrete group elements when cosets are the group itself
-    right_translations: np.ndarray | None = None  # (m, m): row g = x -> x*g
 
     @property
     def size(self) -> int:
         return len(self.labels)
+
+    @cached_property
+    def right_translations(self) -> np.ndarray | None:
+        """The read-only (m, m) table whose row g maps x to x*g, built on
+        first read and kept on the object; None unless the cosets are the
+        group itself."""
+        if self.elements is None:
+            return None
+        table = _right_translations(self.perms)
+        table.flags.writeable = False
+        return table
 
 
 def validate_action(a: PermutationAction, allow_identity: bool = False) -> None:
@@ -279,8 +291,7 @@ def action_from_group(kind: str, *params: int, subgroup="trivial") -> Permutatio
     elements, index, perms = _close(seed, [g for _, g in gens], mult)
 
     if subgroup == "trivial":
-        rts = _right_translations(perms) if len(elements) <= RIGHT_TRANSLATION_CAP else None
-        action = PermutationAction(len(elements), labels, perms, inverse, tuple(elements), rts)
+        action = PermutationAction(len(elements), labels, perms, inverse, tuple(elements))
     else:
         H, _, _ = _close(elements[:1], [elements[i] for i in subgroup], mult)
         coset_of, reps = _left_cosets(elements, index, H, mult)
@@ -329,9 +340,8 @@ def kappa_estimate(
     a: PermutationAction,
     p: float,
     d: int = 1,
-    restarts: int = 16,
+    restarts: int = KAPPA_RESTARTS,
     max_iter: int = 4000,
-    tol: float = 1e-12,
     seed: int = 0,
     warm_starts: list[np.ndarray] | None = None,
     gap: GapEstimate | None = None,
@@ -369,7 +379,7 @@ def kappa_estimate(
     betas = np.asarray(KAPPA_BETAS, dtype=np.float64)
     iters_per_stage = max(1, max_iter // len(KAPPA_BETAS))
     xis, values, iters, stops, backtracks, passes = _kernels.kappa_descend_block(
-        starts, perms, float(p), betas, iters_per_stage, tol, target
+        starts, perms, float(p), betas, iters_per_stage, _KAPPA_TOL, target
     )
     b = int(np.argmin(values))
     best_xi = xis[b]
@@ -386,7 +396,7 @@ def kappa_estimate(
             "iterations": int(iters.sum()),
             "per_restart": _kernels.per_restart(iters, stops, backtracks),
             "passes": passes,
-            "tol": tol,
+            "tol": _KAPPA_TOL,
             "seed": seed,
             "gap_method": gap.method,
             "gap_value": gap.value,
@@ -461,7 +471,7 @@ def verify_sandwich(
     if nu is not None and nu < 1:
         raise ValueError(f"nu = |S|/|orbit| is at least 1, got {nu}")
     if gap is None:
-        gap = _schreier_gap(a, p, seed + 1, kappa_opts.get("restarts", 16))
+        gap = _schreier_gap(a, p, seed + 1, kappa_opts.get("restarts", KAPPA_RESTARTS))
     kappa = kappa_estimate(a, p=p, d=d, seed=seed, gap=gap, **kappa_opts)
     g = a.size
     kp = kappa.value**p
@@ -505,7 +515,7 @@ def write_action_file(a: PermutationAction, path: str) -> None:
             fh.write(f"{a.labels[i]} {a.labels[a.inverse[i]]} {perm}\n")
 
 
-def read_action_file(path: str, allow_identity: bool = False) -> PermutationAction:
+def read_action_file(path: str) -> PermutationAction:
     rows = file_rows(path)
     if not rows:
         raise ValueError(f"empty action file: {path}")
@@ -529,5 +539,5 @@ def read_action_file(path: str, allow_identity: bool = False) -> PermutationActi
             raise ValueError(f"unknown inverse label {lab!r}")
     inverse = tuple(labels.index(lab) for lab in invlabels)
     a = PermutationAction(m=m, labels=tuple(labels), perms=np.asarray(perms, dtype=np.int64), inverse=inverse)
-    validate_action(a, allow_identity=allow_identity)
+    validate_action(a)
     return a

@@ -303,7 +303,10 @@ def _stream(n_samples: int, seed: int, draw, measure) -> tuple[np.ndarray, np.nd
     return eps, delta
 
 
-def _fit_envelope(eps: np.ndarray, delta: np.ndarray, bins: int = 64) -> tuple[float, float]:
+_ENVELOPE_BINS = 64  # log-spaced eps bins of _fit_envelope
+
+
+def _fit_envelope(eps: np.ndarray, delta: np.ndarray) -> tuple[float, float]:
     """log-log regression through per-bin maxima of delta over log-spaced
     eps bins; robust upper-envelope estimate."""
     pos = (eps > 0) & (delta > 0)
@@ -313,14 +316,14 @@ def _fit_envelope(eps: np.ndarray, delta: np.ndarray, bins: int = 64) -> tuple[f
     lo, hi = eps.min(), eps.max()
     if hi <= lo:
         return float(delta.max() / lo), 1.0
-    edges = np.geomspace(lo, hi * (1 + 1e-12), bins + 1)
-    idx = np.clip(np.searchsorted(edges, eps, side="right") - 1, 0, bins - 1)
+    edges = np.geomspace(lo, hi * (1 + 1e-12), _ENVELOPE_BINS + 1)
+    idx = np.clip(np.searchsorted(edges, eps, side="right") - 1, 0, _ENVELOPE_BINS - 1)
     # Each bin's top is the first pair attaining its maximum delta, as argmax
     # over the bin's pairs in order would pick.
-    top_delta = np.full(bins, -np.inf)
+    top_delta = np.full(_ENVELOPE_BINS, -np.inf)
     np.maximum.at(top_delta, idx, delta)
     hit = np.flatnonzero(delta == top_delta[idx])
-    first = np.full(bins, eps.size)
+    first = np.full(_ENVELOPE_BINS, eps.size)
     np.minimum.at(first, idx[hit], hit)
     tops = first[first < eps.size]
     xs = [math.log(v) for v in eps[tops]]

@@ -427,12 +427,12 @@ def _close_elements(identity, gen_elements, mult):
     return order, index
 
 
-def group_action(kind, *params, subgroup="trivial"):
-    """``groups.action_from_group`` with one product per element and
-    generator, and m^2 products for the right translations.  The group
-    definitions (generators, product, inverse labels) are the library's,
-    except that sl_mod multiplies matrices entry by entry, not by the
-    library's row update for a generator."""
+def _group(kind, params):
+    """The elements in the library's order, their index, the generators,
+    the product and the inverse labels, one product per element and
+    generator.  The group definitions are the library's, except that sl_mod
+    multiplies matrices entry by entry, not by the library's row update for
+    a generator."""
     seed, gens, mult, inverse_of = groups._GROUPS[kind][1](*params)
     if kind == "sl_mod":
         n, k = params
@@ -443,6 +443,12 @@ def group_action(kind, *params, subgroup="trivial"):
     else:
         elements = list(seed)
         index = {x: i for i, x in enumerate(elements)}
+    return elements, index, gens, mult, inverse_of
+
+
+def group_action(kind, *params, subgroup="trivial"):
+    """``groups.action_from_group`` from ``_group``'s products."""
+    elements, index, gens, mult, inverse_of = _group(kind, params)
     labels = tuple(lab for lab, _ in gens)
     inverse = tuple(labels.index(inverse_of[lab]) for lab in labels)
     if subgroup == "trivial":
@@ -451,13 +457,7 @@ def group_action(kind, *params, subgroup="trivial"):
         for gi, (_, g) in enumerate(gens):
             for xi, x in enumerate(elements):
                 perms[gi, xi] = index[mult(g, x)]
-        rts = None
-        if m <= groups.RIGHT_TRANSLATION_CAP:
-            rts = np.empty((m, m), dtype=np.int64)
-            for gi, g in enumerate(elements):
-                for xi, x in enumerate(elements):
-                    rts[gi, xi] = index[mult(x, g)]
-        return groups.PermutationAction(m, labels, perms, inverse, tuple(elements), rts)
+        return groups.PermutationAction(m, labels, perms, inverse, tuple(elements))
     H = {elements[0]}
     frontier = [elements[0]]
     while frontier:
@@ -475,6 +475,18 @@ def group_action(kind, *params, subgroup="trivial"):
         for ci, coset in enumerate(cosets):
             perms[gi, ci] = coset_of[index[mult(g, elements[coset[0]])]]
     return groups.PermutationAction(len(cosets), labels, perms, inverse)
+
+
+def right_translations(kind, *params):
+    """``PermutationAction.right_translations`` of the group acting on
+    itself, by m^2 products: row g maps x to x*g."""
+    elements, index, _, mult, _ = _group(kind, params)
+    m = len(elements)
+    rts = np.empty((m, m), dtype=np.int64)
+    for gi, g in enumerate(elements):
+        for xi, x in enumerate(elements):
+            rts[gi, xi] = index[mult(x, g)]
+    return rts
 
 
 def transitive(perms):

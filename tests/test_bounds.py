@@ -69,7 +69,7 @@ def test_gap_intervals_hold_on_the_small_graphs(name):
         _assert_proven_order(gap_oracle_small(G, p=p, resolution=1e-2).bound)
 
 
-@pytest.mark.parametrize("name,a,d,cube", _sandwich_cases(1), ids=[c[0] for c in _sandwich_cases(1)])
+@pytest.mark.parametrize("name,a,d,cube", _sandwich_cases(), ids=[c[0] for c in _sandwich_cases()])
 def test_kappa_and_displacement_intervals_hold_on_the_sandwich_actions(name, a, d, cube):
     G = schreier_graph(a)
     met = all_pairs_distances(G)

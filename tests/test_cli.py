@@ -1,8 +1,10 @@
+import inspect
 import json
 
 import pytest
 
-from banachgap.cli import main
+from banachgap import groups, spectral
+from banachgap.cli import build_parser, main
 
 
 def run(capsys, *argv):
@@ -298,3 +300,11 @@ def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as exc:
         main(["not-a-command"])
     assert exc.value.code == 2
+
+
+def test_parser_defaults_are_the_library_constants():
+    gap = build_parser().parse_args(["gap", "--gen", "cycle:6", "--p", "2"])
+    assert (gap.restarts, gap.max_iter, gap.tol) == (spectral.DEFAULT_RESTARTS, spectral.DEFAULT_MAX_ITER, spectral.DEFAULT_TOL)
+    kappa = build_parser().parse_args(["kappa", "--group", "cyclic:4"])
+    assert kappa.restarts == groups.KAPPA_RESTARTS
+    assert inspect.signature(groups.kappa_estimate).parameters["restarts"].default == groups.KAPPA_RESTARTS

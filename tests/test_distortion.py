@@ -64,6 +64,12 @@ def test_distortion_at_least_one(cube3):
     assert map_distortion(G, F, q=2, metric=met).value >= 1.0
 
 
+def test_one_dimensional_embedding_is_its_column():
+    G = gen_family("path", [5])
+    f = np.array([0.0, 1.0, 2.5, 3.0, 5.0])
+    assert map_distortion(G, f, q=1.5) == map_distortion(G, f[:, None], q=1.5)
+
+
 def test_distortion_rejects_collisions():
     G = gen_family("cycle", [4])
     F = np.array([[0.0], [1.0], [0.0], [2.0]])

@@ -551,11 +551,19 @@ def _oracle_calls(monkeypatch, G, p, res):
     return est, args, out
 
 
+# Multigraphs with a loop, so the grid weighs edges by multiplicity.
+_MULTIGRAPHS = {
+    "P3x": (3, [(0, 0, 1), (0, 1, 2), (1, 2, 3)]),
+    "C4x": (4, [(0, 1, 2), (1, 2, 1), (2, 2, 1), (2, 3, 3), (0, 3, 1)]),
+}
+_ORACLE_GRAPHS = {**_SMALL_GRAPHS, **_MULTIGRAPHS}
+
 # Every criterion-2 graph at every exponent, at the resolutions of the
-# acceptance suite (1e-4 / 4e-3) and of the benchmark (1e-4 / 8e-3).
+# acceptance suite (1e-4 / 4e-3) and of the benchmark (1e-4 / 8e-3); then
+# the multigraphs.
 _ORACLE_CASES = [
     (name, p, res)
-    for name, (n, _) in _SMALL_GRAPHS.items()
+    for name, (n, _) in _ORACLE_GRAPHS.items()
     for p in (1.0, 1.5, 2.0, 3.0)
     for res in ((1e-4,) if n <= 3 else (8e-3, 4e-3))
 ]
@@ -567,7 +575,7 @@ def test_oracle_grid_matches_the_circle_and_sphere_scans(monkeypatch, name, p, r
     value, argmin angles and largest jump of the scans it replaced over the
     same rows, with its own chunks and with chunks of one row (a 4-vertex
     row is then longer than a chunk)."""
-    n, edges = _SMALL_GRAPHS[name]
+    n, edges = _ORACLE_GRAPHS[name]
     G = build_graph(n, edges)
     eu, ev, em = G.nonloop_arrays()
     B = [np.ascontiguousarray(b) for b in mean_zero_basis(n).T]

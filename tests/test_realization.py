@@ -122,6 +122,7 @@ def test_realized_action_schreier_graph_equals_base():
         spec = schreier_realize(G, seed=7)
         action = spec_to_action(spec)
         assert schreier_graph(action).edges == spec.base.edges
+        assert action.right_translations is None
 
 
 def test_verify_detects_corruption():

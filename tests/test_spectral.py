@@ -14,6 +14,7 @@ from banachgap.graphs import build_graph, gen_family
 from banachgap.groups import action_from_group, schreier_graph
 from banachgap.spectral import (
     Bound,
+    VectorMap,
     extrapolation_report,
     gap,
     gap_estimate,
@@ -42,6 +43,12 @@ def test_quotient_c4_eigenvector():
 def test_quotient_constant_map_rejected():
     with pytest.raises(ValueError, match="constant"):
         rayleigh_quotient(C6, np.ones(6), p=2, q=2)
+
+
+def test_one_dimensional_vector_map_is_one_column():
+    f = VectorMap(np.arange(6.0), q=2.0, p=2.0)
+    assert f.d == 1 and f.values.shape == (6, 1)
+    assert rayleigh_quotient(C6, f) == rayleigh_quotient(C6, np.arange(6.0), p=2.0, q=2.0)
 
 
 def test_quotient_ignores_loops_and_counts_multiplicity():
@@ -139,6 +146,15 @@ def test_estimate_deterministic_for_seed():
     b = gap_estimate(C6, p=1.5, seed=11)
     assert a.value == b.value
     assert np.array_equal(a.minimizer.values, b.minimizer.values)
+
+
+def test_one_dimensional_warm_start_is_its_column():
+    w = np.cos(2.0 * np.pi * np.arange(6) / 6.0) + 0.1 * np.arange(6)
+    flat = gap_estimate(C6, p=1.5, restarts=3, seed=2, warm_starts=[w])
+    column = gap_estimate(C6, p=1.5, restarts=3, seed=2, warm_starts=[w[:, None]])
+    assert flat.value == column.value
+    assert np.array_equal(flat.minimizer.values, column.minimizer.values)
+    assert flat.diagnostics["per_restart"] == column.diagnostics["per_restart"]
 
 
 def test_estimate_rejects_warm_start_of_wrong_shape():
@@ -501,7 +517,7 @@ def test_cut_route_equals_brute_force_on_random_multigraphs(seed):
     _assert_cut_route_exact(G, q=(1.0, 2.0, 3.0)[seed % 3])
 
 
-@pytest.mark.parametrize("name,a,d,cube", _sandwich_cases(1), ids=[c[0] for c in _sandwich_cases(1)])
+@pytest.mark.parametrize("name,a,d,cube", _sandwich_cases(), ids=[c[0] for c in _sandwich_cases()])
 def test_cut_route_equals_brute_force_on_sandwich_graphs(name, a, d, cube):
     _assert_cut_route_exact(schreier_graph(a), d=d)
 
