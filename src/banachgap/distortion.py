@@ -68,9 +68,7 @@ def map_distortion(
     """Exact over all vertex pairs: ||f||_Lip * ||f^-1||_Lip for an
     injective embedding F (n rows) into l_q^d."""
     require_at_least_one(("q", q))
-    F = np.asarray(F, dtype=np.float64)
-    if F.ndim == 1:
-        F = F[:, None]
+    F = _embedding_rows(G, np.asarray(F, dtype=np.float64))
     metric = metric or all_pairs_distances(G)
     n = G.n
     lip = 0.0
@@ -101,8 +99,8 @@ def map_distortion_exact_sq(G: MultiGraph, F: np.ndarray, metric: MetricTable | 
     F = np.asarray(F)
     if not np.issubdtype(F.dtype, np.integer):
         raise ValueError("exact distortion needs integer coordinates")
+    F = _embedding_rows(G, F)
     metric = metric or all_pairs_distances(G)
-    F = F.reshape(G.n, -1)
     big = max(int(F.max(initial=0)), -int(F.min(initial=0)))
     if 4 * F.shape[1] * big**2 >= 2**53 or metric.diameter**2 >= 2**53:
         raise ValueError("exact distortion needs squared norms and distances below 2^53")
@@ -115,6 +113,13 @@ def map_distortion_exact_sq(G: MultiGraph, F: np.ndarray, metric: MetricTable | 
         k = int(np.flatnonzero(nsq == 0)[0])
         raise ValueError(f"embedding is not injective: vertices {iu[k]} and {iv[k]} collide")
     return _max_ratio(nsq, dsq) * _max_ratio(dsq, nsq)
+
+
+def _embedding_rows(G: MultiGraph, F: np.ndarray) -> np.ndarray:
+    """F with one row per vertex of G; a 1-D embedding is one column."""
+    if len(F) != G.n:
+        raise ValueError(f"embedding has {len(F)} rows, but the graph has {G.n} vertices")
+    return F.reshape(G.n, -1)
 
 
 def _max_ratio(num: np.ndarray, den: np.ndarray) -> Fraction:
@@ -456,11 +461,11 @@ def austin_exclude(diams, c_lower, rho) -> ExclusionVerdict:
     """Exclude rho as a compression function for coarse embeddings of the
     family union.
 
-    Requires rho nondecreasing with rho(t)/t nonincreasing on the sampled
-    range (else "inconclusive").  With valid certified lower bounds
-    c_lower_n on the component distortions, a strictly growing trend of
-    c_lower_n * rho(diam_n) / diam_n across the family (log-log slope above
-    ``_SLOPE_TOL``) yields "excluded"; otherwise "not_excluded".
+    Requires two distinct diameters and rho nondecreasing with rho(t)/t
+    nonincreasing on the sampled range (else "inconclusive").  With valid
+    certified lower bounds c_lower_n on the component distortions, a strictly
+    growing trend of c_lower_n * rho(diam_n) / diam_n across the family
+    (log-log slope above ``_SLOPE_TOL``) yields "excluded"; otherwise "not_excluded".
     """
     diams = np.asarray(diams, dtype=np.float64)
     c_lower = np.asarray(c_lower, dtype=np.float64)
@@ -471,12 +476,12 @@ def austin_exclude(diams, c_lower, rho) -> ExclusionVerdict:
     ok = bool(np.all(vals > 0)) and bool(np.all(np.diff(vals) >= -1e-12))
     ratio = vals / ts
     ok = ok and bool(np.all(np.diff(ratio) <= 1e-12 * np.abs(ratio[:-1]) + 1e-15))
-    if not ok:
+    if not ok or np.unique(diams).size < 2:
         return ExclusionVerdict(
             verdict="inconclusive",
             slope=float("nan"),
-            hypothesis_ok=False,
-            details={"reason": "rho fails the monotonicity hypotheses on the sampled range"},
+            hypothesis_ok=ok,
+            details={"reason": "the diameters are all equal" if ok else "rho fails the monotonicity hypotheses on the sampled range"},
         )
     growth = c_lower * np.array([rho(t) for t in diams]) / diams
     slope = float(np.polyfit(np.log(diams), np.log(growth), 1)[0])

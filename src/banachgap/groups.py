@@ -1,10 +1,12 @@
 """Permutation actions, Schreier graphs, and displacement constants.
 
-A PermutationAction is a symmetric generating multiset of permutations of a
-coset index set 0..m-1, with explicit inverse pairing between generator
-slots.  A generator may be marked self-inverse (one slot), or a pair of
-slots may carry the same permutation (formal inverse of an involution, as
-produced by the free generating sets of 2-factorizations).
+A PermutationAction is a transitive symmetric generating multiset of
+permutations of a coset index set 0..m-1, with explicit inverse pairing
+between generator slots.  A generator may be marked self-inverse (one slot),
+or a pair of slots may carry the same permutation (formal inverse of an
+involution, as produced by the free generating sets of 2-factorizations).
+It is checked once, when built, and keeps ``perms`` read-only.  Only
+``action_from_group`` and ``read_action_file`` refuse identity generators.
 
 The Schreier graph convention: an inverse pair {s, s^-1} of distinct slots
 contributes one undirected edge {v, s(v)} per vertex; a self-inverse slot
@@ -67,6 +69,25 @@ class PermutationAction:
     inverse: tuple[int, ...]  # slot index of each generator's inverse
     elements: tuple | None = None  # concrete group elements when cosets are the group itself
 
+    def __post_init__(self):
+        perms = np.asarray(self.perms)
+        if perms.shape != (self.size, self.m):
+            raise ValueError("perms shape mismatch")
+        perms = perms.astype(np.int64, order="C", casting="same_kind")
+        ident = np.arange(self.m)
+        for i in range(self.size):
+            if not np.array_equal(np.sort(perms[i]), ident):
+                raise ValueError(f"generator {self.labels[i]} is not a permutation")
+            j = self.inverse[i]
+            if self.inverse[j] != i:
+                raise ValueError("inverse pairing is not an involution on slots")
+            if not np.array_equal(perms[j][perms[i]], ident):
+                raise ValueError(f"slot {self.labels[j]} is not inverse to {self.labels[i]}")
+        if len(_search_tree(perms)[0]) != self.m:
+            raise ValueError("action is not transitive (Schreier graph would be disconnected)")
+        perms.flags.writeable = False
+        object.__setattr__(self, "perms", perms)
+
     @property
     def size(self) -> int:
         return len(self.labels)
@@ -82,25 +103,25 @@ class PermutationAction:
         table.flags.writeable = False
         return table
 
+    @cached_property
+    def _schreier_graph(self) -> MultiGraph:
+        v = np.arange(self.m)
+        edges: list[tuple[int, int, int]] = []
+        for i, j in enumerate(self.inverse):
+            w = self.perms[i]
+            if j == i:  # an involution: each 2-cycle once, each fixed point a loop
+                edges += zip(v[v <= w].tolist(), w[v <= w].tolist(), repeat(1))
+            elif j > i:  # the pair's first slot draws all its edges
+                edges += zip(np.minimum(v, w).tolist(), np.maximum(v, w).tolist(), repeat(1))
+        return build_graph(self.m, edges)
 
-def validate_action(a: PermutationAction, allow_identity: bool = False) -> None:
-    m = a.m
-    if a.perms.shape != (a.size, m):
-        raise ValueError("perms shape mismatch")
-    ident = np.arange(m)
-    for i in range(a.size):
-        if not np.array_equal(np.sort(a.perms[i]), ident):
-            raise ValueError(f"generator {a.labels[i]} is not a permutation")
-        if not allow_identity and np.array_equal(a.perms[i], ident):
-            raise ValueError(f"generator {a.labels[i]} acts as the identity")
-        j = a.inverse[i]
-        if a.inverse[j] != i:
-            raise ValueError("inverse pairing is not an involution on slots")
-        comp = a.perms[j][a.perms[i]]
-        if not np.array_equal(comp, ident):
-            raise ValueError(f"slot {a.labels[j]} is not inverse to {a.labels[i]}")
-    if len(_search_tree(a.perms)[0]) != m:
-        raise ValueError("action is not transitive (Schreier graph would be disconnected)")
+
+def _refuse_identity(a: PermutationAction) -> PermutationAction:
+    """``a``, unless one of its generators acts as the identity."""
+    fixed = np.flatnonzero((a.perms == np.arange(a.m)).all(axis=1))
+    if fixed.size:
+        raise ValueError(f"generator {a.labels[fixed[0]]} acts as the identity")
+    return a
 
 
 def _search_tree(perms: np.ndarray) -> tuple[list[int], list[int], list[int]]:
@@ -296,8 +317,7 @@ def action_from_group(kind: str, *params: int, subgroup="trivial") -> Permutatio
         H, _, _ = _close(elements[:1], [elements[i] for i in subgroup], mult)
         coset_of, reps = _left_cosets(elements, index, H, mult)
         action = PermutationAction(len(reps), labels, coset_of[perms.take(reps, axis=1)], inverse)
-    validate_action(action)
-    return action
+    return _refuse_identity(action)
 
 
 # ----------------------------------------------------------------------
@@ -306,16 +326,8 @@ def action_from_group(kind: str, *params: int, subgroup="trivial") -> Permutatio
 
 
 def schreier_graph(a: PermutationAction) -> MultiGraph:
-    validate_action(a, allow_identity=True)
-    v = np.arange(a.m)
-    edges: list[tuple[int, int, int]] = []
-    for i, j in enumerate(a.inverse):
-        w = a.perms[i]
-        if j == i:  # an involution: each 2-cycle once, each fixed point a loop
-            edges += zip(v[v <= w].tolist(), w[v <= w].tolist(), repeat(1))
-        elif j > i:  # the pair's first slot draws all its edges
-            edges += zip(np.minimum(v, w).tolist(), np.maximum(v, w).tolist(), repeat(1))
-    return build_graph(a.m, edges)
+    """The action's Schreier graph, built on the first call and kept on it."""
+    return a._schreier_graph
 
 
 # ----------------------------------------------------------------------
@@ -361,8 +373,6 @@ def kappa_estimate(
     ``AssertionError``.
     """
     require_at_least_one(("p", p), ("d", d))
-    validate_action(a, allow_identity=True)
-    perms = np.ascontiguousarray(a.perms.astype(np.int64))
     rng = np.random.Generator(np.random.PCG64(seed))
     if gap is None:
         gap = _schreier_gap(a, p, seed + 1, restarts)
@@ -379,7 +389,7 @@ def kappa_estimate(
     betas = np.asarray(KAPPA_BETAS, dtype=np.float64)
     iters_per_stage = max(1, max_iter // len(KAPPA_BETAS))
     xis, values, iters, stops, backtracks, passes = _kernels.kappa_descend_block(
-        starts, perms, float(p), betas, iters_per_stage, _KAPPA_TOL, target
+        starts, a.perms, float(p), betas, iters_per_stage, _KAPPA_TOL, target
     )
     b = int(np.argmin(values))
     best_xi = xis[b]
@@ -538,6 +548,4 @@ def read_action_file(path: str) -> PermutationAction:
         if lab not in labels:
             raise ValueError(f"unknown inverse label {lab!r}")
     inverse = tuple(labels.index(lab) for lab in invlabels)
-    a = PermutationAction(m=m, labels=tuple(labels), perms=np.asarray(perms, dtype=np.int64), inverse=inverse)
-    validate_action(a)
-    return a
+    return _refuse_identity(PermutationAction(m=m, labels=tuple(labels), perms=perms, inverse=inverse))

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graphs import MultiGraph, build_graph
-from .groups import PermutationAction, validate_action
+from .groups import PermutationAction
 
 __all__ = [
     "SchreierSpec",
@@ -229,19 +229,6 @@ def spec_to_action(spec: SchreierSpec) -> PermutationAction:
     """The free symmetric generating set {sigma_i, sigma_i^-1} as a
     permutation action (formal inverses stay distinct slots even for
     involutions or identity factors, matching the free-group convention)."""
-    labels = []
-    rows = []
-    inverse = []
-    for i, sigma in enumerate(spec.perms):
-        labels.extend([f"t{i}", f"t{i}~"])
-        rows.append(sigma)
-        rows.append(np.argsort(sigma))
-        inverse.extend([2 * i + 1, 2 * i])
-    a = PermutationAction(
-        m=spec.base.n,
-        labels=tuple(labels),
-        perms=np.asarray(rows, dtype=np.int64),
-        inverse=tuple(inverse),
-    )
-    validate_action(a, allow_identity=True)
-    return a
+    labels = tuple(lab for i in range(len(spec.perms)) for lab in (f"t{i}", f"t{i}~"))
+    rows = [row for sigma in spec.perms for row in (sigma, np.argsort(sigma))]
+    return PermutationAction(spec.base.n, labels, np.asarray(rows), tuple(i ^ 1 for i in range(len(labels))))

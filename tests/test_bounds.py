@@ -5,10 +5,10 @@ from unittest import mock
 
 import numpy as np
 import pytest
+from graph_strategies import connected_multigraphs
 from hypothesis import given, settings
 from kernel_reference import cut_quotient_min
 from kernel_reference import laplacian as reference_laplacian
-from test_graphs import connected_multigraphs
 
 from banachgap import spectral
 from banachgap.acceptance import _SMALL_GRAPHS, _sandwich_cases
@@ -45,7 +45,7 @@ def _lambda2(G):
     return float(np.linalg.eigvalsh(reference_laplacian(G))[1])
 
 
-@given(connected_multigraphs().filter(lambda G: G.n >= 2))
+@given(connected_multigraphs(1, 12, drawn_reach=True).filter(lambda G: G.n >= 2))
 @settings(max_examples=60, deadline=None)
 def test_gap_intervals_hold_on_random_multigraphs(G):
     lam2, cut = _lambda2(G), cut_quotient_min(G)

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from graph_strategies import connected_multigraphs
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from kernel_reference import brute_displacement, cayley_displacement, distortion_exact_sq
@@ -68,6 +69,17 @@ def test_one_dimensional_embedding_is_its_column():
     G = gen_family("path", [5])
     f = np.array([0.0, 1.0, 2.5, 3.0, 5.0])
     assert map_distortion(G, f, q=1.5) == map_distortion(G, f[:, None], q=1.5)
+
+
+@pytest.mark.parametrize("rows", [3, 8])
+def test_distortion_refuses_a_wrong_row_count(rows):
+    G = gen_family("cycle", [4])
+    F = np.arange(rows)[:, None]
+    with pytest.raises(ValueError, match=f"^embedding has {rows} rows, but the graph has 4 vertices$"):
+        map_distortion(G, F, q=2)
+    with pytest.raises(ValueError, match=f"^embedding has {rows} rows, but the graph has 4 vertices$"):
+        map_distortion_exact_sq(G, F)
+    assert map_distortion_exact_sq(G, np.arange(4)) == map_distortion_exact_sq(G, np.arange(4)[:, None])
 
 
 def test_distortion_rejects_collisions():
@@ -175,16 +187,7 @@ def test_displacement_brute_values(cube3):
         assert max_displacement(G, met).value == brute_displacement(met.d) == want
 
 
-@st.composite
-def _small_connected_multigraphs(draw):
-    n = draw(st.integers(1, 8))
-    edges = [(draw(st.integers(0, v - 1)), v, draw(st.integers(1, 3))) for v in range(1, n)]  # a spanning tree
-    vertex = st.integers(0, n - 1)
-    edges += draw(st.lists(st.tuples(vertex, vertex, st.integers(1, 3)), max_size=2 * n))
-    return build_graph(n, edges)
-
-
-@given(_small_connected_multigraphs())
+@given(connected_multigraphs(1, 8))
 @settings(max_examples=60, deadline=None)
 def test_displacement_exact_equals_brute(G):
     met = all_pairs_distances(G)
@@ -370,3 +373,10 @@ def test_austin_verdicts():
     assert austin_exclude(ns, cl, lambda t: t**2).verdict == "inconclusive"
     # decreasing rho violates monotonicity
     assert austin_exclude(ns, cl, lambda t: 1.0 / (1.0 + t)).verdict == "inconclusive"
+
+
+@pytest.mark.filterwarnings("error")
+def test_austin_single_diameter_is_inconclusive():
+    v = austin_exclude([4, 4], [1.0, 2.0], lambda t: t**0.6)
+    assert (v.verdict, v.hypothesis_ok, math.isnan(v.slope)) == ("inconclusive", True, True)
+    assert v.details == {"reason": "the diameters are all equal"}

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from graph_strategies import connected_multigraphs
 from kernel_reference import bfs_distances, laplacian
 
 from banachgap import graphs
@@ -184,21 +185,8 @@ def test_margulis():
     assert G.connected
 
 
-@st.composite
-def connected_multigraphs(draw, max_n=12):
-    """A random spanning tree plus extra edges, with loops and multiplicities.
-    Vertex v hangs off one of the ``reach`` vertices before it, so a small
-    reach gives a long, path-like tree and a large one a shallow tree."""
-    n = draw(st.integers(1, max_n))
-    reach = draw(st.integers(1, n))
-    edges = [(draw(st.integers(max(0, v - reach), v - 1)), v, draw(st.integers(1, 3))) for v in range(1, n)]
-    vertex = st.integers(0, n - 1)
-    edges += draw(st.lists(st.tuples(vertex, vertex, st.integers(1, 3)), max_size=2 * n))
-    return build_graph(n, edges)
-
-
 # Up to 200 vertices: a search runs one, two, three or four 64-source words.
-WORD_GRAPHS = connected_multigraphs(max_n=200)
+WORD_GRAPHS = connected_multigraphs(1, 200, drawn_reach=True)
 
 
 @given(WORD_GRAPHS)
@@ -223,7 +211,7 @@ def test_chunked_metric_equals_reference_bfs(G, entries):
     assert met.diameter == int(ref.max())
 
 
-@given(connected_multigraphs(), st.integers(0, 5))
+@given(connected_multigraphs(1, 12, drawn_reach=True), st.integers(0, 5))
 @settings(max_examples=150, deadline=None)
 def test_laplacian_equals_reference_loop(G, t):
     assert G.laplacian().tobytes() == laplacian(G).tobytes()

@@ -14,6 +14,7 @@ from kernel_reference import group_action, right_translations, schreier_edges, t
 
 from banachgap._kernels import kappa_residuals
 from banachgap.graphs import build_graph, gen_family
+from banachgap.realization import schreier_realize, spec_to_action
 from banachgap import spectral
 from banachgap.spectral import Bound, gap_estimate, gap_exact_2
 from banachgap.groups import (
@@ -23,7 +24,6 @@ from banachgap.groups import (
     pak_zuk_nu,
     read_action_file,
     schreier_graph,
-    validate_action,
     verify_sandwich,
     write_action_file,
 )
@@ -143,18 +143,60 @@ def test_cap_refuses_before_listing_the_group(kind, n):
     assert resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - rss0 < 50 * 1024  # KiB on Linux
 
 
+def test_one_schreier_graph_and_one_eigensolve_per_action(monkeypatch):
+    calls = []
+    eigh = np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda L, *args, **kw: calls.append(L.shape) or eigh(L, *args, **kw))
+    a = action_from_group("sl_mod", 2, 3)
+    assert schreier_graph(a) is schreier_graph(a)
+    for p in (1.5, 2.0, 3.0):
+        assert verify_sandwich(a, p=p, seed=3, restarts=2, max_iter=40).ok
+    assert calls == [(a.m, a.m)]
+
+
 def test_regularity_of_schreier_degree():
     for a in (action_from_group("boolean_cube", 4), action_from_group("sl_mod", 2, 3), action_from_group("cyclic", 7)):
         assert set(schreier_graph(a).degrees) == {a.size}
 
 
-def test_validate_rejects_identity_and_intransitive():
-    ident = np.arange(3)[None, :]
-    with pytest.raises(ValueError, match="identity"):
-        validate_action(PermutationAction(m=3, labels=("e",), perms=ident, inverse=(0,)))
+def test_perms_are_a_frozen_copy():
+    rows = np.array([[1, 2, 0], [2, 0, 1]], dtype=np.int32)
+    a = PermutationAction(m=3, labels=("r", "l"), perms=rows, inverse=(1, 0))
+    rows[0] = [0, 1, 2]
+    assert a.perms.tolist() == [[1, 2, 0], [2, 0, 1]]
+    assert a.perms.dtype == np.int64 and a.perms.flags.c_contiguous
+    with pytest.raises(ValueError, match="read-only"):
+        a.perms[0, 0] = 0
+    with pytest.raises(TypeError, match="same_kind"):
+        PermutationAction(m=3, labels=("r", "l"), perms=rows + 0.5, inverse=(1, 0))
+
+
+def test_construction_refuses_a_wrong_shape_and_a_non_permutation():
+    with pytest.raises(ValueError, match="^perms shape mismatch$"):
+        PermutationAction(m=3, labels=("r", "l"), perms=np.array([[1, 2, 0]]), inverse=(1, 0))
+    with pytest.raises(ValueError, match="^generator r is not a permutation$"):
+        PermutationAction(m=3, labels=("r", "l"), perms=np.array([[2, 0, 0], [2, 0, 1]]), inverse=(1, 0))
+
+
+def test_construction_refuses_an_intransitive_action():
     swap_pairs = np.array([[1, 0, 3, 2]])
-    with pytest.raises(ValueError, match="transitive"):
-        validate_action(PermutationAction(m=4, labels=("s",), perms=swap_pairs, inverse=(0,)))
+    with pytest.raises(ValueError, match=r"^action is not transitive \(Schreier graph would be disconnected\)$"):
+        PermutationAction(m=4, labels=("s",), perms=swap_pairs, inverse=(0,))
+
+
+def test_identity_generators_are_refused_only_by_group_and_file_actions(tmp_path):
+    ident = PermutationAction(m=3, labels=("e", "r", "l"), perms=[[0, 1, 2], [1, 2, 0], [2, 0, 1]], inverse=(0, 2, 1))
+    assert (0, 0, 1) in schreier_graph(ident).edges
+    # x0 fixes every coset of the subgroup {0, x0}
+    with pytest.raises(ValueError, match="^generator x0 acts as the identity$"):
+        action_from_group("boolean_cube", 4, subgroup=[1])
+    path = _write(tmp_path / "a.txt", "3 3\ne e 0 1 2\nr l 1 2 0\nl r 2 0 1\n")
+    with pytest.raises(ValueError, match="^generator e acts as the identity$"):
+        read_action_file(path)
+    # a vertex padded with loops gives identity factors
+    spec = schreier_realize(build_graph(2, [(0, 1, 1), (1, 1, 1)]), seed=0)
+    assert any(np.array_equal(sigma, np.arange(2)) for sigma in spec.perms)
+    assert schreier_graph(spec_to_action(spec)).edges == spec.base.edges
 
 
 @st.composite
@@ -175,18 +217,20 @@ def _paired_perms(draw):
 def test_transitivity_verdict_equals_reference(perms):
     g = perms.shape[0]
     labels = tuple(map(str, range(g)))
-    a = PermutationAction(m=perms.shape[1], labels=labels, perms=perms, inverse=tuple(i ^ 1 for i in range(g)))
+    inverse = tuple(i ^ 1 for i in range(g))
     if transitive(perms):
-        validate_action(a, allow_identity=True)
+        PermutationAction(m=perms.shape[1], labels=labels, perms=perms, inverse=inverse)
     else:
         with pytest.raises(ValueError, match="transitive"):
-            validate_action(a, allow_identity=True)
+            PermutationAction(m=perms.shape[1], labels=labels, perms=perms, inverse=inverse)
 
 
-def test_validate_rejects_wrong_inverse():
+def test_construction_refuses_a_wrong_inverse():
     perms = np.array([[1, 2, 0], [1, 2, 0]])
-    with pytest.raises(ValueError, match="inverse"):
-        validate_action(PermutationAction(m=3, labels=("a", "b"), perms=perms, inverse=(1, 0)))
+    with pytest.raises(ValueError, match="^slot b is not inverse to a$"):
+        PermutationAction(m=3, labels=("a", "b"), perms=perms, inverse=(1, 0))
+    with pytest.raises(ValueError, match="^inverse pairing is not an involution on slots$"):
+        PermutationAction(m=3, labels=("a", "b", "c"), perms=np.vstack([perms, perms[:1]]), inverse=(1, 2, 0))
 
 
 @given(st.integers(0, 5000), st.sampled_from([1.0, 1.5, 2.0, 3.0]))

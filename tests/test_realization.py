@@ -3,9 +3,9 @@ import hashlib
 import kernel_reference as ref
 import numpy as np
 import pytest
+from graph_strategies import connected_multigraphs
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from test_graphs import connected_multigraphs
 
 from banachgap.acceptance import _realization_corpus
 from banachgap.graphs import build_graph, gen_family
@@ -217,7 +217,7 @@ def test_regularization_matches_the_reference_on_the_corpus(corpus):
         _assert_regularization_matches_reference(G)
 
 
-@given(connected_multigraphs())
+@given(connected_multigraphs(1, 12, drawn_reach=True))
 @settings(max_examples=150, deadline=None)
 def test_regularization_matches_the_reference_on_random_multigraphs(G):
     _assert_regularization_matches_reference(G)
@@ -248,7 +248,7 @@ def test_round_trip_matches_the_reference_on_the_corpus(corpus):
         _assert_round_trip_matches_reference(schreier_realize(G, seed=i))
 
 
-@given(connected_multigraphs(), st.integers(0, 1 << 30))
+@given(connected_multigraphs(1, 12, drawn_reach=True), st.integers(0, 1 << 30))
 @settings(max_examples=150, deadline=None)
 def test_round_trip_matches_the_reference_on_random_multigraphs(G, seed):
     _assert_round_trip_matches_reference(schreier_realize(G, seed=seed))

@@ -3,6 +3,7 @@ import time
 
 import numpy as np
 import pytest
+from graph_strategies import connected_multigraphs
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from kernel_reference import cut_quotient_min
@@ -400,17 +401,7 @@ def test_lanczos_head_is_certified(build):
     _assert_certified_head(build())
 
 
-@st.composite
-def connected_multigraphs(draw):
-    """A random spanning tree plus extra edges, with loops and multiplicities."""
-    n = draw(st.integers(2, 40))
-    edges = [(draw(st.integers(0, v - 1)), v, draw(st.integers(1, 3))) for v in range(1, n)]
-    vertex = st.integers(0, n - 1)
-    edges += draw(st.lists(st.tuples(vertex, vertex, st.integers(1, 3)), max_size=2 * n))
-    return build_graph(n, edges)
-
-
-@given(connected_multigraphs())
+@given(connected_multigraphs(2, 40))
 @settings(max_examples=150, deadline=None)
 def test_lanczos_head_is_certified_on_multigraphs(G):
     _assert_certified_head(G)
