@@ -5,7 +5,9 @@ the normalized radius r_eps (smallest subset-diameter fraction at mass
 eps) and a displacement route built from the maximal displacement D(G)
 (the best over permutations of the worst distance any vertex moves).
 Upper bounds come from explicit embeddings whose bi-Lipschitz constants
-are evaluated exactly over all pairs.  A coarse-union builder and a
+are evaluated exactly over all pairs, in blocks of pairs that run on every
+usable CPU through the process's one worker pool (``_parallel``); the
+results do not depend on the CPU count.  A coarse-union builder and a
 compression-exclusion check cover the asymptotic corollaries at family
 level.
 Both lower-bound routes increase with the gap and with D(G), so they take
@@ -16,11 +18,13 @@ from __future__ import annotations
 
 import itertools
 import math
+import threading
 from dataclasses import asdict, dataclass
 from fractions import Fraction
 
 import numpy as np
 
+from . import _parallel
 from .graphs import MetricTable, MultiGraph, all_pairs_distances, require_at_least_one
 from .groups import PermutationAction
 from .spectral import Bound, GapEstimate
@@ -62,40 +66,63 @@ class DistortionResult:
     witness_contract: tuple[int, int]
 
 
+# Entries of a block's (pairs, d) buffer in the pairwise distortion: a block
+# holds max(1, _PAIR_BLOCK_ENTRIES // d) pairs.
+_PAIR_BLOCK_ENTRIES = 1 << 16
+
+
 def map_distortion(
     G: MultiGraph, F: np.ndarray, q: float, metric: MetricTable | None = None
 ) -> DistortionResult:
     """Exact over all vertex pairs: ||f||_Lip * ||f^-1||_Lip for an
-    injective embedding F (n rows) into l_q^d."""
+    injective embedding F (n rows) into l_q^d.
+
+    The pairs u < v are taken in row-major order, in blocks (``_pair_blocks``)
+    that run on every usable CPU.  Each block reports its largest expansion
+    and contraction with the first pair attaining each, or its first
+    colliding pair; combining the blocks in order with a strict ``>`` gives
+    the first pair in row-major order that attains each maximum, and the
+    first collision is the one reported."""
     require_at_least_one(("q", q))
     F = _embedding_rows(G, np.asarray(F, dtype=np.float64))
     metric = metric or all_pairs_distances(G)
-    n = G.n
-    lip = 0.0
-    lip_inv = 0.0
-    we = wc = (0, 1)
-    for u in range(n - 1):
-        diff = F[u + 1 :] - F[u]
-        nrm = (np.abs(diff) ** q).sum(axis=1) ** (1.0 / q)
-        dd = metric.d[u, u + 1 :].astype(np.float64)
-        if np.any(nrm == 0.0):
-            v = u + 1 + int(np.nonzero(nrm == 0.0)[0][0])
-            raise ValueError(f"embedding is not injective: vertices {u} and {v} collide")
+    d = metric.d
+
+    def block(u, v, diff):
+        np.abs(diff, out=diff)
+        diff **= q
+        nrm = diff.sum(axis=1) ** (1.0 / q)
+        hit = np.flatnonzero(nrm == 0.0)
+        if hit.size:
+            return (int(u[hit[0]]), int(v[hit[0]])), None
+        dd = d[u, v].astype(np.float64)
         e = nrm / dd
         c = dd / nrm
         ie, ic = int(np.argmax(e)), int(np.argmax(c))
-        if e[ie] > lip:
-            lip, we = float(e[ie]), (u, u + 1 + ie)
-        if c[ic] > lip_inv:
-            lip_inv, wc = float(c[ic]), (u, u + 1 + ic)
+        return None, (float(e[ie]), (int(u[ie]), int(v[ie])), float(c[ic]), (int(u[ic]), int(v[ic])))
+
+    lip = 0.0
+    lip_inv = 0.0
+    we = wc = (0, 1)
+    for collision, top in _pair_blocks(F, block):
+        if collision is not None:
+            raise ValueError(f"embedding is not injective: vertices {collision[0]} and {collision[1]} collide")
+        e, be, c, bc = top
+        if e > lip:
+            lip, we = e, be
+        if c > lip_inv:
+            lip_inv, wc = c, bc
     return DistortionResult(value=lip * lip_inv, lip=lip, lip_inv=lip_inv, witness_expand=we, witness_contract=wc)
 
 
 def map_distortion_exact_sq(G: MultiGraph, F: np.ndarray, metric: MetricTable | None = None) -> Fraction:
     """Squared distortion of an integer embedding at q=2, exact: squared
-    norms and distances of all pairs are int64, and the pairs whose float
-    ratio is within 1e-9 of its maximum are compared as Fractions.  The float
-    step is exact only below 2^53, so larger inputs are refused."""
+    norms and distances of all pairs are int64, and in each block of pairs
+    (``_pair_blocks``) the pairs whose float ratio is within 1e-9 of the
+    block's maximum are compared as Fractions; the distortion is the product
+    of the largest expansion and contraction over the blocks.  No more than
+    one block per usable CPU is held at once.  The float step is exact only
+    below 2^53, so larger inputs are refused."""
     F = np.asarray(F)
     if not np.issubdtype(F.dtype, np.integer):
         raise ValueError("exact distortion needs integer coordinates")
@@ -105,14 +132,22 @@ def map_distortion_exact_sq(G: MultiGraph, F: np.ndarray, metric: MetricTable | 
     if 4 * F.shape[1] * big**2 >= 2**53 or metric.diameter**2 >= 2**53:
         raise ValueError("exact distortion needs squared norms and distances below 2^53")
     F = F.astype(np.int64)
-    iu, iv = np.triu_indices(G.n, 1)
-    sq = (F * F).sum(axis=1)
-    nsq = sq[iu] + sq[iv] - 2 * (F @ F.T)[iu, iv]
-    dsq = metric.d[iu, iv] ** 2
-    if not nsq.all():
-        k = int(np.flatnonzero(nsq == 0)[0])
-        raise ValueError(f"embedding is not injective: vertices {iu[k]} and {iv[k]} collide")
-    return _max_ratio(nsq, dsq) * _max_ratio(dsq, nsq)
+    d = metric.d
+
+    def block(u, v, diff):
+        nsq = np.einsum("ij,ij->i", diff, diff)
+        hit = np.flatnonzero(nsq == 0)
+        if hit.size:
+            return (int(u[hit[0]]), int(v[hit[0]])), None
+        dsq = d[u, v] ** 2
+        return None, (_max_ratio(nsq, dsq), _max_ratio(dsq, nsq))
+
+    expand = contract = Fraction(0)
+    for collision, top in _pair_blocks(F, block):
+        if collision is not None:
+            raise ValueError(f"embedding is not injective: vertices {collision[0]} and {collision[1]} collide")
+        expand, contract = max(expand, top[0]), max(contract, top[1])
+    return expand * contract
 
 
 def _embedding_rows(G: MultiGraph, F: np.ndarray) -> np.ndarray:
@@ -123,9 +158,48 @@ def _embedding_rows(G: MultiGraph, F: np.ndarray) -> np.ndarray:
 
 
 def _max_ratio(num: np.ndarray, den: np.ndarray) -> Fraction:
+    """The largest num / den, exactly: among the pairs whose float ratio is
+    within 1e-9 of the float maximum, each distinct (num, den) once."""
     r = num / den
     near = np.flatnonzero(r >= r.max(initial=0.0) * (1 - 1e-9))
-    return max((Fraction(int(num[i]), int(den[i])) for i in near), default=Fraction(0))
+    pairs = set(zip(num[near].tolist(), den[near].tolist()))
+    return max((Fraction(a, b) for a, b in pairs), default=Fraction(0))
+
+
+def _pair_blocks(F: np.ndarray, block) -> list:
+    """``block(u, v, F[v] - F[u])`` on each block of the pairs u < v of the
+    rows of F in row-major order, a list in block order; a block holds
+    max(1, _PAIR_BLOCK_ENTRIES // width) pairs.  The blocks run through
+    ``_parallel.run_chunks``, so ``block`` calls no public banachgap name.
+
+    A block's pairs of row r are a run of pairs (r, v) with consecutive v,
+    so their differences are one slice of F minus the row F[r], written
+    into a buffer of the thread's own, made once per call: a block
+    allocates nothing of size (pairs, width), so no page is returned to
+    the system and faulted back in between blocks."""
+    n, width = F.shape
+    size = max(1, _PAIR_BLOCK_ENTRIES // max(1, width))
+    rows = np.arange(n, dtype=np.int64)
+    starts = rows * (2 * n - rows - 1) // 2  # index of pair (u, u + 1)
+    first = starts.tolist()
+    total = n * (n - 1) // 2
+    buffers: dict[int, np.ndarray] = {}
+
+    def work(i):
+        lo, hi = i * size, min((i + 1) * size, total)
+        k = np.arange(lo, hi, dtype=np.int64)
+        u = np.searchsorted(starts, k, side="right") - 1
+        v = k - starts[u] + u + 1
+        me = threading.get_ident()
+        if me not in buffers:
+            buffers[me] = np.empty((size, width), F.dtype)
+        diff = buffers[me][: hi - lo]
+        for r in range(int(u[0]), int(u[-1]) + 1):
+            a, b = max(first[r], lo), min(first[r] + n - 1 - r, hi)  # row r's pairs in this block
+            np.subtract(F[r + 1 + a - first[r] : r + 1 + b - first[r]], F[r], out=diff[a - lo : b - lo])
+        return block(u, v, diff)
+
+    return _parallel.run_chunks(-(-total // size), work)
 
 
 def hamming_identity_embedding(n: int) -> np.ndarray:

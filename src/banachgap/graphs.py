@@ -6,6 +6,11 @@ allowed and contribute 2 to the degree of their vertex.  The oriented-edge
 view used by the gap computations contains, per non-loop edge of
 multiplicity m, m oriented copies in each direction, and per loop of
 multiplicity m, 2m copies ``(v, v)``.
+
+The hop metric (``all_pairs_distances``) is one word-parallel search from
+every source; a wide search runs its chunks of sources on every usable CPU
+through the process's one worker pool (``_parallel``), and its table does
+not depend on the CPU count.
 """
 
 from __future__ import annotations
@@ -16,6 +21,8 @@ from dataclasses import dataclass, field
 from typing import Callable, Iterable, Sequence, TypeVar
 
 import numpy as np
+
+from . import _parallel
 
 __all__ = [
     "MultiGraph",
@@ -306,26 +313,44 @@ def all_pairs_distances(G: MultiGraph) -> MetricTable:
     the int64 table.  An expander's cells carry many sources each, so it
     costs a fraction of n separate searches.  A long cycle or path carries
     about one source per cell, so it gains nothing from the words and pays
-    for their bookkeeping."""
+    for their bookkeeping.  The sources run in chunks of whole words,
+    split over the usable CPUs when the search is wide (see
+    ``_bfs_all_sources``)."""
     if not G.connected:
         raise ValueError("all_pairs_distances requires a connected graph")
     return G.memo("metric", lambda: _bfs_all_sources(G))
 
 
 # Neighbour cells that one level of one chunk of _bfs_all_sources may
-# gather: a chunk holds max(1, _BFS_CHUNK_ENTRIES // (2 |E|)) words of
-# sources, so a level's temporaries stay near 2^20 entries.
+# gather: a chunk holds at most max(1, _BFS_CHUNK_ENTRIES // (2 |E|)) words
+# of sources, so a level's temporaries stay near 2^20 entries.
 _BFS_CHUNK_ENTRIES = 1 << 20
 _WORD = 64
 # Bit planes below this take each level's new cells one by one.  Plane
 # k >= _SPARSE_PLANES changes only once in 2^k levels, so it takes a whole
 # run of levels at once, as the XOR of the seen words before and after it.
 _SPARSE_PLANES = 3
+# A search is wide, and its sources are split over the usable CPUs, when
+# vertex 0 reaches every vertex within n / _WIDE_RATIO levels.  n / ecc(0)
+# is 1-2 on cycles and paths, 18-22 on H7 and random_regular(200, 3), 32
+# on H8, 57-154 on H9, margulis(24), margulis(32), H10 and random regular
+# graphs of 1000-2000 vertices, and 714 on margulis(100).  Every chunk walks
+# all the levels, so a split pays the per-level cost once per chunk: it made
+# cycle(2000) 1.7x and path(1000) 2.6x slower, H7 and random_regular(200, 3)
+# slower too, and random_regular(2000, 3) 1.7x faster on two CPUs.
+_WIDE_RATIO = 48
 
 
 def _bfs_all_sources(G: MultiGraph) -> MetricTable:
     """Word-parallel breadth-first search from every source, in chunks of
-    whole 64-source words (see ``all_pairs_distances``)."""
+    whole 64-source words (see ``all_pairs_distances``).
+
+    A chunk holds at most the words ``_BFS_CHUNK_ENTRIES`` allows.  A wide
+    search (``_wide``) of at least two words per usable CPU is split into
+    at least one chunk per usable CPU; the rest keep the fewest chunks.
+    The chunks run through ``_parallel.run_chunks``; each fills its own
+    columns of the table, and the diameter is the last level any chunk
+    reached, so the table does not depend on the CPU count."""
     n = G.n
     eu, ev, _ = G.nonloop_arrays()
     tails = np.concatenate([eu, ev])
@@ -333,12 +358,57 @@ def _bfs_all_sources(G: MultiGraph) -> MetricTable:
     deg = np.bincount(tails, minlength=n)
     first = np.cumsum(deg) - deg
     dist = np.zeros((n, n), dtype=np.int64)
-    chunk = _WORD * max(1, _BFS_CHUNK_ENTRIES // max(1, nbr.size))
-    diameter = 0
-    for lo in range(0, n, chunk):
-        diameter = max(diameter, _bfs_words(nbr, deg, first, dist, lo, min(lo + chunk, n)))
+    words = -(-n // _WORD)
+    per = max(1, _BFS_CHUNK_ENTRIES // max(1, nbr.size))  # words per chunk
+    cpus = _parallel._usable_cpus()
+    if words >= 2 * cpus and -(-words // per) < cpus and _wide(nbr, deg, first, G.max_degree):
+        per = -(-words // cpus)
+    chunk = _WORD * per
+    levels = _parallel.run_chunks(
+        -(-n // chunk), lambda i: _bfs_words(nbr, deg, first, dist, i * chunk, min((i + 1) * chunk, n))
+    )
     dist.setflags(write=False)
-    return MetricTable(d=dist, diameter=diameter)
+    return MetricTable(d=dist, diameter=max(levels))
+
+
+def _neighbour_slots(v: np.ndarray, deg: np.ndarray, first: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The CSR slots of the neighbours of each vertex in ``v``, in order,
+    and each vertex's neighbour count."""
+    c = deg[v]
+    cut = np.cumsum(c)
+    return np.repeat(first[v] - (cut - c), c) + np.arange(cut[-1]), c
+
+
+def _wide(nbr, deg, first, top: int) -> bool:
+    """Whether ecc(0) <= n / _WIDE_RATIO, by a search from vertex 0 that
+    stops after that many levels; a long graph pays only those levels.
+
+    No search runs when that many levels cannot hold n vertices: within k
+    levels a search reaches at most 1 + D + D(D-1) + ... + D(D-1)^(k-1)
+    of them, D <= ``top`` the largest degree (so cycles, paths and sparse
+    random graphs of a few hundred vertices are refused from their degrees)."""
+    n = deg.size
+    limit = n // _WIDE_RATIO
+    ball, shell = 1, 1
+    for k in range(limit):
+        if ball >= n:
+            break
+        shell *= top if k == 0 else top - 1
+        ball += shell
+    if ball < n:
+        return False
+    seen = np.zeros(n, dtype=bool)
+    seen[0] = True
+    front = np.zeros(1, dtype=np.intp)
+    for _ in range(limit + 1):
+        fresh = np.zeros(n, dtype=bool)
+        fresh[nbr[_neighbour_slots(front, deg, first)[0]]] = True
+        fresh &= ~seen
+        front = np.flatnonzero(fresh)
+        if not front.size:
+            return True
+        seen |= fresh
+    return False
 
 
 def _bfs_words(nbr, deg, first, dist, lo: int, hi: int) -> int:
@@ -360,9 +430,7 @@ def _bfs_words(nbr, deg, first, dist, lo: int, hi: int) -> int:
     level = 0
     v, w = np.divmod(front, words)
     while True:
-        c = deg[v]
-        cut = np.cumsum(c)
-        slot = np.repeat(first[v] - (cut - c), c) + np.arange(cut[-1])
+        slot, c = _neighbour_slots(v, deg, first)
         cand = nbr[slot] * words + np.repeat(w, c)
         bits = np.repeat(bits, c) & ~seen[cand]
         keep = np.flatnonzero(bits)

@@ -548,4 +548,5 @@ def read_action_file(path: str) -> PermutationAction:
         if lab not in labels:
             raise ValueError(f"unknown inverse label {lab!r}")
     inverse = tuple(labels.index(lab) for lab in invlabels)
+    perms = np.asarray(perms, dtype=np.int64).reshape(g, m)  # (0, m) with no generators
     return _refuse_identity(PermutationAction(m=m, labels=tuple(labels), perms=perms, inverse=inverse))

@@ -11,7 +11,8 @@ blockwise (extend by homogeneity, apply per block) with modulus
 
 The modulus estimators draw their pairs in blocks of ``_BLOCK``.  Block i
 draws from its own stream, ``PCG64(seed).jumped(i)``, and the blocks run on
-one thread per usable CPU (the caller and a thread pool); numpy's random
+one thread per usable CPU, the caller and the process's one worker pool
+(``_parallel.run_chunks``, shared with the metric layer); numpy's random
 fills and ufuncs release the GIL.  Results depend only on the seed, never
 on the number of threads or the order blocks finish in.
 """
@@ -19,13 +20,12 @@ on the number of threads or the order blocks finish in.
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
+from ._parallel import run_chunks
 from .graphs import require_at_least_one
 
 __all__ = [
@@ -51,25 +51,6 @@ _UNIT_TOL = 1e-9
 _BLOCK = 4096
 # Pairs measured at a time within a block (see _stream).
 _ROWS = 512
-
-
-# One pool per (process, worker count), reused by every _stream call; the
-# process id keeps a forked child off its parent's threads, which it lacks.
-_POOLS: dict[tuple[int, int], ThreadPoolExecutor] = {}
-
-
-def _pool(workers: int) -> ThreadPoolExecutor:
-    key = (os.getpid(), workers)
-    if key not in _POOLS:
-        _POOLS[key] = ThreadPoolExecutor(max_workers=workers)
-    return _POOLS[key]
-
-
-def _usable_cpus() -> int:
-    """CPUs this process may run on (its affinity mask, so taskset counts)."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
 
 
 def _lp_norm(x: np.ndarray, p: float, axis=None):
@@ -212,19 +193,24 @@ def sphere_sample(rng: np.random.Generator, count: int, d: int, p: float) -> np.
     return g
 
 
+# The samplers run on pool threads, so they call the function by this
+# private name: a tracer that wraps the public one keeps one span stack.
+_sphere_sample = sphere_sample
+
+
 def _pairs_uniform(rng, count, d, p):
-    return sphere_sample(rng, count, d, p), sphere_sample(rng, count, d, p)
+    return _sphere_sample(rng, count, d, p), _sphere_sample(rng, count, d, p)
 
 
 def _pairs_antipodal(rng, count, d, p):
-    x = sphere_sample(rng, count, d, p)
+    x = _sphere_sample(rng, count, d, p)
     return x, -x
 
 
 def _pairs_near(rng, count, d, p):
     # Perturbation scale log-uniform in [1e-6, 1]: moduli matter as eps -> 0,
     # which uniform pairs almost never probe.
-    x = sphere_sample(rng, count, d, p)
+    x = _sphere_sample(rng, count, d, p)
     scale = 10.0 ** rng.uniform(-6.0, 0.0, size=count)
     y = rng.standard_normal((count, d))
     y *= scale[:, None]
@@ -268,38 +254,26 @@ def _stream(n_samples: int, seed: int, draw, measure) -> tuple[np.ndarray, np.nd
     Block i covers pairs [i _BLOCK, (i+1) _BLOCK) and draws from
     ``Generator(PCG64(seed).jumped(i))``; it writes only its own slice.
     ``jumped(0)`` is ``PCG64(seed)`` itself, so a call of at most ``_BLOCK``
-    pairs draws exactly what one generator would.  The calling thread and
-    min(usable CPUs, blocks) - 1 pool threads take blocks from one shared
-    iterator, and a block's exception reaches the caller.  The pool of that
-    size is made once per process and kept (``_pool``), so a call starts
-    no threads after the first.
-
-    Memory: glibc keeps what a pool thread frees in that thread's own arena,
-    out of the calling thread's reach, so every block held at once adds to
-    the process's peak.  The caller therefore runs blocks too, and a block
-    is measured ``_ROWS`` pairs at a time, so that its temporaries beyond x
-    and y stay small.
+    pairs draws exactly what one generator would.  The blocks are the
+    chunks of ``_parallel.run_chunks``: the caller and the shared pool run
+    them on every usable CPU, and a block's exception reaches the caller.
+    A block is measured ``_ROWS`` pairs at a time, so that its temporaries
+    beyond x and y stay small (every block held at once adds to the peak;
+    see ``_parallel``).
     """
     eps = np.empty(n_samples)
     delta = np.empty(n_samples)
     root = np.random.PCG64(seed)
-    blocks = -(-n_samples // _BLOCK)
-    todo = iter(range(blocks))
 
-    def drain():
-        for i in todo:  # next() on the shared iterator is atomic under the GIL
-            lo = i * _BLOCK
-            hi = min(lo + _BLOCK, n_samples)
-            x, y = draw(np.random.Generator(root.jumped(i)), hi - lo)
-            for a in range(lo, hi, _ROWS):
-                b = min(a + _ROWS, hi)
-                eps[a:b], delta[a:b] = measure(x[a - lo : b - lo], y[a - lo : b - lo])
+    def block(i):
+        lo = i * _BLOCK
+        hi = min(lo + _BLOCK, n_samples)
+        x, y = draw(np.random.Generator(root.jumped(i)), hi - lo)
+        for a in range(lo, hi, _ROWS):
+            b = min(a + _ROWS, hi)
+            eps[a:b], delta[a:b] = measure(x[a - lo : b - lo], y[a - lo : b - lo])
 
-    helpers = min(_usable_cpus(), blocks) - 1
-    running = [_pool(helpers).submit(drain) for _ in range(helpers)]
-    drain()
-    for job in running:
-        job.result()
+    run_chunks(-(-n_samples // _BLOCK), block)
     return eps, delta
 
 

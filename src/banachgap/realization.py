@@ -231,4 +231,5 @@ def spec_to_action(spec: SchreierSpec) -> PermutationAction:
     involutions or identity factors, matching the free-group convention)."""
     labels = tuple(lab for i in range(len(spec.perms)) for lab in (f"t{i}", f"t{i}~"))
     rows = [row for sigma in spec.perms for row in (sigma, np.argsort(sigma))]
-    return PermutationAction(spec.base.n, labels, np.asarray(rows), tuple(i ^ 1 for i in range(len(labels))))
+    perms = np.asarray(rows, dtype=np.int64).reshape(len(rows), spec.base.n)  # (0, n) with no generators
+    return PermutationAction(spec.base.n, labels, perms, tuple(i ^ 1 for i in range(len(labels))))

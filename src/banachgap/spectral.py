@@ -60,9 +60,16 @@ CUT_MAX_N = 24
 
 # Graphs of at least this many vertices get lambda_2 and the Fiedler vector
 # from a certified Lanczos run (_lanczos_head); smaller ones from one dense
-# eigh.  On one BLAS thread of a 2-vCPU Xeon VM that eigh takes 0.26-0.28 s
-# at n = 998 and 0.044 s at n = 500.
-_LANCZOS_MIN_N = 1000
+# eigh.  Per solve on one BLAS thread of a 2-vCPU Xeon VM (best of 5),
+# Lanczos with its Cholesky certificate against eigh, in ms:
+#   H8 1.5 / 4.3, boolean_cube(8) Schreier graph 1.7 / 4.4,
+#   sl_mod(2,7) 3.8 / 8.3, margulis(20) 6.2 / 15.9, H9 6.8 / 28.6,
+#   margulis(24) 10.4 / 40.3, symmetric(6) 15.2 / 65.3,
+#   random_regular(998,3) 96 / 228.
+# Lanczos loses on random_regular(256,3), which converges slowly (16.8 /
+# 7.1; level at n = 400), and on cycles and paths, which give up after
+# 40 steps and then pay for the eigh too (+2 ms).
+_LANCZOS_MIN_N = 256
 _LANCZOS_MAX_STEPS = 400
 _LANCZOS_CHECK_EVERY = 20  # steps between solves of the tridiagonal system
 _LANCZOS_RTOL = 1e-11  # converged once ||L y - theta y|| <= _LANCZOS_RTOL * theta

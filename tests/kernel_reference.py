@@ -11,9 +11,10 @@ check of ``_kernels.cut_gap``'s meet-in-the-middle enumeration.  The graph and
 metric loops are the per-edge dense Laplacian, the per-source BFS, the
 pairwise ``Fraction`` distortion and the per-translation displacement that
 ``banachgap.graphs`` and ``banachgap.distortion`` replaced with array
-code, and the enumeration of all permutations for the maximal
-displacement that ``banachgap.distortion`` solves as a bottleneck
-matching.  The sphere references are the Gamma(1/p)-and-random-sign
+code; the per-row float distortion and the all-pairs exact one that it
+then replaced with blocks of pairs; and the enumeration of all
+permutations for the maximal displacement that ``banachgap.distortion``
+solves as a bottleneck matching.  The sphere references are the Gamma(1/p)-and-random-sign
 sampler and the per-bin envelope loop that ``banachgap.mazur`` replaced.
 The group references build actions and Schreier graphs element by element
 and vertex by vertex, with m^2 products for the right translations, as
@@ -348,6 +349,49 @@ def distortion_exact_sq(F, d):
             max_e = max(max_e, Fraction(nsq, dsq))
             max_c = max(max_c, Fraction(dsq, nsq))
     return max_e * max_c
+
+
+def map_distortion_rows(F, d, q):
+    """The per-row loop ``distortion.map_distortion`` ran before its pair
+    blocks: (value, lip, lip_inv, witness_expand, witness_contract)."""
+    F = np.asarray(F, dtype=np.float64).reshape(len(d), -1)
+    lip = lip_inv = 0.0
+    we = wc = (0, 1)
+    for u in range(len(F) - 1):
+        nrm = (np.abs(F[u + 1 :] - F[u]) ** q).sum(axis=1) ** (1.0 / q)
+        dd = d[u, u + 1 :].astype(np.float64)
+        if np.any(nrm == 0.0):
+            v = u + 1 + int(np.nonzero(nrm == 0.0)[0][0])
+            raise ValueError(f"embedding is not injective: vertices {u} and {v} collide")
+        e = nrm / dd
+        c = dd / nrm
+        ie, ic = int(np.argmax(e)), int(np.argmax(c))
+        if e[ie] > lip:
+            lip, we = float(e[ie]), (u, u + 1 + ie)
+        if c[ic] > lip_inv:
+            lip_inv, wc = float(c[ic]), (u, u + 1 + ic)
+    return lip * lip_inv, lip, lip_inv, we, wc
+
+
+def map_distortion_exact_sq_all_pairs(F, d):
+    """The all-pairs ``distortion.map_distortion_exact_sq`` before its pair
+    blocks: every pair's int64 squared norm and distance at once, and the
+    pairs within 1e-9 of each float maximum compared as Fractions."""
+    F = np.asarray(F).reshape(len(d), -1).astype(np.int64)
+    iu, iv = np.triu_indices(len(F), 1)
+    sq = (F * F).sum(axis=1)
+    nsq = sq[iu] + sq[iv] - 2 * (F @ F.T)[iu, iv]
+    dsq = d[iu, iv] ** 2
+    if not nsq.all():
+        k = int(np.flatnonzero(nsq == 0)[0])
+        raise ValueError(f"embedding is not injective: vertices {iu[k]} and {iv[k]} collide")
+
+    def max_ratio(num, den):
+        r = num / den
+        near = np.flatnonzero(r >= r.max(initial=0.0) * (1 - 1e-9))
+        return max((Fraction(int(num[i]), int(den[i])) for i in near), default=Fraction(0))
+
+    return max_ratio(nsq, dsq) * max_ratio(dsq, nsq)
 
 
 def cayley_displacement(d, right_translations):

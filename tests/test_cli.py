@@ -161,6 +161,16 @@ def test_gross_subcommand(tmp_path, capsys):
     assert (tmp_path / "provenance.json").exists()
 
 
+def test_gross_realizes_a_graph_with_no_generators(tmp_path, capsys):
+    # one vertex, no edges: 0 factors, and an action file whose header is "1 0"
+    code, out = run(capsys, "gross", "--gen", "path:1", "--verify", "--out", str(tmp_path))
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["verified"] and payload["factors"] == 0
+    a = groups.read_action_file(str(tmp_path / "action.txt"))
+    assert (a.m, a.size, a.perms.shape) == (1, 0, (0, 1))
+
+
 def test_gross_verifies_long_path(capsys):
     code, out = run(capsys, "gross", "--gen", "path:3000", "--verify")
     assert code == 0

@@ -1,14 +1,23 @@
 import dataclasses
 import math
+import re
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
 from graph_strategies import connected_multigraphs
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from kernel_reference import brute_displacement, cayley_displacement, distortion_exact_sq
+from kernel_reference import (
+    brute_displacement,
+    cayley_displacement,
+    distortion_exact_sq,
+    map_distortion_exact_sq_all_pairs,
+    map_distortion_rows,
+)
 
+from banachgap import _parallel, distortion
 from banachgap.distortion import (
     austin_exclude,
     coarse_union,
@@ -121,6 +130,70 @@ def test_exact_distortion_tied_maxima_and_collision():
     F[4] = F[1]
     with pytest.raises(ValueError, match="vertices 1 and 4 collide"):
         map_distortion_exact_sq(C6, F, metric=met)
+
+
+def _blocks(n, width, count):
+    """A patch of the block size that cuts the n(n-1)/2 pairs of an
+    embedding of ``width`` columns into about ``count`` blocks, most of them
+    cutting rows."""
+    return mock.patch.object(distortion, "_PAIR_BLOCK_ENTRIES", max(1, n * (n - 1) // 2 // count) * width)
+
+
+@pytest.mark.parametrize("q", [1, 1.5, 2, 3])
+@pytest.mark.parametrize("k", range(2, 10))
+def test_blocked_distortion_equals_the_row_loop_on_cubes(k, q):
+    G = gen_family("hamming", [k])
+    met = all_pairs_distances(G)
+    F = hamming_identity_embedding(k)
+    with _blocks(G.n, k, 37), mock.patch.object(_parallel, "_usable_cpus", lambda: 3):
+        assert dataclasses.astuple(map_distortion(G, F, q, met)) == map_distortion_rows(F, met.d, q)
+        if q == 2:
+            assert map_distortion_exact_sq(G, F, met) == map_distortion_exact_sq_all_pairs(F, met.d) == k
+
+
+@given(
+    connected_multigraphs(2, 40),
+    st.integers(0, 10_000),
+    st.integers(1, 60),
+    st.sampled_from([1, 2, 3]),
+    st.sampled_from([1, 1.5, 2, 3]),
+)
+@settings(max_examples=150, deadline=None)
+def test_blocked_distortion_equals_the_references_with_ties_and_collisions(G, seed, count, cpus, q):
+    # Small integer ranges give tied maxima and colliding vertices; each
+    # side must report the same first pair and the same message.
+    met = all_pairs_distances(G)
+    rng = np.random.Generator(np.random.PCG64(seed))
+    dim = int(rng.integers(1, 4))
+    F = rng.integers(-2, 3, size=(G.n, dim))
+    cases = [
+        (lambda: dataclasses.astuple(map_distortion(G, F, q, met)), lambda: map_distortion_rows(F, met.d, q)),
+        (lambda: map_distortion_exact_sq(G, F, met), lambda: map_distortion_exact_sq_all_pairs(F, met.d)),
+    ]
+    with _blocks(G.n, dim, count), mock.patch.object(_parallel, "_usable_cpus", lambda: cpus):
+        for got, want in cases:
+            try:
+                expected = want()
+            except ValueError as err:
+                with pytest.raises(ValueError, match=f"^{re.escape(str(err))}$"):
+                    got()
+            else:
+                assert got() == expected
+
+
+def test_blocked_distortion_reports_the_first_collision():
+    # collisions at pairs (3, 9) and (5, 6), in different blocks: the first
+    # in row-major order is reported, whichever block finishes first
+    G = gen_family("cycle", [12])
+    met = all_pairs_distances(G)
+    F = np.arange(12.0)
+    F[9], F[6] = F[3], F[5]
+    for count in (1, 7, 66):
+        with _blocks(G.n, 1, count), mock.patch.object(_parallel, "_usable_cpus", lambda: 2):
+            with pytest.raises(ValueError, match="^embedding is not injective: vertices 3 and 9 collide$"):
+                map_distortion(G, F, 2.0, met)
+            with pytest.raises(ValueError, match="^embedding is not injective: vertices 3 and 9 collide$"):
+                map_distortion_exact_sq(G, F.astype(np.int64), met)
 
 
 def test_exact_distortion_refuses_values_beyond_2_53(cube3):

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from graph_strategies import connected_multigraphs
 from kernel_reference import bfs_distances, laplacian
 
-from banachgap import graphs
+from banachgap import _parallel, graphs
 from banachgap.distortion import frechet_embedding
 from banachgap.graphs import (
     all_pairs_distances,
@@ -209,6 +209,66 @@ def test_chunked_metric_equals_reference_bfs(G, entries):
     ref = bfs_distances(G)
     assert np.array_equal(met.d, ref)
     assert met.diameter == int(ref.max())
+
+
+@given(WORD_GRAPHS, st.sampled_from([1, 2, 3]), st.sampled_from([1, graphs._WIDE_RATIO]))
+@settings(max_examples=100, deadline=None)
+def test_split_metric_equals_reference_bfs(G, cpus, ratio):
+    # ratio 1 calls every search wide, so every graph of at least two words
+    # per CPU is split into one chunk per CPU
+    with mock.patch.object(_parallel, "_usable_cpus", lambda: cpus), mock.patch.object(graphs, "_WIDE_RATIO", ratio):
+        met = graphs._bfs_all_sources(G)
+    ref = bfs_distances(G)
+    assert np.array_equal(met.d, ref)
+    assert met.diameter == int(ref.max())
+
+
+@pytest.mark.parametrize(
+    "spec,wide",
+    [
+        (("cycle", [400]), False),  # refused from its degrees, with no search
+        (("path", [300]), False),
+        (("random_regular", [300, 3]), False),
+        (("hamming", [8]), False),  # searched: ecc(0) = 8 > 256 / 48
+        (("hamming", [9]), True),  # ecc(0) = 9 <= 512 / 48
+        (("margulis", [24]), True),
+        (("complete", [200]), True),
+    ],
+    ids=["cycle(400)", "path(300)", "rr(300,3)", "H8", "H9", "margulis(24)", "K200"],
+)
+def test_split_rule_on_both_sides(spec, wide):
+    # one CPU never splits, and a search below two words per CPU is not probed
+    G = gen_family(*spec, seed=1)
+    ref = bfs_distances(G)
+    words = -(-G.n // graphs._WORD)
+    run_chunks, probe = _parallel.run_chunks, graphs._wide
+    seen = {}
+
+    def spy_chunks(count, work):
+        seen["chunks"] = count
+        return run_chunks(count, work)
+
+    def spy_probe(*args):
+        seen["wide"] = probe(*args)
+        return seen["wide"]
+
+    for cpus in (1, 2, 3):
+        seen.clear()
+        with mock.patch.object(_parallel, "_usable_cpus", lambda: cpus), mock.patch.object(
+            _parallel, "run_chunks", spy_chunks
+        ), mock.patch.object(graphs, "_wide", spy_probe):
+            met = graphs._bfs_all_sources(G)
+        assert np.array_equal(met.d, ref) and met.diameter == int(ref.max())
+        probed = cpus > 1 and words >= 2 * cpus
+        assert seen.get("wide") == (wide if probed else None)
+        assert seen["chunks"] == (cpus if probed and wide else 1)
+
+
+def test_probe_refuses_long_graphs_from_their_degrees():
+    # no level of the search runs on a cycle: its degree bounds ecc(0) first
+    G = gen_family("cycle", [3000])
+    with mock.patch.object(graphs, "_neighbour_slots", side_effect=AssertionError("searched")):
+        assert not graphs._wide(np.zeros(0, dtype=np.intp), np.full(G.n, 2), np.zeros(G.n, dtype=np.intp), G.max_degree)
 
 
 @given(connected_multigraphs(1, 12, drawn_reach=True), st.integers(0, 5))

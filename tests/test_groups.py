@@ -429,6 +429,14 @@ def test_action_file_names_the_line_of_a_bad_row(tmp_path, text, line, what):
         read_action_file(path)
 
 
+def test_action_file_with_no_generators(tmp_path):
+    a = read_action_file(_write(tmp_path / "one.txt", "1 0\n"))
+    assert (a.m, a.labels, a.perms.shape) == (1, (), (0, 1))
+    assert schreier_graph(a).n == 1 and schreier_graph(a).edges == ()
+    with pytest.raises(ValueError, match=r"^action is not transitive"):
+        read_action_file(_write(tmp_path / "three.txt", "3 0\n"))
+
+
 def test_action_file_names_unknown_inverse_label(tmp_path):
     path = _write(tmp_path / "a.txt", "3 2\nr z 1 2 0\nl r 2 0 1\n")
     with pytest.raises(ValueError, match="unknown inverse label 'z'"):

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from banachgap import mazur
+from banachgap import _parallel, mazur
 from kernel_reference import fit_envelope, ks_statistic
 from kernel_reference import sphere_sample as reference_sphere_sample
 
@@ -265,7 +265,7 @@ def test_check_stabilized_spans_blocks():
 
 
 BLOCK_EDGES = [1, mazur._BLOCK - 1, mazur._BLOCK, mazur._BLOCK + 1, 2 * mazur._BLOCK + 3]
-STREAM, POOL = mazur._stream, mazur.ThreadPoolExecutor
+STREAM, POOL = mazur._stream, _parallel.ThreadPoolExecutor
 
 
 def _run_both(monkeypatch, cpus, n):
@@ -288,10 +288,10 @@ def _run_both(monkeypatch, cpus, n):
             helpers[-1] += 1
             return super().submit(*args)
 
-    monkeypatch.setattr(mazur, "_POOLS", {})
-    monkeypatch.setattr(mazur, "_usable_cpus", lambda: cpus)
+    monkeypatch.setattr(_parallel, "_POOLS", {})
+    monkeypatch.setattr(_parallel, "_usable_cpus", lambda: cpus)
     monkeypatch.setattr(mazur, "_stream", spy_stream)
-    monkeypatch.setattr(mazur, "ThreadPoolExecutor", spy_pool)
+    monkeypatch.setattr(_parallel, "ThreadPoolExecutor", spy_pool)
     phi = mazur.mazur_sphere_map(1.5, 2.0)
     est = mazur.estimate_modulus(phi, "near_pairs", n, seed=12, d=16, bound=phi.modulus)
     chk = mazur.check_stabilized_modulus(phi, k=3, p=2.0, n_samples=n, seed=12, d=8)
@@ -319,11 +319,11 @@ def _modulus_in_child(phi, n, out):
 def test_a_forked_child_makes_its_own_pool(monkeypatch):
     # the parent's pool threads do not exist in a forked child: a child
     # that submitted to them would wait for ever
-    monkeypatch.setattr(mazur, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(_parallel, "_usable_cpus", lambda: 2)
     phi = mazur.mazur_sphere_map(3.0, 2.0)
     n = 3 * mazur._BLOCK
     want = mazur.estimate_modulus(phi, "uniform_sphere", n, seed=3, d=4).eps.tobytes()
-    assert (os.getpid(), 1) in mazur._POOLS  # the parent holds a one-helper pool
+    assert (os.getpid(), 1) in _parallel._POOLS  # the parent holds a one-helper pool
     ctx = multiprocessing.get_context("fork")
     out = ctx.Queue()
     child = ctx.Process(target=_modulus_in_child, args=(phi, n, out))
@@ -342,9 +342,9 @@ def test_blocks_survive_frequent_thread_switches(monkeypatch):
     # misplaced block write would change the arrays
     phi = mazur.mazur_sphere_map(3.0, 2.0)
     n = 8 * mazur._BLOCK + 5
-    monkeypatch.setattr(mazur, "_usable_cpus", lambda: 1)
+    monkeypatch.setattr(_parallel, "_usable_cpus", lambda: 1)
     one = mazur.estimate_modulus(phi, "uniform_sphere", n, seed=8, d=4)
-    monkeypatch.setattr(mazur, "_usable_cpus", lambda: 8)
+    monkeypatch.setattr(_parallel, "_usable_cpus", lambda: 8)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
@@ -389,7 +389,7 @@ def test_sphere_map_error_reaches_the_caller():
 
 def test_pool_thread_error_reaches_the_caller(monkeypatch):
     # the caller's first block waits until a pool thread has failed on its own
-    monkeypatch.setattr(mazur, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(_parallel, "_usable_cpus", lambda: 2)
     failed = threading.Event()
 
     def draw(rng, count):

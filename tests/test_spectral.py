@@ -418,7 +418,8 @@ def test_large_head_takes_the_lanczos_path():
 
 
 def test_head_below_the_threshold_is_the_dense_eigh():
-    G = gen_family("hamming", [9])
+    G = gen_family("hamming", [7])
+    assert G.n < spectral._LANCZOS_MIN_N
     w, fiedler, facts, lower = spectral._laplacian_head(G)
     with spectral._one_blas_thread():
         lam, V = np.linalg.eigh(reference_laplacian(G))
