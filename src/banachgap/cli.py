@@ -114,6 +114,17 @@ def _parse_spec(spec: str, forms: dict[str, str]) -> tuple[str, list[int]]:
         raise ValueError(f"{kind} takes {forms[kind]}, got {rest!r}") from None
 
 
+def _parse_range(text: str) -> tuple[int, int]:
+    """``--family``'s ``LO:HI`` as two integers with LO <= HI."""
+    try:
+        lo, hi = map(int, text.split(":"))
+        if lo <= hi:
+            return lo, hi
+    except ValueError:  # not two integers
+        pass
+    raise ValueError(f"--family takes LO:HI with LO <= HI, got {text!r}")
+
+
 def _out_path(args, name: str) -> str | None:
     if not args.out:
         return None
@@ -240,9 +251,9 @@ def _distortion_row(
 def cmd_distort(args) -> int:
     if args.family:
         kind, params = _parse_spec(args.gen or "hamming", FAMILY_FORMS)
-        lo, _, hi = args.family.partition(":")
+        lo, hi = _parse_range(args.family)
         rows = []
-        for n in range(int(lo), int(hi) + 1):
+        for n in range(lo, hi + 1):
             G = gen_family(kind, [n, *params[1:]], seed=args.seed)
             met = all_pairs_distances(G)
             row = _distortion_row(G, met, f"{kind}:{n}", kind, args.p, args.q, args.eps, args.seed, args.restarts)

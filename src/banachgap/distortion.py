@@ -7,16 +7,14 @@ eps) and a displacement route built from the maximal displacement D(G)
 Upper bounds come from explicit embeddings whose bi-Lipschitz constants
 are evaluated exactly over all pairs, in blocks of pairs that run on every
 usable CPU through the process's one worker pool (``_parallel``); the
-results do not depend on the CPU count.  A coarse-union builder and a
-compression-exclusion check cover the asymptotic corollaries at family
-level.
+results do not depend on the CPU count.  A compression-exclusion check
+covers the asymptotic corollary at family level.
 Both lower-bound routes increase with the gap and with D(G), so they take
 the lower ends of those ``spectral.Bound``s and are certified when both are.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 import threading
 from dataclasses import asdict, dataclass
@@ -35,19 +33,16 @@ __all__ = [
     "Displacement",
     "BoundValue",
     "DistortionBounds",
-    "CoarseUnion",
     "ExclusionVerdict",
     "map_distortion",
     "map_distortion_exact_sq",
     "hamming_identity_embedding",
     "frechet_embedding",
     "r_eps_lower",
-    "r_eps_exact",
     "max_displacement",
     "gn_bound",
     "jv_bound",
     "jv_bound_exact_sq",
-    "coarse_union",
     "austin_exclude",
 ]
 
@@ -225,7 +220,6 @@ class REpsBound:
     radius: int
     center: int
     diameter: int
-    subset: tuple[int, ...] | None = None
 
 
 def r_eps_lower(G: MultiGraph, metric: MetricTable, eps: float) -> REpsBound:
@@ -243,36 +237,6 @@ def r_eps_lower(G: MultiGraph, metric: MetricTable, eps: float) -> REpsBound:
         radius=best_r,
         center=best_v,
         diameter=metric.diameter,
-    )
-
-
-def r_eps_exact(G: MultiGraph, metric: MetricTable, eps: float) -> REpsBound:
-    """Exact minimum of diam(A)/diam(G) over subsets with |A| >= ceil(eps n),
-    by enumeration (growing A beyond the threshold cannot shrink diam)."""
-    if G.n > 16:
-        raise ValueError("exact subset enumeration is gated at 16 vertices")
-    if not 0.0 < eps < 1.0:
-        raise ValueError("eps must be in (0, 1)")
-    k = math.ceil(eps * G.n)
-    best = None
-    best_subset: tuple[int, ...] = ()
-    for subset in itertools.combinations(range(G.n), k):
-        dia = 0
-        for a, b in itertools.combinations(subset, 2):
-            if metric.d[a, b] > dia:
-                dia = int(metric.d[a, b])
-            if best is not None and dia >= best:
-                break
-        else:
-            if best is None or dia < best:
-                best, best_subset = dia, subset
-            continue
-    return REpsBound(
-        value=best / metric.diameter,
-        radius=int(best),
-        center=best_subset[0],
-        diameter=metric.diameter,
-        subset=best_subset,
     )
 
 
@@ -444,74 +408,6 @@ class DistortionBounds:
 
     def to_dict(self) -> dict:
         return asdict(self)
-
-
-# ----------------------------------------------------------------------
-# Coarse disjoint unions
-# ----------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class CoarseUnion:
-    components: tuple[MultiGraph, ...]
-    offsets: tuple[int, ...]  # first global index of each component
-    metrics: tuple[MetricTable, ...]
-
-    def component_index(self, global_v: int) -> tuple[int, int]:
-        for i in range(len(self.components) - 1, -1, -1):
-            if global_v >= self.offsets[i]:
-                return i, global_v - self.offsets[i]
-        raise IndexError(global_v)
-
-    def cross_distance(self, i: int, j: int) -> int:
-        # components are indexed from 1 in the separation rule
-        a, b = self.metrics[i].diameter, self.metrics[j].diameter
-        return a + b + (i + 1) + (j + 1)
-
-    def distance(self, x: int, y: int) -> int:
-        i, xi = self.component_index(x)
-        j, yj = self.component_index(y)
-        if i == j:
-            return int(self.metrics[i].d[xi, yj])
-        return self.cross_distance(i, j)
-
-    @property
-    def total_size(self) -> int:
-        return self.offsets[-1] + self.components[-1].n
-
-    def distance_matrix(self) -> np.ndarray:
-        N = self.total_size
-        M = np.zeros((N, N), dtype=np.int64)
-        for x in range(N):
-            for y in range(x + 1, N):
-                M[x, y] = M[y, x] = self.distance(x, y)
-        return M
-
-
-def coarse_union(graphs: list[MultiGraph]) -> CoarseUnion:
-    """Assemble the family into one metric space: path metric inside each
-    component, and the minimal admissible constant
-    diam_i + diam_j + (i+1) + (j+1) across components i < j.  The triangle
-    inequality of the assembled matrix is verified as a construction guard.
-    """
-    if not graphs:
-        raise ValueError("coarse_union needs at least one component")
-    metrics = []
-    offsets = []
-    total = 0
-    for G in graphs:
-        if not G.connected:
-            raise ValueError("coarse_union components must be connected")
-        offsets.append(total)
-        metrics.append(all_pairs_distances(G))
-        total += G.n
-    cu = CoarseUnion(components=tuple(graphs), offsets=tuple(offsets), metrics=tuple(metrics))
-    if total <= 64:
-        M = cu.distance_matrix()
-        viol = (M[:, :, None] + M[None, :, :] < M[:, None, :]).any()
-        if viol:
-            raise AssertionError("triangle inequality violated in coarse union assembly")
-    return cu
 
 
 # ----------------------------------------------------------------------

@@ -48,7 +48,6 @@ __all__ = [
     "GROUP_FORMS",
     "schreier_graph",
     "kappa_estimate",
-    "pak_zuk_nu",
     "verify_sandwich",
     "write_action_file",
     "read_action_file",
@@ -415,37 +414,8 @@ def kappa_estimate(
 
 
 # ----------------------------------------------------------------------
-# Generator-set symmetry factor and the two-sided gap bounds
+# The two-sided gap bounds
 # ----------------------------------------------------------------------
-
-
-def pak_zuk_nu(a: PermutationAction, Q: list[dict[str, str]]) -> int:
-    """Largest |S| / |orbit| over the orbits of the label symmetries Q on S.
-
-    Each element of Q must map the label set bijectively onto itself
-    (ensuring the relabeled generators are again the generating multiset).
-    """
-    labels = set(a.labels)
-    for qi, qmap in enumerate(Q):
-        if set(qmap.keys()) != labels or set(qmap.values()) != labels:
-            raise ValueError(f"symmetry {qi} does not map the generator labels onto themselves")
-    parent = {lab: lab for lab in a.labels}
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for qmap in Q:
-        for lab, img in qmap.items():
-            ra, rb = find(lab), find(img)
-            if ra != rb:
-                parent[ra] = rb
-    sizes: dict[str, int] = {}
-    for lab in a.labels:
-        sizes[find(lab)] = sizes.get(find(lab), 0) + 1
-    return max(a.size // s for s in sizes.values()) if sizes else 1
 
 
 @dataclass(frozen=True)

@@ -29,14 +29,10 @@ from ._parallel import run_chunks
 from .graphs import require_at_least_one
 
 __all__ = [
-    "SphereVector",
     "SphereMap",
     "ModulusEstimate",
     "StabilizedCheck",
-    "mazur_map",
     "mazur_sphere_map",
-    "identity_sphere_map",
-    "canonical_extension",
     "stabilized_map",
     "stabilized_modulus",
     "sphere_sample",
@@ -65,21 +61,6 @@ def _lp_norm(x: np.ndarray, p: float, axis=None):
 
 
 @dataclass(frozen=True)
-class SphereVector:
-    """A point of the unit sphere of l_r^d."""
-
-    coords: np.ndarray
-    exponent: float
-
-    def __post_init__(self):
-        arr = np.asarray(self.coords, dtype=np.float64)
-        object.__setattr__(self, "coords", arr)
-        nrm = float(_lp_norm(arr, self.exponent))
-        if abs(nrm - 1.0) > _UNIT_TOL:
-            raise ValueError(f"not a unit vector: ||x||_{self.exponent} = {nrm}")
-
-
-@dataclass(frozen=True)
 class SphereMap:
     """A map between unit spheres, with an optional known power modulus.
 
@@ -93,22 +74,11 @@ class SphereMap:
     name: str
     modulus: tuple[float, float] | None = None
 
-    def __call__(self, x: np.ndarray) -> np.ndarray:
-        return self.fn(x)
-
 
 def _signed_power(a: np.ndarray, e: float) -> np.ndarray:
     out = np.abs(a, dtype=np.float64)
     out **= e
     return np.copysign(out, a, out=out)
-
-
-def mazur_map(x: SphereVector, q: float) -> SphereVector:
-    """Send a unit vector of l_p to the unit vector of l_q with the same
-    coordinate mass distribution."""
-    require_at_least_one(("q", q))
-    p = x.exponent
-    return SphereVector(_signed_power(x.coords, p / q), q)
 
 
 def mazur_sphere_map(p: float, q: float) -> SphereMap:
@@ -121,16 +91,6 @@ def mazur_sphere_map(p: float, q: float) -> SphereMap:
         return _signed_power(batch, p / q)
 
     return SphereMap(source_p=float(p), target_p=float(q), fn=fn, name=f"M[{p}->{q}]", modulus=mod)
-
-
-def identity_sphere_map(p: float) -> SphereMap:
-    require_at_least_one(("p", p))
-    return SphereMap(source_p=float(p), target_p=float(p), fn=lambda b: b.copy(), name="id", modulus=(1.0, 1.0))
-
-
-def canonical_extension(phi: SphereMap, x: np.ndarray) -> np.ndarray:
-    """Degree-1 homogeneous extension: ||x|| phi(x/||x||), and 0 at 0."""
-    return _extension_batch(phi, np.asarray(x, dtype=np.float64)[None, :])[0]
 
 
 def _extension_batch(phi: SphereMap, rows: np.ndarray) -> np.ndarray:

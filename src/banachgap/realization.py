@@ -25,14 +25,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graphs import MultiGraph, build_graph
+from .graphs import MultiGraph
 from .groups import PermutationAction
 
 __all__ = [
     "SchreierSpec",
     "even_regularize",
     "two_factorize",
-    "reassemble",
     "schreier_realize",
     "verify_realization",
     "spec_to_action",
@@ -179,13 +178,6 @@ def _functional_keys(n: int, perms) -> np.ndarray:
         raise ValueError(f"permutation entry out of range 0..{n - 1}")
     v = np.arange(n)
     return (np.minimum(v, P) * n + np.maximum(v, P)).ravel()
-
-
-def reassemble(n: int, perms: list[np.ndarray]) -> MultiGraph:
-    """Union of functional graphs: one undirected edge {v, sigma(v)} per
-    vertex per permutation; fixed points become loops."""
-    keys, counts = np.unique(_functional_keys(n, perms), return_counts=True)
-    return build_graph(n, zip((keys // n).tolist(), (keys % n).tolist(), counts.tolist()))
 
 
 def schreier_realize(G: MultiGraph, seed: int = 0) -> SchreierSpec:

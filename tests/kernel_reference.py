@@ -14,8 +14,11 @@ pairwise ``Fraction`` distortion and the per-translation displacement that
 code; the per-row float distortion and the all-pairs exact one that it
 then replaced with blocks of pairs; and the enumeration of all
 permutations for the maximal displacement that ``banachgap.distortion``
-solves as a bottleneck matching.  The sphere references are the Gamma(1/p)-and-random-sign
-sampler and the per-bin envelope loop that ``banachgap.mazur`` replaced.
+solves as a bottleneck matching.  ``r_eps_exact`` enumerates subsets for
+the exact r_eps, which the ball certificate ``distortion.r_eps_lower``
+bounds from below.  The sphere references are the
+Gamma(1/p)-and-random-sign sampler and the per-bin envelope loop that
+``banachgap.mazur`` replaced.
 The group references build actions and Schreier graphs element by element
 and vertex by vertex, with m^2 products for the right translations, as
 ``banachgap.groups`` did before it read them off one closure table and one
@@ -412,6 +415,18 @@ def brute_displacement(d):
     for perm in itertools.permutations(range(n)):
         best = max(best, int(min(d[v, perm[v]] for v in range(n))))
     return best
+
+
+def r_eps_exact(d, eps):
+    """min diam(A)/diam(G) over the subsets A of ceil(eps n) vertices, by
+    enumeration (n <= 16; a larger A has no smaller diameter): the oracle
+    for ``distortion.r_eps_lower``."""
+    n = len(d)
+    if n > 16:
+        raise ValueError("exact subset enumeration is gated at 16 vertices")
+    subsets = itertools.combinations(range(n), math.ceil(eps * n))
+    best = min(max((int(d[a, b]) for a, b in itertools.combinations(A, 2)), default=0) for A in subsets)
+    return best / int(d.max())
 
 
 def sphere_sample(rng, count, d, p):

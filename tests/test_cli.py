@@ -241,6 +241,13 @@ def test_distort_family_keeps_the_other_generator_parameters(capsys):
     assert all(r["displacement"] == r["diam"] for r in rows)  # 2-regular and connected: cycles
 
 
+@pytest.mark.parametrize("family", ["5", "8:2"])
+def test_distort_family_refuses_a_malformed_range(capsys, family):
+    assert main(["distort", "--gen", "hamming", "--family", family]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: --family takes LO:HI with LO <= HI, got '{family}'\n" and captured.out == ""
+
+
 def test_mazur_subcommand(tmp_path, capsys):
     code, out = run(capsys, "mazur", "--p", "4", "--pairs", "5000", "--out", str(tmp_path))
     assert code == 0

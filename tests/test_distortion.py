@@ -15,12 +15,12 @@ from kernel_reference import (
     distortion_exact_sq,
     map_distortion_exact_sq_all_pairs,
     map_distortion_rows,
+    r_eps_exact,
 )
 
 from banachgap import _parallel, distortion
 from banachgap.distortion import (
     austin_exclude,
-    coarse_union,
     frechet_embedding,
     gn_bound,
     hamming_identity_embedding,
@@ -29,10 +29,9 @@ from banachgap.distortion import (
     map_distortion,
     map_distortion_exact_sq,
     max_displacement,
-    r_eps_exact,
     r_eps_lower,
 )
-from banachgap.graphs import MetricTable, all_pairs_distances, build_graph, gen_family
+from banachgap.graphs import MetricTable, all_pairs_distances, gen_family
 from banachgap.groups import action_from_group, schreier_graph
 from banachgap.spectral import Bound, gap_estimate, gap_exact_2, gap_oracle_small
 
@@ -218,24 +217,24 @@ def test_r_eps_lower_values(cube3):
 
 def test_r_eps_exact_values():
     K4 = gen_family("complete", [4])
-    assert r_eps_exact(K4, all_pairs_distances(K4), 0.5).value == 1.0
+    assert r_eps_exact(all_pairs_distances(K4).d, 0.5) == 1.0
     C8 = gen_family("cycle", [8])
-    assert r_eps_exact(C8, all_pairs_distances(C8), 0.5).value == 0.75
+    assert r_eps_exact(all_pairs_distances(C8).d, 0.5) == 0.75
     C4 = gen_family("cycle", [4])
-    assert r_eps_exact(C4, all_pairs_distances(C4), 0.75).value == 1.0
+    assert r_eps_exact(all_pairs_distances(C4).d, 0.75) == 1.0
 
 
 def test_r_eps_lower_below_exact_everywhere():
     for G in (gen_family("cycle", [9]), gen_family("hamming", [3]), gen_family("path", [7])):
         met = all_pairs_distances(G)
         for eps in (0.3, 0.5, 0.8):
-            assert r_eps_lower(G, met, eps).value <= r_eps_exact(G, met, eps).value + 1e-12
+            assert r_eps_lower(G, met, eps).value <= r_eps_exact(met.d, eps) + 1e-12
 
 
 def test_r_eps_exact_gate():
     G = gen_family("cycle", [17])
     with pytest.raises(ValueError, match="16"):
-        r_eps_exact(G, all_pairs_distances(G), 0.5)
+        r_eps_exact(all_pairs_distances(G).d, 0.5)
 
 
 def _check_certificate(met, disp):
@@ -417,23 +416,6 @@ def test_frechet_embedding_upper_bound():
     met = all_pairs_distances(G)
     val = map_distortion(G, frechet_embedding(G, met), q=2, metric=met).value
     assert 1.0 <= val < 10.0
-
-
-def test_coarse_union_distances():
-    K2 = build_graph(2, [(0, 1, 1)])
-    cu = coarse_union([K2, K2])
-    assert cu.distance(0, 1) == 1
-    assert cu.distance(0, 2) == 5
-    cu2 = coarse_union([gen_family("cycle", [4]), gen_family("cycle", [6])])
-    assert cu2.distance(0, 4) == 8
-    M = cu2.distance_matrix()
-    assert (M == M.T).all() and (np.diag(M) == 0).all()
-
-
-def test_coarse_union_single_component_plain_metric():
-    C4 = gen_family("cycle", [4])
-    cu = coarse_union([C4])
-    assert cu.distance(0, 2) == 2
 
 
 def test_austin_verdicts():

@@ -21,7 +21,6 @@ from banachgap.groups import (
     PermutationAction,
     action_from_group,
     kappa_estimate,
-    pak_zuk_nu,
     read_action_file,
     schreier_graph,
     verify_sandwich,
@@ -334,25 +333,6 @@ def test_kappa_is_never_below_its_certified_lower(seed, p, d, lanczos):
     assert est.bound.lower_proof == gap.bound.lower_proof is not None
     assert est.bound.lower == (2.0 * gap.bound.lower / a.size) ** (1.0 / p)
     assert est.value >= est.bound.lower * (1 - 1e-9)
-
-
-def test_nu_values():
-    cube = action_from_group("boolean_cube", 3)
-    assert pak_zuk_nu(cube, [{"x0": "x1", "x1": "x2", "x2": "x0"}]) == 1
-    cyc = action_from_group("cyclic", 6)
-    assert pak_zuk_nu(cyc, [{"r": "r~", "r~": "r"}]) == 1
-    sl = action_from_group("sl_mod", 2, 3)
-    swap = {"e01+": "e10+", "e10+": "e01+", "e01-": "e10-", "e10-": "e01-"}
-    assert pak_zuk_nu(sl, [swap]) == 2
-    assert pak_zuk_nu(sl, []) == 4  # no symmetry: singleton orbits
-
-
-def test_nu_rejects_non_label_maps():
-    cube = action_from_group("boolean_cube", 2)
-    with pytest.raises(ValueError, match="labels"):
-        pak_zuk_nu(cube, [{"x0": "x1"}])
-    with pytest.raises(ValueError, match="labels"):
-        pak_zuk_nu(cube, [{"x0": "x0", "x1": "nope"}])
 
 
 def test_sandwich_tight_on_cycles():

@@ -18,27 +18,23 @@ EXPONENTS = [1.0, 1.5, 2.0, 3.0, 4.0]
 
 
 def test_identity_exponent_is_identity():
-    x = mazur.SphereVector(np.array([0.6, -0.8]), 2.0)
-    y = mazur.mazur_map(x, 2.0)
-    assert np.allclose(y.coords, x.coords)
+    x = np.array([[0.6, -0.8]])
+    assert np.allclose(mazur.mazur_sphere_map(2.0, 2.0).fn(x), x)
 
 
 def test_basis_vectors_fixed():
-    x = mazur.SphereVector(np.array([1.0, 0.0, 0.0]), 4.0)
-    y = mazur.mazur_map(x, 2.0)
-    assert np.allclose(y.coords, [1.0, 0.0, 0.0])
+    y = mazur.mazur_sphere_map(4.0, 2.0).fn(np.array([[1.0, 0.0, 0.0]]))
+    assert np.allclose(y, [[1.0, 0.0, 0.0]])
 
 
 def test_half_half_example():
-    x = mazur.SphereVector(np.array([0.5, 0.5]), 1.0)
-    y = mazur.mazur_map(x, 2.0)
-    assert y.exponent == 2.0
-    assert np.allclose(y.coords, [math.sqrt(0.5), math.sqrt(0.5)], atol=1e-12)
+    y = mazur.mazur_sphere_map(1.0, 2.0).fn(np.array([[0.5, 0.5]]))
+    assert np.allclose(y, [[math.sqrt(0.5), math.sqrt(0.5)]], atol=1e-12)
 
 
 def test_non_unit_input_rejected():
-    with pytest.raises(ValueError, match="unit"):
-        mazur.SphereVector(np.array([1.0, 1.0]), 2.0)
+    with pytest.raises(ValueError, match="block norm"):
+        mazur.stabilized_map(mazur.mazur_sphere_map(2.0, 2.0), np.ones((2, 2)), 2.0)
 
 
 @given(
@@ -71,12 +67,13 @@ def test_modulus_catalog():
 
 def test_canonical_extension_values():
     phi = mazur.mazur_sphere_map(1.0, 2.0)
-    assert np.allclose(mazur.canonical_extension(phi, np.zeros(3)), 0.0)
-    ident = mazur.identity_sphere_map(2.0)
-    v = np.array([3.0, -4.0])
-    assert np.allclose(mazur.canonical_extension(ident, v), v)
-    out = mazur.canonical_extension(phi, np.array([1.0, 1.0]))
-    assert np.allclose(out, [math.sqrt(2.0), math.sqrt(2.0)], atol=1e-12)
+    rows = np.array([[0.0, 0.0], [1.0, 1.0]])
+    out = mazur._extension_batch(phi, rows)
+    assert np.array_equal(out[0], [0.0, 0.0])
+    assert np.allclose(out[1], [math.sqrt(2.0), math.sqrt(2.0)], atol=1e-12)
+    assert np.allclose(mazur._extension_batch(phi, 2.5 * rows), 2.5 * out)  # degree-1 homogeneous
+    v = np.array([[3.0, -4.0]])
+    assert np.allclose(mazur._extension_batch(mazur.mazur_sphere_map(2.0, 2.0), v), v)
 
 
 def test_stabilized_single_block_reduces_to_base_map():
@@ -138,7 +135,7 @@ def test_moduli_hold_in_low_dimension(p):
 
 
 def test_estimate_modulus_identity():
-    est = mazur.estimate_modulus(mazur.identity_sphere_map(2.0), "near_pairs", 20000, seed=3, d=8)
+    est = mazur.estimate_modulus(mazur.mazur_sphere_map(2.0, 2.0), "near_pairs", 20000, seed=3, d=8)
     assert est.fitted_alpha == pytest.approx(1.0, abs=0.02)
     assert est.fitted_C == pytest.approx(1.0, rel=0.02)
 
@@ -150,12 +147,12 @@ def test_estimate_modulus_counts_violations_against_false_bound():
 
 
 def test_antipodal_sampler_hits_the_large_end():
-    est = mazur.estimate_modulus(mazur.identity_sphere_map(2.0), "antipodal_pairs", 100, seed=0, d=4)
+    est = mazur.estimate_modulus(mazur.mazur_sphere_map(2.0, 2.0), "antipodal_pairs", 100, seed=0, d=4)
     assert est.eps.max() == pytest.approx(2.0)
 
 
 def test_check_stabilized_identity():
-    chk = mazur.check_stabilized_modulus(mazur.identity_sphere_map(2.0), k=1, p=2.0, n_samples=5000, seed=0)
+    chk = mazur.check_stabilized_modulus(mazur.mazur_sphere_map(2.0, 2.0), k=1, p=2.0, n_samples=5000, seed=0)
     assert chk.bound_C == 4.0 and chk.alpha == 1.0
     assert chk.violations == 0
 
@@ -409,10 +406,10 @@ def test_pool_thread_error_reaches_the_caller(monkeypatch):
     [
         (lambda x: mazur.mazur_sphere_map(x, 2.0), "p"),
         (lambda x: mazur.mazur_sphere_map(2.0, x), "q"),
-        (lambda x: mazur.identity_sphere_map(x), "p"),
-        (lambda x: mazur.mazur_map(mazur.SphereVector(np.array([1.0, 0.0]), 2.0), x), "q"),
+        (lambda x: mazur.mazur_sphere_map(x, x), "p"),
+        (lambda x: mazur.mazur_sphere_map(2.0, x).fn(np.array([[1.0, 0.0]])), "q"),
         (lambda x: mazur.sphere_sample(np.random.default_rng(0), 4, 3, x), "p"),
-        (lambda x: mazur.stabilized_map(mazur.identity_sphere_map(2.0), np.eye(2), x), "block exponent p"),
+        (lambda x: mazur.stabilized_map(mazur.mazur_sphere_map(2.0, 2.0), np.eye(2), x), "block exponent p"),
     ],
 )
 def test_exponents_must_be_finite(call, name, bad):
