@@ -1,10 +1,14 @@
-"""Acceptance suite: one callable per criterion, each returning a result row.
+"""Acceptance suite: one table maps each criterion id to its title, its
+runtime budget and its check.
 
-Every criterion pins its tolerance up front.  Two sub-criteria (4b, 5b)
-check closed forms for the Hamming cube with its n self-inverse bit-flip
-generators (|S| = n): the equality case gap = (|S|/2) kappa^p of the 4a
-sandwich, and kappa = 2/sqrt(n) at p=2.  README.md ("Hamming-cube
-criteria") derives both.
+A check returns its failure lines and the detail it reports when there
+are none.  ``run_suite`` times each check, and a criterion passes when its
+check returns no failure lines within its budget.  Every check pins its
+tolerance up front.  Two sub-criteria (4b, 5b) check closed forms for the
+Hamming cube with its n self-inverse bit-flip generators (|S| = n): the
+equality case gap = (|S|/2) kappa^p of the 4a sandwich, and
+kappa = 2/sqrt(n) at p=2.  README.md ("Hamming-cube criteria") derives
+both.
 """
 
 from __future__ import annotations
@@ -13,6 +17,7 @@ import math
 import time
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property, partial
 
 import numpy as np
 
@@ -28,7 +33,7 @@ from .distortion import (
 )
 from .graphs import MultiGraph, all_pairs_distances, build_graph, gen_family
 from .groups import action_from_group, kappa_estimate, schreier_graph, verify_sandwich
-from .realization import even_regularize, schreier_realize, verify_realization
+from .realization import schreier_realize, verify_realization
 from .spectral import gap as spectral_gap
 from .spectral import extrapolation_report, gap_estimate, gap_exact_2, gap_oracle_small
 
@@ -49,36 +54,50 @@ class CriterionResult:
         return "PASS" if self.passed else "FAIL"
 
 
-def _result(cid, title, passed, t0, budget, details) -> CriterionResult:
-    elapsed = time.perf_counter() - t0
-    if budget is not None and elapsed >= budget:
-        passed = False
-        details += f"; runtime {elapsed:.2f}s exceeded budget {budget:.0f}s"
-    return CriterionResult(cid=cid, title=title, passed=passed, elapsed=elapsed, budget=budget, details=details)
+class _Run:
+    """What one ``run_suite`` call's checks read: the seed, and the sandwich
+    runs that 4a and 4b share, made on the first read."""
+
+    def __init__(self, seed: int):
+        self.seed = seed
+
+    @cached_property
+    def sandwiches(self):
+        """(name, p, cube n or None, sandwich report) per action and p."""
+        runs = []
+        for name, action, d, cube_n in _sandwich_cases():
+            G = schreier_graph(action)
+            for p in (1.0, 2.0, 3.0):
+                gap = spectral_gap(G, p=p, q=p, seed=self.seed, restarts=24)
+                warm = None if cube_n is None else [_cube_symmetrized_start(cube_n, gap.minimizer.values[:, 0])]
+                rep = verify_sandwich(
+                    action, p=p, d=d, nu=1 if cube_n is not None else None, seed=self.seed, gap=gap,
+                    warm_starts=warm, restarts=12,
+                )
+                runs.append((name, p, cube_n, rep))
+        return runs
 
 
 # ----------------------------------------------------------------------
 # 1. Exact p=2 gaps of the closed-form families
 # ----------------------------------------------------------------------
 
+_CLOSED_FORM_GAPS = (
+    ("complete", range(2, 11), float),
+    ("cycle", range(3, 33), lambda n: 4.0 * math.sin(math.pi / n) ** 2),
+    ("hamming", range(1, 9), lambda n: 2.0),
+)
 
-def criterion_1(seed: int = 0) -> CriterionResult:
-    t0 = time.perf_counter()
+
+def _check_1(run: _Run):
     tol = 1e-9
-    worst = 0.0
-    ok = True
-    for n in range(2, 11):
-        got = gap_exact_2(gen_family("complete", [n])).value
-        worst = max(worst, abs(got - n) / n)
-    for n in range(3, 33):
-        want = 4.0 * math.sin(math.pi / n) ** 2
-        got = gap_exact_2(gen_family("cycle", [n])).value
-        worst = max(worst, abs(got - want) / want)
-    for n in range(1, 9):
-        got = gap_exact_2(gen_family("hamming", [n])).value
-        worst = max(worst, abs(got - 2.0) / 2.0)
-    ok = worst <= tol
-    return _result("1", "exact p=2 gaps: K_n, C_n, H_n closed forms", ok, t0, 1.0, f"worst relative error {worst:.2e} (tol {tol:.0e})")
+    worst = max(
+        abs(gap_exact_2(gen_family(kind, [n])).value - want(n)) / want(n)
+        for kind, ns, want in _CLOSED_FORM_GAPS
+        for n in ns
+    )
+    detail = f"worst relative error {worst:.2e} (tol {tol:.0e})"
+    return ([] if worst <= tol else [detail]), detail
 
 
 # ----------------------------------------------------------------------
@@ -98,23 +117,19 @@ _SMALL_GRAPHS = {
 }
 
 
-def criterion_2(seed: int = 0) -> CriterionResult:
-    t0 = time.perf_counter()
+def _check_2(run: _Run):
     lines = []
-    ok = True
     for name, (n, edges) in _SMALL_GRAPHS.items():
         G = build_graph(n, edges)
         res = 1e-4 if n <= 3 else 4e-3
         for p in (1.0, 1.5, 2.0, 3.0):
             oracle = gap_oracle_small(G, p=p, resolution=res)
-            est = gap_estimate(G, p=p, q=2.0, d=1, seed=seed, restarts=20)
+            est = gap_estimate(G, p=p, q=2.0, d=1, seed=run.seed, restarts=20)
             tol = max(1e-3, oracle.diagnostics["grid_error_bound"])
             diff = abs(est.value - oracle.value)
             if diff > tol:
-                ok = False
                 lines.append(f"{name} p={p}: |{est.value:.6f} - {oracle.value:.6f}| = {diff:.2e} > {tol:.2e}")
-    detail = "all 9 connected simple graphs on <=4 vertices, p in {1,1.5,2,3} agree" if ok else "; ".join(lines)
-    return _result("2", "descent matches grid oracle on <=4-vertex graphs", ok, t0, 60.0, detail)
+    return lines, "all 9 connected simple graphs on <=4 vertices, p in {1,1.5,2,3} agree"
 
 
 # ----------------------------------------------------------------------
@@ -122,28 +137,24 @@ def criterion_2(seed: int = 0) -> CriterionResult:
 # ----------------------------------------------------------------------
 
 
-def criterion_3(seed: int = 0) -> CriterionResult:
-    t0 = time.perf_counter()
+def _check_3(run: _Run):
     graphs = {"C6": gen_family("cycle", [6]), "K4": gen_family("complete", [4]), "H3": gen_family("hamming", [3])}
     tol = 0.01
     lines = []
-    ok = True
     for name, G in graphs.items():
         for p in (1.5, 2.0, 3.0):
-            ref = gap_estimate(G, p=p, q=2.0, d=1, seed=seed, restarts=24)
+            ref = gap_estimate(G, p=p, q=2.0, d=1, seed=run.seed, restarts=24)
             base = ref.value
             warm = ref.minimizer.values
             for q in (p, 2.0):
                 for d in (1, 2, 4):
                     W = np.zeros((G.n, d))
                     W[:, 0] = warm[:, 0]
-                    got = gap_estimate(G, p=p, q=q, d=d, seed=seed + d, restarts=16, warm_starts=[W]).value
+                    got = gap_estimate(G, p=p, q=q, d=d, seed=run.seed + d, restarts=16, warm_starts=[W]).value
                     rel = abs(got - base) / base
                     if rel > tol:
-                        ok = False
                         lines.append(f"{name} p={p} q={q} d={d}: {got:.6f} vs {base:.6f} ({rel:.2%})")
-    detail = "matched-exponent and Hilbert block gaps are d-independent to 1%" if ok else "; ".join(lines)
-    return _result("3", "gap stability across block dimensions d in {1,2,4}", ok, t0, None, detail)
+    return lines, "matched-exponent and Hilbert block gaps are d-independent to 1%"
 
 
 # ----------------------------------------------------------------------
@@ -177,58 +188,23 @@ def _sandwich_cases():
     return cases
 
 
-def _run_sandwiches(seed: int):
-    """Shared by 4a/4b: sandwich reports per (action, p) plus cube records."""
-    reports = []
-    cube_records = []
-    for name, action, d, cube_n in _sandwich_cases():
-        G = schreier_graph(action)
-        for p in (1.0, 2.0, 3.0):
-            gap = spectral_gap(G, p=p, q=p, seed=seed, restarts=24)
-            warm = None
-            if cube_n is not None:
-                zeta = gap.minimizer.values[:, 0]
-                warm = [_cube_symmetrized_start(cube_n, zeta)]
-            rep = verify_sandwich(
-                action, p=p, d=d, nu=1 if cube_n is not None else None, seed=seed, gap=gap,
-                warm_starts=warm, restarts=12,
-            )
-            reports.append((name, p, rep))
-            if cube_n is not None:
-                cube_records.append((cube_n, p, rep.generators, rep.gap.value, rep.kappa.value))
-    return reports, cube_records
+def _check_4a(run: _Run):
+    bad = [f"{name} p={p}: slacks {rep.slacks}" for name, p, _, rep in run.sandwiches if not rep.ok]
+    return bad, f"kappa^p <= gap <= (|S|/2) kappa^p on {len(run.sandwiches)} (action, p) cases, slack 1e-2"
 
 
-def criterion_4(seed: int = 0) -> tuple[CriterionResult, CriterionResult]:
-    t0 = time.perf_counter()
-    reports, cube_records = _run_sandwiches(seed)
-    bad = [f"{name} p={p}: slacks {rep.slacks}" for name, p, rep in reports if not rep.ok]
-    ok_a = not bad
-    detail_a = (
-        f"kappa^p <= gap <= (|S|/2) kappa^p on {len(reports)} (action, p) cases, slack 1e-2"
-        if ok_a
-        else "; ".join(bad)
-    )
-    res_a = _result("4a", "two-sided displacement sandwich", ok_a, t0, None, detail_a)
-
-    t1 = time.perf_counter()
-    lines = []
-    ok_b = True
-    for n, p, g, lam, kap in cube_records:
-        target = (g / 2.0) * kap**p
+def _check_4b(run: _Run):
+    lines, bad = [], []
+    for _, p, n, rep in run.sandwiches:
+        if n is None:
+            continue
+        g, lam = rep.generators, rep.gap.value
+        target = (g / 2.0) * rep.kappa.value**p
         rel = abs(target - lam) / lam
-        if rel > 0.05:
-            ok_b = False
         lines.append(f"H{n} p={p}: gap={lam:.4f}, (|S|/2)*kappa^p={target:.4f} (|S|={g}, off {rel:.2%})")
-    res_b = _result(
-        "4b",
-        "Hamming equality gap = (|S|/2) * kappa^p",
-        ok_b,
-        t1,
-        None,
-        "; ".join(lines),
-    )
-    return res_a, res_b
+        if rel > 0.05:
+            bad.append(lines[-1])
+    return bad, "; ".join(lines)
 
 
 # ----------------------------------------------------------------------
@@ -236,44 +212,15 @@ def criterion_4(seed: int = 0) -> tuple[CriterionResult, CriterionResult]:
 # ----------------------------------------------------------------------
 
 
-def criterion_5(seed: int = 0) -> tuple[CriterionResult, CriterionResult]:
-    t0 = time.perf_counter()
-    tol = 1e-3
+def _check_kappa_form(group: str, ns: range, want, form: str, run: _Run):
+    """kappa of ``group(n)`` at p=2 against its closed form ``want(n)``,
+    written ``form`` (with ``{n}``) in a failure line."""
     lines = []
-    ok_a = True
-    for n in range(2, 7):
-        k = kappa_estimate(action_from_group("cyclic", n), p=2.0, d=1, seed=seed).value
-        want = 2.0 * math.sin(math.pi / n)
-        if abs(k - want) > tol:
-            ok_a = False
-            lines.append(f"cyclic({n}): {k:.6f} vs 2sin(pi/{n})={want:.6f}")
-    res_a = _result(
-        "5a",
-        "cyclic displacement constant 2 sin(pi/n) at p=2",
-        ok_a,
-        t0,
-        None,
-        "n in 2..6 within 1e-3" if ok_a else "; ".join(lines),
-    )
-
-    t1 = time.perf_counter()
-    lines = []
-    ok_b = True
-    for n in range(1, 7):
-        k = kappa_estimate(action_from_group("boolean_cube", n), p=2.0, d=1, seed=seed).value
-        want = 2.0 / math.sqrt(n)
-        if abs(k - want) > tol:
-            ok_b = False
-            lines.append(f"boolean_cube({n}): {k:.6f} vs 2/sqrt({n})={want:.6f}")
-    res_b = _result(
-        "5b",
-        "Hamming displacement constant 2/sqrt(n) at p=2",
-        ok_b,
-        t1,
-        None,
-        "n in 1..6 within 1e-3" if ok_b else "; ".join(lines),
-    )
-    return res_a, res_b
+    for n in ns:
+        k = kappa_estimate(action_from_group(group, n), p=2.0, d=1, seed=run.seed).value
+        if abs(k - want(n)) > 1e-3:
+            lines.append(f"{group}({n}): {k:.6f} vs {form.format(n=n)}={want(n):.6f}")
+    return lines, f"n in {ns[0]}..{ns[-1]} within 1e-3"
 
 
 # ----------------------------------------------------------------------
@@ -303,32 +250,25 @@ def _realization_corpus(seed: int):
     return graphs
 
 
-def criterion_6(seed: int = 0) -> CriterionResult:
-    t0 = time.perf_counter()
+def _check_6(run: _Run):
     lines = []
-    ok = True
-    count = 0
-    for name, G in _realization_corpus(seed):
-        count += 1
-        Gp = even_regularize(G)
-        if set(Gp.degrees) != {2 * G.max_degree}:
-            ok = False
+    corpus = _realization_corpus(run.seed)
+    for count, (name, G) in enumerate(corpus, 1):
+        spec = schreier_realize(G, seed=run.seed + count)
+        if set(build_graph(spec.base.n, spec.base.edges).degrees) != {2 * G.max_degree}:  # counted from the edges
             lines.append(f"{name}: regularization not {2 * G.max_degree}-regular")
             continue
-        spec = schreier_realize(G, seed=seed + count)
         good, diff = verify_realization(spec)
         if not good:
-            ok = False
             lines.append(f"{name}: edge multiset mismatch {diff}")
             continue
         if G.n >= 2:
             lam = gap_exact_2(G).value
-            lamp = gap_exact_2(Gp).value
+            lamp = gap_exact_2(spec.base).value
             if abs(lamp - 2.0 * lam) > 1e-9 * max(1.0, 2.0 * lam):
-                ok = False
                 lines.append(f"{name}: gap {lamp} != 2*{lam}")
-    detail = f"{count} graphs: 2-max-degree regularity, exact edge-multiset realization, gap doubling to 1e-9" if ok else "; ".join(lines[:6])
-    return _result("6", "realization as free-generator Schreier graphs", ok, t0, 60.0, detail)
+    detail = f"{len(corpus)} graphs: 2-max-degree regularity, exact edge-multiset realization, gap doubling to 1e-9"
+    return lines[:6], detail
 
 
 # ----------------------------------------------------------------------
@@ -336,10 +276,9 @@ def criterion_6(seed: int = 0) -> CriterionResult:
 # ----------------------------------------------------------------------
 
 
-def criterion_7(seed: int = 0) -> CriterionResult:
-    t0 = time.perf_counter()
+def _check_7(run: _Run):
+    seed = run.seed
     lines = []
-    ok = True
     per_sampler = {"uniform_sphere": 40000, "near_pairs": 40000, "antipodal_pairs": 20000}
     for p in (2.0, 3.0, 4.0, 1.0, 1.5):
         phi = mazur.mazur_sphere_map(p, 2.0)
@@ -349,7 +288,6 @@ def criterion_7(seed: int = 0) -> CriterionResult:
             est = mazur.estimate_modulus(phi, sampler, count, seed=seed, d=16, bound=bound)
             total_viol += est.violations
         if total_viol:
-            ok = False
             lines.append(f"M[{p}->2]: {total_viol} violations of C={bound[0]}, alpha={bound[1]}")
     for p_src in (4.0, 1.0):
         phi = mazur.mazur_sphere_map(p_src, 2.0)
@@ -357,7 +295,6 @@ def criterion_7(seed: int = 0) -> CriterionResult:
             for p_block in (2.0, 3.0):
                 chk = mazur.check_stabilized_modulus(phi, k=k, p=p_block, n_samples=100000, seed=seed, d=8)
                 if chk.violations:
-                    ok = False
                     lines.append(f"stabilized {phi.name} k={k} p={p_block}: {chk.violations} violations of {chk.bound_C}t^{chk.alpha}")
     rng = np.random.Generator(np.random.PCG64(seed))
     worst_rt = 0.0
@@ -368,14 +305,8 @@ def criterion_7(seed: int = 0) -> CriterionResult:
             back = mazur.mazur_sphere_map(q, p)
             worst_rt = max(worst_rt, float(np.abs(back.fn(fwd.fn(x)) - x).max()))
     if worst_rt > 1e-10:
-        ok = False
         lines.append(f"round-trip error {worst_rt:.2e} > 1e-10")
-    detail = (
-        f"zero modulus violations over 1e5 pairs per exponent (incl. stabilized); round-trip max {worst_rt:.1e}"
-        if ok
-        else "; ".join(lines)
-    )
-    return _result("7", "sphere-map moduli and bijectivity", ok, t0, None, detail)
+    return lines, f"zero modulus violations over 1e5 pairs per exponent (incl. stabilized); round-trip max {worst_rt:.1e}"
 
 
 # ----------------------------------------------------------------------
@@ -387,10 +318,8 @@ def criterion_7(seed: int = 0) -> CriterionResult:
 _C8_RATIO_BAND = {1.0: (0.90, 1.10), 1.5: (0.90, 1.10)}
 
 
-def criterion_8(seed: int = 0) -> CriterionResult:
-    t0 = time.perf_counter()
+def _check_8(run: _Run):
     lines = []
-    ok = True
     ratios = {1.0: [], 1.5: []}
     for n in range(2, 9):
         H = gen_family("hamming", [n])
@@ -399,7 +328,6 @@ def criterion_8(seed: int = 0) -> CriterionResult:
         exact_sq = map_distortion_exact_sq(H, F, metric=met)
         jv_sq = jv_bound_exact_sq(D=n, gap=Fraction(2), avg_degree=Fraction(n))
         if exact_sq != Fraction(n) or jv_sq != Fraction(n):
-            ok = False
             lines.append(f"H{n}: exact squared values {exact_sq}, {jv_sq} != {n}")
         # Coordinate cut as a warm start: the same explicit map family the
         # identity embedding uses.  The p = 1 gaps of H2-H4 are enumerated
@@ -410,22 +338,16 @@ def criterion_8(seed: int = 0) -> CriterionResult:
             upper = map_distortion(H, F, q=p, metric=met).value
             target = n ** (1.0 - 1.0 / p)
             if abs(upper - target) > 1e-9 * max(1.0, target):
-                ok = False
                 lines.append(f"H{n} p={p}: upper {upper} != n^(1-1/p) = {target}")
-            gap = gap_estimate(H, p=p, q=p, d=1, seed=seed, restarts=12, warm_starts=[cut])
+            gap = gap_estimate(H, p=p, q=p, d=1, seed=run.seed, restarts=12, warm_starts=[cut])
             ratio = jv_bound(H, gap, p, disp).value / upper
             ratios[p].append(ratio)
             lo, hi = _C8_RATIO_BAND[p]
             if not (lo <= ratio <= hi):
-                ok = False
                 lines.append(f"H{n} p={p}: jv/upper ratio {ratio:.4f} outside locked band [{lo}, {hi}]")
-    detail = (
-        "exact sqrt(n) tightness at p=2 (rational arithmetic); p in {1,1.5} uppers exact, "
-        + ", ".join(f"p={p}: ratios in [{min(r):.3f}, {max(r):.3f}]" for p, r in ratios.items())
-        if ok
-        else "; ".join(lines)
+    return lines, "exact sqrt(n) tightness at p=2 (rational arithmetic); p in {1,1.5} uppers exact, " + ", ".join(
+        f"p={p}: ratios in [{min(r):.3f}, {max(r):.3f}]" for p, r in ratios.items()
     )
-    return _result("8", "Hamming cube distortion tightness", ok, t0, None, detail)
 
 
 # ----------------------------------------------------------------------
@@ -437,26 +359,17 @@ def criterion_8(seed: int = 0) -> CriterionResult:
 _C9_BAND = {3.0: (0.60, 1.10), 1.5: (0.90, 1.50)}
 
 
-def criterion_9(seed: int = 0) -> CriterionResult:
-    t0 = time.perf_counter()
+def _check_9(run: _Run):
     lines = []
-    ok = True
-    family = [gen_family("random_regular", [n, 3], seed=seed + n) for n in (10, 20, 40, 60)]
-    bands = extrapolation_report(family, [3.0, 1.5], seed=seed, restarts=12)["bands"]
+    family = [gen_family("random_regular", [n, 3], seed=run.seed + n) for n in (10, 20, 40, 60)]
+    bands = extrapolation_report(family, [3.0, 1.5], seed=run.seed, restarts=12)["bands"]
     for p, (rmin, rmax) in bands.items():
         lo, hi = _C9_BAND[p]
         if rmax / rmin > 10.0:
-            ok = False
             lines.append(f"p={p}: spread {rmax / rmin:.2f} > 10")
         if not lo <= rmin <= rmax <= hi:
-            ok = False
             lines.append(f"p={p}: ratios [{rmin:.3f}, {rmax:.3f}] outside locked band [{lo}, {hi}]")
-    detail = (
-        "; ".join(f"p={p}: ratios [{rmin:.3f}, {rmax:.3f}], spread {rmax / rmin:.2f}" for p, (rmin, rmax) in bands.items())
-        if ok
-        else "; ".join(lines)
-    )
-    return _result("9", "cross-exponent gap ratios bounded on 3-regular family", ok, t0, None, detail)
+    return lines, "; ".join(f"p={p}: ratios [{rmin:.3f}, {rmax:.3f}], spread {rmax / rmin:.2f}" for p, (rmin, rmax) in bands.items())
 
 
 # ----------------------------------------------------------------------
@@ -464,8 +377,7 @@ def criterion_9(seed: int = 0) -> CriterionResult:
 # ----------------------------------------------------------------------
 
 
-def criterion_10(seed: int = 0) -> CriterionResult:
-    t0 = time.perf_counter()
+def _check_10(run: _Run):
     cubes = [(H, all_pairs_distances(H)) for H in (gen_family("hamming", [n]) for n in range(2, 9))]
     diams = [met.diameter for _, met in cubes]
     # the displacement route at p=2 from the exact gap and D: sqrt(n) on H_n
@@ -475,14 +387,37 @@ def criterion_10(seed: int = 0) -> CriterionResult:
     v04 = austin_exclude(diams, c_lower, lambda t: t**0.4)
     ok = all(b.certified for b in bounds) and v06.verdict == "excluded" and v04.verdict in ("not_excluded", "inconclusive")
     detail = f"t^0.6 -> {v06.verdict} (slope {v06.slope:.3f}); t^0.4 -> {v04.verdict} (slope {v04.slope:.3f})"
-    return _result("10", "compression exponent exclusion for the cube family", ok, t0, 1.0, detail)
+    return ([] if ok else [detail]), detail
 
 
 # ----------------------------------------------------------------------
 # Suite driver
 # ----------------------------------------------------------------------
 
-SUITE_IDS = ["1", "2", "3", "4a", "4b", "5a", "5b", "6", "7", "8", "9", "10"]
+# id -> (title, runtime budget in seconds or None, check)
+_SUITE = {
+    "1": ("exact p=2 gaps: K_n, C_n, H_n closed forms", 1.0, _check_1),
+    "2": ("descent matches grid oracle on <=4-vertex graphs", 60.0, _check_2),
+    "3": ("gap stability across block dimensions d in {1,2,4}", None, _check_3),
+    "4a": ("two-sided displacement sandwich", None, _check_4a),
+    "4b": ("Hamming equality gap = (|S|/2) * kappa^p", None, _check_4b),
+    "5a": (
+        "cyclic displacement constant 2 sin(pi/n) at p=2",
+        None,
+        partial(_check_kappa_form, "cyclic", range(2, 7), lambda n: 2.0 * math.sin(math.pi / n), "2sin(pi/{n})"),
+    ),
+    "5b": (
+        "Hamming displacement constant 2/sqrt(n) at p=2",
+        None,
+        partial(_check_kappa_form, "boolean_cube", range(1, 7), lambda n: 2.0 / math.sqrt(n), "2/sqrt({n})"),
+    ),
+    "6": ("realization as free-generator Schreier graphs", 60.0, _check_6),
+    "7": ("sphere-map moduli and bijectivity", None, _check_7),
+    "8": ("Hamming cube distortion tightness", None, _check_8),
+    "9": ("cross-exponent gap ratios bounded on 3-regular family", None, _check_9),
+    "10": ("compression exponent exclusion for the cube family", 1.0, _check_10),
+}
+SUITE_IDS = list(_SUITE)
 FAST_IDS = ["1", "10"]
 
 
@@ -497,31 +432,23 @@ def _warmup():
 
 
 def run_suite(ids: list[str] | None = None, seed: int = 1) -> list[CriterionResult]:
-    ids = list(SUITE_IDS if ids is None else ids)
+    """Run each criterion named in ``ids`` (default: all) once, in table
+    order.  It passes when its check returns no failure lines, which then
+    replace its detail, and it finishes within its budget."""
+    wanted = set(SUITE_IDS if ids is None else ids)
     _warmup()
-    results: list[CriterionResult] = []
-    pending = set(ids)
-    if "4a" in pending or "4b" in pending:
-        a, b = criterion_4(seed)
-        results.extend([r for r in (a, b) if r.cid in pending])
-    if "5a" in pending or "5b" in pending:
-        a, b = criterion_5(seed)
-        results.extend([r for r in (a, b) if r.cid in pending])
-    singles = {
-        "1": criterion_1,
-        "2": criterion_2,
-        "3": criterion_3,
-        "6": criterion_6,
-        "7": criterion_7,
-        "8": criterion_8,
-        "9": criterion_9,
-        "10": criterion_10,
-    }
-    for cid, fn in singles.items():
-        if cid in pending:
-            results.append(fn(seed))
-    order = {cid: i for i, cid in enumerate(SUITE_IDS)}
-    results.sort(key=lambda r: order.get(r.cid, 99))
+    run = _Run(seed)
+    results = []
+    for cid, (title, budget, check) in _SUITE.items():
+        if cid not in wanted:
+            continue
+        t0 = time.perf_counter()
+        failures, detail = check(run)
+        elapsed = time.perf_counter() - t0
+        over = budget is not None and elapsed >= budget
+        note = f"; runtime {elapsed:.2f}s exceeded budget {budget:.0f}s" if over else ""
+        details = ("; ".join(failures) if failures else detail) + note
+        results.append(CriterionResult(cid, title, not failures and not over, elapsed, budget, details))
     return results
 
 

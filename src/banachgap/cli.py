@@ -41,7 +41,7 @@ from .graphs import (
 from .groups import GROUP_FORMS, KAPPA_RESTARTS, action_from_group, verify_sandwich, write_action_file
 from .realization import schreier_realize, spec_to_action, verify_realization
 from .spectral import gap as spectral_gap
-from .spectral import DEFAULT_MAX_ITER, DEFAULT_RESTARTS, DEFAULT_TOL, gap_estimate, gap_exact_2, gap_oracle_small
+from .spectral import DEFAULT_MAX_ITER, DEFAULT_RESTARTS, DEFAULT_TOL, gap_oracle_small
 
 __all__ = ["main"]
 
@@ -89,12 +89,10 @@ def _fmt_cell(v) -> str:
 
 
 def _load_graph(args) -> MultiGraph:
-    if getattr(args, "file", None):
+    if args.file:
         return read_edge_list(args.file)
-    if getattr(args, "gen", None):
-        kind, params = _parse_spec(args.gen, FAMILY_FORMS)
-        return gen_family(kind, params, seed=args.seed)
-    raise SystemExit("one of --gen KIND:PARAMS or --file PATH is required")
+    kind, params = _parse_spec(args.gen, FAMILY_FORMS)
+    return gen_family(kind, params, seed=args.seed)
 
 
 def _load_action(spec: str):
@@ -150,19 +148,14 @@ def cmd_gen(args) -> int:
 
 def cmd_gap(args) -> int:
     G = _load_graph(args)
-    if args.method == "exact":
-        if (args.p, args.q, args.d) != (2.0, 2.0, 1):
-            raise ValueError(f"--method exact needs --p 2 --q 2 --d 1, got --p {args.p:g} --q {args.q:g} --d {args.d}")
-        est = gap_exact_2(G)
-    elif args.method == "oracle":
+    if args.method == "oracle":
         if (args.q, args.d) != (2.0, 1) or G.n > 4:
             raise ValueError(
                 f"--method oracle needs --q 2 --d 1 and at most 4 vertices, got --q {args.q:g} --d {args.d} on {G.n} vertices"
             )
         est = gap_oracle_small(G, p=args.p, resolution=args.resolution)
     else:
-        solve = spectral_gap if args.method == "auto" else gap_estimate
-        est = solve(
+        est = spectral_gap(
             G, p=args.p, q=args.q, d=args.d, restarts=args.restarts, max_iter=args.max_iter,
             tol=args.tol, seed=args.seed,
         )
@@ -250,7 +243,9 @@ def _distortion_row(
 
 def cmd_distort(args) -> int:
     if args.family:
-        kind, params = _parse_spec(args.gen or "hamming", FAMILY_FORMS)
+        if args.file:
+            raise ValueError("--family sweeps the first --gen parameter; got --file")
+        kind, params = _parse_spec(args.gen, FAMILY_FORMS)
         lo, hi = _parse_range(args.family)
         rows = []
         for n in range(lo, hi + 1):
@@ -335,8 +330,9 @@ def cmd_verify(args) -> int:
 
 
 def _add_graph_source(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--gen", help="generator spec KIND:P1,P2 (cycle, complete, hamming, random_regular, margulis, path)")
-    p.add_argument("--file", help="edge-list file (header 'n m', lines 'u v mult')")
+    source = p.add_mutually_exclusive_group(required=True)
+    source.add_argument("--gen", help="generator spec KIND:P1,P2 (cycle, complete, hamming, random_regular, margulis, path)")
+    source.add_argument("--file", help="edge-list file (header 'n m', lines 'u v mult')")
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:
@@ -360,7 +356,7 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--p", type=float, required=True)
     g.add_argument("--q", type=float, default=2.0)
     g.add_argument("--d", type=int, default=1)
-    g.add_argument("--method", choices=("auto", "exact", "estimate", "oracle"), default="auto")
+    g.add_argument("--method", choices=("auto", "oracle"), default="auto")
     g.add_argument("--restarts", type=int, default=DEFAULT_RESTARTS)
     g.add_argument("--max-iter", type=int, default=DEFAULT_MAX_ITER)
     g.add_argument("--tol", type=float, default=DEFAULT_TOL)

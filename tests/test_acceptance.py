@@ -1,11 +1,14 @@
 """Acceptance gate: one test per criterion, tolerances pinned in
-banachgap.acceptance.  Criteria 4b and 5b assert the Hamming-cube closed
-forms for the n bit-flip generators (|S| = n); README.md derives them
-under "Hamming-cube criteria".
+banachgap.acceptance, then tests of the suite driver.  Criteria 4b and 5b
+assert the Hamming-cube closed forms for the n bit-flip generators
+(|S| = n); README.md derives them under "Hamming-cube criteria".
 """
+
+from unittest import mock
 
 import pytest
 
+from banachgap import acceptance
 from banachgap.acceptance import SUITE_IDS, run_suite
 
 
@@ -71,3 +74,37 @@ def test_criterion_9_extrapolation_band(suite):
 
 def test_criterion_10_compression_exclusion(suite):
     _assert_passed(suite, "10")
+
+
+# The suite driver, on the fast criteria or on patched checks.
+
+
+def test_suite_runs_each_requested_id_once_in_table_order():
+    assert [r.cid for r in run_suite(["10", "1", "10"])] == ["1", "10"]
+
+
+def test_a_sub_criterion_runs_alone():
+    (r,) = run_suite(["5b"])
+    assert (r.cid, r.passed, r.details) == ("5b", True, "n in 1..6 within 1e-3")
+
+
+def test_a_failure_line_fails_the_criterion():
+    title, budget, _ = acceptance._SUITE["10"]
+    with mock.patch.dict(acceptance._SUITE, {"10": (title, budget, lambda run: (["H3 broke"], "fine"))}):
+        (r,) = run_suite(["10"])
+    assert (r.status, r.details) == ("FAIL", "H3 broke")
+
+
+def test_a_check_over_its_budget_fails_without_failure_lines():
+    with mock.patch.dict(acceptance._SUITE, {"10": ("slow", 0.0, lambda run: ([], "fine"))}):
+        (r,) = run_suite(["10"])
+    assert not r.passed
+    assert r.details.startswith("fine; runtime ") and r.details.endswith("s exceeded budget 0s")
+
+
+def test_4a_and_4b_share_one_sandwich_run_per_suite_run():
+    calls = []
+    with mock.patch.object(acceptance, "_sandwich_cases", lambda: calls.append(1) or []):
+        for _ in range(2):
+            assert [r.passed for r in run_suite(["4b", "4a"])] == [True, True]
+    assert len(calls) == 2

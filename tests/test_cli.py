@@ -41,7 +41,7 @@ def test_gap_exact_hamming(tmp_path, capsys):
 
 
 def test_gap_exact_reports_the_lanczos_certificate(capsys):
-    code, out = run(capsys, "gap", "--gen", "margulis:32", "--p", "2", "--method", "exact")
+    code, out = run(capsys, "gap", "--gen", "margulis:32", "--p", "2")
     assert code == 0
     payload = json.loads(out)
     diag = payload["diagnostics"]
@@ -72,9 +72,6 @@ def test_gap_oracle_method(capsys):
 @pytest.mark.parametrize(
     "argv,need",
     [
-        (["--gen", "cycle:6", "--p", "3", "--q", "1.5", "--d", "2", "--method", "exact"], "exact needs --p 2 --q 2 --d 1"),
-        (["--gen", "cycle:6", "--p", "2", "--q", "3", "--method", "exact"], "exact needs --p 2 --q 2 --d 1"),
-        (["--gen", "cycle:6", "--p", "2", "--d", "2", "--method", "exact"], "exact needs --p 2 --q 2 --d 1"),
         (["--gen", "cycle:4", "--p", "1.5", "--q", "3", "--method", "oracle"], "oracle needs --q 2 --d 1 and at most 4"),
         (["--gen", "cycle:4", "--p", "1.5", "--d", "2", "--method", "oracle"], "oracle needs --q 2 --d 1 and at most 4"),
         (["--gen", "cycle:5", "--p", "1.5", "--method", "oracle"], "oracle needs --q 2 --d 1 and at most 4"),
@@ -130,6 +127,24 @@ def test_gap_names_the_line_of_a_bad_edge_file(tmp_path, capsys, text, message):
     path.write_text(text)
     assert main(["gap", "--file", str(path), "--p", "2"]) == 1
     assert capsys.readouterr().err == f"error: {path}, {message}\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["gap", "--gen", "cycle:5", "--file", "p3.edges", "--p", "2"],
+        ["gen", "--gen", "cycle:5", "--file", "p3.edges"],
+        ["gap", "--p", "2"],
+        ["gross", "--verify"],
+        ["distort", "--family", "2:4"],
+    ],
+)
+def test_graph_source_is_one_of_gen_or_file(capsys, argv):
+    # --gen cycle:5 with --file of P3 once printed P3's gap and exited 0
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "--gen" in capsys.readouterr().err
 
 
 def test_gap_reproducible_bytes(tmp_path, capsys):
@@ -246,6 +261,15 @@ def test_distort_family_refuses_a_malformed_range(capsys, family):
     assert main(["distort", "--gen", "hamming", "--family", family]) == 1
     captured = capsys.readouterr()
     assert captured.err == f"error: --family takes LO:HI with LO <= HI, got '{family}'\n" and captured.out == ""
+
+
+def test_distort_family_refuses_a_file(tmp_path, capsys):
+    # it once swept hamming:2..4 and ignored the file
+    path = tmp_path / "p3.edges"
+    path.write_text("3 2\n0 1 1\n1 2 1\n")
+    assert main(["distort", "--file", str(path), "--family", "2:4"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "error: --family sweeps the first --gen parameter; got --file\n" and captured.out == ""
 
 
 def test_mazur_subcommand(tmp_path, capsys):
