@@ -326,14 +326,14 @@ def _check_8(run: _Run):
         met = all_pairs_distances(H)
         F = hamming_identity_embedding(n)
         exact_sq = map_distortion_exact_sq(H, F, metric=met)
-        jv_sq = jv_bound_exact_sq(D=n, gap=Fraction(2), avg_degree=Fraction(n))
+        disp = max_displacement(H, met)
+        jv_sq = jv_bound_exact_sq(D=disp.value, gap=Fraction(2), avg_degree=Fraction(sum(H.degrees), H.n))
         if exact_sq != Fraction(n) or jv_sq != Fraction(n):
             lines.append(f"H{n}: exact squared values {exact_sq}, {jv_sq} != {n}")
         # Coordinate cut as a warm start: the same explicit map family the
         # identity embedding uses.  The p = 1 gaps of H2-H4 are enumerated
         # exactly and ignore it; the descents at p = 1.5 and on H5-H8 use it.
         cut = np.where((np.arange(1 << n) & 1).astype(bool), 1.0, -1.0)[:, None]
-        disp = max_displacement(H, met)
         for p in (1.0, 1.5):
             upper = map_distortion(H, F, q=p, metric=met).value
             target = n ** (1.0 - 1.0 / p)

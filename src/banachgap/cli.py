@@ -12,14 +12,12 @@ import argparse
 import json
 import os
 import sys
-from fractions import Fraction
 
 import numpy as np
 
 from . import mazur as mazur_mod
 from .acceptance import FAST_IDS, SUITE_IDS, format_table, run_suite
 from .distortion import (
-    DistortionBounds,
     frechet_embedding,
     gn_bound,
     hamming_identity_embedding,
@@ -49,18 +47,10 @@ __all__ = ["main"]
 def _round_floats(obj):
     if isinstance(obj, float):
         return float(f"{obj:.12g}")
-    if isinstance(obj, Fraction):
-        return str(obj)
     if isinstance(obj, dict):
         return {k: _round_floats(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
+    if isinstance(obj, list):
         return [_round_floats(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return _round_floats(obj.tolist())
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, (np.floating,)):
-        return _round_floats(float(obj))
     return obj
 
 
@@ -147,6 +137,8 @@ def cmd_gen(args) -> int:
 
 
 def cmd_gap(args) -> int:
+    if args.dump_minimizer and not args.out:
+        raise ValueError("--dump-minimizer writes minimizer.csv under --out; got no --out")
     G = _load_graph(args)
     if args.method == "oracle":
         if (args.q, args.d) != (2.0, 1) or G.n > 4:
@@ -160,7 +152,7 @@ def cmd_gap(args) -> int:
             tol=args.tol, seed=args.seed,
         )
     _emit(args, est.to_dict(), "gap.json")
-    if args.dump_minimizer and args.out:
+    if args.dump_minimizer:
         dump_csv(
             [{f"c{j}": float(x) for j, x in enumerate(row)} for row in est.minimizer.values],
             _out_path(args, "minimizer.csv"),
@@ -214,7 +206,7 @@ def cmd_gross(args) -> int:
 
 def _distortion_row(
     G: MultiGraph, met: MetricTable, graph_id: str, kind: str, p: float, q: float, eps: float, seed: int, restarts: int
-) -> DistortionBounds:
+) -> dict:
     gap = spectral_gap(G, p=p, q=p, seed=seed, restarts=restarts)
     reps = r_eps_lower(G, met, eps)
     if kind == "hamming":
@@ -227,18 +219,18 @@ def _distortion_row(
     upper = map_distortion(G, F, q=q, metric=met).value
     gn = gn_bound(G, gap, p=p, eps=eps, r_eps=reps.value, metric=met)
     jv = jv_bound(G, gap, p=p, D=disp)
-    return DistortionBounds(
-        graph=graph_id,
-        p=p,
-        q=q,
-        gn_lower=gn.value,
-        gn_eps=eps,
-        jv_lower=jv.value,
-        displacement=disp.value,
-        upper=upper,
-        upper_description=upper_desc,
-        certified=gn.certified and jv.certified,
-    )
+    return {
+        "graph": graph_id,
+        "p": p,
+        "q": q,
+        "gn_lower": gn.value,
+        "gn_eps": eps,
+        "jv_lower": jv.value,
+        "displacement": disp.value,
+        "upper": upper,
+        "upper_description": upper_desc,
+        "certified": gn.certified and jv.certified,
+    }
 
 
 def cmd_distort(args) -> int:
@@ -257,10 +249,7 @@ def cmd_distort(args) -> int:
                 {
                     "n": n,
                     "diam": met.diameter,
-                    "gn_lower": row.gn_lower,
-                    "jv_lower": row.jv_lower,
-                    "displacement": row.displacement,
-                    "upper": row.upper,
+                    **{k: row[k] for k in ("gn_lower", "jv_lower", "displacement", "upper")},
                     "target_order": target,
                 }
             )
@@ -271,7 +260,7 @@ def cmd_distort(args) -> int:
     G = _load_graph(args)
     kind = args.gen.partition(":")[0] if args.gen else ""
     row = _distortion_row(G, all_pairs_distances(G), args.gen or args.file, kind, args.p, args.q, args.eps, args.seed, args.restarts)
-    _emit(args, row.to_dict(), "distortion.json")
+    _emit(args, row, "distortion.json")
     return 0
 
 

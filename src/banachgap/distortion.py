@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 import threading
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -32,7 +32,6 @@ __all__ = [
     "REpsBound",
     "Displacement",
     "BoundValue",
-    "DistortionBounds",
     "ExclusionVerdict",
     "map_distortion",
     "map_distortion_exact_sq",
@@ -391,23 +390,6 @@ def jv_bound_exact_sq(D: int, gap: Fraction, avg_degree: Fraction) -> Fraction:
     """Squared displacement bound at p=2 in rational arithmetic:
     D^2 * gap / (2 * avg_degree)."""
     return Fraction(D) ** 2 * gap / (2 * avg_degree)
-
-
-@dataclass(frozen=True)
-class DistortionBounds:
-    graph: str
-    p: float
-    q: float
-    gn_lower: float
-    gn_eps: float
-    jv_lower: float
-    displacement: int
-    upper: float
-    upper_description: str
-    certified: bool
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
 
 # ----------------------------------------------------------------------

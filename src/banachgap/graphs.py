@@ -62,14 +62,6 @@ class MultiGraph:
     def average_degree(self) -> float:
         return sum(self.degrees) / self.n
 
-    @property
-    def oriented_edge_count(self) -> int:
-        # Equals sum of degrees (handshake, loops counted twice).
-        return 2 * sum(m for _, _, m in self.edges)
-
-    def edge_multiset(self) -> dict[tuple[int, int], int]:
-        return {(u, v): m for u, v, m in self.edges}
-
     def memo(self, key: str, build: Callable[[], _T]) -> _T:
         """``build()`` on the first call for ``key``, the stored value after.
 

@@ -1,7 +1,7 @@
 """Permutation actions, Schreier graphs, and displacement constants.
 
 A PermutationAction is a transitive symmetric generating multiset of
-permutations of a coset index set 0..m-1, with explicit inverse pairing
+permutations of the points 0..m-1, with explicit inverse pairing
 between generator slots.  A generator may be marked self-inverse (one slot),
 or a pair of slots may carry the same permutation (formal inverse of an
 involution, as produced by the free generating sets of 2-factorizations).
@@ -18,11 +18,11 @@ The displacement constant for exponent p and block dimension d is
 
     kappa = inf max_s ||xi o s - xi||_p / ||xi||_p
 
-over zero-sum maps xi: cosets -> R^d, with the flat l_p norm over all
+over zero-sum maps xi: points -> R^d, with the flat l_p norm over all
 m*d entries.  It is estimated by annealed smoothed-max descent, the upper
 end of a ``spectral.Bound`` whose lower end (2*gap/|S|)^(1/p) takes the
 lower end of the Schreier graph's gap and its proof: proven at p = 2, and
-at p = 1 on at most ``spectral.CUT_MAX_N`` cosets (cut enumeration).  A
+at p = 1 on at most ``spectral.CUT_MAX_N`` points (cut enumeration).  A
 proven gap also ends the descent once it reaches the bound.
 """
 
@@ -66,7 +66,7 @@ class PermutationAction:
     labels: tuple[str, ...]
     perms: np.ndarray  # (g, m) int64
     inverse: tuple[int, ...]  # slot index of each generator's inverse
-    elements: tuple | None = None  # concrete group elements when cosets are the group itself
+    elements: tuple | None = None  # the group elements, when the points are the group itself
 
     def __post_init__(self):
         perms = np.asarray(self.perms)
@@ -94,7 +94,7 @@ class PermutationAction:
     @cached_property
     def right_translations(self) -> np.ndarray | None:
         """The read-only (m, m) table whose row g maps x to x*g, built on
-        first read and kept on the object; None unless the cosets are the
+        first read and kept on the object; None unless the points are the
         group itself."""
         if self.elements is None:
             return None
@@ -152,8 +152,9 @@ def _search_tree(perms: np.ndarray) -> tuple[list[int], list[int], list[int]]:
 #
 # Each builder returns (seed, gens, mult, inverse_of): an iterable whose
 # first element is the identity, the (label, element) generators, the
-# product, and each label's inverse label.  The seed is lazy, so a group
-# beyond COSET_CAP is refused before its elements are listed.
+# product g * x of a generator g and an element x, and each label's inverse
+# label.  The seed is lazy, so a group beyond COSET_CAP is refused before
+# its elements are listed.
 
 
 def _cyclic_tables(n: int):
@@ -199,15 +200,10 @@ def _sl_tables(n: int, k: int):
     row_ops = {}  # generator I + s E_ij -> (i, j, s)
 
     def mat_mult(x, y):
-        op = row_ops.get(x)
-        if op is not None:  # (I + s E_ij) y adds s times row j of y to row i
-            i, j, sgn = op
-            rows = list(y)
-            rows[i] = tuple((a + sgn * b) % k for a, b in zip(y[i], y[j]))
-            return tuple(rows)
-        return tuple(
-            tuple(sum(x[i][t] * y[t][j] for t in range(n)) % k for j in range(n)) for i in range(n)
-        )
+        i, j, sgn = row_ops[x]  # (I + s E_ij) y adds s times row j of y to row i
+        rows = list(y)
+        rows[i] = tuple((a + sgn * b) % k for a, b in zip(y[i], y[j]))
+        return tuple(rows)
 
     ident = tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
     # I + E_ij and I - E_ij; at k = 2, +1 = -1 and a single self-inverse slot remains
@@ -238,7 +234,7 @@ def _close(seed, gens, mult):
     """Close ``seed`` under left multiplication by ``gens``, breadth first.
 
     Seed elements keep their order and new elements follow in the order a
-    FIFO queue meets them.  Returns the elements, their index, and the
+    FIFO queue meets them.  Returns the elements and the
     (len(gens), m) int64 table whose row s maps x to g_s * x.  More than
     COSET_CAP elements raise RuntimeError; at most COSET_CAP + 1 seed
     elements are drawn before that.
@@ -255,7 +251,7 @@ def _close(seed, gens, mult):
                 index[y] = len(elements)
                 elements.append(y)
             row.append(index[y])
-    return elements, index, np.array(rows, dtype=np.int64).reshape(len(gens), len(elements))
+    return elements, np.array(rows, dtype=np.int64).reshape(len(gens), len(elements))
 
 
 def _right_translations(perms: np.ndarray) -> np.ndarray:
@@ -276,29 +272,14 @@ def _right_translations(perms: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(L.T)
 
 
-def _left_cosets(elements, index, H, mult):
-    """Number the left cosets xH by first appearance in ``elements``.
+def action_from_group(kind: str, *params: int) -> PermutationAction:
+    """Standard actions on the group itself: cyclic(n), boolean_cube(n),
+    symmetric(n), sl_mod(n, k).
 
-    Returns each element's coset number and each coset's first element.
-    """
-    coset_of = np.full(len(elements), -1, dtype=np.int64)
-    reps: list[int] = []
-    for xi, x in enumerate(elements):
-        if coset_of[xi] < 0:
-            coset_of[[index[mult(x, h)] for h in H]] = len(reps)
-            reps.append(xi)
-    return coset_of, reps
-
-
-def action_from_group(kind: str, *params: int, subgroup="trivial") -> PermutationAction:
-    """Standard actions: cyclic(n), boolean_cube(n), symmetric(n), sl_mod(n, k).
-
-    ``subgroup`` is "trivial" (cosets are the group elements) or an iterable
-    of element indices whose generated subgroup H defines the left coset
-    space.  Element 0 is the identity.  The elements of cyclic and
-    boolean_cube are the integers 0..m-1 in order (a cube vertex is its
-    bitmask), those of symmetric are itertools.permutations order, and those
-    of sl_mod follow the breadth-first closure from the identity.
+    Element 0 is the identity.  The elements of cyclic and boolean_cube are
+    the integers 0..m-1 in order (a cube vertex is its bitmask), those of
+    symmetric are itertools.permutations order, and those of sl_mod follow
+    the breadth-first closure from the identity.
     """
     if kind not in _GROUPS:
         raise ValueError(f"unknown group kind {kind!r}")
@@ -308,15 +289,8 @@ def action_from_group(kind: str, *params: int, subgroup="trivial") -> Permutatio
     seed, gens, mult, inverse_of = tables(*params)
     labels = tuple(lab for lab, _ in gens)
     inverse = tuple(labels.index(inverse_of[lab]) for lab in labels)
-    elements, index, perms = _close(seed, [g for _, g in gens], mult)
-
-    if subgroup == "trivial":
-        action = PermutationAction(len(elements), labels, perms, inverse, tuple(elements))
-    else:
-        H, _, _ = _close(elements[:1], [elements[i] for i in subgroup], mult)
-        coset_of, reps = _left_cosets(elements, index, H, mult)
-        action = PermutationAction(len(reps), labels, coset_of[perms.take(reps, axis=1)], inverse)
-    return _refuse_identity(action)
+    elements, perms = _close(seed, [g for _, g in gens], mult)
+    return _refuse_identity(PermutationAction(len(elements), labels, perms, inverse, tuple(elements)))
 
 
 # ----------------------------------------------------------------------

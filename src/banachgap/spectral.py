@@ -58,6 +58,10 @@ CERTIFIED_REL = 1e-9  # relative slack of the order check of two proven ends, an
 # this many vertices: 0.02-0.03 s at n = 24 on one BLAS thread.
 CUT_MAX_N = 24
 
+# The most grid points gap_oracle_small scans; a finer resolution is refused.
+# The CLI default, 1e-3, scans 9.9M points on four vertices (0.6 s).
+GRID_MAX_POINTS = 1 << 24
+
 # Graphs of at least this many vertices get lambda_2 and the Fiedler vector
 # from a certified Lanczos run (_lanczos_head); smaller ones from one dense
 # eigh.  Per solve on one BLAS thread of a 2-vCPU Xeon VM (best of 5),
@@ -85,11 +89,8 @@ class VectorMap:
     p: float
 
     def __post_init__(self):  # a 1-D map is one column
-        object.__setattr__(self, "values", _as_matrix(self.values))
-
-    @property
-    def d(self) -> int:
-        return self.values.shape[1]
+        arr = np.asarray(self.values, dtype=np.float64)
+        object.__setattr__(self, "values", np.ascontiguousarray(arr[:, None] if arr.ndim == 1 else arr))
 
 
 @dataclass(frozen=True)
@@ -119,9 +120,14 @@ class Estimate:
         return self.bound.upper
 
     def to_dict(self) -> dict:
-        """The value, the bound's ends and proofs, and every field but the minimiser."""
+        """The value, the bound's ends and proofs, and every field but the
+        minimiser.  A lower end without a proof is None: it is an estimate,
+        and may even lie above the upper end, whose minimiser proves it."""
+        ends = asdict(self.bound)
+        if ends["lower_proof"] is None:
+            ends["lower"] = None
         rest = {f.name: getattr(self, f.name) for f in fields(self) if f.name not in ("bound", "minimizer")}
-        return {"value": self.value, **asdict(self.bound), **rest}
+        return {"value": self.value, **ends, **rest}
 
 
 @dataclass(frozen=True)
@@ -135,37 +141,22 @@ class GapEstimate(Estimate):
     diagnostics: dict = field(default_factory=dict)
 
 
-def _as_matrix(values) -> np.ndarray:
-    arr = np.asarray(values, dtype=np.float64)
-    if arr.ndim == 1:
-        arr = arr[:, None]
-    return np.ascontiguousarray(arr)
-
-
-def rayleigh_quotient(G: MultiGraph, f: VectorMap | np.ndarray, p: float | None = None, q: float | None = None) -> float:
+def rayleigh_quotient(G: MultiGraph, f: VectorMap) -> float:
     """Edge-energy quotient of a nonconstant map; raises if f is constant."""
-    if isinstance(f, VectorMap):
-        p = f.p if p is None else p
-        q = f.q if q is None else q
-        F = _as_matrix(f.values)
-    else:
-        if p is None or q is None:
-            raise ValueError("p and q required when passing a bare array")
-        F = _as_matrix(f)
-    require_at_least_one(("p", p), ("q", q))
-    if F.shape[0] != G.n:
-        raise ValueError(f"map has {F.shape[0]} rows, graph has {G.n} vertices")
-    F = F - F.mean(axis=0)
+    require_at_least_one(("p", f.p), ("q", f.q))
+    if f.values.shape[0] != G.n:
+        raise ValueError(f"map has {f.values.shape[0]} rows, graph has {G.n} vertices")
+    F = f.values - f.values.mean(axis=0)
     eu, ev, em = G.nonloop_arrays()
-    E, D = _kernels.ratio_parts(F, eu, ev, em, float(p), float(q))
+    E, D = _kernels.ratio_parts(F, eu, ev, em, float(f.p), float(f.q))
     if D <= 0.0:
         raise ValueError("constant map: quotient undefined")
     return E / D
 
 
-def _check_estimate(G: MultiGraph, est: GapEstimate, rel: float = 1e-12) -> GapEstimate:
+def _check_estimate(G: MultiGraph, est: GapEstimate) -> GapEstimate:
     r = rayleigh_quotient(G, est.minimizer)
-    if abs(r - est.value) > rel * max(1.0, abs(est.value)):
+    if abs(r - est.value) > 1e-12 * max(1.0, abs(est.value)):
         raise AssertionError(f"gap value {est.value} does not match recomputed quotient {r}")
     return est
 
@@ -538,10 +529,11 @@ def gap_oracle_small(G: MultiGraph, p: float, resolution: float = 1e-4) -> GapEs
     grid point's antipode is a grid point, so only the k + 1 rows of one
     hemisphere are scanned, each row's jumps wrapping around from its last
     column to its first.  Every grid point is an admissible map, so only the
-    upper end is proven.  The diagnostics' ``grid_points`` counts the
-    scanned points, and ``grid_error_bound`` is twice the largest jump
-    between neighbouring grid values, a heuristic estimate of the grid
-    error, not a proven bound.
+    upper end is proven.  A resolution that asks for more than
+    ``GRID_MAX_POINTS`` scanned points raises ValueError.  The diagnostics'
+    ``grid_points`` counts the scanned points, and ``grid_error_bound`` is
+    twice the largest jump between neighbouring grid values, a heuristic
+    estimate of the grid error, not a proven bound.
     """
     if G.n > 4:
         raise ValueError("gap_oracle_small supports at most 4 vertices")
@@ -571,6 +563,10 @@ def gap_oracle_small(G: MultiGraph, p: float, resolution: float = 1e-4) -> GapEs
         k = max(4, int(math.ceil(math.pi / (2.0 * resolution))))
         nth, nph = k + 1, 2 * max(4, int(math.ceil(math.pi / resolution)))
         basis, hth, hph = (B[:, 0], B[:, 1], B[:, 2]), math.pi / (2 * k), 2.0 * math.pi / nph
+    if nth * nph > GRID_MAX_POINTS:
+        raise ValueError(
+            f"resolution {resolution:g} asks for {nth * nph} grid points on {G.n} vertices; the most is {GRID_MAX_POINTS}"
+        )
     b1, b2, b3 = basis
     value, th, ph, maxjump = _kernels.oracle_grid(b1, b2, b3, eu, ev, em, pf, nth, hth, nph, hph)
     minimizer = (math.sin(th) * math.cos(ph) * b1 + math.sin(th) * math.sin(ph) * b2 + math.cos(th) * b3)[:, None]

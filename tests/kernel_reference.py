@@ -505,35 +505,17 @@ def _group(kind, params):
     return elements, index, gens, mult, inverse_of
 
 
-def group_action(kind, *params, subgroup="trivial"):
+def group_action(kind, *params):
     """``groups.action_from_group`` from ``_group``'s products."""
     elements, index, gens, mult, inverse_of = _group(kind, params)
     labels = tuple(lab for lab, _ in gens)
     inverse = tuple(labels.index(inverse_of[lab]) for lab in labels)
-    if subgroup == "trivial":
-        m = len(elements)
-        perms = np.empty((len(gens), m), dtype=np.int64)
-        for gi, (_, g) in enumerate(gens):
-            for xi, x in enumerate(elements):
-                perms[gi, xi] = index[mult(g, x)]
-        return groups.PermutationAction(m, labels, perms, inverse, tuple(elements))
-    H = {elements[0]}
-    frontier = [elements[0]]
-    while frontier:
-        frontier = [y for y in {mult(elements[i], x) for x in frontier for i in subgroup} if y not in H]
-        H.update(frontier)
-    coset_of, cosets = {}, []
-    for xi, x in enumerate(elements):
-        if xi not in coset_of:
-            members = sorted(index[mult(x, h)] for h in H)
-            for mem in members:
-                coset_of[mem] = len(cosets)
-            cosets.append(members)
-    perms = np.empty((len(gens), len(cosets)), dtype=np.int64)
+    m = len(elements)
+    perms = np.empty((len(gens), m), dtype=np.int64)
     for gi, (_, g) in enumerate(gens):
-        for ci, coset in enumerate(cosets):
-            perms[gi, ci] = coset_of[index[mult(g, elements[coset[0]])]]
-    return groups.PermutationAction(len(cosets), labels, perms, inverse)
+        for xi, x in enumerate(elements):
+            perms[gi, xi] = index[mult(g, x)]
+    return groups.PermutationAction(m, labels, perms, inverse, tuple(elements))
 
 
 def right_translations(kind, *params):
@@ -611,8 +593,8 @@ def reassemble(n, perms):
 def verify_realization(spec):
     """Edge multiset dicts of the base and the reassembly, and their
     symmetric difference."""
-    want = spec.base.edge_multiset()
-    got = reassemble(spec.base.n, list(spec.perms)).edge_multiset()
+    want = {(u, v): m for u, v, m in spec.base.edges}
+    got = {(u, v): m for u, v, m in reassemble(spec.base.n, list(spec.perms)).edges}
     if want == got:
         return True, {}
     diff = {}

@@ -56,9 +56,17 @@ def test_gap_estimate_and_minimizer_dump(tmp_path, capsys):
         capsys, "gap", "--gen", "cycle:5", "--p", "1.5", "--restarts", "6", "--out", str(tmp_path), "--dump-minimizer"
     )
     assert code == 0
-    assert json.loads(out)["lower_proof"] is None
+    payload = json.loads(out)
+    assert (payload["lower"], payload["lower_proof"]) == (None, None)
     lines = (tmp_path / "minimizer.csv").read_text().strip().splitlines()
     assert len(lines) == 6  # header + 5 vertices
+
+
+def test_gap_dump_minimizer_needs_out(capsys):
+    assert main(["gap", "--gen", "cycle:6", "--p", "1.5", "--dump-minimizer"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "error: --dump-minimizer writes minimizer.csv under --out; got no --out\n"
+    assert captured.out == ""
 
 
 def test_gap_oracle_method(capsys):
@@ -66,7 +74,7 @@ def test_gap_oracle_method(capsys):
     assert code == 0
     payload = json.loads(out)
     assert abs(payload["value"] - 3.0) < 1e-2
-    assert (payload["lower_proof"], payload["upper_proof"]) == (None, "admissible_map")
+    assert (payload["lower"], payload["lower_proof"], payload["upper_proof"]) == (None, None, "admissible_map")
 
 
 @pytest.mark.parametrize(
@@ -165,6 +173,19 @@ def test_kappa_subcommand(capsys):
     payload = json.loads(out)
     assert abs(payload["kappa"]["value"] - 1.0) < 1e-3
     assert payload["sandwich"]["lower_ok"] and payload["sandwich"]["upper_ok"]
+
+
+def test_kappa_writes_null_for_unproven_ends(capsys):
+    # Two restarts leave the p = 3 gap of C6 at 1.0 (the default 16 find
+    # 0.8209), so kappa's unproven lower end (2 gap / |S|)^(1/p) = 1.0 would
+    # sit above its upper end 0.9388.  Both lower ends print as null.
+    code, out = run(capsys, "kappa", "--group", "cyclic:6", "--p", "3", "--restarts", "2")
+    assert code == 1  # the descent gap breaks the sandwich's upper inequality
+    payload = json.loads(out)
+    for est in (payload["kappa"], payload["gap"]):
+        assert (est["lower"], est["lower_proof"]) == (None, None)
+        assert est["upper"] == est["value"] and est["upper_proof"] == "admissible_map"
+    assert payload["kappa"]["value"] == pytest.approx(0.938774584229, rel=1e-11)
 
 
 def test_gross_subcommand(tmp_path, capsys):

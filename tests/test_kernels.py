@@ -22,7 +22,7 @@ from banachgap import _kernels
 from banachgap.acceptance import _SMALL_GRAPHS
 from banachgap.graphs import build_graph, gen_family
 from banachgap.groups import action_from_group, kappa_estimate, schreier_graph
-from banachgap.spectral import _fiedler_start, gap_estimate, gap_oracle_small, mean_zero_basis, rayleigh_quotient
+from banachgap.spectral import VectorMap, _fiedler_start, gap_estimate, gap_oracle_small, mean_zero_basis, rayleigh_quotient
 
 BETAS = np.array([1e1, 1e2, 1e3, 1e4])
 
@@ -582,7 +582,7 @@ def test_oracle_grid_matches_the_circle_and_sphere_scans(monkeypatch, name, p, r
     _, args, _ = _oracle_calls(monkeypatch, G, p, res)
     nth, nph = args[7], args[9]
     if n == 2:
-        want = (rayleigh_quotient(G, B[0][:, None], p=p, q=2.0), 0.0, 0.0, 0.0)
+        want = (rayleigh_quotient(G, VectorMap(B[0][:, None], q=2.0, p=p)), 0.0, 0.0, 0.0)
     elif n == 3:
         value, t, maxjump = oracle_circle(B[0], B[1], eu, ev, em, p, nth)
         want = (value, t, 0.0, maxjump)

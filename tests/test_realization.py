@@ -32,9 +32,7 @@ def test_regularize_single_edge():
 def test_regularize_path_pads_endpoints():
     Gp = even_regularize(gen_family("path", [3]))
     assert set(Gp.degrees) == {4}
-    assert Gp.edge_multiset()[(0, 0)] == 1
-    assert Gp.edge_multiset()[(2, 2)] == 1
-    assert (1, 1) not in Gp.edge_multiset()
+    assert {(u, m) for u, v, m in Gp.edges if u == v} == {(0, 1), (2, 1)}  # one loop at each end, none at 1
 
 
 def test_regularize_loop_vertex():

@@ -32,29 +32,29 @@ H3 = gen_family("hamming", [3])
 
 def test_quotient_single_edge():
     K2 = build_graph(2, [(0, 1, 1)])
-    assert rayleigh_quotient(K2, np.array([0.0, 1.0]), p=2, q=2) == pytest.approx(2.0)
+    assert rayleigh_quotient(K2, VectorMap(np.array([0.0, 1.0]), q=2, p=2)) == pytest.approx(2.0)
 
 
 def test_quotient_c4_eigenvector():
     C4 = gen_family("cycle", [4])
     f = np.array([1.0, 0.0, -1.0, 0.0])
-    assert rayleigh_quotient(C4, f, p=2, q=2) == pytest.approx(2.0)
+    assert rayleigh_quotient(C4, VectorMap(f, q=2, p=2)) == pytest.approx(2.0)
 
 
 def test_quotient_constant_map_rejected():
     with pytest.raises(ValueError, match="constant"):
-        rayleigh_quotient(C6, np.ones(6), p=2, q=2)
+        rayleigh_quotient(C6, VectorMap(np.ones(6), q=2, p=2))
 
 
 def test_one_dimensional_vector_map_is_one_column():
     f = VectorMap(np.arange(6.0), q=2.0, p=2.0)
-    assert f.d == 1 and f.values.shape == (6, 1)
-    assert rayleigh_quotient(C6, f) == rayleigh_quotient(C6, np.arange(6.0), p=2.0, q=2.0)
+    assert f.values.shape == (6, 1)
+    assert rayleigh_quotient(C6, f) == rayleigh_quotient(C6, VectorMap(np.arange(6.0)[:, None], q=2.0, p=2.0))
 
 
 def test_quotient_ignores_loops_and_counts_multiplicity():
     G = build_graph(2, [(0, 1, 2), (0, 0, 3)])
-    assert rayleigh_quotient(G, np.array([0.0, 1.0]), p=2, q=2) == pytest.approx(4.0)
+    assert rayleigh_quotient(G, VectorMap(np.array([0.0, 1.0]), q=2, p=2)) == pytest.approx(4.0)
 
 
 @given(
@@ -69,8 +69,8 @@ def test_translation_and_scaling_invariance(G, vals, alpha, shift, p):
     f = np.array(vals[: G.n], dtype=float)
     if np.allclose(f, f[0]):
         f[0] += 1.0
-    base = rayleigh_quotient(G, f, p=p, q=2)
-    moved = rayleigh_quotient(G, alpha * f + shift, p=p, q=2)
+    base = rayleigh_quotient(G, VectorMap(f, q=2, p=p))
+    moved = rayleigh_quotient(G, VectorMap(alpha * f + shift, q=2, p=p))
     assert moved == pytest.approx(base, rel=1e-9)
 
 
@@ -178,8 +178,8 @@ def test_estimate_rejects_bad_exponents():
         (lambda x: gap_estimate(C6, p=1.5, q=x), "q"),
         (lambda x: gap(C6, p=x), "p"),
         (lambda x: gap_oracle_small(gen_family("cycle", [4]), p=x), "p"),
-        (lambda x: rayleigh_quotient(C6, np.arange(6.0), p=x, q=2.0), "p"),
-        (lambda x: rayleigh_quotient(C6, np.arange(6.0), p=2.0, q=x), "q"),
+        (lambda x: rayleigh_quotient(C6, VectorMap(np.arange(6.0), q=2.0, p=x)), "p"),
+        (lambda x: rayleigh_quotient(C6, VectorMap(np.arange(6.0), q=x, p=2.0)), "q"),
     ],
 )
 def test_exponents_must_be_finite(call, name, bad):
@@ -219,6 +219,29 @@ def test_oracle_grid_minimum_is_an_upper_bound():
 def test_oracle_refuses_bad_resolution(resolution):
     with pytest.raises(ValueError, match="resolution must be a positive finite number"):
         gap_oracle_small(gen_family("cycle", [4]), p=1.5, resolution=resolution)
+
+
+class _GridReached(Exception):
+    pass
+
+
+def test_oracle_refuses_a_grid_above_the_cap(monkeypatch):
+    """The CLI default resolution on four vertices reaches the grid kernel;
+    1e-9 on three vertices, which scanned for minutes, is refused before it.
+    The kernel is stubbed, so neither grid is built."""
+    sizes = []
+
+    def stub(*args):
+        sizes.append(args[7] * args[9])  # nth * nph
+        raise _GridReached
+
+    monkeypatch.setattr(spectral._kernels, "oracle_grid", stub)
+    with pytest.raises(_GridReached):
+        gap_oracle_small(K4, p=1.5, resolution=1e-3)
+    assert sizes == [1572 * 6284] and sizes[0] <= spectral.GRID_MAX_POINTS
+    with pytest.raises(ValueError, match="^resolution 1e-09 asks for 3141592654 grid points on 3 vertices; the most is"):
+        gap_oracle_small(gen_family("complete", [3]), p=2.0, resolution=1e-9)
+    assert len(sizes) == 1
 
 
 def test_oracle_cross_checks_descent_on_kinked_case():
@@ -534,7 +557,7 @@ def test_cut_route_at_d_above_one_only_when_q_is_one():
     for q, d, method in [(1.0, 1, "cut_enumeration"), (2.0, 1, "cut_enumeration"), (1.0, 3, "cut_enumeration"),
                          (2.0, 2, "multistart_descent"), (1.5, 3, "multistart_descent")]:
         est = gap_estimate(C6, p=1.0, q=q, d=d, seed=0, restarts=2, max_iter=20)
-        assert (est.method, est.minimizer.d, est.q) == (method, d, q)
+        assert (est.method, est.minimizer.values.shape[1], est.q) == (method, d, q)
     assert gap_estimate(C6, p=1.5, q=1.0, d=1, restarts=2, max_iter=20).method == "multistart_descent"
 
 
