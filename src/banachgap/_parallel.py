@@ -10,8 +10,10 @@ never depend on the number of threads or the order chunks finish in.  A
 chunk's exception reaches the caller.
 
 Users: the sphere-modulus estimators (``mazur._stream``), the all-sources
-BFS (``graphs._bfs_all_sources``) and the pairwise distortion
-(``distortion.map_distortion`` and ``map_distortion_exact_sq``).  A chunk
+BFS (``graphs._bfs_all_sources``), the pairwise distortion
+(``distortion.map_distortion`` and ``map_distortion_exact_sq``) and the
+panel solves and trailing updates of the blocked Cholesky certificate of
+lambda_2 (``spectral._factors``).  A chunk
 calls no public banachgap name: a tracer that wraps public names keeps one
 span stack, and spans opened on pool threads would misnest on it.
 

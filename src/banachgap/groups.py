@@ -56,7 +56,7 @@ __all__ = [
 KAPPA_BETAS = (1e1, 1e2, 1e3, 1e4)
 KAPPA_RESTARTS = 16  # default starts of kappa_estimate, verify_sandwich and the CLI's kappa
 _KAPPA_TOL = 1e-12  # the kappa descent's stopping tolerance
-COSET_CAP = 20000
+GROUP_ORDER_CAP = 20000
 SANDWICH_TOLERANCE = 1e-2  # relative slack of verify_sandwich's inequalities
 
 
@@ -153,8 +153,10 @@ def _search_tree(perms: np.ndarray) -> tuple[list[int], list[int], list[int]]:
 # Each builder returns (seed, gens, mult, inverse_of): an iterable whose
 # first element is the identity, the (label, element) generators, the
 # product g * x of a generator g and an element x, and each label's inverse
-# label.  The seed is lazy, so a group beyond COSET_CAP is refused before
-# its elements are listed.
+# label.  The seed is lazy, so a group beyond GROUP_ORDER_CAP is refused
+# before its elements are listed.  Each builder refuses the orders at which
+# a generator would be the identity (cyclic(1), boolean_cube(0),
+# symmetric(1), sl_mod(n, 1)), so no group action has an identity slot.
 
 
 def _cyclic_tables(n: int):
@@ -236,15 +238,15 @@ def _close(seed, gens, mult):
     Seed elements keep their order and new elements follow in the order a
     FIFO queue meets them.  Returns the elements and the
     (len(gens), m) int64 table whose row s maps x to g_s * x.  More than
-    COSET_CAP elements raise RuntimeError; at most COSET_CAP + 1 seed
-    elements are drawn before that.
+    GROUP_ORDER_CAP elements raise RuntimeError; at most
+    GROUP_ORDER_CAP + 1 seed elements are drawn before that.
     """
-    elements = list(islice(seed, COSET_CAP + 1))
+    elements = list(islice(seed, GROUP_ORDER_CAP + 1))
     index = {x: i for i, x in enumerate(elements)}
     rows: list[list[int]] = [[] for _ in gens]
     for x in elements:  # the list grows while it is walked: a FIFO queue
-        if len(elements) > COSET_CAP:
-            raise RuntimeError(f"group order exceeds cap {COSET_CAP}")
+        if len(elements) > GROUP_ORDER_CAP:
+            raise RuntimeError(f"group order exceeds cap {GROUP_ORDER_CAP}")
         for row, g in zip(rows, gens):
             y = mult(g, x)
             if y not in index:
@@ -290,7 +292,7 @@ def action_from_group(kind: str, *params: int) -> PermutationAction:
     labels = tuple(lab for lab, _ in gens)
     inverse = tuple(labels.index(inverse_of[lab]) for lab in labels)
     elements, perms = _close(seed, [g for _, g in gens], mult)
-    return _refuse_identity(PermutationAction(len(elements), labels, perms, inverse, tuple(elements)))
+    return PermutationAction(len(elements), labels, perms, inverse, tuple(elements))
 
 
 # ----------------------------------------------------------------------

@@ -27,12 +27,13 @@ import contextlib
 import ctypes
 import functools
 import math
+import time
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
 
-from . import _kernels
+from . import _kernels, _parallel
 from .graphs import MultiGraph, require_at_least_one
 
 __all__ = [
@@ -63,21 +64,28 @@ CUT_MAX_N = 24
 GRID_MAX_POINTS = 1 << 24
 
 # Graphs of at least this many vertices get lambda_2 and the Fiedler vector
-# from a certified Lanczos run (_lanczos_head); smaller ones from one dense
-# eigh.  Per solve on one BLAS thread of a 2-vCPU Xeon VM (best of 5),
-# Lanczos with its Cholesky certificate against eigh, in ms:
-#   H8 1.5 / 4.3, boolean_cube(8) Schreier graph 1.7 / 4.4,
-#   sl_mod(2,7) 3.8 / 8.3, margulis(20) 6.2 / 15.9, H9 6.8 / 28.6,
-#   margulis(24) 10.4 / 40.3, symmetric(6) 15.2 / 65.3,
-#   random_regular(998,3) 96 / 228.
-# Lanczos loses on random_regular(256,3), which converges slowly (16.8 /
-# 7.1; level at n = 400), and on cycles and paths, which give up after
-# 40 steps and then pay for the eigh too (+2 ms).
+# from a Lanczos run (_laplacian_head), certified for exact requests
+# (_exact_head); smaller ones from one dense eigh.  Per solve on one BLAS
+# thread of a 2-vCPU Xeon VM (best of 5), Lanczos with its Cholesky
+# certificate against eigh, in ms:
+#   H8 1.9 / 5.2, boolean_cube(8) Schreier graph 1.4 / 5.1,
+#   sl_mod(2,7) 4.3 / 9.2, margulis(20) 7.0 / 17.5, H9 8.2 / 30.3,
+#   margulis(24) 13.4 / 42.2, symmetric(6) 19.3 / 66.3,
+#   random_regular(998,3) 59 / 224.
+# Lanczos loses on random_regular(256,3), which converges slowly (9.0 /
+# 6.9; it wins at n = 400, 13.7 / 18.6), and on cycles and paths, which
+# give up after 40 steps and then pay for the eigh too (+2 ms).
 _LANCZOS_MIN_N = 256
 _LANCZOS_MAX_STEPS = 400
 _LANCZOS_CHECK_EVERY = 20  # steps between solves of the tridiagonal system
-_LANCZOS_RTOL = 1e-11  # converged once ||L y - theta y|| <= _LANCZOS_RTOL * theta
+_DGKS = 1.0 / math.sqrt(2.0)  # a second Gram-Schmidt pass when the first left less of ||w|| than this
 _LANCZOS_SEED = 20131017  # fixed start vector, so the head is deterministic
+# The certificate factors graphs of at least _CERT_BLOCKED_MIN_N vertices in
+# blocks of _CERT_BLOCK columns on the worker pool, and smaller ones in one
+# np.linalg.cholesky call: on two CPUs, blocks of 128 lost up to 0.7 ms at
+# n = 256-400 and won 1.5 ms at n = 512.
+_CERT_BLOCK = 128
+_CERT_BLOCKED_MIN_N = 512
 
 
 @dataclass(frozen=True)
@@ -212,19 +220,39 @@ def _laplacian_matvec(G: MultiGraph):
     return mul
 
 
+def _certificate_margin(G: MultiGraph, theta: float) -> tuple[int, float]:
+    """The integer t and the margin of the Cholesky certificate at theta
+    (``_cholesky_certificate``): t is the least integer with ``t n >
+    theta``, and the margin is ``(gamma_{n+1}/(1 - gamma_{n+1}) + u)
+    (trace(L) + t n)``."""
+    n = G.n
+    u = 2.0**-53
+    gamma = (n + 1) * u / (1.0 - (n + 1) * u)
+    t = math.floor(theta / n) + 1
+    _, _, em = G.nonloop_arrays()
+    return t, (gamma / (1.0 - gamma) + u) * (2.0 * float(em.sum()) + t * n)
+
+
 def _lanczos(G: MultiGraph) -> tuple[np.ndarray, np.ndarray, int, float]:
     """Lanczos on the mean-zero subspace, with full reorthogonalisation.
 
     Returns the three smallest Ritz values (the first replaced by
     ``y^T L y``), the unit mean-zero Ritz vector y of the smallest, the
     step count and the residual ``||L y - y^T L y y||``.  The run stops
-    once the residual is at most ``_LANCZOS_RTOL`` times the value, or at
+    once the residual is at most the certificate's margin at theta
+    (``_certificate_margin``), the resolution its proof has anyway, or at
     ``min(_LANCZOS_MAX_STEPS, n - 1)`` steps, or when the Krylov space
     stops growing; the caller reads convergence off the residual.
 
+    Each step removes the earlier vectors by one Gram-Schmidt pass, and by
+    a second only when the first shrank ``||w||`` below ``_DGKS`` of its
+    value before the pass (Daniel, Gragg, Kaufman and Stewart, Math. Comp.
+    30, 1976): a pass that cancels little leaves w orthogonal to working
+    precision.
+
     It also gives up at a check where ``r / theta`` has not fallen since
     the last check and is still at least 1: at that rate it cannot reach
-    the tolerance, and theta is not yet located.  A clustered low spectrum
+    the margin, and theta is not yet located.  A clustered low spectrum
     (``cycle(2000)``, ``path(1000)``) keeps ``r / theta`` at 4-20 for all
     400 steps, while every converging run measured (random regular graphs
     of 1000-2000 vertices, Margulis, Hamming and Schreier graphs) is below
@@ -249,13 +277,17 @@ def _lanczos(G: MultiGraph) -> tuple[np.ndarray, np.ndarray, int, float]:
         if k:
             w -= beta[k - 1] * Q[k - 1]
         B = Q[: k + 1]
+        norm = np.linalg.norm(w)
         for _ in range(2):
             # The constant vector is the zero eigenvector: without removing
             # it here, rounding lets it back in and the smallest Ritz value
             # sinks towards 0.
             w -= w.mean()
             w -= (B @ w) @ B
-        beta[k] = np.linalg.norm(w)
+            before, norm = norm, np.linalg.norm(w)
+            if norm >= _DGKS * before:
+                break
+        beta[k] = norm
         steps = k + 1
         last = steps == kmax or beta[k] <= 1e-10 * scale
         if steps % _LANCZOS_CHECK_EVERY == 0 or last:
@@ -269,7 +301,7 @@ def _lanczos(G: MultiGraph) -> tuple[np.ndarray, np.ndarray, int, float]:
             theta = float(y @ Ly)
             r = float(np.linalg.norm(Ly - theta * y))
             rel = r / theta
-            if last or rel <= _LANCZOS_RTOL or rel >= max(rel_last, 1.0):
+            if last or r <= _certificate_margin(G, theta)[1] or rel >= max(rel_last, 1.0):
                 ritz = ritz[:3].copy()
                 ritz[0] = theta
                 return ritz, y, steps, r
@@ -278,101 +310,169 @@ def _lanczos(G: MultiGraph) -> tuple[np.ndarray, np.ndarray, int, float]:
     raise AssertionError("unreachable: the last step always returns")
 
 
-def _cholesky_lower_bound(G: MultiGraph, theta: float, r: float) -> float | None:
-    """A proven lower bound on lambda_2 near ``theta - r``, or None.
+def _factors(A: np.ndarray) -> bool:
+    """Whether Cholesky factors the symmetric matrix that the lower triangle
+    of the n x n array ``A`` holds.  Overwrites ``A``.
 
-    Factors ``A = L + t 11^T - s I`` by Cholesky, with t the least integer
-    with ``t n > theta`` (so off-diagonal entries are exact integers) and
-    ``s = theta - r - margin``.  Success means the computed factor R has
-    ``R^T R = A + dA`` with ``|dA| <= gamma_{n+1} |R^T||R|`` (Higham,
-    Accuracy and Stability of Numerical Algorithms, Thm 10.3), whence
-    ``||dA||_2 <= gamma/(1 - gamma) trace(A)``; rounding the shifted
-    diagonal adds at most ``u`` times its largest entry.  Their sum,
-    bounded with ``trace(A) <= trace(L) + t n``, is the margin, so every
-    eigenvalue of ``L + t 11^T`` is at least ``s - margin``.  Those
-    eigenvalues are ``t n`` on the constants and lambda_2..lambda_n on the
-    mean-zero subspace, so lambda_2 >= s - margin, also inside a degenerate
-    eigenspace.  The factored shift sits one margin below ``theta - r`` so
-    that rounding in the factorisation does not make it fail.
+    From ``_CERT_BLOCKED_MIN_N`` vertices the factorisation runs in place,
+    ``_CERT_BLOCK`` columns at a time.  Each diagonal block is one
+    ``np.linalg.cholesky`` call on the block's lower triangle, mirrored.
+    The panel solve ``L21 = A21 L11^-T`` and the trailing update ``A22 -=
+    L21 L21^T`` run on the worker pool, in chunks of four blocks of rows
+    (each chunk's solve factors its matrix again) and of one block of rows.
+    The chunks do not depend on the CPU count, so neither does the answer.
+
+    The panel solve is pure substitution: ``np.linalg.solve`` pivots, so it
+    gets the upper-triangular ``L11[::-1, ::-1]`` and the reversed
+    right-hand sides, and its pivot search sees only exact zeros below the
+    diagonal.  Every entry of the factor is then an inner product, summed
+    in some order, followed by a division or a square root, as in LAPACK's
+    own blocked ``potrf``; Thm 10.3 holds for any order of summation, so
+    the certificate's margin is unchanged.
+    """
+    n = len(A)
+    width = n if n < _CERT_BLOCKED_MIN_N else _CERT_BLOCK
+    panel = 4 * width
+    for k in range(0, n, width):
+        e = min(k + width, n)
+        D = A[k:e, k:e]  # the first block is A's own, exactly symmetric
+        try:
+            L11 = np.linalg.cholesky(np.tril(D) + np.tril(D, -1).T if k else D)
+        except np.linalg.LinAlgError:
+            return False
+        U, L21 = L11[::-1, ::-1], np.empty((n - e, e - k))
+
+        def solve(i):
+            lo, hi = i * panel, min((i + 1) * panel, n - e)
+            L21[lo:hi] = np.linalg.solve(U, A[e + lo : e + hi, k:e][:, ::-1].T)[::-1].T
+
+        def update(i):
+            lo, hi = i * width, min((i + 1) * width, n - e)
+            A[e + lo : e + hi, e : e + hi] -= L21[lo:hi] @ L21[:hi].T
+
+        _parallel.run_chunks(-(-(n - e) // panel), solve)
+        _parallel.run_chunks(-(-(n - e) // width), update)
+    return True
+
+
+def _cholesky_certificate(G: MultiGraph, theta: float, r: float) -> dict | None:
+    """The witness ``{t, shift, margin}`` of the proven lower bound ``shift
+    - margin`` on lambda_2, near ``theta - r``, or None.
+
+    Factors ``A = L + t 11^T - s I`` by Cholesky (``_factors``), with t
+    and the margin from ``_certificate_margin`` (so off-diagonal entries
+    are exact integers) and ``s = theta - r - margin``.  Success means the
+    computed factor R has ``R^T R = A + dA`` with ``|dA| <= gamma_{n+1}
+    |R^T||R|`` (Higham, Accuracy and Stability of Numerical Algorithms,
+    Thm 10.3), whence ``||dA||_2 <= gamma/(1 - gamma) trace(A)``; rounding
+    the shifted diagonal adds at most ``u`` times its largest entry.
+    Their sum, bounded with ``trace(A) <= trace(L) + t n``, is the margin,
+    so every eigenvalue of ``L + t 11^T`` is at least ``s - margin``.
+    Those eigenvalues are ``t n`` on the constants and lambda_2..lambda_n
+    on the mean-zero subspace, so lambda_2 >= s - margin, also inside a
+    degenerate eigenspace.  The factored shift sits one margin below
+    ``theta - r`` so that rounding in the factorisation does not make it
+    fail.  ``A`` is the one n x n array the certificate holds.
     """
     n = G.n
-    u = 2.0**-53
-    gamma = (n + 1) * u / (1.0 - (n + 1) * u)
-    t = math.floor(theta / n) + 1
-    _, _, em = G.nonloop_arrays()
-    margin = (gamma / (1.0 - gamma) + u) * (2.0 * float(em.sum()) + t * n)
+    t, margin = _certificate_margin(G, theta)
     s = theta - r - margin
     if s <= 0.0:
         return None
     A = G.add_laplacian(np.full((n, n), float(t)))
     A.reshape(-1)[:: n + 1] -= s
-    try:
-        np.linalg.cholesky(A)
-    except np.linalg.LinAlgError:
-        return None
-    return s - margin
+    return {"t": t, "shift": s, "margin": margin} if _factors(A) else None
 
 
-def _lanczos_head(G: MultiGraph) -> tuple[np.ndarray, np.ndarray, dict, float | None]:
-    """``[0, theta, theta_3, theta_4]``, the Fiedler vector, the solver
-    facts and the proven lower bound on lambda_2 from one Lanczos run and
-    its Cholesky certificate.
-
-    theta is the Rayleigh quotient of a mean-zero vector, so theta >=
-    lambda_2; theta_3 and theta_4 are Ritz values, upper bounds on lambda_3
-    and lambda_4 by interlacing.  The lower bound is None when the run did
-    not converge or the certificate failed.
-    """
-    ritz, y, steps, r = _lanczos(G)
-    theta = float(ritz[0])
-    lower = _cholesky_lower_bound(G, theta, r) if r <= _LANCZOS_RTOL * theta else None
-    return np.concatenate([[0.0], ritz]), y, {"eigensolver": "lanczos", "lanczos_steps": steps, "residual": r}, lower
+def _dense_head(G: MultiGraph) -> tuple[np.ndarray, np.ndarray]:
+    """``w[:4]`` and ``V[:, 1]`` of one dense eigh of the Laplacian."""
+    w, V = np.linalg.eigh(G.laplacian())
+    return w[: min(4, len(w))].copy(), V[:, 1].copy()
 
 
-def _laplacian_head(G: MultiGraph) -> tuple[np.ndarray, np.ndarray, dict, float | None]:
-    """The first min(4, n) Laplacian eigenvalues, the Fiedler vector, the
-    solver facts and the Cholesky lower bound on lambda_2 (None on the
-    dense path), solved once per graph object.
+def _laplacian_head(G: MultiGraph) -> tuple[np.ndarray, np.ndarray, dict]:
+    """The first min(4, n) Laplacian eigenvalues, the Fiedler vector and
+    the solver facts, solved once per graph object.  A descent's Fiedler
+    start reads this and nothing else.
 
-    At ``n >= _LANCZOS_MIN_N`` a certified Lanczos run gives them; when it
-    does not converge or its certificate fails, and below that size, one
-    dense eigh does, and the eigenvalues are ``w[:4]`` and the vector
-    ``V[:, 1]``.  The arrays are read-only.  Only these O(n) floats stay on
+    At ``n >= _LANCZOS_MIN_N`` a Lanczos run gives ``[0, theta, theta_3,
+    theta_4]`` and its Ritz vector when its residual reaches the
+    certificate's margin; theta is the Rayleigh quotient of a mean-zero
+    vector, so theta >= lambda_2, and theta_3 and theta_4 are Ritz values,
+    upper bounds on lambda_3 and lambda_4 by interlacing.  When the run
+    does not converge, and below that size, one dense eigh gives them
+    (``_dense_head``); a failed run leaves its steps, residual and time in
+    the facts.  The arrays are read-only.  Only these O(n) floats stay on
     the graph, never the full eigenbasis or the dense Laplacian.
     """
 
     def solve():
-        facts, lower = {"lanczos_steps": 0, "residual": None}, None
+        facts = {"eigensolver": "dense", "lanczos_steps": 0, "residual": None, "lanczos_s": 0.0}
         with _one_blas_thread():
             if G.n >= _LANCZOS_MIN_N:
-                w, fiedler, facts, lower = _lanczos_head(G)
-            if lower is None:  # a failed run leaves its steps and residual in the facts
-                facts["eigensolver"] = "dense"
-                w, V = np.linalg.eigh(G.laplacian())
-                w, fiedler = w[: min(4, len(w))].copy(), V[:, 1].copy()
+                t0 = time.perf_counter()
+                ritz, y, steps, r = _lanczos(G)
+                facts.update(lanczos_steps=steps, residual=r, lanczos_s=time.perf_counter() - t0)
+                if r <= _certificate_margin(G, float(ritz[0]))[1]:
+                    w, fiedler = np.concatenate([[0.0], ritz]), y
+                    facts["eigensolver"] = "lanczos"
+            if facts["eigensolver"] == "dense":
+                w, fiedler = _dense_head(G)
         for a in (w, fiedler):
             a.setflags(write=False)
-        return w, fiedler, facts, lower
+        return w, fiedler, facts
 
     return G.memo("laplacian_head", solve)
+
+
+def _exact_head(G: MultiGraph) -> tuple[np.ndarray, np.ndarray, dict]:
+    """``_laplacian_head`` with its certificate, once per graph object: the
+    facts gain ``certificate`` (``_cholesky_certificate``'s witness, None
+    on the dense path) and ``certificate_s``.  Where the certificate fails,
+    one dense eigh answers here, and the head that descents read keeps the
+    Lanczos vector, so a descent's start does not depend on whether an
+    exact request ran first."""
+
+    def solve():
+        w, fiedler, facts = _laplacian_head(G)
+        facts = {**facts, "certificate": None, "certificate_s": 0.0}
+        if facts["eigensolver"] == "lanczos":
+            t0 = time.perf_counter()
+            with _one_blas_thread():
+                facts["certificate"] = _cholesky_certificate(G, float(w[1]), facts["residual"])
+                if facts["certificate"] is None:
+                    facts["eigensolver"] = "dense"
+                    w, fiedler = _dense_head(G)
+                    for a in (w, fiedler):
+                        a.setflags(write=False)
+            facts["certificate_s"] = time.perf_counter() - t0
+        return w, fiedler, facts
+
+    return G.memo("exact_head", solve)
 
 
 def gap_exact_2(G: MultiGraph) -> GapEstimate:
     """Exact gap at (p, q, d) = (2, 2, 1): second-smallest Laplacian eigenvalue.
 
     The diagnostics name the solver (``eigensolver``, ``lanczos_steps``,
-    ``residual``).  The dense eigensolve proves both ends of the bound; on
-    the Lanczos path the value theta is the upper end and the Cholesky
-    certificate proves the lower end.
+    ``residual``), the certificate's witness (``certificate``: ``t``,
+    ``shift`` and ``margin``, with the lower end ``shift - margin``) and
+    the seconds of the two stages (``lanczos_s``, ``certificate_s``).  The
+    dense eigensolve proves both ends of the bound; on the Lanczos path
+    the value theta is the upper end and the Cholesky certificate proves
+    the lower end.
     """
     if not G.connected:
         raise ValueError("gap_exact_2 requires a connected graph")
     if G.n < 2:
         raise ValueError("gap undefined on a single vertex (no nonconstant maps)")
-    w, fiedler, facts, lower = _laplacian_head(G)
-    lam = float(w[1])
+    w, fiedler, facts = _exact_head(G)
+    lam, cert = float(w[1]), facts["certificate"]
+    bound = Bound(lam, lam, "eigh", "eigh")
+    if cert is not None:
+        bound = Bound(cert["shift"] - cert["margin"], lam, "cholesky", "admissible_map")
     est = GapEstimate(
-        bound=Bound(lam, lam, "eigh", "eigh") if lower is None else Bound(lower, lam, "cholesky", "admissible_map"),
+        bound=bound,
         minimizer=VectorMap(fiedler[:, None].copy(), q=2.0, p=2.0),
         method="eigen_exact",
         p=2.0,

@@ -28,6 +28,9 @@ def test_gen_random_regular_prints_int_edges(capsys):
     assert all(type(x) is int for e in payload["edges"] for x in e)
 
 
+_WITNESS_KEYS = {"certificate", "lanczos_s", "certificate_s"}
+
+
 def test_gap_exact_hamming(tmp_path, capsys):
     code, out = run(capsys, "gap", "--gen", "hamming:3", "--p", "2", "--out", str(tmp_path))
     assert code == 0
@@ -38,6 +41,8 @@ def test_gap_exact_hamming(tmp_path, capsys):
     diag = payload["diagnostics"]
     assert diag["eigensolver"] == "dense" and diag["lanczos_steps"] == 0
     assert diag["residual"] is None and payload["lower"] == payload["upper"] == payload["value"]
+    assert set(diag) == {"eigenvalues_head", "eigensolver", "lanczos_steps", "residual"} | _WITNESS_KEYS
+    assert (diag["certificate"], diag["lanczos_s"], diag["certificate_s"]) == (None, 0.0, 0.0)
 
 
 def test_gap_exact_reports_the_lanczos_certificate(capsys):
@@ -45,10 +50,17 @@ def test_gap_exact_reports_the_lanczos_certificate(capsys):
     assert code == 0
     payload = json.loads(out)
     diag = payload["diagnostics"]
+    assert set(diag) == {"eigenvalues_head", "eigensolver", "lanczos_steps", "residual"} | _WITNESS_KEYS
     assert diag["eigensolver"] == "lanczos" and 0 < diag["lanczos_steps"] <= 400
-    assert 0.0 <= diag["residual"] <= 1e-11 * payload["value"]
+    cert = diag["certificate"]
+    assert set(cert) == {"t", "shift", "margin"} and cert["t"] == 1
+    # the witness of the lower end, and the run's stop at its resolution
+    assert payload["lower"] == pytest.approx(cert["shift"] - cert["margin"], rel=1e-11)
+    assert 0.0 <= diag["residual"] <= cert["margin"]
+    assert payload["value"] - payload["lower"] <= 1e-7 * payload["value"]
     assert 0.0 < payload["lower"] <= payload["value"] == payload["upper"]
     assert (payload["lower_proof"], payload["upper_proof"]) == ("cholesky", "admissible_map")
+    assert diag["lanczos_s"] > 0.0 and diag["certificate_s"] > 0.0
 
 
 def test_gap_estimate_and_minimizer_dump(tmp_path, capsys):

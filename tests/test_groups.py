@@ -178,6 +178,24 @@ def test_identity_generators_are_refused_only_by_group_and_file_actions(tmp_path
     assert schreier_graph(spec_to_action(spec)).edges == spec.base.edges
 
 
+@pytest.mark.parametrize(
+    "kind,params,message,least",
+    [
+        ("cyclic", (1,), "cyclic needs n >= 2", (2,)),
+        ("symmetric", (1,), "symmetric needs n >= 2", (2,)),
+        ("boolean_cube", (0,), "boolean_cube needs n >= 1", (1,)),
+        ("sl_mod", (2, 1), "sl_mod needs n >= 2, k >= 2", (2, 2)),
+    ],
+)
+def test_builders_refuse_the_orders_with_an_identity_generator(kind, params, message, least):
+    # action_from_group does not look for identity generators: the builders
+    # refuse these orders, and the least orders they admit have none.
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        action_from_group(kind, *params)
+    least = action_from_group(kind, *least)
+    assert not (least.perms == np.arange(least.m)).all(axis=1).any()
+
+
 @st.composite
 def _paired_perms(draw):
     """Random permutations of up to 9 points, each paired with its inverse;

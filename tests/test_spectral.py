@@ -1,5 +1,6 @@
 import math
 import time
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from hypothesis import strategies as st
 from kernel_reference import cut_quotient_min
 from kernel_reference import laplacian as reference_laplacian
 
-from banachgap import spectral
+from banachgap import _parallel, spectral
 from banachgap.acceptance import _SMALL_GRAPHS, _sandwich_cases
 from banachgap.graphs import build_graph, gen_family
 from banachgap.groups import action_from_group, schreier_graph
@@ -272,6 +273,14 @@ def test_extrapolation_report():
 # ----------------------------------------------------------------------
 
 
+_STAGE_TIMES = ("lanczos_s", "certificate_s")
+
+
+def _untimed(diagnostics):
+    """The diagnostics without the stage times, which differ between runs."""
+    return {k: v for k, v in diagnostics.items() if k not in _STAGE_TIMES}
+
+
 def _gap_calls(graph):
     """gap_exact_2, then the descent at p in {1.5, 3} and d in {1, 2}, each
     on the graph ``graph()`` returns."""
@@ -290,7 +299,7 @@ def test_cached_head_gives_the_same_bytes_as_fresh_graphs(kind, params):
     for a, b in zip(shared, fresh):
         assert a.value == b.value
         assert a.minimizer.values.tobytes() == b.minimizer.values.tobytes()
-        assert a.diagnostics == b.diagnostics
+        assert _untimed(a.diagnostics) == _untimed(b.diagnostics)
 
 
 def test_eigh_runs_once_per_graph_object(monkeypatch):
@@ -392,6 +401,7 @@ def _lanczos_cases():
         ("margulis(20)", lambda: gen_family("margulis", [20])),
         ("margulis(24)", lambda: gen_family("margulis", [24])),
         ("margulis(32)", lambda: gen_family("margulis", [32])),
+        ("H8", lambda: gen_family("hamming", [8])),
         ("H9", lambda: gen_family("hamming", [9])),
         ("H10", lambda: gen_family("hamming", [10])),
         ("symmetric(6)", lambda: schreier_graph(action_from_group("symmetric", 6))),
@@ -406,17 +416,25 @@ def _lanczos_cases():
 def _assert_certified_head(G):
     # Also inside a degenerate eigenspace (H9, H10), where the vector is
     # another one of the eigenspace than eigh's.
-    w, y, facts, lower = spectral._lanczos_head(G)
+    with mock.patch.object(spectral, "_LANCZOS_MIN_N", 2):
+        w, y, facts = spectral._exact_head(G)
     L = reference_laplacian(G)
     lam = np.linalg.eigvalsh(L)
-    assert facts["eigensolver"] == "lanczos" and lower is not None
+    cert = facts["certificate"]
+    assert facts["eigensolver"] == "lanczos" and cert is not None
+    lower = cert["shift"] - cert["margin"]
     assert abs(w[1] - lam[1]) <= 1e-9 * lam[1]
     assert lower <= lam[1] <= w[1] * (1 + 1e-12)
     # theta_3 and theta_4 are Ritz values, so upper bounds by interlacing.
     assert np.all(w[2:] >= lam[2 : len(w)] * (1 - 1e-12))
     assert w[0] == 0.0 and abs(y.sum()) <= 1e-12 and np.linalg.norm(y) == pytest.approx(1.0, rel=1e-14)
-    assert facts["residual"] <= 1e-11 * w[1]
-    assert np.linalg.norm(L @ y - w[1] * y) <= 1e-11 * w[1] + 1e-13
+    # The run stops at the certificate's resolution, so the interval is at
+    # most r + 2 margin <= 3 margin wide.
+    assert (cert["t"], cert["margin"]) == spectral._certificate_margin(G, w[1])
+    assert cert["shift"] == w[1] - facts["residual"] - cert["margin"]
+    assert facts["residual"] <= cert["margin"]
+    assert np.linalg.norm(L @ y - w[1] * y) <= cert["margin"] + 1e-13
+    assert w[1] - lower <= 1e-7 * w[1]
 
 
 @pytest.mark.parametrize("build", _lanczos_cases())
@@ -430,24 +448,35 @@ def test_lanczos_head_is_certified_on_multigraphs(G):
     _assert_certified_head(G)
 
 
+@pytest.mark.parametrize("n", [256, 512, 1000])
+def test_complete_heads_are_certified(n):
+    # lambda_2 = n, with the largest trace per vertex, so the widest margin
+    est = gap_exact_2(gen_family("complete", [n]))
+    assert est.bound.lower_proof == "cholesky" and est.bound.lower <= n <= est.value * (1 + 1e-12)
+    assert est.value - est.bound.lower <= 1e-7 * n
+
+
 def test_large_head_takes_the_lanczos_path():
     G = gen_family("margulis", [32])
     est = gap_exact_2(G)
-    w, y, facts, lower = spectral._lanczos_head(gen_family("margulis", [32]))
+    w, y, facts = spectral._exact_head(gen_family("margulis", [32]))
+    cert = facts["certificate"]
     assert est.diagnostics["eigensolver"] == "lanczos"
     assert est.value == w[1] and est.minimizer.values[:, 0].tobytes() == y.tobytes()
-    assert est.bound == Bound(lower, w[1], "cholesky", "admissible_map")
-    assert {k: est.diagnostics[k] for k in facts} == facts
+    assert est.bound == Bound(cert["shift"] - cert["margin"], w[1], "cholesky", "admissible_map")
+    assert _untimed(est.diagnostics) == {"eigenvalues_head": list(w), **_untimed(facts)}
+    assert all(est.diagnostics[k] > 0.0 for k in _STAGE_TIMES)
 
 
 def test_head_below_the_threshold_is_the_dense_eigh():
     G = gen_family("hamming", [7])
     assert G.n < spectral._LANCZOS_MIN_N
-    w, fiedler, facts, lower = spectral._laplacian_head(G)
+    w, fiedler, facts = spectral._laplacian_head(G)
     with spectral._one_blas_thread():
         lam, V = np.linalg.eigh(reference_laplacian(G))
     assert w.tobytes() == lam[:4].tobytes() and fiedler.tobytes() == V[:, 1].tobytes()
-    assert facts == {"eigensolver": "dense", "lanczos_steps": 0, "residual": None} and lower is None
+    assert facts == {"eigensolver": "dense", "lanczos_steps": 0, "residual": None, "lanczos_s": 0.0}
+    assert spectral._exact_head(G)[2] == {**facts, "certificate": None, "certificate_s": 0.0}
 
 
 @pytest.mark.parametrize(
@@ -466,25 +495,29 @@ def test_unconverged_lanczos_falls_back_to_eigh(kind, params, want):
     assert est.value == pytest.approx(want, rel=1e-9)
 
 
+def _refuse(a):
+    raise np.linalg.LinAlgError("forced")
+
+
 @pytest.mark.parametrize("failure", ["cholesky", "no_convergence"])
 def test_lanczos_failure_falls_back_to_eigh(monkeypatch, failure):
     dense = gap_exact_2(gen_family("random_regular", [200, 3], seed=4))
     monkeypatch.setattr(spectral, "_LANCZOS_MIN_N", 100)
     if failure == "cholesky":
-
-        def refuse(a):
-            raise np.linalg.LinAlgError("forced")
-
-        monkeypatch.setattr(np.linalg, "cholesky", refuse)
+        monkeypatch.setattr(np.linalg, "cholesky", _refuse)
     else:
         monkeypatch.setattr(spectral, "_LANCZOS_MAX_STEPS", 20)
-    est = gap_exact_2(gen_family("random_regular", [200, 3], seed=4))
+    G = gen_family("random_regular", [200, 3], seed=4)
+    est = gap_exact_2(G)
     diag = est.diagnostics
-    assert diag["eigensolver"] == "dense" and est.bound.lower_proof == "eigh"
+    margin = spectral._certificate_margin(G, est.value)[1]
+    assert diag["eigensolver"] == "dense" and est.bound.lower_proof == "eigh" and diag["certificate"] is None
     if failure == "cholesky":  # the run converged; its certificate failed
-        assert 0 < diag["lanczos_steps"] < 199 and diag["residual"] <= 1e-11 * est.value
+        assert 0 < diag["lanczos_steps"] < 199 and diag["residual"] <= margin
+        # the head that descents read keeps the run's vector
+        assert spectral._laplacian_head(G)[2]["eigensolver"] == "lanczos"
     else:
-        assert diag["lanczos_steps"] == 20 and diag["residual"] > 1e-11 * est.value
+        assert diag["lanczos_steps"] == 20 and diag["residual"] > margin
     assert est.value == dense.value
     assert est.minimizer.values.tobytes() == dense.minimizer.values.tobytes()
 
@@ -493,9 +526,61 @@ def test_certificate_refuses_a_value_above_a_missed_eigenvalue():
     G = gen_family("random_regular", [200, 3], seed=4)
     lam = np.linalg.eigvalsh(reference_laplacian(G))
     # lambda_3 is an eigenvalue with a tiny residual, but lambda_2 lies below it.
-    assert spectral._cholesky_lower_bound(G, float(lam[2]), 1e-14) is None
-    lower = spectral._cholesky_lower_bound(G, float(lam[1]), 1e-14)
-    assert lower is not None and lower <= lam[1] and lam[1] - lower <= 1e-9 * lam[1]
+    assert spectral._cholesky_certificate(G, float(lam[2]), 1e-14) is None
+    cert = spectral._cholesky_certificate(G, float(lam[1]), 1e-14)
+    lower = cert["shift"] - cert["margin"]
+    assert lower <= lam[1] and lam[1] - lower <= 1e-9 * lam[1]
+
+
+@pytest.mark.parametrize("width", [5, 128])
+def test_blocked_certificate_refuses_a_value_above_a_missed_eigenvalue(monkeypatch, width):
+    # rr(200,3) in blocks of 5 (40 blocks) and of 128 (two blocks)
+    monkeypatch.setattr(spectral, "_CERT_BLOCKED_MIN_N", 0)
+    monkeypatch.setattr(spectral, "_CERT_BLOCK", width)
+    test_certificate_refuses_a_value_above_a_missed_eigenvalue()
+
+
+@given(connected_multigraphs(2, 40), st.integers(3, 5))
+@settings(max_examples=60, deadline=None)
+def test_blocked_certificate_answers_alike_on_any_cpu_count(G, width):
+    # Accepts at lambda_2 and refuses above a missed eigenvalue, the same on
+    # one block and in blocks of 3-5, on 1, 2 or 3 usable CPUs.
+    lam = np.linalg.eigvalsh(reference_laplacian(G))
+    one_block = [spectral._cholesky_certificate(G, float(x), 1e-14) for x in lam[1:3]]
+    assert one_block[0] is not None
+    with mock.patch.object(spectral, "_CERT_BLOCKED_MIN_N", 0), mock.patch.object(spectral, "_CERT_BLOCK", width):
+        for cpus in (1, 2, 3):
+            with mock.patch.object(_parallel, "_usable_cpus", lambda: cpus):
+                assert [spectral._cholesky_certificate(G, float(x), 1e-14) for x in lam[1:3]] == one_block
+    if len(lam) > 2 and lam[2] - lam[1] > 4 * one_block[0]["margin"]:
+        assert one_block[1] is None
+
+
+def test_descents_run_no_certificate(monkeypatch):
+    # A descent reads only the head; the first exact request on the same
+    # object factors once, and a second reads its memo.
+    calls = []
+    certificate = spectral._cholesky_certificate
+    monkeypatch.setattr(spectral, "_cholesky_certificate", lambda *a: calls.append(a) or certificate(*a))
+    G = gen_family("margulis", [20])
+    assert G.n >= spectral._LANCZOS_MIN_N
+    for p, d in ((1.5, 1), (3.0, 2)):
+        gap_estimate(G, p=p, q=2.0, d=d, seed=1, restarts=2, max_iter=10)
+    assert calls == []
+    for _ in range(2):
+        assert gap_exact_2(G).bound.lower_proof == "cholesky"
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("refused", [False, True], ids=["certified", "certificate_fails"])
+def test_descent_start_does_not_depend_on_an_earlier_exact_request(monkeypatch, refused):
+    if refused:
+        monkeypatch.setattr(np.linalg, "cholesky", _refuse)
+    first, alone = gen_family("margulis", [20]), gen_family("margulis", [20])
+    assert gap_exact_2(first).bound.lower_proof == ("eigh" if refused else "cholesky")
+    assert spectral._fiedler_start(first, 2).tobytes() == spectral._fiedler_start(alone, 2).tobytes()
+    a, b = (gap_estimate(G, p=1.5, seed=2, restarts=3, max_iter=20) for G in (first, alone))
+    assert a.value == b.value and a.minimizer.values.tobytes() == b.minimizer.values.tobytes()
 
 
 # ----------------------------------------------------------------------
