@@ -1,9 +1,9 @@
 """Command-line surface.
 
 Subcommands: gen, gap, kappa, gross, distort, mazur, verify.  Artifacts are
-JSON (floats serialized at 12 significant digits, so a fixed seed
-reproduces byte-identical output) or CSV.  Exit codes: 0 success, 1 failed
-verification, 2 usage error.
+JSON (floats serialized at 12 significant digits, bound ends rounded
+outwards, so a fixed seed reproduces byte-identical output) or CSV.  Exit
+codes: 0 success, 1 failed verification, 2 usage error.
 """
 
 from __future__ import annotations
@@ -12,6 +12,7 @@ import argparse
 import json
 import os
 import sys
+from decimal import ROUND_CEILING, ROUND_FLOOR, Context, Decimal
 
 import numpy as np
 
@@ -39,16 +40,33 @@ from .graphs import (
 from .groups import GROUP_FORMS, KAPPA_RESTARTS, action_from_group, verify_sandwich, write_action_file
 from .realization import schreier_realize, spec_to_action, verify_realization
 from .spectral import gap as spectral_gap
-from .spectral import DEFAULT_MAX_ITER, DEFAULT_RESTARTS, DEFAULT_TOL, gap_oracle_small
+from .spectral import DEFAULT_MAX_ITER, DEFAULT_RESTARTS, gap_oracle_small
 
 __all__ = ["main"]
 
 
-def _round_floats(obj):
+# Bound ends print rounded outwards, so a printed proven end stays proven.
+_OUTWARD = dict.fromkeys(("lower", "gn_lower", "jv_lower"), -1) | dict.fromkeys(("upper", "value"), 1)
+
+
+def _round12(x: float, key: str | None = None) -> float:
+    """x at 12 significant digits, to nearest; under a key of ``_OUTWARD``
+    a lower end that would print above x prints at the 12-digit decimal
+    below it instead, and an upper end likewise."""
+    y = float(f"{x:.12g}")
+    side = _OUTWARD.get(key, 0)
+    if side == 0 or side * y >= side * x:
+        return y
+    # The float nearest a decimal d <= x is <= x: rounding to nearest is
+    # monotone, and x is a float.  Likewise above.
+    return float(Context(prec=12, rounding=ROUND_CEILING if side > 0 else ROUND_FLOOR).plus(Decimal(x)))
+
+
+def _round_floats(obj, key: str | None = None):
     if isinstance(obj, float):
-        return float(f"{obj:.12g}")
+        return _round12(obj, key)
     if isinstance(obj, dict):
-        return {k: _round_floats(v) for k, v in obj.items()}
+        return {k: _round_floats(v, k) for k, v in obj.items()}
     if isinstance(obj, list):
         return [_round_floats(v) for v in obj]
     return obj
@@ -69,12 +87,12 @@ def dump_csv(rows: list[dict], path: str) -> None:
     with open(path, "w") as fh:
         fh.write(",".join(cols) + "\n")
         for row in rows:
-            fh.write(",".join(_fmt_cell(row[c]) for c in cols) + "\n")
+            fh.write(",".join(_fmt_cell(row[c], c) for c in cols) + "\n")
 
 
-def _fmt_cell(v) -> str:
+def _fmt_cell(v, key: str) -> str:
     if isinstance(v, float):
-        return f"{v:.12g}"
+        return f"{_round12(v, key):.12g}"
     return "" if v is None else str(v)
 
 
@@ -113,6 +131,16 @@ def _parse_range(text: str) -> tuple[int, int]:
     raise ValueError(f"--family takes LO:HI with LO <= HI, got {text!r}")
 
 
+def _suite_ids(text: str) -> list[str]:
+    """``--suite``'s ``all``, ``fast`` or comma-separated criterion ids; an
+    unknown id is a usage error."""
+    ids = {"all": SUITE_IDS, "fast": FAST_IDS}.get(text) or [tok.strip() for tok in text.split(",")]
+    unknown = [i for i in ids if i not in SUITE_IDS]
+    if unknown:
+        raise argparse.ArgumentTypeError(f"unknown criterion ids: {unknown}")
+    return ids
+
+
 def _out_path(args, name: str) -> str | None:
     if not args.out:
         return None
@@ -147,10 +175,7 @@ def cmd_gap(args) -> int:
             )
         est = gap_oracle_small(G, p=args.p, resolution=args.resolution)
     else:
-        est = spectral_gap(
-            G, p=args.p, q=args.q, d=args.d, restarts=args.restarts, max_iter=args.max_iter,
-            tol=args.tol, seed=args.seed,
-        )
+        est = spectral_gap(G, p=args.p, q=args.q, d=args.d, restarts=args.restarts, max_iter=args.max_iter, seed=args.seed)
     _emit(args, est.to_dict(), "gap.json")
     if args.dump_minimizer:
         dump_csv(
@@ -293,16 +318,7 @@ def cmd_mazur(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    if args.suite == "all":
-        ids = SUITE_IDS
-    elif args.suite == "fast":
-        ids = FAST_IDS
-    else:
-        ids = [tok.strip() for tok in args.suite.split(",")]
-        unknown = [i for i in ids if i not in SUITE_IDS]
-        if unknown:
-            raise SystemExit(f"unknown criterion ids: {unknown}")
-    results = run_suite(ids, seed=args.seed)
+    results = run_suite(args.suite, seed=args.seed)
     sys.stdout.write(format_table(results) + "\n")
     if args.out:
         dump_json(
@@ -348,7 +364,6 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--method", choices=("auto", "oracle"), default="auto")
     g.add_argument("--restarts", type=int, default=DEFAULT_RESTARTS)
     g.add_argument("--max-iter", type=int, default=DEFAULT_MAX_ITER)
-    g.add_argument("--tol", type=float, default=DEFAULT_TOL)
     g.add_argument("--resolution", type=float, default=1e-3, help="grid oracle resolution")
     g.add_argument("--dump-minimizer", action="store_true")
     g.set_defaults(fn=cmd_gap)
@@ -391,7 +406,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     g = sub.add_parser("verify", help="run the acceptance suite")
     _add_common(g)
-    g.add_argument("--suite", default="all", help="all | fast | comma-separated ids")
+    g.add_argument("--suite", type=_suite_ids, default="all", help="all | fast | comma-separated ids")
     g.set_defaults(fn=cmd_verify)
 
     return ap

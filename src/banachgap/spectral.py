@@ -16,9 +16,9 @@ upper-bounds the infimum.  The descent follows the L-BFGS direction where
 the quotient is smooth (p > 1 and q > 1) and the subgradient where it has
 kinks (p = 1 or q = 1).
 
-Each gap carries a ``Bound`` whose upper end is its value.  The eigensolve
-and the cut enumeration prove both ends, the Lanczos path a Cholesky lower
-end; a descent or grid minimum proves only its upper end.
+Each gap carries a ``Bound`` whose upper end is its value.  The cut
+enumeration proves both ends, the exact p = 2 gap a Cholesky lower end; a
+descent or grid minimum proves only its upper end.
 """
 
 from __future__ import annotations
@@ -52,7 +52,7 @@ __all__ = [
 
 DEFAULT_RESTARTS = 32
 DEFAULT_MAX_ITER = 5000
-DEFAULT_TOL = 1e-10
+_GAP_TOL = 1e-10  # the gap descent's stopping tolerance
 CERTIFIED_REL = 1e-9  # relative slack of the order check of two proven ends, and of kappa's certified stop
 
 # Exact p = 1 gaps (d = 1 or q = 1) by enumerating the 2^(n-1) - 1 cuts, up to
@@ -64,8 +64,8 @@ CUT_MAX_N = 24
 GRID_MAX_POINTS = 1 << 24
 
 # Graphs of at least this many vertices get lambda_2 and the Fiedler vector
-# from a Lanczos run (_laplacian_head), certified for exact requests
-# (_exact_head); smaller ones from one dense eigh.  Per solve on one BLAS
+# from a Lanczos run (_laplacian_head), smaller ones from one dense eigh;
+# exact requests certify either (_exact_head).  Per solve on one BLAS
 # thread of a 2-vCPU Xeon VM (best of 5), Lanczos with its Cholesky
 # certificate against eigh, in ms:
 #   H8 1.9 / 5.2, boolean_cube(8) Schreier graph 1.4 / 5.1,
@@ -104,8 +104,8 @@ class VectorMap:
 @dataclass(frozen=True)
 class Bound:
     """The interval [lower, upper] around a reported number.  A proof is a
-    short tag naming what proves that end ("eigh", "cholesky", "cuts",
-    "grid", "admissible_map", "permutation", "hall", "diameter"), or None
+    short tag naming what proves that end ("cholesky", "cuts", "grid",
+    "admissible_map", "permutation", "hall", "diameter"), or None
     where the end is only an estimate.  Two proven ends more than
     ``CERTIFIED_REL`` relative out of order raise ``AssertionError``."""
 
@@ -384,10 +384,14 @@ def _cholesky_certificate(G: MultiGraph, theta: float, r: float) -> dict | None:
     return {"t": t, "shift": s, "margin": margin} if _factors(A) else None
 
 
-def _dense_head(G: MultiGraph) -> tuple[np.ndarray, np.ndarray]:
-    """``w[:4]`` and ``V[:, 1]`` of one dense eigh of the Laplacian."""
+def _dense_head(G: MultiGraph) -> tuple[np.ndarray, np.ndarray, float]:
+    """``w[:4]`` and ``v = V[:, 1]`` of one dense eigh of the Laplacian, read-only,
+    and the residual ``||L v - w[1] v||`` (one matvec)."""
     w, V = np.linalg.eigh(G.laplacian())
-    return w[: min(4, len(w))].copy(), V[:, 1].copy()
+    w, v = w[: min(4, len(w))].copy(), V[:, 1].copy()
+    for a in (w, v):
+        a.setflags(write=False)
+    return w, v, float(np.linalg.norm(_laplacian_matvec(G)(v) - w[1] * v))
 
 
 def _laplacian_head(G: MultiGraph) -> tuple[np.ndarray, np.ndarray, dict]:
@@ -401,25 +405,26 @@ def _laplacian_head(G: MultiGraph) -> tuple[np.ndarray, np.ndarray, dict]:
     vector, so theta >= lambda_2, and theta_3 and theta_4 are Ritz values,
     upper bounds on lambda_3 and lambda_4 by interlacing.  When the run
     does not converge, and below that size, one dense eigh gives them
-    (``_dense_head``); a failed run leaves its steps, residual and time in
-    the facts.  The arrays are read-only.  Only these O(n) floats stay on
-    the graph, never the full eigenbasis or the dense Laplacian.
+    (``_dense_head``); a failed run leaves its steps and time in the facts.
+    The facts' ``residual`` is the head's own.  The arrays are read-only.
+    Only these O(n) floats stay on the graph, never the full eigenbasis or
+    the dense Laplacian.
     """
 
     def solve():
-        facts = {"eigensolver": "dense", "lanczos_steps": 0, "residual": None, "lanczos_s": 0.0}
+        facts = {"eigensolver": "dense", "lanczos_steps": 0, "lanczos_s": 0.0}
+        head = None
         with _one_blas_thread():
             if G.n >= _LANCZOS_MIN_N:
                 t0 = time.perf_counter()
                 ritz, y, steps, r = _lanczos(G)
-                facts.update(lanczos_steps=steps, residual=r, lanczos_s=time.perf_counter() - t0)
+                facts.update(lanczos_steps=steps, lanczos_s=time.perf_counter() - t0)
                 if r <= _certificate_margin(G, float(ritz[0]))[1]:
-                    w, fiedler = np.concatenate([[0.0], ritz]), y
+                    head = np.concatenate([[0.0], ritz]), y, r
                     facts["eigensolver"] = "lanczos"
-            if facts["eigensolver"] == "dense":
-                w, fiedler = _dense_head(G)
-        for a in (w, fiedler):
-            a.setflags(write=False)
+                    for a in head[:2]:
+                        a.setflags(write=False)
+            w, fiedler, facts["residual"] = head or _dense_head(G)
         return w, fiedler, facts
 
     return G.memo("laplacian_head", solve)
@@ -427,26 +432,23 @@ def _laplacian_head(G: MultiGraph) -> tuple[np.ndarray, np.ndarray, dict]:
 
 def _exact_head(G: MultiGraph) -> tuple[np.ndarray, np.ndarray, dict]:
     """``_laplacian_head`` with its certificate, once per graph object: the
-    facts gain ``certificate`` (``_cholesky_certificate``'s witness, None
-    on the dense path) and ``certificate_s``.  Where the certificate fails,
-    one dense eigh answers here, and the head that descents read keeps the
-    Lanczos vector, so a descent's start does not depend on whether an
-    exact request ran first."""
+    facts gain ``certificate`` (``_cholesky_certificate``'s witness at the
+    head's theta and residual, None where the factorisation fails) and
+    ``certificate_s``.  Where a Lanczos head's certificate fails, one dense
+    eigh answers here and is certified the same way, and the head that
+    descents read keeps the Lanczos vector, so a descent's start does not
+    depend on whether an exact request ran first."""
 
     def solve():
         w, fiedler, facts = _laplacian_head(G)
-        facts = {**facts, "certificate": None, "certificate_s": 0.0}
-        if facts["eigensolver"] == "lanczos":
-            t0 = time.perf_counter()
-            with _one_blas_thread():
-                facts["certificate"] = _cholesky_certificate(G, float(w[1]), facts["residual"])
-                if facts["certificate"] is None:
-                    facts["eigensolver"] = "dense"
-                    w, fiedler = _dense_head(G)
-                    for a in (w, fiedler):
-                        a.setflags(write=False)
-            facts["certificate_s"] = time.perf_counter() - t0
-        return w, fiedler, facts
+        t0 = time.perf_counter()
+        with _one_blas_thread():
+            cert = _cholesky_certificate(G, float(w[1]), facts["residual"])
+            if cert is None and facts["eigensolver"] == "lanczos":
+                w, fiedler, r = _dense_head(G)
+                facts = {**facts, "eigensolver": "dense", "residual": r}
+                cert = _cholesky_certificate(G, float(w[1]), r)
+        return w, fiedler, {**facts, "certificate": cert, "certificate_s": time.perf_counter() - t0}
 
     return G.memo("exact_head", solve)
 
@@ -458,9 +460,9 @@ def gap_exact_2(G: MultiGraph) -> GapEstimate:
     ``residual``), the certificate's witness (``certificate``: ``t``,
     ``shift`` and ``margin``, with the lower end ``shift - margin``) and
     the seconds of the two stages (``lanczos_s``, ``certificate_s``).  The
-    dense eigensolve proves both ends of the bound; on the Lanczos path
-    the value theta is the upper end and the Cholesky certificate proves
-    the lower end.
+    value, the eigenvalue of either solver, is the upper end, and the
+    Cholesky certificate proves the lower end; where the factorisation
+    fails, the lower end is unproven.
     """
     if not G.connected:
         raise ValueError("gap_exact_2 requires a connected graph")
@@ -468,11 +470,9 @@ def gap_exact_2(G: MultiGraph) -> GapEstimate:
         raise ValueError("gap undefined on a single vertex (no nonconstant maps)")
     w, fiedler, facts = _exact_head(G)
     lam, cert = float(w[1]), facts["certificate"]
-    bound = Bound(lam, lam, "eigh", "eigh")
-    if cert is not None:
-        bound = Bound(cert["shift"] - cert["margin"], lam, "cholesky", "admissible_map")
+    lower, proof = (cert["shift"] - cert["margin"], "cholesky") if cert else (lam, None)
     est = GapEstimate(
-        bound=bound,
+        bound=Bound(lower, lam, proof, "admissible_map"),
         minimizer=VectorMap(fiedler[:, None].copy(), q=2.0, p=2.0),
         method="eigen_exact",
         p=2.0,
@@ -535,7 +535,6 @@ def gap_estimate(
     d: int = 1,
     restarts: int = DEFAULT_RESTARTS,
     max_iter: int = DEFAULT_MAX_ITER,
-    tol: float = DEFAULT_TOL,
     seed: int = 0,
     warm_starts: list[np.ndarray] | None = None,
 ) -> GapEstimate:
@@ -571,7 +570,7 @@ def gap_estimate(
     rounded[:, 0][rounded[:, 0] == 0.0] = 1.0
     starts = _kernels.stack_starts([fied, rounded], warm_starts, (G.n, d), restarts, rng)
     pf, qf = float(p), float(q)
-    Fs, values, iters, steps, stops, backtracks, passes = _kernels.descend_block(starts, eu, ev, em, pf, qf, max_iter, tol)
+    Fs, values, iters, steps, stops, backtracks, passes = _kernels.descend_block(starts, eu, ev, em, pf, qf, max_iter, _GAP_TOL)
     best_idx = int(np.argmin(values))
     best = float(values[best_idx])
     est = GapEstimate(
@@ -591,7 +590,7 @@ def gap_estimate(
             "direction": _kernels.gap_direction(pf, qf),
             "per_restart": _kernels.per_restart(iters, stops, backtracks),
             "passes": passes,
-            "tol": tol,
+            "tol": _GAP_TOL,
             "seed": seed,
         },
     )

@@ -7,7 +7,9 @@ are the half-circle scan (n = 3) and the row-by-row sphere scan (n = 4)
 that ``_kernels.oracle_grid`` replaced with one chunked grid kernel, each
 with its own plain quotient of a batch of maps.
 ``cut_quotient_min`` scores every indicator with a plain numpy quotient, the
-check of ``_kernels.cut_gap``'s meet-in-the-middle enumeration.  The graph and
+check of ``_kernels.cut_gap``'s meet-in-the-middle enumeration.
+``cholesky_witness_lower`` re-verifies the witness of a ``"cholesky"``
+lower end with one unblocked factorisation of the per-edge Laplacian.  The graph and
 metric loops are the per-edge dense Laplacian, the per-source BFS, the
 pairwise ``Fraction`` distortion and the per-translation displacement that
 ``banachgap.graphs`` and ``banachgap.distortion`` replaced with array
@@ -317,6 +319,22 @@ def laplacian(G):
         L[u, v] -= m
         L[v, u] -= m
     return L
+
+
+def cholesky_witness_lower(G, witness):
+    """The lower end ``shift - margin`` on lambda_2 that the witness ``{t,
+    shift, margin}`` of ``spectral._cholesky_certificate`` proves, checked
+    without the solvers: one ``np.linalg.cholesky`` of ``L + t 11^T - shift
+    I`` on the per-edge Laplacian, which raises ``LinAlgError`` if it fails,
+    and the margin from its formula, ``(gamma_{n+1}/(1 - gamma_{n+1}) + u)
+    (trace(L) + t n)``."""
+    n, t, shift = G.n, witness["t"], witness["shift"]
+    assert isinstance(t, int) and t >= 1  # so the off-diagonal entries are exact
+    L = laplacian(G)
+    u = 2.0**-53
+    gamma = (n + 1) * u / (1.0 - (n + 1) * u)
+    np.linalg.cholesky(L + t - shift * np.eye(n))
+    return shift - (gamma / (1.0 - gamma) + u) * (float(np.trace(L)) + t * n)
 
 
 def bfs_distances(G):

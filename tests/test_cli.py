@@ -1,10 +1,76 @@
+import csv
 import inspect
 import json
+import math
 
+import numpy as np
 import pytest
+from kernel_reference import cholesky_witness_lower
 
-from banachgap import groups, spectral
+from banachgap import cli, groups, spectral
 from banachgap.cli import build_parser, main
+from banachgap.graphs import gen_family
+
+_LOWER_ENDS, _UPPER_ENDS = ("lower", "gn_lower", "jv_lower"), ("upper", "value")
+
+
+def _assert_printed_ends_hold(raw, printed, graphs):
+    """Each float lower end printed at most the library's, each upper end at
+    least, and each exact gap's "cholesky" lower end at most what its
+    witness proves (kappa's lower end is monotone in it)."""
+    if isinstance(raw, dict):
+        for k, v in raw.items():
+            if isinstance(v, float) and k in _LOWER_ENDS:
+                assert float(printed[k]) <= v, k
+            if isinstance(v, float) and k in _UPPER_ENDS:
+                assert float(printed[k]) >= v, k
+            _assert_printed_ends_hold(v, printed[k], graphs)
+        if raw.get("method") == "eigen_exact" and raw["lower_proof"] == "cholesky":
+            witness = raw["diagnostics"]["certificate"]
+            assert printed["lower"] <= raw["lower"] <= cholesky_witness_lower(graphs[id(witness)], witness)
+    elif isinstance(raw, list):
+        for a, b in zip(raw, printed, strict=True):
+            _assert_printed_ends_hold(a, b, graphs)
+
+
+@pytest.fixture(autouse=True)
+def printed_ends_hold(monkeypatch):
+    """Checks every JSON artifact and ``family.csv`` of each test against the
+    unrounded payload, and re-verifies every Cholesky witness in them from
+    the per-edge Laplacian of the graph it was made on."""
+    graphs, printed = {}, []
+    exact_head, dump_json, dump_csv = spectral._exact_head, cli.dump_json, cli.dump_csv
+
+    def recording_head(G):
+        head = exact_head(G)
+        graphs[id(head[2]["certificate"])] = G
+        return head
+
+    def recording_json(obj, path=None):
+        text = dump_json(obj, path)
+        printed.append((obj, json.loads(text)))
+        return text
+
+    def recording_csv(rows, path):
+        dump_csv(rows, path)
+        with open(path) as fh:
+            printed.append((rows, list(csv.DictReader(fh))))
+
+    monkeypatch.setattr(spectral, "_exact_head", recording_head)
+    monkeypatch.setattr(cli, "dump_json", recording_json)
+    monkeypatch.setattr(cli, "dump_csv", recording_csv)
+    yield
+    for raw, out in printed:
+        _assert_printed_ends_hold(raw, out, graphs)
+
+
+def test_witness_checker_refuses_a_shift_above_lambda_2():
+    G = gen_family("cycle", [7])
+    lam = 2 - 2 * math.cos(2 * math.pi / 7)
+    witness = spectral.gap_exact_2(G).diagnostics["certificate"]
+    assert cholesky_witness_lower(G, witness) <= lam
+    with pytest.raises(np.linalg.LinAlgError):
+        cholesky_witness_lower(G, {**witness, "shift": lam * (1 + 1e-6)})
 
 
 def run(capsys, *argv):
@@ -36,13 +102,16 @@ def test_gap_exact_hamming(tmp_path, capsys):
     assert code == 0
     payload = json.loads(out)
     assert payload["value"] == 2.0
-    assert (payload["lower_proof"], payload["upper_proof"]) == ("eigh", "eigh")
+    assert (payload["lower_proof"], payload["upper_proof"]) == ("cholesky", "admissible_map")
     assert (tmp_path / "gap.json").exists()
     diag = payload["diagnostics"]
     assert diag["eigensolver"] == "dense" and diag["lanczos_steps"] == 0
-    assert diag["residual"] is None and payload["lower"] == payload["upper"] == payload["value"]
+    # the dense head is certified like a Lanczos one: the lower end prints rounded down
+    cert = diag["certificate"]
+    assert set(cert) == {"t", "shift", "margin"} and cert["t"] == 1
+    assert 0.0 <= diag["residual"] <= cert["margin"] and payload["lower"] == 1.99999999999 < payload["upper"] == 2.0
     assert set(diag) == {"eigenvalues_head", "eigensolver", "lanczos_steps", "residual"} | _WITNESS_KEYS
-    assert (diag["certificate"], diag["lanczos_s"], diag["certificate_s"]) == (None, 0.0, 0.0)
+    assert diag["lanczos_s"] == 0.0 and diag["certificate_s"] > 0.0
 
 
 def test_gap_exact_reports_the_lanczos_certificate(capsys):
@@ -320,8 +389,19 @@ def test_verify_fast_suite(capsys):
 
 
 def test_verify_rejects_unknown_ids(capsys):
-    with pytest.raises(SystemExit):
-        main(["verify", "--suite", "nope"])
+    # a usage error, like any other bad argument
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--suite", "1,nope"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert "error: argument --suite: unknown criterion ids: ['nope']" in captured.err and captured.out == ""
+
+
+def test_verify_runs_listed_ids_once_in_table_order(capsys):
+    code, out = run(capsys, "verify", "--suite", "10,1,10", "--seed", "1")
+    assert code == 0
+    rows = [line.split()[1] for line in out.splitlines() if line.startswith("[")]
+    assert rows == ["1", "10"] and "2/2 criteria passed" in out
 
 
 def test_error_exit_code(capsys):
@@ -378,7 +458,9 @@ def test_usage_error_exit_code():
 
 def test_parser_defaults_are_the_library_constants():
     gap = build_parser().parse_args(["gap", "--gen", "cycle:6", "--p", "2"])
-    assert (gap.restarts, gap.max_iter, gap.tol) == (spectral.DEFAULT_RESTARTS, spectral.DEFAULT_MAX_ITER, spectral.DEFAULT_TOL)
+    assert (gap.restarts, gap.max_iter) == (spectral.DEFAULT_RESTARTS, spectral.DEFAULT_MAX_ITER)
+    # the step tolerance is a constant, as kappa's is
+    assert not hasattr(gap, "tol") and "tol" not in inspect.signature(spectral.gap_estimate).parameters
     kappa = build_parser().parse_args(["kappa", "--group", "cyclic:4"])
     assert kappa.restarts == groups.KAPPA_RESTARTS
     assert inspect.signature(groups.kappa_estimate).parameters["restarts"].default == groups.KAPPA_RESTARTS

@@ -11,7 +11,7 @@ from kernel_reference import cut_quotient_min
 from kernel_reference import laplacian as reference_laplacian
 
 from banachgap import _parallel, spectral
-from banachgap.acceptance import _SMALL_GRAPHS, _sandwich_cases
+from banachgap.acceptance import _SMALL_GRAPHS, _sandwich_cases, run_suite
 from banachgap.graphs import build_graph, gen_family
 from banachgap.groups import action_from_group, schreier_graph
 from banachgap.spectral import (
@@ -475,8 +475,13 @@ def test_head_below_the_threshold_is_the_dense_eigh():
     with spectral._one_blas_thread():
         lam, V = np.linalg.eigh(reference_laplacian(G))
     assert w.tobytes() == lam[:4].tobytes() and fiedler.tobytes() == V[:, 1].tobytes()
-    assert facts == {"eigensolver": "dense", "lanczos_steps": 0, "residual": None, "lanczos_s": 0.0}
-    assert spectral._exact_head(G)[2] == {**facts, "certificate": None, "certificate_s": 0.0}
+    r = np.linalg.norm(reference_laplacian(G) @ V[:, 1] - lam[1] * V[:, 1])
+    assert facts == {"eigensolver": "dense", "lanczos_steps": 0, "residual": pytest.approx(r, abs=1e-14), "lanczos_s": 0.0}
+    # The exact request certifies the dense head as it does a Lanczos one.
+    exact = spectral._exact_head(G)[2]
+    cert = exact["certificate"]
+    assert _untimed(exact) == {**_untimed(facts), "certificate": spectral._cholesky_certificate(G, w[1], facts["residual"])}
+    assert cert["shift"] - cert["margin"] <= 2.0 <= w[1] * (1 + 1e-12) and exact["certificate_s"] > 0.0
 
 
 @pytest.mark.parametrize(
@@ -490,8 +495,11 @@ def test_unconverged_lanczos_falls_back_to_eigh(kind, params, want):
     # there, not at _LANCZOS_MAX_STEPS.
     est = gap_exact_2(gen_family(kind, params))
     diag = est.diagnostics
-    assert diag["eigensolver"] == "dense" and est.bound.lower_proof == "eigh"
-    assert diag["lanczos_steps"] == 2 * spectral._LANCZOS_CHECK_EVERY and diag["residual"] > est.value
+    assert diag["eigensolver"] == "dense" and est.bound.lower_proof == "cholesky"
+    assert diag["lanczos_steps"] == 2 * spectral._LANCZOS_CHECK_EVERY
+    assert spectral._lanczos(gen_family(kind, params))[3] > est.value
+    # the residual and the certificate are the dense head's
+    assert diag["residual"] <= diag["certificate"]["margin"] and est.bound.lower <= want
     assert est.value == pytest.approx(want, rel=1e-9)
 
 
@@ -511,15 +519,52 @@ def test_lanczos_failure_falls_back_to_eigh(monkeypatch, failure):
     est = gap_exact_2(G)
     diag = est.diagnostics
     margin = spectral._certificate_margin(G, est.value)[1]
-    assert diag["eigensolver"] == "dense" and est.bound.lower_proof == "eigh" and diag["certificate"] is None
-    if failure == "cholesky":  # the run converged; its certificate failed
-        assert 0 < diag["lanczos_steps"] < 199 and diag["residual"] <= margin
+    assert diag["eigensolver"] == "dense" and diag["residual"] == dense.diagnostics["residual"]
+    if failure == "cholesky":  # the run converged; its certificate failed, and so did the dense head's
+        assert est.bound.lower_proof is None and diag["certificate"] is None
         # the head that descents read keeps the run's vector
-        assert spectral._laplacian_head(G)[2]["eigensolver"] == "lanczos"
-    else:
-        assert diag["lanczos_steps"] == 20 and diag["residual"] > margin
+        head = spectral._laplacian_head(G)[2]
+        assert 0 < diag["lanczos_steps"] < 199 and head["eigensolver"] == "lanczos" and head["residual"] <= margin
+    else:  # the dense head is certified
+        assert est.bound == dense.bound and diag["certificate"] == dense.diagnostics["certificate"]
+        assert diag["lanczos_steps"] == 20 and spectral._lanczos(G)[3] > margin
     assert est.value == dense.value
     assert est.minimizer.values.tobytes() == dense.minimizer.values.tobytes()
+
+
+def _closed_forms():
+    ns = (3, 4, 7, 16, 31, 64, 127, 255, 256, 300, 400)
+    cases = [(f"cycle({n})", "cycle", [n], 4 * math.sin(math.pi / n) ** 2) for n in ns]
+    cases += [(f"path({n})", "path", [n], 4 * math.sin(math.pi / (2 * n)) ** 2) for n in ns]
+    cases += [(f"complete({n})", "complete", [n], float(n)) for n in ns]
+    cases += [(f"H{k}", "hamming", [k], 2.0) for k in range(1, 9)]
+    return [pytest.param(kind, params, want, id=label) for label, kind, params, want in cases]
+
+
+@pytest.mark.parametrize("kind,params,want", _closed_forms())
+def test_no_proven_lower_end_is_above_the_closed_form(kind, params, want):
+    # On both solvers' paths, and on the dense fallback of the cycles and
+    # paths from 256 vertices.
+    est = gap_exact_2(gen_family(kind, params))
+    assert est.bound.lower_proof == "cholesky"
+    # the interval is r + 2 margin wide, with the residual r below a margin
+    assert 0.0 < est.bound.lower <= want and est.value - est.bound.lower <= 3 * est.diagnostics["certificate"]["margin"]
+    assert est.value == pytest.approx(want, rel=1e-9)
+
+
+def test_suite_graphs_get_a_proven_lower_end(monkeypatch):
+    # every exact gap of criteria 1, 6 and 10 at seed 1, and each sandwich
+    # action's Schreier graph
+    heads = {}
+    exact_head = spectral._exact_head
+    monkeypatch.setattr(spectral, "_exact_head", lambda G: heads.setdefault(id(G), (G, exact_head(G)))[1])
+    assert all(r.passed for r in run_suite(["1", "6", "10"], seed=1))
+    for _, a, _, _ in _sandwich_cases():
+        gap_exact_2(schreier_graph(a))
+    assert len(heads) > 400
+    for G, (w, _, facts) in heads.values():
+        cert = facts["certificate"]
+        assert cert["shift"] - cert["margin"] <= np.linalg.eigvalsh(reference_laplacian(G))[1] <= w[1] * (1 + 1e-12)
 
 
 def test_certificate_refuses_a_value_above_a_missed_eigenvalue():
@@ -577,7 +622,7 @@ def test_descent_start_does_not_depend_on_an_earlier_exact_request(monkeypatch, 
     if refused:
         monkeypatch.setattr(np.linalg, "cholesky", _refuse)
     first, alone = gen_family("margulis", [20]), gen_family("margulis", [20])
-    assert gap_exact_2(first).bound.lower_proof == ("eigh" if refused else "cholesky")
+    assert gap_exact_2(first).bound.lower_proof == (None if refused else "cholesky")
     assert spectral._fiedler_start(first, 2).tobytes() == spectral._fiedler_start(alone, 2).tobytes()
     a, b = (gap_estimate(G, p=1.5, seed=2, restarts=3, max_iter=20) for G in (first, alone))
     assert a.value == b.value and a.minimizer.values.tobytes() == b.minimizer.values.tobytes()
