@@ -18,6 +18,11 @@ starts share its block.
 Both descents are adapters of one driver, ``_descend``, which keeps each
 start's step size, Armijo backtracking, best point, stage, stop reason and
 count of rejected trial steps; a start leaves the block when it stops.
+It runs on the columns that some start leaves nonzero once centred: a
+zero column has zero differences, (sub)gradient, curvature pairs and
+steps, so it never moves, and it comes back as exact zeros.  With
+``restarts`` <= 2 and no warm start, ``gap_estimate`` draws no Gaussian
+start, so its seed is unused and a d > 1 block descends column 0 alone.
 Its direction is the projected (sub)gradient, or, where ``descend_block``'s
 quotient is smooth (p > 1 and q > 1, ``gap_direction``), the L-BFGS
 direction of ``_QuasiNewton``: each start keeps its own last ``_MEMORY``
@@ -314,23 +319,29 @@ class _QuasiNewton:
         return d.reshape(g.shape), slope, newton
 
 
-def _descend(X, live, value, grad, evaluate, shrink, stages, iters, tol, stall, quasi_newton=False, target=-np.inf):
+def _descend(X, grad, evaluate, shrink, stages, iters, tol, stall, quasi_newton=False, target=-np.inf):
     """The descent loop of both adapters, as the module docstring describes.
 
-    ``X`` is a projected (R, d, n) block, ``live`` flags the starts that
-    descend and ``value`` holds each start's tracked value.  ``grad(X,
-    stage)`` returns the objective at each start's stage and its gradient;
-    ``evaluate(trials, rows, stage)`` is the ``_backtrack`` callback, whose
-    extra value is the tracked one.  With ``quasi_newton`` the direction is
+    ``X`` is an (R, d, n) block of starts, which ``evaluate(trials, rows,
+    stage)``, the ``_backtrack`` callback, projects first; its extra value
+    is the tracked one, and its mask flags the starts that descend.  The
+    loop runs on the columns that some start leaves nonzero once centred.
+    ``grad(X, stage)`` returns the objective at each start's stage and its
+    gradient.  With ``quasi_newton`` the direction is
     ``_QuasiNewton``'s, whose memory spans all stages (the gap descent has
     one), else the projected gradient.  Once the lowest tracked value of
     the block is at most ``target``, every start that has not ended its
     last stage stops as certified.  Returns per start the
     accepted point of lowest tracked value, that value, the iteration
     count, the last step norm, the stop code and the count of rejected
-    trial steps, then the block's count of backtracking passes.
+    trial steps, then the number of columns descended and the block's
+    count of backtracking passes.
     """
     nR, d, n = X.shape
+    # the columns some start leaves nonzero once centred, as ``evaluate`` centres
+    cols = np.flatnonzero(np.logical_or.reduce(X != np.add.reduce(X, axis=2, keepdims=True) / n, axis=(0, 2)))
+    X = X.take(cols, axis=1)
+    _, live, value = evaluate(X, slice(None), np.zeros(nR, dtype=np.int64))
     out_X, out_value = X.copy(), np.full(nR, np.inf)
     out_it, out_step, out_stop = np.zeros(nR, dtype=np.int64), np.zeros(nR), np.full(nR, STOP_DEGENERATE)
     out_bt = np.zeros(nR, dtype=np.int64)
@@ -346,7 +357,7 @@ def _descend(X, live, value, grad, evaluate, shrink, stages, iters, tol, stall, 
     deadline = np.full(idx.size, iters)
     code = np.full(idx.size, _RUNNING)
     bt = np.zeros(idx.size, dtype=np.int64)
-    qn = _QuasiNewton(idx.size, d * n) if quasi_newton else None
+    qn = _QuasiNewton(idx.size, cols.size * n) if quasi_newton else None
     due = iters  # the earliest deadline
     passes = 0
 
@@ -408,7 +419,9 @@ def _descend(X, live, value, grad, evaluate, shrink, stages, iters, tol, stall, 
             np.copyto(ref, best, where=gained)
             np.copyto(ref_it, it, where=gained)
             np.copyto(code, STOP_STALLED, where=live & (ref_it <= it - _STALL_ITERS))  # a start that gained has ref_it = it
-    return out_X, out_value, out_it, out_step, out_stop, out_bt, passes
+    F = np.zeros((nR, d, n))
+    F[:, cols] = out_X
+    return F, out_value, out_it, out_step, out_stop, out_bt, cols.size, passes
 
 
 def gap_direction(p, q):
@@ -425,8 +438,9 @@ def descend_block(F0, eu, ev, em, p, q, max_iter, tol):
     Returns ``(F, R, iterations, step, stop, backtracks)`` per start: the
     best map, its recomputed quotient, the iteration count, the last step
     norm, a stop code indexing ``STOP_REASONS`` and the count of rejected
-    trial steps; a degenerate start has value inf.  A seventh item is the
-    block's count of backtracking passes."""
+    trial steps; a degenerate start has value inf.  Then come the number of
+    columns descended (``_descend``) and the block's count of backtracking
+    passes."""
     F = np.asarray(F0, dtype=np.float64).transpose(0, 2, 1).copy()
     nR, d, n = F.shape
     scatter = _edge_scatter_index(eu, ev, n, nR * d)
@@ -446,13 +460,12 @@ def descend_block(F0, eu, ev, em, p, q, max_iter, tol):
         trials /= (Dt ** (1.0 / p))[:, None, None]
         return R, pos, R
 
-    R, live, _ = evaluate(F, None, None)
     newton = gap_direction(p, q) == "quasi_newton"
-    F, R, it, step, stop, bt, passes = _descend(F, live, R, grad, evaluate, _SHRINK, 1, max_iter, tol, True, newton)
+    F, R, it, step, stop, bt, cols, passes = _descend(F, grad, evaluate, _SHRINK, 1, max_iter, tol, True, newton)
     live = stop != STOP_DEGENERATE
     E, D = _block_ratio(F[live], eu, ev, em, p, q)
     R[live] = E / D
-    return np.ascontiguousarray(F.transpose(0, 2, 1)), R, it, step, stop, bt, passes
+    return np.ascontiguousarray(F.transpose(0, 2, 1)), R, it, step, stop, bt, cols, passes
 
 
 # ======================================================================
@@ -661,31 +674,27 @@ def kappa_descend_block(xi0, perms, p, betas, iters_per_stage, tol, target=-np.i
     ``(xi, value, iterations, stop, backtracks)`` per start: the field with
     the lowest true max residual seen at an accepted step, that residual,
     the total iteration count, the stop code and the count of rejected
-    trial steps; a degenerate start has value inf.  A sixth item is the
-    block's count of backtracking passes.
+    trial steps; a degenerate start has value inf.  Then come the number of
+    columns descended (``_descend``) and the block's count of backtracking
+    passes.
     """
     xi = np.asarray(xi0, dtype=np.float64).transpose(0, 2, 1).copy()
     m = xi.shape[2]
     g = perms.shape[0]
     inv_flat = (np.arange(g)[:, None] * m + np.argsort(perms, axis=1)).ravel()
 
-    def residuals(trials):
-        # centre and scale in place; the residuals and the mask of nonzero fields
-        live = _block_kappa_normalize(trials, p) > 0.0
-        return _block_kappa_residuals(_block_kappa_diffs(trials, perms), p), live
-
     def grad(xi, stage):
         return _block_kappa_grad(xi, perms, inv_flat, p, betas[stage])
 
     def evaluate(trials, rows, stage):
-        r, live = residuals(trials)
+        # centre and scale in place; a zero field is not admissible
+        live = _block_kappa_normalize(trials, p) > 0.0
+        r = _block_kappa_residuals(_block_kappa_diffs(trials, perms), p)
         beta = betas[stage[rows]]
         fsm, rmax, _, _ = _block_smoothed(r, np.repeat(beta, len(trials) // len(beta)))
         return fsm, live, rmax
 
-    r, live = residuals(xi)
-    xi, value, it, _, stop, bt, passes = _descend(
-        xi, live, r.max(axis=1), grad, evaluate, _KAPPA_SHRINK, betas.shape[0], iters_per_stage, tol, False,
-        target=target,
+    xi, value, it, _, stop, bt, cols, passes = _descend(
+        xi, grad, evaluate, _KAPPA_SHRINK, betas.shape[0], iters_per_stage, tol, False, target=target
     )
-    return np.ascontiguousarray(xi.transpose(0, 2, 1)), value, it, stop, bt, passes
+    return np.ascontiguousarray(xi.transpose(0, 2, 1)), value, it, stop, bt, cols, passes

@@ -347,7 +347,7 @@ def kappa_estimate(
     claim.  A value more than 1e-9 relative below a proven lower end raises
     ``AssertionError``.
     """
-    require_at_least_one(("p", p), ("d", d))
+    require_at_least_one(("p", p), ("d", d), ("restarts", restarts), ("max_iter", max_iter))
     rng = np.random.Generator(np.random.PCG64(seed))
     if gap is None:
         gap = _schreier_gap(a, p, seed + 1, restarts)
@@ -363,7 +363,7 @@ def kappa_estimate(
 
     betas = np.asarray(KAPPA_BETAS, dtype=np.float64)
     iters_per_stage = max(1, max_iter // len(KAPPA_BETAS))
-    xis, values, iters, stops, backtracks, passes = _kernels.kappa_descend_block(
+    xis, values, iters, stops, backtracks, columns, passes = _kernels.kappa_descend_block(
         starts, a.perms, float(p), betas, iters_per_stage, _KAPPA_TOL, target
     )
     b = int(np.argmin(values))
@@ -380,6 +380,7 @@ def kappa_estimate(
             "restarts": len(iters),
             "iterations": int(iters.sum()),
             "per_restart": _kernels.per_restart(iters, stops, backtracks),
+            "columns": columns,
             "passes": passes,
             "tol": _KAPPA_TOL,
             "seed": seed,

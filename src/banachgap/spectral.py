@@ -241,8 +241,17 @@ def _lanczos(G: MultiGraph) -> tuple[np.ndarray, np.ndarray, int, float]:
     step count and the residual ``||L y - y^T L y y||``.  The run stops
     once the residual is at most the certificate's margin at theta
     (``_certificate_margin``), the resolution its proof has anyway, or at
-    ``min(_LANCZOS_MAX_STEPS, n - 1)`` steps, or when the Krylov space
-    stops growing; the caller reads convergence off the residual.
+    ``min(_LANCZOS_MAX_STEPS, n - 1)`` steps, or when w is exactly 0; the
+    caller reads convergence off the residual.
+
+    A Krylov space that stops growing (``||w||`` below 1e-10 of ``||L
+    q||``) is checked at once.  Where the residual there is still above
+    the margin, the run goes on from the rounding left in w, which the
+    Gram-Schmidt passes have made orthogonal to the earlier vectors: its
+    coupling to them enters T, and the next steps take it into the Ritz
+    vector.  A graph of few distinct eigenvalues (a star with two hubs,
+    n = 20) stops growing at step 4 with a residual of 2 margins, and one
+    step more brings it below one.
 
     Each step removes the earlier vectors by one Gram-Schmidt pass, and by
     a second only when the first shrank ``||w||`` below ``_DGKS`` of its
@@ -289,8 +298,8 @@ def _lanczos(G: MultiGraph) -> tuple[np.ndarray, np.ndarray, int, float]:
                 break
         beta[k] = norm
         steps = k + 1
-        last = steps == kmax or beta[k] <= 1e-10 * scale
-        if steps % _LANCZOS_CHECK_EVERY == 0 or last:
+        last = steps == kmax or beta[k] == 0.0
+        if steps % _LANCZOS_CHECK_EVERY == 0 or last or beta[k] <= 1e-10 * scale:
             T = np.diag(alpha[:steps])
             T[np.arange(1, steps), np.arange(steps - 1)] = beta[: steps - 1]
             ritz, S = np.linalg.eigh(T)
@@ -548,13 +557,16 @@ def gap_estimate(
     together in one block kernel call.  The diagnostics name the
     ``direction`` (``"quasi_newton"`` or ``"gradient"``), list each
     restart's stop reason, iterations and backtracks under ``per_restart``,
-    and count the block's backtracking passes under ``passes``.
+    count the block's backtracking passes under ``passes`` and the columns
+    it descended under ``columns``.  With ``restarts`` <= 2 and no warm
+    start, no Gaussian start is drawn: ``seed`` is unused, and a d > 1
+    block descends column 0 alone, the others staying at zero.
 
     At p = 1 with d = 1 or q = 1, on at most ``CUT_MAX_N`` vertices, the
     gap is exact instead: ``_gap_cuts`` enumerates the cuts, and the
     descent options, restarts and warm starts are not used.
     """
-    require_at_least_one(("p", p), ("q", q), ("d", d))
+    require_at_least_one(("p", p), ("q", q), ("d", d), ("restarts", restarts), ("max_iter", max_iter))
     if not G.connected:
         raise ValueError("gap_estimate requires a connected graph")
     if G.n < 2:
@@ -570,7 +582,7 @@ def gap_estimate(
     rounded[:, 0][rounded[:, 0] == 0.0] = 1.0
     starts = _kernels.stack_starts([fied, rounded], warm_starts, (G.n, d), restarts, rng)
     pf, qf = float(p), float(q)
-    Fs, values, iters, steps, stops, backtracks, passes = _kernels.descend_block(starts, eu, ev, em, pf, qf, max_iter, _GAP_TOL)
+    Fs, values, iters, steps, stops, backtracks, columns, passes = _kernels.descend_block(starts, eu, ev, em, pf, qf, max_iter, _GAP_TOL)
     best_idx = int(np.argmin(values))
     best = float(values[best_idx])
     est = GapEstimate(
@@ -589,6 +601,7 @@ def gap_estimate(
             "stop_reason": _kernels.STOP_REASONS[stops[best_idx]],
             "direction": _kernels.gap_direction(pf, qf),
             "per_restart": _kernels.per_restart(iters, stops, backtracks),
+            "columns": columns,
             "passes": passes,
             "tol": _GAP_TOL,
             "seed": seed,

@@ -9,9 +9,10 @@ with its own plain quotient of a batch of maps.
 ``cut_quotient_min`` scores every indicator with a plain numpy quotient, the
 check of ``_kernels.cut_gap``'s meet-in-the-middle enumeration.
 ``cholesky_witness_lower`` re-verifies the witness of a ``"cholesky"``
-lower end with one unblocked factorisation of the per-edge Laplacian.  The graph and
-metric loops are the per-edge dense Laplacian, the per-source BFS, the
-pairwise ``Fraction`` distortion and the per-translation displacement that
+lower end with one unblocked factorisation of the per-edge Laplacian.
+``bfs_distances`` checks the word-parallel BFS of ``banachgap.graphs``
+against scipy's unweighted shortest paths.  The graph and metric loops
+are the per-edge dense Laplacian, the pairwise ``Fraction`` distortion and the per-translation displacement that
 ``banachgap.graphs`` and ``banachgap.distortion`` replaced with array
 code; the per-row float distortion and the all-pairs exact one that it
 then replaced with blocks of pairs; and the enumeration of all
@@ -32,10 +33,11 @@ keys.
 
 import itertools
 import math
-from collections import deque
 from fractions import Fraction
 
 import numpy as np
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import shortest_path
 
 from banachgap import groups
 from banachgap.graphs import build_graph
@@ -338,23 +340,12 @@ def cholesky_witness_lower(G, witness):
 
 
 def bfs_distances(G):
-    adj = [[] for _ in range(G.n)]
-    for u, v, _ in G.edges:
-        if u != v:
-            adj[u].append(v)
-            adj[v].append(u)
-    dist = np.full((G.n, G.n), -1, dtype=np.int64)
-    for s in range(G.n):
-        row = dist[s]
-        row[s] = 0
-        queue = deque([s])
-        while queue:
-            x = queue.popleft()
-            for y in adj[x]:
-                if row[y] < 0:
-                    row[y] = row[x] + 1
-                    queue.append(y)
-    return dist
+    """Hop distances by scipy's unweighted shortest paths, -1 where none."""
+    u, v = (np.array([e[k] for e in G.edges if e[0] != e[1]], dtype=np.int64) for k in (0, 1))
+    A = csr_matrix((np.ones(u.size), (u, v)), shape=(G.n, G.n))
+    dist = shortest_path(A, method="D", directed=False, unweighted=True)
+    dist[np.isinf(dist)] = -1
+    return dist.astype(np.int64)
 
 
 def distortion_exact_sq(F, d):

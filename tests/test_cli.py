@@ -197,6 +197,28 @@ def test_non_finite_exponents_exit_1(capsys, argv, bad):
     assert captured.err.startswith("error: ") and "must be >= 1 and finite" in captured.err and captured.out == ""
 
 
+@pytest.mark.parametrize(
+    "argv,name",
+    [
+        (["gap", "--gen", "cycle:6", "--p", "1.5", "--restarts", "0"], "restarts"),
+        (["gap", "--gen", "cycle:6", "--p", "1.5", "--restarts", "-3"], "restarts"),
+        (["gap", "--gen", "cycle:6", "--p", "1.5", "--max-iter", "-5"], "max_iter"),
+        (["kappa", "--group", "cyclic:4", "--p", "2", "--restarts", "0"], "restarts"),
+    ],
+)
+def test_counts_below_one_exit_1(capsys, argv, name):
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"error: {name} must be >= 1 and finite") and captured.out == ""
+
+
+def test_gap_artifact_reports_the_columns_descended(capsys):
+    # two restarts draw no Gaussian start, and both starts are zero off column 0
+    for restarts, columns in (("2", 1), ("3", 2)):
+        code, out = run(capsys, "gap", "--gen", "cycle:12", "--p", "1.5", "--d", "2", "--restarts", restarts, "--max-iter", "30")
+        assert code == 0 and json.loads(out)["diagnostics"]["columns"] == columns
+
+
 def test_gap_reads_file(tmp_path, capsys):
     run(capsys, "gen", "--gen", "complete:4", "--out", str(tmp_path))
     code, out = run(capsys, "gap", "--file", str(tmp_path / "graph.edges"), "--p", "2")

@@ -37,6 +37,13 @@ def test_kappa_exponent_must_be_finite(bad):
         verify_sandwich(a, p=bad)
 
 
+@pytest.mark.parametrize("name,count", [("restarts", 0), ("restarts", -3), ("max_iter", 0), ("max_iter", -1)])
+def test_kappa_estimate_refuses_counts_below_one(name, count):
+    a = action_from_group("cyclic", 4)
+    with pytest.raises(ValueError, match=f"^{name} must be >= 1 and finite, got {count}"):
+        kappa_estimate(a, p=1.5, gap=gap_exact_2(schreier_graph(a)), **{name: count})
+
+
 def test_cyclic_action_gives_cycle_graph():
     a = action_from_group("cyclic", 6)
     assert a.m == 6 and a.size == 2

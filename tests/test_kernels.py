@@ -5,6 +5,9 @@ import math
 
 import numpy as np
 import pytest
+from graph_strategies import connected_multigraphs
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from kernel_reference import (
     _kappa_grad,
     _kappa_normalize,
@@ -22,7 +25,15 @@ from banachgap import _kernels
 from banachgap.acceptance import _SMALL_GRAPHS
 from banachgap.graphs import build_graph, gen_family
 from banachgap.groups import action_from_group, kappa_estimate, schreier_graph
-from banachgap.spectral import VectorMap, _fiedler_start, gap_estimate, gap_oracle_small, mean_zero_basis, rayleigh_quotient
+from banachgap.spectral import (
+    VectorMap,
+    _fiedler_start,
+    gap_estimate,
+    gap_exact_2,
+    gap_oracle_small,
+    mean_zero_basis,
+    rayleigh_quotient,
+)
 
 BETAS = np.array([1e1, 1e2, 1e3, 1e4])
 
@@ -84,7 +95,7 @@ def _gap_descent(G, p, q, max_iter):
     eu, ev, em = G.nonloop_arrays()
 
     def descent(starts):
-        F, values, iters, _, stops, backtracks, _ = _kernels.descend_block(starts, eu, ev, em, p, q, max_iter, 1e-10)
+        F, values, iters, _, stops, backtracks, _, _ = _kernels.descend_block(starts, eu, ev, em, p, q, max_iter, 1e-10)
         return F, values, iters, stops, backtracks
 
     return descent
@@ -239,7 +250,7 @@ def test_the_pass_rule_changes_no_output(monkeypatch, forced):
 
     monkeypatch.setattr(_kernels, "_backtrack", force)
     for ours, theirs in zip(rule, runs()):
-        assert all(a.tobytes() == b.tobytes() for a, b in zip(ours[:-1], theirs[:-1]))
+        assert all(np.asarray(a).tobytes() == np.asarray(b).tobytes() for a, b in zip(ours[:-1], theirs[:-1]))
         assert ours[-1] <= theirs[-1]
 
 
@@ -327,7 +338,7 @@ def test_gap_descent_with_no_iterations_returns_the_scaled_starts():
     G = gen_family("cycle", [6])
     eu, ev, em = G.nonloop_arrays()
     starts = _gap_starts(G, 4, seed=2)
-    F, values, iters, steps, stops, backtracks, passes = _kernels.descend_block(starts, eu, ev, em, 1.5, 2.0, 0, 1e-10)
+    F, values, iters, steps, stops, backtracks, _, passes = _kernels.descend_block(starts, eu, ev, em, 1.5, 2.0, 0, 1e-10)
     centred = starts - starts.mean(axis=1, keepdims=True)
     for k, S in enumerate(centred):
         E, D = _kernels.ratio_parts(S, eu, ev, em, 1.5, 2.0)
@@ -341,7 +352,7 @@ def test_kappa_descent_never_stalls():
     # a tiny step tolerance and long stages, where the gap descent's stall rule would fire
     perms = np.ascontiguousarray(action_from_group("cyclic", 8).perms)
     starts = np.random.Generator(np.random.PCG64(4)).standard_normal((6, 8, 1))
-    _, _, iters, stops, _, _ = _kernels.kappa_descend_block(starts, perms, 1.0, BETAS, 300, 0.0)
+    _, _, iters, stops, _, _, _ = _kernels.kappa_descend_block(starts, perms, 1.0, BETAS, 300, 0.0)
     assert iters.max() > _kernels._STALL_ITERS
     assert all(_kernels.STOP_REASONS[s] != "stalled" for s in stops)
 
@@ -350,10 +361,97 @@ def test_degenerate_start_stops_at_once():
     G = gen_family("cycle", [5])
     eu, ev, em = G.nonloop_arrays()
     starts = np.stack([np.ones((5, 1)), _gap_starts(G, 2, seed=0)[0]])
-    _, values, iters, _, stops, _, _ = _kernels.descend_block(starts, eu, ev, em, 1.5, 2.0, 200, 1e-10)
+    _, values, iters, _, stops, _, _, _ = _kernels.descend_block(starts, eu, ev, em, 1.5, 2.0, 200, 1e-10)
     assert _kernels.STOP_REASONS[stops[0]] == "degenerate"
     assert values[0] == np.inf and iters[0] == 0
     assert np.isfinite(values[1])
+
+
+COLUMN_EXPONENTS = st.sampled_from([1.0, 1.5, 2.0, 3.0])
+
+
+@st.composite
+def _column_blocks(draw, n):
+    """Three Gaussian (n, d) starts, d in {2, 3}, that all vanish on a drawn
+    proper subset of the columns, and the columns kept."""
+    d = draw(st.sampled_from([2, 3]))
+    kept = sorted(draw(st.sets(st.integers(0, d - 1), min_size=1, max_size=d - 1)))
+    rng = np.random.Generator(np.random.PCG64(draw(st.integers(0, 2**32 - 1))))
+    starts = np.zeros((3, n, d))
+    starts[:, :, kept] = rng.standard_normal((3, n, len(kept)))
+    return starts, kept
+
+
+def _assert_re_embeds(full, narrow, kept):
+    """``full`` is ``narrow``, bit for bit, with the points re-embedded in
+    the kept columns and exact zeros elsewhere, and both descended the kept
+    columns alone."""
+    want = np.zeros(full[0].shape)
+    want[:, :, kept] = narrow[0]
+    assert full[0].tobytes() == want.tobytes()
+    assert all(np.asarray(a).tobytes() == np.asarray(b).tobytes() for a, b in zip(full[1:], narrow[1:]))
+    assert full[-2] == len(kept)
+
+
+@given(connected_multigraphs(2, 12), COLUMN_EXPONENTS, COLUMN_EXPONENTS, st.data())
+@settings(max_examples=60, deadline=None)
+def test_gap_descent_leaves_out_the_columns_every_start_leaves_at_zero(G, p, q, data):
+    eu, ev, em = G.nonloop_arrays()
+    starts, kept = data.draw(_column_blocks(G.n))
+    full = _kernels.descend_block(starts, eu, ev, em, p, q, 40, 1e-10)
+    narrow = _kernels.descend_block(np.ascontiguousarray(starts[:, :, kept]), eu, ev, em, p, q, 40, 1e-10)
+    _assert_re_embeds(full, narrow, kept)
+
+
+@given(st.integers(2, 12), st.integers(1, 3), COLUMN_EXPONENTS, st.data())
+@settings(max_examples=60, deadline=None)
+def test_kappa_descent_leaves_out_the_columns_every_start_leaves_at_zero(m, g, p, data):
+    rng = np.random.Generator(np.random.PCG64(data.draw(st.integers(0, 2**32 - 1))))
+    perms = rng.permuted(np.tile(np.arange(m), (g, 1)), axis=1)
+    starts, kept = data.draw(_column_blocks(m))
+    full = _kernels.kappa_descend_block(starts, perms, p, BETAS, 10, 1e-12)
+    narrow = _kernels.kappa_descend_block(np.ascontiguousarray(starts[:, :, kept]), perms, p, BETAS, 10, 1e-12)
+    _assert_re_embeds(full, narrow, kept)
+
+
+def test_all_zero_starts_descend_no_column():
+    G = gen_family("cycle", [6])
+    eu, ev, em = G.nonloop_arrays()
+    perms = np.ascontiguousarray(action_from_group("cyclic", 6).perms)
+    starts = np.zeros((3, 6, 2))
+    F, values, iters, steps, stops, bt, columns, passes = _kernels.descend_block(starts, eu, ev, em, 1.5, 2.0, 50, 1e-10)
+    assert F.shape == starts.shape and not F.any() and (steps == 0.0).all()
+    xi, kvalues, kiters, kstops, kbt, kcolumns, kpasses = _kernels.kappa_descend_block(starts, perms, 2.0, BETAS, 50, 1e-12)
+    assert xi.shape == starts.shape and not xi.any()
+    for v, it, stop, b, c, k in [(values, iters, stops, bt, columns, passes), (kvalues, kiters, kstops, kbt, kcolumns, kpasses)]:
+        assert (v == np.inf).all() and not it.any() and not b.any() and c == 0 and k == 0
+        assert all(_kernels.STOP_REASONS[s] == "degenerate" for s in stop)
+
+
+def test_a_constant_warm_start_column_is_dropped():
+    # a constant column is zero once centred, so it drops out like a zero one
+    G = gen_family("cycle", [6])
+    eu, ev, em = G.nonloop_arrays()
+    rng = np.random.Generator(np.random.PCG64(4))
+    starts = np.full((3, 6, 2), 3.0)
+    starts[:, :, 0] = rng.standard_normal((3, 6))
+    full = _kernels.descend_block(starts, eu, ev, em, 1.5, 2.0, 60, 1e-10)
+    _assert_re_embeds(full, _kernels.descend_block(starts[:, :, :1], eu, ev, em, 1.5, 2.0, 60, 1e-10), [0])
+    est = gap_estimate(G, p=1.5, d=2, restarts=3, warm_starts=[starts[0]])
+    assert est.diagnostics["columns"] == 1
+    assert est.minimizer.values.shape == (6, 2) and not est.minimizer.values[:, 1].any()
+
+
+def test_estimators_report_the_columns_descended():
+    # with no Gaussian draw both gap starts are zero off column 0
+    G = gen_family("random_regular", [10, 3], seed=4)
+    one = gap_estimate(G, p=1.5, d=2, restarts=2, max_iter=40)
+    assert one.diagnostics["columns"] == 1 and not one.minimizer.values[:, 1].any()
+    assert gap_estimate(G, p=1.5, d=2, restarts=3, max_iter=40).diagnostics["columns"] == 2
+    a = action_from_group("cyclic", 6)
+    gap = gap_exact_2(schreier_graph(a))
+    assert kappa_estimate(a, p=1.5, d=2, restarts=1, max_iter=40, gap=gap).diagnostics["columns"] == 1
+    assert kappa_estimate(a, p=1.5, d=2, restarts=2, max_iter=40, gap=gap).diagnostics["columns"] == 2
 
 
 @pytest.mark.parametrize(
@@ -365,7 +463,7 @@ def test_block_kappa_descent_matches_single_start_reference(group, params, d, p)
     perms = np.ascontiguousarray(a.perms.astype(np.int64))
     rng = np.random.Generator(np.random.PCG64(11))
     starts = np.stack([rng.standard_normal((a.m, d)) for _ in range(4)])
-    xis, values, _, stops, _, _ = _kernels.kappa_descend_block(starts, perms, p, BETAS, 100, 1e-12)
+    xis, values, _, stops, _, _, _ = _kernels.kappa_descend_block(starts, perms, p, BETAS, 100, 1e-12)
     for k, xi0 in enumerate(starts):
         _, ref, _ = kappa_descend(np.ascontiguousarray(xi0), perms, p, BETAS, 100, 1e-12)
         assert values[k] == pytest.approx(ref, rel=1e-9)
@@ -379,10 +477,10 @@ def test_kappa_block_stops_once_it_reaches_the_target():
     # every start still in a stage then stops as certified.
     perms = np.ascontiguousarray(action_from_group("sl_mod", 2, 3).perms)
     starts = np.random.Generator(np.random.PCG64(6)).standard_normal((5, 24, 1))
-    _, free, free_it, free_stop, _, _ = _kernels.kappa_descend_block(starts, perms, 1.5, BETAS, 100, 1e-12)
+    _, free, free_it, free_stop, _, _, _ = _kernels.kappa_descend_block(starts, perms, 1.5, BETAS, 100, 1e-12)
     assert _kernels.STOP_CERTIFIED not in free_stop
     target = float(free.min()) * 1.01
-    _, value, it, stop, _, _ = _kernels.kappa_descend_block(starts, perms, 1.5, BETAS, 100, 1e-12, target)
+    _, value, it, stop, _, _, _ = _kernels.kappa_descend_block(starts, perms, 1.5, BETAS, 100, 1e-12, target)
     certified = stop == _kernels.STOP_CERTIFIED
     assert certified.any() and value.min() <= target
     assert len(set(it[certified])) == 1 and (it[~certified] < it[certified][0]).all()
@@ -396,7 +494,7 @@ def test_certified_stop_overrides_a_stage_that_ends_at_the_same_iteration():
     perms = np.ascontiguousarray(action_from_group("cyclic", 7).perms)
     starts = np.random.Generator(np.random.PCG64(9)).standard_normal((3, 7, 1))
     first = _kernels.kappa_descend_block(starts, perms, 1.5, BETAS[:1], 1, 1e-12)[1].min()
-    _, value, it, stop, _, _ = _kernels.kappa_descend_block(starts, perms, 1.5, BETAS, 1, 1e-12, first)
+    _, value, it, stop, _, _, _ = _kernels.kappa_descend_block(starts, perms, 1.5, BETAS, 1, 1e-12, first)
     assert value.min() == first
     assert [_kernels.STOP_REASONS[s] for s in stop] == ["certified"] * 3 and (it == 1).all()
 
@@ -408,7 +506,7 @@ def test_kappa_start_at_the_target_costs_no_iteration():
     rng = np.random.Generator(np.random.PCG64(2))
     wave = np.cos(np.pi * np.arange(6) / 3)[:, None]
     starts = np.stack([rng.standard_normal((6, 1)), wave, np.ones((6, 1))])
-    _, value, it, stop, bt, passes = _kernels.kappa_descend_block(starts, perms, 2.0, BETAS, 100, 1e-12, 1.0 + 1e-9)
+    _, value, it, stop, bt, _, passes = _kernels.kappa_descend_block(starts, perms, 2.0, BETAS, 100, 1e-12, 1.0 + 1e-9)
     assert [_kernels.STOP_REASONS[s] for s in stop] == ["certified", "certified", "degenerate"]
     assert (it == 0).all() and (bt == 0).all() and passes == 0
     assert value[1] == pytest.approx(1.0, rel=1e-12) and value[2] == np.inf

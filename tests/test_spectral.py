@@ -188,6 +188,18 @@ def test_exponents_must_be_finite(call, name, bad):
         call(bad)
 
 
+@pytest.mark.parametrize("name,count", [("restarts", 0), ("restarts", -3), ("max_iter", 0), ("max_iter", -5)])
+def test_gap_estimate_refuses_counts_below_one(name, count):
+    with pytest.raises(ValueError, match=f"^{name} must be >= 1 and finite, got {count}"):
+        gap_estimate(C6, p=1.5, **{name: count})
+
+
+def test_gap_estimate_takes_one_restart_and_one_iteration():
+    # one restart still runs both deterministic starts
+    est = gap_estimate(C6, p=1.5, restarts=1, max_iter=1)
+    assert est.diagnostics["restarts"] == 2 and est.diagnostics["iterations"] <= 2
+
+
 def test_mean_zero_basis_orthonormal():
     B = mean_zero_basis(5)
     assert np.allclose(B.sum(axis=0), 0.0, atol=1e-14)
@@ -408,6 +420,11 @@ def _lanczos_cases():
         ("sl_mod(2,7)", lambda: schreier_graph(action_from_group("sl_mod", 2, 7))),
         ("boolean_cube(8)", lambda: schreier_graph(action_from_group("boolean_cube", 8))),
     ]
+    # Two hubs with 18 leaves: the Krylov space stops growing at step 4
+    # with the residual at 2 margins, so the run must go on past it.
+    hubs = [(0, 1, 2)] + [(0, k, 1) for k in (2, 3, 4, 6, 7, 8, 9, 10, 11, 12, 13, 15, 18)]
+    hubs += [(1, k, 1) for k in (5, 14, 16, 17, 19)]
+    cases.append(("two_hubs(20)", lambda: build_graph(20, hubs)))
     # Criterion 9's family at suite seed 1.
     cases += [(f"rr({n},3)#c9", lambda n=n: gen_family("random_regular", [n, 3], seed=1 + n)) for n in (10, 20, 40, 60)]
     return [pytest.param(build, id=label) for label, build in cases]
